@@ -18,10 +18,11 @@ checks suffice since both sides are homomorphisms on P.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .grouprep import ScaleError
 from .fusion import FusionSystem, Morphism, all_injective_homs
@@ -198,13 +199,6 @@ class DiagonalContext:
         return acc
 
 
-def _lcm(a: int, b: int) -> int:
-    g, x = a, b
-    while x:
-        g, x = x, g % x
-    return a // g * b
-
-
 def outer_class_representatives(system: FusionSystem) -> list[Morphism]:
     """One automorphism of S per outer class, the identity first."""
     reps = []
@@ -265,7 +259,7 @@ def build_semicharacteristic(
 
     m = 1
     for _, _, coeff in terms:
-        m = _lcm(m, coeff.denominator)
+        m = math.lcm(m, coeff.denominator)
     orbits = []
     n = 0
     for source, images, coeff in terms:
@@ -391,21 +385,6 @@ def check_orbit_predictions(
         "nonextendable_core": tuple(sorted(qf)),
     }
     return ok, report
-
-
-def append_free_orbits(X: SemicharacteristicBiset, G_order: int, count: int = 1) -> SemicharacteristicBiset:
-    """A stable biset stays stable after adding free orbits; this pads with
-    (S x S)/Delta(1, 1) copies so some orbit source is trivial."""
-    if count < 1:
-        raise ValueError("count must be positive")
-    orbits = list(X.orbits)
-    for i, rec in enumerate(orbits):
-        if rec.source == (0,):
-            orbits[i] = OrbitRecord(rec.source, rec.images, rec.multiplicity + count)
-            break
-    else:
-        orbits.append(OrbitRecord((0,), (0,), count))
-    return SemicharacteristicBiset(orbits, X.m, X.n + count * G_order)
 
 
 def orbit_payload(system: FusionSystem, rec: OrbitRecord) -> dict:

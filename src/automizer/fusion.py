@@ -19,9 +19,9 @@ synthesize conjugation witnesses multiplicatively.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .grouprep import FiniteGroup, Subgroup
+from .grouprep import FiniteGroup, Subgroup, _word_map, injective_homs
 
 
 class Morphism(NamedTuple):
@@ -372,14 +372,12 @@ class FusionSystem:
 
     def morphism_from_payload(self, payload: dict) -> Morphism:
         G = self.ambient
-        gens = list(payload["source_generators"])
-        images = list(payload["generator_images"])
+        gens = [int(g) for g in payload["source_generators"]]
+        images = [int(x) for x in payload["generator_images"]]
         skey = G.closure(gens)
         if skey not in self.lattice.by_key:
             raise ValueError("payload source is not an enumerated subgroup")
         words = _word_map(G, gens)
-        if set(words) != set(skey):
-            raise ValueError("payload generators do not generate their source")
         table = {x: G.product(images[gi] for gi in w) for x, w in words.items()}
         return Morphism(skey, tuple(table[x] for x in skey))
 
@@ -391,18 +389,6 @@ def _invert(m: Morphism) -> Morphism:
 
 def _raise_image(m: Morphism):
     raise ValueError("generator image is not an enumerated subgroup")
-
-
-def _word_map(G: FiniteGroup, gens: Sequence[int]) -> dict[int, tuple[int, ...]]:
-    words = {0: ()}
-    queue = [0]
-    for x in queue:
-        for gi, g in enumerate(gens):
-            y = G.mul(x, g)
-            if y not in words:
-                words[y] = words[x] + (gi,)
-                queue.append(y)
-    return words
 
 
 def generate(
@@ -427,50 +413,13 @@ def all_injective_homs(
     source_key: tuple[int, ...],
 ) -> list[Morphism]:
     """Every injective homomorphism from the subgroup into the ambient group,
-    by generator-image backtracking with order-profile pruning."""
-    sub = lattice.by_key[source_key]
-    gens = list(sub.generators)
-    if not gens:
-        return [Morphism(source_key, source_key)]
+    sorted by images."""
+    gens = list(lattice.by_key[source_key].generators)
     if G.closure(gens) != source_key:
         raise ValueError("subgroup record lacks a generating set")
-    words = _word_map(G, gens)
-    by_order: dict[int, list[int]] = {}
-    for x in range(G.order):
-        by_order.setdefault(G.element_order(x), []).append(x)
-    out: list[Morphism] = []
-    pos = lattice.posmap[source_key]
-
-    def full_check(images: list[int]) -> Optional[tuple[int, ...]]:
-        table = [0] * len(source_key)
-        for x, w in words.items():
-            table[pos[x]] = G.product(images[gi] for gi in w)
-        if len(set(table)) != len(table):
-            return None
-        for i, a in enumerate(source_key):
-            for j, b in enumerate(source_key):
-                if table[pos[G.mul(a, b)]] != G.mul(table[i], table[j]):
-                    return None
-        return tuple(table)
-
-    def extend(k: int, images: list[int]):
-        if k == len(gens):
-            table = full_check(images)
-            if table is not None:
-                out.append(Morphism(source_key, table))
-            return
-        want = G.element_order(gens[k])
-        for cand in by_order.get(want, ()):
-            ok = True
-            for i in range(k):
-                if G.element_order(G.mul(images[i], cand)) != G.element_order(G.mul(gens[i], gens[k])):
-                    ok = False
-                    break
-            if ok:
-                images.append(cand)
-                extend(k + 1, images)
-                images.pop()
-
-    extend(0, [])
+    out = [
+        Morphism(source_key, tuple(table[x] for x in source_key))
+        for table in injective_homs(G, gens, G, range(G.order))
+    ]
     out.sort(key=lambda m: m.images)
     return out

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -153,11 +154,7 @@ class FiniteGroup:
         return k
 
     def exponent(self) -> int:
-        exp = 1
-        for a in range(self.order):
-            o = self.element_order(a)
-            exp = exp * o // _gcd(exp, o)
-        return exp
+        return math.lcm(*(self.element_order(a) for a in range(self.order)))
 
     def is_abelian(self) -> bool:
         t = self.table
@@ -194,15 +191,17 @@ class FiniteGroup:
     def full_subgroup(self) -> Subgroup:
         return Subgroup(tuple(range(self.order)), tuple(self.minimal_generators()))
 
-    def minimal_generators(self) -> list[int]:
-        """A short (not necessarily minimum) generating list, greedily built."""
+    def minimal_generators(self, within: Optional[Sequence[int]] = None) -> list[int]:
+        """A short (not necessarily minimum) generating list, greedily built,
+        of the whole group or of the subgroup with the given elements."""
+        pool = range(self.order) if within is None else within
         gens: list[int] = []
         cur = (0,)
-        for a in sorted(range(self.order), key=lambda x: -self.element_order(x)):
+        for a in sorted(pool, key=lambda x: -self.element_order(x)):
             if a not in cur:
                 gens.append(a)
                 cur = self.closure(gens)
-                if len(cur) == self.order:
+                if len(cur) == len(pool):
                     break
         return gens
 
@@ -251,11 +250,6 @@ class FiniteGroup:
                 comms.add(self.commutator(a, b))
         comms.discard(0)
         return self.subgroup(comms)
-
-    def conjugate_subgroup(self, g: int, sub: Subgroup) -> Subgroup:
-        elems = tuple(sorted(self.conj(g, x) for x in sub.elements))
-        gens = tuple(sorted(self.conj(g, x) for x in sub.generators))
-        return Subgroup(elems, gens)
 
     def join(self, a: Subgroup, b: Subgroup) -> Subgroup:
         return self.subgroup(set(a.elements) | set(b.elements))
@@ -308,12 +302,6 @@ class FiniteGroup:
                         row[base + b2] = tab1 + tb[b2]
         name = "%sx%s" % (self.name, other.name) if self.name and other.name else ""
         return FiniteGroup(table, name=name)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- the small-group catalog --------------------------------------------------
@@ -520,20 +508,6 @@ class SGroup(FiniteGroup):
             rank //= self.e
         return tuple(vec), a_idx
 
-    def format_element(self, idx: int) -> str:
-        vec, a = self.decode(idx)
-        return "(%s; %d)" % (" ".join(str(v) for v in vec), a)
-
-    def parse_element(self, text: str) -> int:
-        text = text.strip()
-        if not (text.startswith("(") and text.endswith(")")):
-            raise ValueError("bad element literal %r" % text)
-        left, _, right = text[1:-1].partition(";")
-        vec = [int(x) for x in left.split()]
-        if len(vec) != self.rank:
-            raise ValueError("expected %d coordinates in %r" % (self.rank, text))
-        return self.encode(vec, int(right))
-
     # -- distinguished subgroups ------------------------------------------------
 
     def U_subgroup(self) -> Subgroup:
@@ -543,26 +517,6 @@ class SGroup(FiniteGroup):
             for j in range(self.rank)
         )
         return Subgroup(elems, gens)
-
-    def fixed_subgroup(self) -> Subgroup:
-        """C_U(A): vectors constant on each copy of the regular coordinates."""
-        a_order = self.A.order
-        elems = []
-        for c in range(self.e):
-            for d in range(self.e):
-                vec = [c] * a_order + [d] * a_order
-                elems.append(self.encode(vec, 0))
-        gens = (
-            self.encode([1] * a_order + [0] * a_order, 0),
-            self.encode([0] * a_order + [1] * a_order, 0),
-        )
-        return Subgroup(tuple(sorted(elems)), gens)
-
-    def Z_subgroup(self, copy: int) -> Subgroup:
-        """Z_1 or Z_2: the diagonal cyclic C_e of one copy."""
-        a_order = self.A.order
-        vec_one = [1 if (i // a_order) == copy else 0 for i in range(self.rank)]
-        return self.subgroup([self.encode(vec_one, 0)])
 
 
 def build_S(A: InputGroupA, max_order: int = 4096) -> SGroup:
@@ -621,82 +575,14 @@ def _splitting_pair(S: FiniteGroup, sub: Subgroup, e: int) -> Optional[tuple[int
 
 
 def automorphisms_of(G: FiniteGroup, V: Subgroup) -> list[dict[int, int]]:
-    """Aut(V) as maps on element indices, for V homocyclic of rank <= 2 or any
-    V small enough for the generic generator-image search."""
-    if V.order == 1:
-        return [{0: 0}]
-    e = max(G.element_order(x) for x in V.elements)
-    abelian = all(G.mul(a, b) == G.mul(b, a) for a in V.elements for b in V.elements)
-    if abelian and V.order == e * e and _splitting_pair(G, V, e) is not None:
-        return _homocyclic2_automorphisms(G, V, e)
-    return _generic_automorphisms(G, V)
-
-
-def _homocyclic2_automorphisms(G: FiniteGroup, V: Subgroup, e: int) -> list[dict[int, int]]:
-    g, h = _splitting_pair(G, V, e)
-    # coordinates of every element in the internal direct decomposition <g> x <h>
-    coords = {}
-    for i in range(e):
-        gi = G.power(g, i)
-        for j in range(e):
-            coords[G.mul(gi, G.power(h, j))] = (i, j)
-    order_e = [x for x in V.elements if G.element_order(x) == e]
-    autos = []
-    for g2 in order_e:
-        span2 = set(G.closure([g2]))
-        for h2 in order_e:
-            if set(G.closure([h2])) & span2 != {0}:
-                continue
-            if len(G.closure([g2, h2])) != V.order:
-                continue
-            table = {}
-            for x in V.elements:
-                i, j = coords[x]
-                table[x] = G.mul(G.power(g2, i), G.power(h2, j))
-            autos.append(table)
+    """Aut(V) as maps on element indices, sorted by their images of V's
+    elements, by the generator-image search inside V."""
+    gens = list(V.generators)
+    if G.closure(gens) != V.elements:
+        gens = G.minimal_generators(V.elements)
+    autos = list(injective_homs(G, gens, G, V.elements))
     autos.sort(key=lambda t: tuple(t[x] for x in V.elements))
     return autos
-
-
-def _generic_automorphisms(G: FiniteGroup, V: Subgroup) -> list[dict[int, int]]:
-    gens = list(V.generators) or [x for x in V.elements if x != 0][:1]
-    if not gens:
-        return [{0: 0}]
-    if tuple(G.closure(gens)) != V.elements:
-        gens = _greedy_generators(G, V)
-    elems = list(V.elements)
-    by_order: dict[int, list[int]] = {}
-    for x in elems:
-        by_order.setdefault(G.element_order(x), []).append(x)
-    out: list[dict[int, int]] = []
-
-    def extend(k: int, images: list[int]):
-        if k == len(gens):
-            table = _hom_table(G, V, gens, images)
-            if table is not None and len(set(table.values())) == V.order:
-                out.append(table)
-            return
-        for cand in by_order[G.element_order(gens[k])]:
-            images.append(cand)
-            if _partial_consistent(G, V, gens[: k + 1], images):
-                extend(k + 1, images)
-            images.pop()
-
-    extend(0, [])
-    dedup = {tuple(t[x] for x in V.elements): t for t in out}
-    return [dedup[k] for k in sorted(dedup)]
-
-
-def _greedy_generators(G: FiniteGroup, V: Subgroup) -> list[int]:
-    gens: list[int] = []
-    cur = (0,)
-    for x in sorted(V.elements, key=lambda y: -G.element_order(y)):
-        if x not in cur:
-            gens.append(x)
-            cur = G.closure(gens)
-            if cur == V.elements:
-                break
-    return gens
 
 
 def _word_map(G: FiniteGroup, gens: Sequence[int]) -> dict[int, tuple[int, ...]]:
@@ -712,71 +598,58 @@ def _word_map(G: FiniteGroup, gens: Sequence[int]) -> dict[int, tuple[int, ...]]
     return words
 
 
-def _hom_table(G: FiniteGroup, V: Subgroup, gens: Sequence[int], images: Sequence[int]) -> Optional[dict[int, int]]:
+def injective_homs(
+    G: FiniteGroup, gens: Sequence[int], H: FiniteGroup, targets: Iterable[int]
+) -> Iterator[dict[int, int]]:
+    """Every injective homomorphism from the subgroup <gens> of G into H that
+    sends each generator into targets, as a map on element indices.
+
+    Generator-image backtracking: the candidates for a generator are the
+    targets of its own order, and a partial assignment survives only if
+    ord(g_i g_k) = ord(y_i y_k) for every earlier i.  The other pairs add
+    nothing, since ord(ab) = ord(ba) and ord(g^2) is fixed by ord(g).  A full
+    assignment extends along the word map; the extension f is a homomorphism
+    exactly when f(x g) = f(x) f(g) for every x and every generator g, by
+    induction on the word length of the right factor."""
     words = _word_map(G, gens)
-    if len(words) != V.order:
-        return None
-    table = {}
-    for x, word in words.items():
-        table[x] = G.product(images[gi] for gi in word)
-    for a in V.elements:
-        for b in V.elements:
-            if table[G.mul(a, b)] != G.mul(table[a], table[b]):
-                return None
-    return table
+    by_order: dict[int, list[int]] = {}
+    for y in targets:
+        by_order.setdefault(H.element_order(y), []).append(y)
+    gt, ht = G.table, H.table
+    images: list[int] = []
 
+    def extend(k: int) -> Iterator[dict[int, int]]:
+        if k == len(gens):
+            table = {x: H.product(images[gi] for gi in w) for x, w in words.items()}
+            if len(set(table.values())) == len(table) and all(
+                table[gt[x][g]] == ht[fx][y]
+                for x, fx in table.items()
+                for g, y in zip(gens, images)
+            ):
+                yield table
+            return
+        g = gens[k]
+        for cand in by_order.get(G.element_order(g), ()):
+            if all(
+                H.element_order(ht[images[i]][cand]) == G.element_order(gt[gens[i]][g])
+                for i in range(k)
+            ):
+                images.append(cand)
+                yield from extend(k + 1)
+                images.pop()
 
-def _partial_consistent(G: FiniteGroup, V: Subgroup, gens: Sequence[int], images: Sequence[int]) -> bool:
-    # cheap pruning: the assigned images must satisfy every relation that the
-    # current generator prefix satisfies on a bounded product sample
-    for i in range(len(gens)):
-        for j in range(len(gens)):
-            lhs = G.mul(gens[i], gens[j])
-            rhs = G.mul(images[i], images[j])
-            if G.element_order(lhs) != G.element_order(rhs):
-                return False
-    return True
+    return extend(0)
 
 
 def find_isomorphism(G1: FiniteGroup, G2: FiniteGroup) -> Optional[dict[int, int]]:
-    """A table isomorphism G1 -> G2, or None; generator-image backtracking."""
+    """A table isomorphism G1 -> G2, or None."""
     if G1.order != G2.order:
         return None
     prof1 = sorted(G1.element_order(x) for x in range(G1.order))
     prof2 = sorted(G2.element_order(x) for x in range(G2.order))
     if prof1 != prof2:
         return None
-    gens = _greedy_generators(G1, G1.full_subgroup())
-    words = _word_map(G1, gens)
-    by_order: dict[int, list[int]] = {}
-    for x in range(G2.order):
-        by_order.setdefault(G2.element_order(x), []).append(x)
-
-    def extend(k: int, images: list[int]) -> Optional[dict[int, int]]:
-        if k == len(gens):
-            table = {x: G2.product(images[gi] for gi in word) for x, word in words.items()}
-            if len(set(table.values())) != G1.order:
-                return None
-            for a in range(G1.order):
-                for b in range(G1.order):
-                    if table[G1.mul(a, b)] != G2.mul(table[a], table[b]):
-                        return None
-            return table
-        for cand in by_order.get(G1.element_order(gens[k]), []):
-            images.append(cand)
-            ok = True
-            for i in range(k + 1):
-                if G2.element_order(G2.mul(images[i], cand)) != G1.element_order(G1.mul(gens[i], gens[k])):
-                    ok = False
-                    break
-            if ok:
-                res = extend(k + 1, images)
-                if res is not None:
-                    return res
-            images.pop()
-        return None
-
-    return extend(0, [])
+    return next(injective_homs(G1, G1.minimal_generators(), G2, range(G2.order)), None)
 
 
 def are_isomorphic(G1: FiniteGroup, G2: FiniteGroup) -> bool:

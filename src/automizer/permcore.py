@@ -12,7 +12,6 @@ reproducible run to run.
 from __future__ import annotations
 
 import math
-import random
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -87,7 +86,7 @@ class Permutation:
 
     def parity(self) -> int:
         """0 for even, 1 for odd."""
-        return sum(len(c) - 1 for c in self.cycles()) % 2
+        return word_parity(self.images)
 
     def order(self) -> int:
         return math.lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
@@ -101,6 +100,23 @@ class Permutation:
 
 def identity_perm(degree: int) -> Permutation:
     return Permutation(range(degree))
+
+
+def word_parity(images: Sequence[int]) -> int:
+    """Parity of a permutation word (a tuple or an integer array): 0 for
+    even, 1 for odd, from the count of cycles including fixed points."""
+    n = len(images)
+    seen = [False] * n
+    cycles = 0
+    for start in range(n):
+        if seen[start]:
+            continue
+        cycles += 1
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = images[j]
+    return (n - cycles) % 2
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
@@ -156,10 +172,6 @@ def parse_cycles(text: str, degree: Optional[int] = None) -> Permutation:
             raise ValueError("cycles are not disjoint in %r" % (text,))
         seen.update(cyc)
     return Permutation(images)
-
-
-class IncompleteChainError(RuntimeError):
-    """Raised when an order target cannot be certified within budget."""
 
 
 class _Level:
@@ -367,98 +379,3 @@ class PermGroup:
             for b in self.generators:
                 comms.append(compose(compose(a, b), compose(a.inverse(), b.inverse())))
         return self.normal_closure(comms)
-
-    # -- certified order lower bounds --------------------------------------
-
-    def order_at_least(self, target: int, seed: int = 0x5EED, budget: int = 4096) -> bool:
-        """True if |G| >= target, certified by a partial stabilizer chain.
-
-        Transversal products along any partial chain whose level generators
-        fix the preceding base points are pairwise distinct group elements,
-        so the product of orbit sizes is always a valid lower bound on the
-        order.  Residues of deterministic pseudo-random generator words are
-        inserted until the bound reaches the target or the budget runs out.
-        A False return is therefore inconclusive on its own; callers that
-        need exactness must fall back to order().
-        """
-        if target <= 1:
-            return True
-        if not self.generators:
-            return False
-        probe = PermGroup(self.generators, self.degree)
-        probe._levels = []
-        for g in probe.generators:
-            probe._insert(g)
-
-        def bound() -> int:
-            n = 1
-            for lv in probe._levels:
-                n *= len(lv.orbit)
-            return n
-
-        if bound() >= target:
-            return True
-        rng = random.Random(seed ^ (self.degree * 1000003))
-        pool = list(probe.generators)
-        stale = 0
-        for _ in range(budget):
-            i = rng.randrange(len(pool))
-            j = rng.randrange(len(pool))
-            w = compose(pool[i], pool[j])
-            pool[i] = w
-            if probe._insert(w):
-                stale = 0
-                if bound() >= target:
-                    return True
-            else:
-                stale += 1
-                if stale > 256:
-                    break
-        return bound() >= target
-
-
-def is_alternating_or_symmetric(group: PermGroup) -> Optional[str]:
-    """Classify a subgroup of Sym([0, n)) as the full alternating or symmetric
-    group, by a transitivity check followed by an exact order comparison
-    against n!/2 and n!.  Returns "alternating", "symmetric", or None."""
-    n = group.degree
-    if n <= 1:
-        return "symmetric"
-    if not group.is_transitive():
-        return None
-    all_even = all(g.parity() == 0 for g in group.generators)
-    full = math.factorial(n)
-    if all_even:
-        # Contained in Alt(n); equality iff the order reaches n!/2.
-        if group.order_at_least(full // 2):
-            return "alternating"
-        return "alternating" if group.order() == full // 2 else None
-    if group.order_at_least(full):
-        return "symmetric"
-    order = group.order()
-    if order == full:
-        return "symmetric"
-    return None
-
-
-def symmetric_gens(n: int) -> list[Permutation]:
-    """Standard generators of Sym([0, n))."""
-    if n < 2:
-        return []
-    cycle = Permutation(tuple(range(1, n)) + (0,))
-    swap = parse_cycles("(0 1)", degree=n)
-    return [swap, cycle] if n > 2 else [swap]
-
-
-def alternating_gens(n: int) -> list[Permutation]:
-    """Standard generators of Alt([0, n))."""
-    if n < 3:
-        return []
-    three = parse_cycles("(0 1 2)", degree=n)
-    if n == 3:
-        return [three]
-    if n % 2 == 1:
-        big = Permutation(tuple(range(1, n)) + (0,))
-    else:
-        big = Permutation((0,) + tuple(range(2, n)) + (1,))
-    return [three, big]

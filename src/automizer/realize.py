@@ -10,10 +10,9 @@ that can be re-checked from the file alone."""
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -21,7 +20,6 @@ import numpy as np
 from . import __version__
 from .biset import (
     DiagonalContext,
-    OrbitRecord,
     SemicharacteristicBiset,
     build_semicharacteristic,
     check_orbit_predictions,
@@ -30,20 +28,21 @@ from .biset import (
     verify_generated,
     verify_stability,
 )
-from .fusion import FusionSystem, Morphism, generate, _word_map
+from .fusion import FusionSystem, Morphism, generate
 from .grouprep import (
     FiniteGroup,
     InputGroupA,
     ScaleError,
     SGroup,
     Subgroup,
+    are_isomorphic,
     automorphisms_of,
     build_S,
     enumerate_subgroups,
     homocyclic_rank2,
 )
 from .park import ParkEmbedding, WreathElement, decompose, gamma_prime_member, verify_embedding
-from .permcore import PermGroup, Permutation, identity_perm
+from .permcore import PermGroup, Permutation, identity_perm, word_parity
 
 FLAG_NAMES = (
     "autF_U_iso_A",
@@ -100,7 +99,7 @@ class VerificationPolicy:
         return cls(**payload)
 
 
-# -- small number theory / isomorphism helpers --------------------------------------
+# -- small number theory ------------------------------------------------------------
 
 
 def _is_prime(k: int) -> bool:
@@ -122,34 +121,6 @@ def bertrand_prime(m: int) -> int:
         if _is_prime(p):
             return p
     raise RuntimeError("no prime in (%d, %d)" % (m, 2 * m))
-
-
-def tables_isomorphic(G1: FiniteGroup, G2: FiniteGroup) -> bool:
-    """Backtracking multiplication-table isomorphism for tiny groups."""
-    if G1.order != G2.order:
-        return False
-    n = G1.order
-    if sorted(G1.element_order(x) for x in range(n)) != sorted(
-        G2.element_order(x) for x in range(n)
-    ):
-        return False
-    gens = G1.minimal_generators()
-    if not gens:
-        return True
-    words = _word_map(G1, gens)
-    cands = [
-        [y for y in range(n) if G2.element_order(y) == G1.element_order(g)]
-        for g in gens
-    ]
-    for choice in itertools.product(*cands):
-        f = {x: G2.product(choice[gi] for gi in w) for x, w in words.items()}
-        if len(set(f.values())) != n:
-            continue
-        if all(
-            f[G1.mul(a, b)] == G2.mul(f[a], f[b]) for a in range(n) for b in range(n)
-        ):
-            return True
-    return False
 
 
 # -- stage 1: ambient group and fusion system ----------------------------------------
@@ -205,7 +176,7 @@ def verify_thm31(
     inner_auts = set(system.aut_S(U.key))
     aut_match = fus_auts == inner_auts
     autU_group, _ = system.aut_group_table(U.key)
-    iso = aut_match and tables_isomorphic(autU_group, A.group)
+    iso = aut_match and are_isomorphic(autU_group, A.group)
 
     foc = system.focal_subgroup()
     focal_full = foc.order == S.order
@@ -301,21 +272,6 @@ def automizer_oracle(
 # -- wreath-side checks ----------------------------------------------------------------
 
 
-def _array_even(arr: np.ndarray) -> bool:
-    n = len(arr)
-    seen = np.zeros(n, dtype=bool)
-    cycles = 0
-    for j in range(n):
-        if seen[j]:
-            continue
-        cycles += 1
-        k = j
-        while not seen[k]:
-            seen[k] = True
-            k = int(arr[k])
-    return (n - cycles) % 2 == 0
-
-
 class _UnionFind:
     __slots__ = ("parent", "classes")
 
@@ -403,7 +359,7 @@ def verify_main(
     seed_tops = [pe.iota(u).top for u in U.generators]
     conj_tops = [pe.iota(s).top for s in s_gens]
     conj_tops += [w.top for w in witness_elements]
-    seeds_even = all(_array_even(t) for t in seed_tops)
+    seeds_even = all(word_parity(t) == 0 for t in seed_tops)
     seeds_nontrivial = any((t != np.arange(n)).any() for t in seed_tops)
 
     if n <= policy.max_perm_degree:
@@ -590,6 +546,31 @@ def _empty_flags() -> dict:
     return {name: False for name in FLAG_NAMES}
 
 
+def _construction_flags(rep31: dict) -> dict:
+    return {
+        "autF_U_iso_A": rep31["aut_U_matches_inner"] and rep31["aut_U_isomorphic_to_input"],
+        "focal_is_S": rep31["focal_full"],
+        "QF_trivial": rep31["extension_core_trivial"],
+        "index_gt_2A": rep31["large_index_source"],
+    }
+
+
+def _embedding_flags(pe: ParkEmbedding, emb_rep: dict) -> dict:
+    return {
+        "iota_injective_hom": emb_rep["homomorphism"] and emb_rep["injective"],
+        "iota_base_trivial": pe.top_trivial_set() == [0],
+    }
+
+
+def _main_flags(p: int, a_order: int, wit_ok: bool, main_rep: dict) -> dict:
+    return {
+        "witnesses_ok": wit_ok and main_rep["generator_membership"]["ok"],
+        "top_closure_is_An": main_rep["top_closure"]["ok"] and main_rep["degree_conditions"]["ok"],
+        "bertrand_prime": a_order < p < 2 * a_order and _is_prime(p)
+        and main_rep["prime_conditions"]["ok"],
+    }
+
+
 def _trivial_certificate(A: InputGroupA, policy: VerificationPolicy) -> Certificate:
     # everything below degree 5 is skipped: the trivial group is realized by
     # the trivial group, and every flag holds vacuously
@@ -647,10 +628,7 @@ def run_pipeline(A: InputGroupA, policy: Optional[VerificationPolicy] = None) ->
 
     ok31, rep31 = verify_thm31(S, system, U, A)
     sections["construction_checks"] = rep31
-    flags["autF_U_iso_A"] = rep31["aut_U_matches_inner"] and rep31["aut_U_isomorphic_to_input"]
-    flags["focal_is_S"] = rep31["focal_full"]
-    flags["QF_trivial"] = rep31["extension_core_trivial"]
-    flags["index_gt_2A"] = rep31["large_index_source"]
+    flags.update(_construction_flags(rep31))
     if not ok31:
         return partial("construction_checks", ambient=ambient, fusion_generators=gen_payloads)
 
@@ -680,8 +658,7 @@ def run_pipeline(A: InputGroupA, policy: Optional[VerificationPolicy] = None) ->
 
     pe = decompose(system, X)
     emb_ok, emb_rep = verify_embedding(pe)
-    flags["iota_injective_hom"] = emb_rep["homomorphism"] and emb_rep["injective"]
-    flags["iota_base_trivial"] = pe.top_trivial_set() == [0]
+    flags.update(_embedding_flags(pe, emb_rep))
     witness_elements = [pe.witness(g) for g in system.generators]
     wit_ok = all(pe.check_witness(g, w) for g, w in zip(system.generators, witness_elements))
     sections["embedding"] = {
@@ -700,13 +677,9 @@ def run_pipeline(A: InputGroupA, policy: Optional[VerificationPolicy] = None) ->
         return partial("embedding", ambient=ambient, fusion_generators=gen_payloads)
 
     p = bertrand_prime(A.order)
-    flags["bertrand_prime"] = A.order < p < 2 * A.order and _is_prime(p)
-
     main_ok, main_rep = verify_main(S, U, pe, witness_elements, p, A.order, policy)
     sections["main_checks"] = main_rep
-    flags["witnesses_ok"] = wit_ok and main_rep["generator_membership"]["ok"]
-    flags["top_closure_is_An"] = main_rep["top_closure"]["ok"] and main_rep["degree_conditions"]["ok"]
-    flags["bertrand_prime"] = flags["bertrand_prime"] and main_rep["prime_conditions"]["ok"]
+    flags.update(_main_flags(p, A.order, wit_ok, main_rep))
     sections["embedding"]["top_closure_mode"] = main_rep["top_closure"]["mode"]
 
     cert = Certificate(
@@ -727,17 +700,6 @@ def run_pipeline(A: InputGroupA, policy: Optional[VerificationPolicy] = None) ->
 
 
 # -- re-verification from the file alone -----------------------------------------------
-
-
-def _morphism_from_payload(S: FiniteGroup, payload: dict) -> Morphism:
-    gens = [int(g) for g in payload["source_generators"]]
-    images = [int(x) for x in payload["generator_images"]]
-    skey = S.closure(gens)
-    words = _word_map(S, gens)
-    if set(words) != set(skey):
-        raise ValueError("payload generators do not generate their source")
-    table = {x: S.product(images[gi] for gi in w) for x, w in words.items()}
-    return Morphism(skey, tuple(table[x] for x in skey))
 
 
 def verify_certificate(cert: Union[Certificate, str]) -> tuple[bool, dict]:
@@ -783,7 +745,7 @@ def verify_certificate(cert: Union[Certificate, str]) -> tuple[bool, dict]:
         report["reason"] = "ambient table hash mismatch"
         return False, report
     try:
-        rebuilt = [_morphism_from_payload(S, p) for p in cert.fusion_generators]
+        rebuilt = [system.morphism_from_payload(p) for p in cert.fusion_generators]
     except (ValueError, KeyError, IndexError) as exc:
         report["reason"] = "fusion generator payload rejected: %s" % exc
         return False, report
@@ -792,10 +754,7 @@ def verify_certificate(cert: Union[Certificate, str]) -> tuple[bool, dict]:
         return False, report
 
     ok31, rep31 = verify_thm31(S, system, U, A)
-    flags["autF_U_iso_A"] = rep31["aut_U_matches_inner"] and rep31["aut_U_isomorphic_to_input"]
-    flags["focal_is_S"] = rep31["focal_full"]
-    flags["QF_trivial"] = rep31["extension_core_trivial"]
-    flags["index_gt_2A"] = rep31["large_index_source"]
+    flags.update(_construction_flags(rep31))
     report["construction_checks"] = rep31
 
     try:
@@ -826,8 +785,7 @@ def verify_certificate(cert: Union[Certificate, str]) -> tuple[bool, dict]:
 
     pe = decompose(system, X)
     emb_ok, emb_rep = verify_embedding(pe)
-    flags["iota_injective_hom"] = emb_rep["homomorphism"] and emb_rep["injective"]
-    flags["iota_base_trivial"] = pe.top_trivial_set() == [0]
+    flags.update(_embedding_flags(pe, emb_rep))
     report["embedding"] = emb_rep
     if cert.embedding.get("slot_tables") != pe.slot_tables():
         report["reason"] = "stored slot tables disagree with the embedding"
@@ -863,13 +821,8 @@ def verify_certificate(cert: Union[Certificate, str]) -> tuple[bool, dict]:
     if not isinstance(p, int):
         report["reason"] = "missing or malformed prime"
         return False, report
-    flags["bertrand_prime"] = _is_prime(p) and A.order < p < 2 * A.order
     main_ok, main_rep = verify_main(S, U, pe, witness_elements, p, A.order, policy)
-    flags["witnesses_ok"] = wit_ok and main_rep["generator_membership"]["ok"]
-    flags["top_closure_is_An"] = (
-        main_rep["top_closure"]["ok"] and main_rep["degree_conditions"]["ok"]
-    )
-    flags["bertrand_prime"] = flags["bertrand_prime"] and main_rep["prime_conditions"]["ok"]
+    flags.update(_main_flags(p, A.order, wit_ok, main_rep))
     report["main_checks"] = main_rep
 
     mismatched = sorted(name for name in FLAG_NAMES if flags[name] != cert.flags.get(name))

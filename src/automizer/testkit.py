@@ -3,17 +3,82 @@
 Everything here exists to check the main modules against independent
 computations: ambient-conjugation fusion by direct enumeration, fixed-point
 tables by materializing coset spaces, and a structured corruption suite that
-an accepted certificate must survive in full."""
+an accepted certificate must survive in full.  The standard generators,
+distinguished subgroups and free-orbit padding that only the tests build on
+live here too."""
 
 import copy
 import json
 from dataclasses import dataclass
 
-from .biset import SemicharacteristicBiset
+from .biset import OrbitRecord, SemicharacteristicBiset
 from .fusion import FusionSystem, Morphism, generate
-from .grouprep import FiniteGroup, ScaleError, Subgroup
+from .grouprep import FiniteGroup, ScaleError, SGroup, Subgroup
 from .permcore import PermGroup, Permutation, parse_cycles
 from .realize import Certificate, verify_certificate
+
+
+# -- standard generators and distinguished subgroups ----------------------------------
+
+
+def symmetric_gens(n: int) -> list[Permutation]:
+    """Standard generators of Sym([0, n))."""
+    if n < 2:
+        return []
+    cycle = Permutation(tuple(range(1, n)) + (0,))
+    swap = parse_cycles("(0 1)", degree=n)
+    return [swap, cycle] if n > 2 else [swap]
+
+
+def alternating_gens(n: int) -> list[Permutation]:
+    """Standard generators of Alt([0, n))."""
+    if n < 3:
+        return []
+    three = parse_cycles("(0 1 2)", degree=n)
+    if n == 3:
+        return [three]
+    if n % 2 == 1:
+        big = Permutation(tuple(range(1, n)) + (0,))
+    else:
+        big = Permutation((0,) + tuple(range(2, n)) + (1,))
+    return [three, big]
+
+
+def fixed_subgroup(S: SGroup) -> Subgroup:
+    """C_U(A): vectors constant on each copy of the regular coordinates."""
+    a_order = S.A.order
+    elems = []
+    for c in range(S.e):
+        for d in range(S.e):
+            vec = [c] * a_order + [d] * a_order
+            elems.append(S.encode(vec, 0))
+    gens = (
+        S.encode([1] * a_order + [0] * a_order, 0),
+        S.encode([0] * a_order + [1] * a_order, 0),
+    )
+    return Subgroup(tuple(sorted(elems)), gens)
+
+
+def Z_subgroup(S: SGroup, copy: int) -> Subgroup:
+    """Z_1 or Z_2: the diagonal cyclic C_e of one copy."""
+    a_order = S.A.order
+    vec_one = [1 if (i // a_order) == copy else 0 for i in range(S.rank)]
+    return S.subgroup([S.encode(vec_one, 0)])
+
+
+def append_free_orbits(X: SemicharacteristicBiset, G_order: int, count: int = 1) -> SemicharacteristicBiset:
+    """A stable biset stays stable after adding free orbits; this pads with
+    (S x S)/Delta(1, 1) copies so some orbit source is trivial."""
+    if count < 1:
+        raise ValueError("count must be positive")
+    orbits = list(X.orbits)
+    for i, rec in enumerate(orbits):
+        if rec.source == (0,):
+            orbits[i] = OrbitRecord(rec.source, rec.images, rec.multiplicity + count)
+            break
+    else:
+        orbits.append(OrbitRecord((0,), (0,), count))
+    return SemicharacteristicBiset(orbits, X.m, X.n + count * G_order)
 
 
 # -- surrogate corpus --------------------------------------------------------------

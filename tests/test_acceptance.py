@@ -5,6 +5,7 @@ One test per criterion, each wrapped so the log carries a single
 or from the certificate file contents; nothing trusts in-memory state of the
 builder beyond what the criterion itself is about."""
 
+import hashlib
 import time
 from contextlib import contextmanager
 
@@ -38,7 +39,6 @@ from automizer.realize import (
     automizer_oracle,
     build_fusion_for,
     run_pipeline,
-    tables_isomorphic,
 )
 from automizer.testkit import (
     brute_fusion,
@@ -83,6 +83,11 @@ def test_criterion_1_trivial_input(capsys):
         assert cert.ambient["order"] == 1
         assert cert.failed_stage is None
         assert elapsed < 1.0
+        data = cert.to_json_bytes()
+        assert len(data) == 1040
+        assert hashlib.sha256(data).hexdigest() == (
+            "199f9abda00c64fd03f20cfae2ed4eda1ee0a18f3205ee4d01077e8c6b48ff9f"
+        )
 
 
 def test_criterion_2_c2_end_to_end(c2_run, c2_reconstruction):
@@ -101,7 +106,7 @@ def test_criterion_2_c2_end_to_end(c2_run, c2_reconstruction):
         auts = system.aut(U.key)
         assert len(auts) == 2
         aut_table, _ = system.aut_group_table(U.key)
-        assert tables_isomorphic(aut_table, A.group)
+        assert are_isomorphic(aut_table, A.group)
         assert system.focal_subgroup().order == S.order
         assert system.extension_core() == (0,)
         indices = [S.order // len(k) for k in system.nonextendable_sources()]
@@ -226,7 +231,13 @@ def test_criterion_7_mutation_suite(c2_cert):
 def test_criterion_8_deterministic_output(c2_cert):
     with criterion(8, "an independent rerun reproduces the certificate byte for byte"):
         again = run_pipeline(InputGroupA.from_name("C2"))
-        assert again.to_json_bytes() == c2_cert.to_json_bytes()
+        data = c2_cert.to_json_bytes()
+        assert again.to_json_bytes() == data
+        # the pinned bytes of the headline certificate
+        assert len(data) == 12204862
+        assert hashlib.sha256(data).hexdigest() == (
+            "ee8f75047c69bb0a29d59019eae0cf8c694fa98097f92d5178b8dd05e6f52b49"
+        )
 
 
 def test_criterion_9_scale_rejection():

@@ -20,7 +20,6 @@ from automizer.biset import (
     DiagonalContext,
     OrbitRecord,
     SemicharacteristicBiset,
-    append_free_orbits,
     build_semicharacteristic,
     check_orbit_predictions,
     orbit_from_payload,
@@ -39,6 +38,7 @@ from automizer.grouprep import (
     enumerate_subgroups,
     homocyclic_rank2,
 )
+from automizer.testkit import append_free_orbits
 
 
 # -- fixtures -------------------------------------------------------------------

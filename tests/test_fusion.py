@@ -3,6 +3,8 @@ brute-force oracle: the fusion of a subgroup inside an overgroup is exactly
 the set of restrictions of overgroup conjugations, so generating from the
 maximal-domain conjugation maps must reproduce it."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +16,13 @@ from automizer.fusion import (
     generate,
     inner_fusion,
 )
-from automizer.grouprep import FiniteGroup, catalog_group
+from automizer.grouprep import (
+    FiniteGroup,
+    are_isomorphic,
+    automorphisms_of,
+    catalog_group,
+    find_isomorphism,
+)
 from automizer.permcore import PermGroup, Permutation, compose, parse_cycles
 
 
@@ -58,6 +66,27 @@ def build_surrogate(g0_gens, s0_gens, degree):
             images = tuple(atom.images[amap[x]] for x in pkey)
             brute.setdefault(pkey, set()).add(images)
     return ambient, subs, atoms, brute
+
+
+def brute_injective_homs(G, gens, H):
+    """Oracle: every tuple of generator images in H, kept when the map it
+    forces on <gens> by right multiplication is injective and multiplicative
+    on every pair of elements."""
+    out = []
+    for images in itertools.product(range(H.order), repeat=len(gens)):
+        f = {0: 0}
+        queue = [0]
+        for x in queue:
+            for g, y in zip(gens, images):
+                xg = G.mul(x, g)
+                if xg not in f:
+                    f[xg] = H.mul(f[x], y)
+                    queue.append(xg)
+        if len(set(f.values())) == len(f) and all(
+            f[G.mul(a, b)] == H.mul(f[a], f[b]) for a in f for b in f
+        ):
+            out.append(f)
+    return out
 
 
 def store_as_sets(system):
@@ -251,6 +280,41 @@ class TestInjectiveHoms:
         G = catalog_group("D8")
         lattice = SubgroupLattice(G, G.all_subgroups())
         assert all_injective_homs(G, lattice, (0,)) == [Morphism((0,), (0,))]
+
+
+class TestSearchAgainstBruteForce:
+    """The one generator-image search behind all_injective_homs,
+    automorphisms_of and find_isomorphism, against exhaustive image tuples."""
+
+    NAMES = ["C4", "C2xC2", "S3", "D8", "Q8", "C2xC4"]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_every_subgroup(self, name):
+        G = catalog_group(name)
+        lattice = SubgroupLattice(G, G.all_subgroups())
+        for key in lattice.keys:
+            sub = lattice.by_key[key]
+            brute = brute_injective_homs(G, sub.generators, G)
+            expect = sorted(tuple(f[x] for x in key) for f in brute)
+            assert [m.images for m in all_injective_homs(G, lattice, key)] == expect
+            autos = [tuple(t[x] for x in key) for t in automorphisms_of(G, sub)]
+            assert autos == [images for images in expect if set(images) == set(key)]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_isomorphism(self, name):
+        G = catalog_group(name)
+        for other in self.NAMES + ["D6", "C8"]:
+            H = catalog_group(other)
+            if H.order != G.order:
+                continue
+            iso = find_isomorphism(G, H)
+            exists = bool(brute_injective_homs(G, G.minimal_generators(), H))
+            assert (iso is not None) == exists == are_isomorphic(G, H), other
+            if iso is not None:
+                assert sorted(iso.values()) == list(range(H.order))
+                for a in range(G.order):
+                    for b in range(G.order):
+                        assert iso[G.mul(a, b)] == H.mul(iso[a], iso[b])
 
 
 class TestPayload:

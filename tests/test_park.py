@@ -33,7 +33,6 @@ from automizer.park import (
     gamma_prime_member,
     to_permutation,
     top_only,
-    top_projection,
     verify_all_witnesses,
     verify_embedding,
     wreath_inverse,
@@ -106,7 +105,7 @@ class TestArithmetic:
         p = Permutation((1, 2, 0, 3, 4))
         q = Permutation((0, 1, 2, 4, 3))
         assert top_only(G, p) * top_only(G, q) == top_only(G, p * q)
-        assert top_projection(top_only(G, p)) == p
+        assert top_only(G, p).top_perm() == p
 
     def test_degree_mismatch_rejected(self):
         G = catalog_group("S3")
@@ -281,6 +280,21 @@ class TestSmallEmbedding:
         assert pe.top_trivial_set() == list(range(8))
         ok, rep = verify_embedding(pe)
         assert ok, rep  # Q(F) of the inner system is all of S
+
+    def test_exact_check_above_order_64_rejects_corrupted_iota(self):
+        # order 128 is past any exhaustive-pairs cutoff; the generator check
+        # is exact there too
+        G = catalog_group("C128")
+        system = inner_fusion(G, G.all_subgroups())
+        full = tuple(range(128))
+        X = SemicharacteristicBiset([OrbitRecord(full, full, 1)], 1, 1)
+        ok, rep = verify_embedding(decompose(system, X))
+        assert ok and rep["homomorphism"] and rep["exhaustive"], rep
+        pe = decompose(system, X)
+        pe._iota[77] = WreathElement(G, [78], [0])
+        ok, rep = verify_embedding(pe)
+        assert not ok
+        assert not rep["homomorphism"]
 
     def test_missing_identity_orbit_rejected(self):
         G = catalog_group("D8")

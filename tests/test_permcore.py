@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,14 +10,13 @@ from hypothesis import strategies as st
 from automizer.permcore import (
     PermGroup,
     Permutation,
-    alternating_gens,
     compose,
     format_cycles,
     identity_perm,
-    is_alternating_or_symmetric,
     parse_cycles,
-    symmetric_gens,
+    word_parity,
 )
+from automizer.testkit import alternating_gens, symmetric_gens
 
 
 def brute_elements(gens, degree):
@@ -97,6 +97,14 @@ class TestArithmetic:
     def test_parity_is_multiplicative(self, pair):
         p, q = pair
         assert (p * q).parity() == (p.parity() + q.parity()) % 2
+
+    @settings(max_examples=60)
+    @given(perm_strategy)
+    def test_word_parity_of_arrays_matches_cycle_count(self, p):
+        # oracle: each cycle of length L is a product of L - 1 transpositions
+        expect = sum(len(c) - 1 for c in p.cycles()) % 2
+        assert word_parity(np.asarray(p.images, dtype=np.int32)) == expect
+        assert word_parity(p.images) == p.parity() == expect
 
     def test_parity_known_values(self):
         assert parse_cycles("(0 1)", degree=4).parity() == 1
@@ -202,32 +210,28 @@ class TestNormalClosure:
 
 
 class TestRecognition:
+    """Alt(n) and Sym(n) are told apart from their proper subgroups by the
+    exact chain order against n!/2 and n!, plus transitivity and parity."""
+
     def test_symmetric(self):
-        assert is_alternating_or_symmetric(PermGroup(symmetric_gens(6))) == "symmetric"
+        g = PermGroup(symmetric_gens(6))
+        assert g.is_transitive() and g.order() == math.factorial(6)
 
     def test_alternating(self):
-        assert is_alternating_or_symmetric(PermGroup(alternating_gens(7))) == "alternating"
+        g = PermGroup(alternating_gens(7))
+        assert all(p.parity() == 0 for p in g.generators)
+        assert g.is_transitive() and g.order() == math.factorial(7) // 2
 
     def test_intransitive_is_neither(self):
         g = PermGroup([parse_cycles("(0 1)", degree=4)])
-        assert is_alternating_or_symmetric(g) is None
+        assert not g.is_transitive()
 
     def test_transitive_proper_subgroup_is_neither(self):
         # Cyclic of order 5 inside Sym(5): transitive, far from Alt(5).
         g = PermGroup([parse_cycles("(0 1 2 3 4)")])
-        assert is_alternating_or_symmetric(g) is None
+        assert g.is_transitive() and g.order() == 5
 
     def test_dihedral_is_neither(self):
         g = PermGroup([parse_cycles("(0 1 2 3 4)"), parse_cycles("(1 4)(2 3)", degree=5)])
+        assert g.is_transitive()
         assert g.order() == 10
-        assert is_alternating_or_symmetric(g) is None
-
-    def test_order_at_least_sound_on_moderate_degree(self):
-        g = PermGroup(alternating_gens(9))
-        assert g.order_at_least(math.factorial(9) // 2)
-        assert not PermGroup([parse_cycles("(0 1 2 3 4)")]).order_at_least(6)
-
-    def test_order_at_least_never_overshoots(self):
-        g = PermGroup(symmetric_gens(5))
-        assert g.order_at_least(120)
-        assert not g.order_at_least(121)
