@@ -53,7 +53,7 @@ def main() -> int:
         t_ver = time.perf_counter() - t0
         print("independent verification: %s in %.1fs" % ("ok" if ok else "REJECTED", t_ver))
         if not ok:
-            print("  reason: %s" % report.get("reason"))
+            print("  failed stage: %s; reason: %s" % (report.get("failed_stage"), report.get("reason")))
             return 1
     return 0 if cert.accepted else 1
 

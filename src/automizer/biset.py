@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .grouprep import ScaleError
+from .grouprep import FiniteGroup, ScaleError
 from .fusion import FusionSystem, Morphism, all_injective_homs
 
 
@@ -46,8 +46,11 @@ class SemicharacteristicBiset:
     m: int          # the multiplier that cleared all denominators
     n: int          # total number of right cosets = slots of the embedding
 
-    def orbit_keys(self) -> set[tuple]:
-        return {(rec.source, rec.images) for rec in self.orbits}
+
+def move_diagonal(G: FiniteGroup, d: Diagonal, x: int, y: int) -> Diagonal:
+    """The diagonal conjugated by (x, y): source x P x^-1, map c_y phi c_x^-1."""
+    pairs = sorted((G.conj(x, p), G.conj(y, q)) for p, q in zip(d.source, d.images))
+    return Diagonal(tuple(p for p, _ in pairs), tuple(q for _, q in pairs))
 
 
 class DiagonalContext:
@@ -68,12 +71,6 @@ class DiagonalContext:
 
     # -- conjugacy ------------------------------------------------------------
 
-    def move(self, d: Diagonal, x: int, y: int) -> Diagonal:
-        """The diagonal conjugated by (x, y): source x P x^-1, map c_y phi c_x^-1."""
-        G = self.G
-        pairs = sorted((G.conj(x, p), G.conj(y, q)) for p, q in zip(d.source, d.images))
-        return Diagonal(tuple(p for p, _ in pairs), tuple(q for _, q in pairs))
-
     def sxs_orbit(self, d: Diagonal) -> list[Diagonal]:
         """The full S x S conjugacy class, by generator BFS."""
         seen = {d}
@@ -81,7 +78,7 @@ class DiagonalContext:
         while queue:
             cur = queue.popleft()
             for x, y in self._move_gens:
-                nxt = self.move(cur, x, y)
+                nxt = move_diagonal(self.G, cur, x, y)
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
@@ -113,6 +110,18 @@ class DiagonalContext:
                 out.add(Diagonal(new_source, tuple(G.conj(s, b) for b in base)))
         return sorted(out)
 
+    def sxs_representatives(self, members: Sequence[Diagonal]) -> list[Diagonal]:
+        """The least member of each S x S class met by the members, in the
+        order the classes are first met."""
+        reps: list[Diagonal] = []
+        seen: set[Diagonal] = set()
+        for member in members:
+            if member not in seen:
+                orbit = self.sxs_orbit(member)
+                seen.update(orbit)
+                reps.append(orbit[0])
+        return reps
+
     def normalizer_index(self, d: Diagonal) -> int:
         """|N_{SxS}(Delta)/Delta|: the number of conjugating pairs fixing the
         diagonal, divided by its order."""
@@ -124,7 +133,7 @@ class DiagonalContext:
         count = 0
         for x in range(G.order):
             for y in range(G.order):
-                if self.move(d, x, y) == d:
+                if move_diagonal(G, d, x, y) == d:
                     count += 1
         assert count % len(d.source) == 0
         val = count // len(d.source)
@@ -238,16 +247,7 @@ def build_semicharacteristic(
                 continue
             members = ctx.fprime_orbit(d)
             assigned.update(members)
-            # split the class along S x S conjugacy
-            reps: list[Diagonal] = []
-            seen: set[Diagonal] = set()
-            for member in members:
-                if member in seen:
-                    continue
-                orbit = ctx.sxs_orbit(member)
-                seen.update(orbit)
-                reps.append(orbit[0])
-            reps.sort(key=lambda r: (r.source, r.images))
+            reps = sorted(ctx.sxs_representatives(members), key=lambda r: (r.source, r.images))
             marks = {rep: ctx.mark_terms(terms, rep) for rep in reps}
             peak = max(marks.values())
             for rep in reps:
@@ -274,16 +274,19 @@ def build_semicharacteristic(
 
 
 def verify_generated(system: FusionSystem, X: SemicharacteristicBiset) -> tuple[bool, dict]:
-    """Orbit 0 must be the identity orbit on the full group, every twist must
-    be a stored fusion morphism, and the slot count must match."""
+    """Orbit 0 must be the identity orbit on the full group with multiplicity
+    m, every twist must be a stored fusion morphism, and the slot count must
+    match."""
     G = system.ambient
     full = tuple(range(G.order))
     report = {"orbit_count": len(X.orbits)}
     if not X.orbits or X.orbits[0].source != full or X.orbits[0].images != full:
         report["failure"] = "leading orbit is not the identity orbit"
         return False, report
-    if X.m < 1 or X.orbits[0].multiplicity < 1:
-        report["failure"] = "nonpositive multiplier"
+    # the equalizer seeds the identity orbit with weight 1, so its recorded
+    # multiplicity is exactly the denominator-clearing multiplier
+    if X.orbits[0].multiplicity != X.m:
+        report["failure"] = "multiplier disagrees with the leading orbit"
         return False, report
     n = 0
     for rec in X.orbits:
@@ -328,14 +331,7 @@ def verify_stability(
                 continue
             members = ctx.fprime_orbit(d)
             assigned.update(members)
-            reps: list[Diagonal] = []
-            seen: set[Diagonal] = set()
-            for member in members:
-                if member in seen:
-                    continue
-                orbit = ctx.sxs_orbit(member)
-                seen.update(orbit)
-                reps.append(orbit[0])
+            reps = ctx.sxs_representatives(members)
             if len(reps) > 1:
                 marks = [ctx.mark_biset(X, rep) for rep in reps]
                 if len(set(marks)) != 1:

@@ -211,15 +211,12 @@ class FusionSystem:
 
     # -- queries ------------------------------------------------------------------
 
-    def hom_set(self, source_key, target_key=None) -> list[Morphism]:
+    def hom_set(self, source_key) -> list[Morphism]:
         cached = self._homsets.get(source_key)
         if cached is None:
             bucket = self.store.get(source_key, {})
             cached = [Morphism(source_key, images) for images in sorted(bucket)]
             self._homsets[source_key] = cached
-        if target_key is not None:
-            tset = self.lattice._fsets[target_key]
-            return [m for m in cached if m.image_set <= tset]
         return cached
 
     def aut(self, source_key) -> list[Morphism]:
@@ -372,8 +369,11 @@ class FusionSystem:
 
     def morphism_from_payload(self, payload: dict) -> Morphism:
         G = self.ambient
-        gens = [int(g) for g in payload["source_generators"]]
-        images = [int(x) for x in payload["generator_images"]]
+        gens = payload["source_generators"]
+        images = payload["generator_images"]
+        ok = isinstance(gens, list) and isinstance(images, list) and len(gens) == len(images)
+        if not (ok and all(type(x) is int and 0 <= x < G.order for x in gens + images)):
+            raise ValueError("payload needs equal-length lists of indices in [0, %d)" % G.order)
         skey = G.closure(gens)
         if skey not in self.lattice.by_key:
             raise ValueError("payload source is not an enumerated subgroup")

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .biset import SemicharacteristicBiset
+from .biset import SemicharacteristicBiset, move_diagonal
 from .fusion import ATOM, COMPOSE, INNER, FusionSystem, Morphism
 from .grouprep import FiniteGroup, ScaleError, Subgroup
 from .permcore import Permutation, word_parity
@@ -313,20 +313,13 @@ class ParkEmbedding:
         G = self.G
         sub = self._subgroup(skey)
         moves = [(g, 0) for g in sub.generators] + [(0, g) for g in G.minimal_generators()]
-
-        def move(diag, x, y):
-            pairs = sorted(
-                (G.conj(x, p), G.conj(y, q)) for p, q in zip(diag.source, diag.images)
-            )
-            return Morphism(tuple(p for p, _ in pairs), tuple(q for _, q in pairs))
-
         conj = {d: (0, 0)}
         queue = deque([d])
         while queue:
             cur = queue.popleft()
             px, sx = conj[cur]
             for x, y in moves:
-                nxt = move(cur, x, y)
+                nxt = move_diagonal(G, cur, x, y)
                 if nxt not in conj:
                     conj[nxt] = (G.mul(x, px), G.mul(y, sx))
                     queue.append(nxt)

@@ -80,8 +80,9 @@ class VerificationPolicy:
 
     def __post_init__(self):
         for name in ("max_subgroup_order", "max_subgroups", "max_n", "max_perm_degree"):
-            if getattr(self, name) < 1:
-                raise ValueError("%s must be positive" % name)
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise ValueError("%s must be a positive integer" % name)
         if self.level not in ("fast", "full"):
             raise ValueError("level must be 'fast' or 'full'")
 
@@ -96,6 +97,9 @@ class VerificationPolicy:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "VerificationPolicy":
+        unknown = sorted(set(payload) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError("unknown policy keys: %s" % ", ".join(unknown))
         return cls(**payload)
 
 
@@ -333,6 +337,10 @@ def _closure_transitive(
     return uf.classes == 1, {"rounds": rounds, "classes": uf.classes}
 
 
+def _closure_mode(n: int, policy: VerificationPolicy) -> str:
+    return "normal_closure" if n <= policy.max_perm_degree else "transitivity_only"
+
+
 def verify_main(
     S: SGroup,
     U: Subgroup,
@@ -362,8 +370,8 @@ def verify_main(
     seeds_even = all(word_parity(t) == 0 for t in seed_tops)
     seeds_nontrivial = any((t != np.arange(n)).any() for t in seed_tops)
 
-    if n <= policy.max_perm_degree:
-        mode = "normal_closure"
+    mode = _closure_mode(n, policy)
+    if mode == "normal_closure":
         seed_perms = [Permutation(tuple(int(x) for x in t)) for t in seed_tops]
         conj_perms = [Permutation(tuple(int(x) for x in t)) for t in conj_tops]
         group = PermGroup(conj_perms + seed_perms)
@@ -371,7 +379,6 @@ def verify_main(
         closure_ok = seeds_even and closure.order() == math.factorial(n) // 2
         closure_detail = {"closure_order": closure.order()}
     else:
-        mode = "transitivity_only"
         transitive, detail = _closure_transitive(n, seed_tops, conj_tops)
         closure_ok = seeds_even and seeds_nontrivial and transitive
         closure_detail = detail
@@ -424,6 +431,26 @@ def _run_length_decode(pairs) -> list[int]:
     return out
 
 
+# the JSON type of every top-level certificate field besides "format"
+_FIELD_TYPES = {
+    "input": dict,
+    "exponent": int,
+    "ambient": dict,
+    "fusion_generators": list,
+    "construction_checks": dict,
+    "biset": dict,
+    "embedding": dict,
+    "prime": (int, type(None)),
+    "main_checks": dict,
+    "flags": dict,
+    "accepted": bool,
+    "failed_stage": (str, type(None)),
+    "policy": dict,
+    "tool_version": str,
+    "assumption": str,
+}
+
+
 @dataclass
 class Certificate:
     """Everything needed to re-check a pipeline run from the file alone."""
@@ -469,24 +496,12 @@ class Certificate:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "Certificate":
-        if payload.get("format") != "automizer-certificate":
+        if not isinstance(payload, dict) or payload.get("format") != "automizer-certificate":
             raise ValueError("not a certificate payload")
-        cert = cls(
-            input=payload["input"],
-            exponent=payload["exponent"],
-            ambient=payload["ambient"],
-            fusion_generators=payload["fusion_generators"],
-            construction_checks=payload["construction_checks"],
-            biset=payload["biset"],
-            embedding=payload["embedding"],
-            prime=payload["prime"],
-            main_checks=payload["main_checks"],
-            flags=payload["flags"],
-            failed_stage=payload["failed_stage"],
-            policy=payload["policy"],
-            tool_version=payload["tool_version"],
-            assumption=payload["assumption"],
-        )
+        for name, kind in _FIELD_TYPES.items():
+            if name not in payload or not isinstance(payload[name], kind):
+                raise ValueError("certificate field %r is missing or malformed" % name)
+        cert = cls(**{name: payload[name] for name in _FIELD_TYPES if name != "accepted"})
         if payload["accepted"] != cert.accepted:
             raise ValueError("stored acceptance bit disagrees with the flags")
         return cert
@@ -542,173 +557,217 @@ def _wreath_from_payload(group: FiniteGroup, payload: dict) -> WreathElement:
     return WreathElement(group, base, [int(x) for x in payload["top"]], validate=True)
 
 
-def _empty_flags() -> dict:
-    return {name: False for name in FLAG_NAMES}
+# -- the stage list shared by realize and verify ---------------------------------------
 
 
-def _construction_flags(rep31: dict) -> dict:
-    return {
-        "autF_U_iso_A": rep31["aut_U_matches_inner"] and rep31["aut_U_isomorphic_to_input"],
-        "focal_is_S": rep31["focal_full"],
-        "QF_trivial": rep31["extension_core_trivial"],
-        "index_gt_2A": rep31["large_index_source"],
+class _Rejected(Exception):
+    """Certificate data that cannot be decoded, or a stored section that differs
+    from the recomputed one."""
+
+    def __init__(self, stage: str, reason: str):
+        super().__init__(reason)
+        self.stage = stage
+
+
+class _Built:
+    """The supplied data built fresh; every recomputed section is accepted."""
+
+    def biset(self, system, policy, ctx):
+        return build_semicharacteristic(system, max_n=policy.max_n, context=ctx)
+
+    def witnesses(self, pe, generators):
+        elements = [pe.witness(g) for g in generators]
+        return elements, [_wreath_payload(w) for w in elements]
+
+    def prime(self, a_order):
+        return bertrand_prime(a_order)
+
+    def agree(self, stage, **sections):
+        pass
+
+
+class _Stored:
+    """The supplied data decoded from a certificate; every other section must
+    equal the recomputed one."""
+
+    # parts a verifier cannot recompute identically: the witnesses are supplied
+    # data, and the stability report depends on the level the check ran at
+    NOT_COMPARED = {"biset": "stability", "embedding": "witnesses"}
+
+    def __init__(self, cert: Certificate):
+        self.cert = cert
+
+    def biset(self, system, policy, ctx):
+        data = self.cert.biset
+        try:
+            orbits = [orbit_from_payload(system, p) for p in data["orbits"]]
+            return SemicharacteristicBiset(orbits, int(data["m"]), int(data["n"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _Rejected("biset", "orbit payload rejected: %s" % exc) from None
+
+    def witnesses(self, pe, generators):
+        payloads = self.cert.embedding.get("witnesses")
+        if not isinstance(payloads, list) or len(payloads) != len(generators):
+            raise _Rejected("embedding", "witness count mismatch")
+        try:
+            elements = [_wreath_from_payload(pe.G, p) for p in payloads]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _Rejected("embedding", "malformed witness: %s" % exc) from None
+        if any(w.n != pe.n for w in elements):
+            raise _Rejected("embedding", "witness degree differs from the embedding")
+        return elements, payloads
+
+    def prime(self, a_order):
+        if self.cert.prime is None:
+            raise _Rejected("main_checks", "missing prime")
+        return self.cert.prime
+
+    def agree(self, stage, **sections):
+        for name, section in sections.items():
+            stored = getattr(self.cert, name)
+            skip = self.NOT_COMPARED.get(name)
+            if skip:
+                stored = {k: v for k, v in stored.items() if k != skip}
+                section = {k: v for k, v in section.items() if k != skip}
+            if json.dumps(stored, sort_keys=True) != json.dumps(section, sort_keys=True):
+                raise _Rejected(stage, "stored %s differs from the recomputed section" % name)
+
+
+def _run_stages(A: InputGroupA, policy: VerificationPolicy, source):
+    """Run the checks in order and stop at the first failed stage.  The source
+    supplies the orbit list with m and n, the witnesses and the prime, and
+    sees each section once its stage has passed.
+
+    Returns (flags, sections, failed_stage, reason): the sections are the
+    certificate fields the stages fill, and the reason names the failed check."""
+    # the trivial group is realized by the trivial group: every stage is
+    # skipped, and every flag holds vacuously
+    flags = dict.fromkeys(FLAG_NAMES, A.order == 1)
+    if A.order == 1:
+        sections = {
+            "exponent": 1,
+            "ambient": {"name": "1", "order": 1, "u_order": 1, "rank": 2, "exponent": 1},
+            "fusion_generators": [],
+            "construction_checks": {"trivial": True},
+            "biset": {"m": 1, "n": 0, "orbits": []},
+            "embedding": {"n": 0, "mode": "trivial"},
+            "prime": None,
+            "main_checks": {"trivial": True},
+        }
+        source.agree("ambient", flags=flags, failed_stage=None, **sections)
+        return flags, sections, None, None
+
+    S, system, U = build_fusion_for(A, policy)
+    sections = {
+        "exponent": A.e,
+        "ambient": _ambient_payload(S),
+        "fusion_generators": [system.morphism_payload(m) for m in system.generators],
     }
+    source.agree("ambient", **sections)
+    sections.update(construction_checks={}, biset={}, embedding={}, prime=None, main_checks={})
 
+    def stop(stage, reason):
+        return flags, sections, stage, reason
 
-def _embedding_flags(pe: ParkEmbedding, emb_rep: dict) -> dict:
-    return {
-        "iota_injective_hom": emb_rep["homomorphism"] and emb_rep["injective"],
-        "iota_base_trivial": pe.top_trivial_set() == [0],
+    ok, rep = verify_thm31(S, system, U, A)
+    sections["construction_checks"] = rep
+    flags["autF_U_iso_A"] = rep["aut_U_matches_inner"] and rep["aut_U_isomorphic_to_input"]
+    flags["focal_is_S"] = rep["focal_full"]
+    flags["QF_trivial"] = rep["extension_core_trivial"]
+    flags["index_gt_2A"] = rep["large_index_source"]
+    if not ok:
+        failed = ", ".join(k for k, v in rep.items() if v is False)
+        return stop("construction_checks", "construction checks fail: %s" % failed)
+    source.agree("construction_checks", construction_checks=rep)
+
+    ctx = DiagonalContext(system)
+    X = source.biset(system, policy, ctx)
+    biset = sections["biset"] = {
+        "m": X.m,
+        "n": X.n,
+        "orbit_count": len(X.orbits),
+        "orbits": [orbit_payload(system, rec) for rec in X.orbits],
     }
-
-
-def _main_flags(p: int, a_order: int, wit_ok: bool, main_rep: dict) -> dict:
-    return {
-        "witnesses_ok": wit_ok and main_rep["generator_membership"]["ok"],
-        "top_closure_is_An": main_rep["top_closure"]["ok"] and main_rep["degree_conditions"]["ok"],
-        "bertrand_prime": a_order < p < 2 * a_order and _is_prime(p)
-        and main_rep["prime_conditions"]["ok"],
-    }
-
-
-def _trivial_certificate(A: InputGroupA, policy: VerificationPolicy) -> Certificate:
-    # everything below degree 5 is skipped: the trivial group is realized by
-    # the trivial group, and every flag holds vacuously
-    flags = {name: True for name in FLAG_NAMES}
-    return Certificate(
-        input=_input_payload(A),
-        exponent=1,
-        ambient={"name": "1", "order": 1, "u_order": 1, "rank": 2, "exponent": 1},
-        fusion_generators=[],
-        construction_checks={"trivial": True},
-        biset={"m": 1, "n": 0, "orbits": []},
-        embedding={"n": 0, "mode": "trivial"},
-        prime=None,
-        main_checks={"trivial": True},
-        flags=flags,
-        failed_stage=None,
-        policy=policy.as_payload(),
+    flags["biset_generated"], biset["generated"] = verify_generated(system, X)
+    if not flags["biset_generated"]:
+        return stop("biset", "orbit data rejected: %s" % biset["generated"]["failure"])
+    flags["biset_stable"], biset["stability"] = verify_stability(
+        system, X, level=policy.level, context=ctx
     )
+    if not flags["biset_stable"]:
+        return stop("biset", "orbits are not stable: %s" % biset["stability"]["failure"])
+    flags["orbit_predictions"], pred = check_orbit_predictions(system, X, context=ctx)
+    biset["predictions"] = {
+        "missing_conjugates": [list(map(list, pair)) for pair in pred["missing_conjugates"]],
+        "orbit_core": list(pred["orbit_core"]),
+        "nonextendable_core": list(pred["nonextendable_core"]),
+    }
+    if not flags["orbit_predictions"]:
+        return stop("biset", "orbit predictions fail")
+    source.agree("biset", biset=biset)
+
+    pe = decompose(system, X)
+    emb_ok, emb_rep = verify_embedding(pe)
+    flags["iota_injective_hom"] = emb_rep["homomorphism"] and emb_rep["injective"]
+    flags["iota_base_trivial"] = pe.top_trivial_set() == [0]
+    embedding = sections["embedding"] = {
+        "n": pe.n,
+        "base_index_convention": "target",
+        "slot_tables": pe.slot_tables(),
+        "verification": {k: list(v) if isinstance(v, tuple) else v for k, v in emb_rep.items()},
+        "iota_generators": [
+            {"element": int(s), **_wreath_payload(pe.iota(s))} for s in S.minimal_generators()
+        ],
+        "top_closure_mode": _closure_mode(pe.n, policy),
+    }
+    if not (emb_ok and flags["iota_injective_hom"] and flags["iota_base_trivial"]):
+        failed = ", ".join(k for k, v in emb_rep.items() if v is False) or "iota_base_trivial"
+        return stop("embedding", "embedding checks fail: %s" % failed)
+    source.agree("embedding", embedding=embedding)
+    witness_elements, embedding["witnesses"] = source.witnesses(pe, system.generators)
+    flags["witnesses_ok"] = all(
+        pe.check_witness(g, w) for g, w in zip(system.generators, witness_elements)
+    )
+    if not flags["witnesses_ok"]:
+        return stop("embedding", "a witness fails its conjugation identity")
+
+    p = sections["prime"] = source.prime(A.order)
+    _, main_rep = verify_main(S, U, pe, witness_elements, p, A.order, policy)
+    sections["main_checks"] = main_rep
+    flags["witnesses_ok"] = flags["witnesses_ok"] and main_rep["generator_membership"]["ok"]
+    flags["top_closure_is_An"] = main_rep["top_closure"]["ok"] and main_rep["degree_conditions"]["ok"]
+    flags["bertrand_prime"] = (
+        A.order < p < 2 * A.order and _is_prime(p) and main_rep["prime_conditions"]["ok"]
+    )
+    if not all(flags.values()):
+        failed = ", ".join(name for name in FLAG_NAMES if not flags[name])
+        return stop("main_checks", "final battery fails: %s" % failed)
+    source.agree("main_checks", main_checks=main_rep, flags=flags, failed_stage=None)
+    return flags, sections, None, None
 
 
 def run_pipeline(A: InputGroupA, policy: Optional[VerificationPolicy] = None) -> Certificate:
     """Build, check, and certify.  Scale violations raise; failed checks stop
     the pipeline and leave a partial certificate with the stage marked."""
     policy = policy or VerificationPolicy()
-    if A.order == 1:
-        return _trivial_certificate(A, policy)
-
-    flags = _empty_flags()
-    sections = {
-        "construction_checks": {},
-        "biset": {},
-        "embedding": {},
-        "main_checks": {},
-    }
-
-    def partial(stage: str, **extra) -> Certificate:
-        return Certificate(
-            input=_input_payload(A),
-            exponent=A.e,
-            ambient=extra.get("ambient", {}),
-            fusion_generators=extra.get("fusion_generators", []),
-            construction_checks=sections["construction_checks"],
-            biset=sections["biset"],
-            embedding=sections["embedding"],
-            prime=extra.get("prime"),
-            main_checks=sections["main_checks"],
-            flags=flags,
-            failed_stage=stage,
-            policy=policy.as_payload(),
-        )
-
-    S, system, U = build_fusion_for(A, policy)
-    ambient = _ambient_payload(S)
-    gen_payloads = [system.morphism_payload(m) for m in system.generators]
-
-    ok31, rep31 = verify_thm31(S, system, U, A)
-    sections["construction_checks"] = rep31
-    flags.update(_construction_flags(rep31))
-    if not ok31:
-        return partial("construction_checks", ambient=ambient, fusion_generators=gen_payloads)
-
-    ctx = DiagonalContext(system)
-    X = build_semicharacteristic(system, max_n=policy.max_n, context=ctx)
-    gen_ok, gen_rep = verify_generated(system, X)
-    flags["biset_generated"] = gen_ok
-    stab_ok, stab_rep = verify_stability(system, X, level=policy.level, context=ctx)
-    flags["biset_stable"] = stab_ok
-    pred_ok, pred_rep = check_orbit_predictions(system, X, context=ctx)
-    flags["orbit_predictions"] = pred_ok
-    sections["biset"] = {
-        "m": X.m,
-        "n": X.n,
-        "orbit_count": len(X.orbits),
-        "orbits": [orbit_payload(system, rec) for rec in X.orbits],
-        "generated": gen_rep,
-        "stability": stab_rep,
-        "predictions": {
-            "missing_conjugates": [list(map(list, pair)) for pair in pred_rep["missing_conjugates"]],
-            "orbit_core": list(pred_rep["orbit_core"]),
-            "nonextendable_core": list(pred_rep["nonextendable_core"]),
-        },
-    }
-    if not (gen_ok and stab_ok and pred_ok):
-        return partial("biset", ambient=ambient, fusion_generators=gen_payloads)
-
-    pe = decompose(system, X)
-    emb_ok, emb_rep = verify_embedding(pe)
-    flags.update(_embedding_flags(pe, emb_rep))
-    witness_elements = [pe.witness(g) for g in system.generators]
-    wit_ok = all(pe.check_witness(g, w) for g, w in zip(system.generators, witness_elements))
-    sections["embedding"] = {
-        "n": pe.n,
-        "base_index_convention": "target",
-        "slot_tables": pe.slot_tables(),
-        "verification": {k: list(v) if isinstance(v, tuple) else v for k, v in emb_rep.items()},
-        "iota_generators": [
-            {"element": int(s), **_wreath_payload(pe.iota(s))}
-            for s in S.minimal_generators()
-        ],
-        "witnesses": [_wreath_payload(w) for w in witness_elements],
-    }
-    if not (emb_ok and flags["iota_injective_hom"] and flags["iota_base_trivial"] and wit_ok):
-        flags["witnesses_ok"] = False
-        return partial("embedding", ambient=ambient, fusion_generators=gen_payloads)
-
-    p = bertrand_prime(A.order)
-    main_ok, main_rep = verify_main(S, U, pe, witness_elements, p, A.order, policy)
-    sections["main_checks"] = main_rep
-    flags.update(_main_flags(p, A.order, wit_ok, main_rep))
-    sections["embedding"]["top_closure_mode"] = main_rep["top_closure"]["mode"]
-
-    cert = Certificate(
+    flags, sections, failed_stage, _ = _run_stages(A, policy, _Built())
+    return Certificate(
         input=_input_payload(A),
-        exponent=A.e,
-        ambient=ambient,
-        fusion_generators=gen_payloads,
-        construction_checks=sections["construction_checks"],
-        biset=sections["biset"],
-        embedding=sections["embedding"],
-        prime=p,
-        main_checks=sections["main_checks"],
         flags=flags,
-        failed_stage=None if main_ok else "main_checks",
+        failed_stage=failed_stage,
         policy=policy.as_payload(),
+        **sections,
     )
-    return cert
 
 
 # -- re-verification from the file alone -----------------------------------------------
 
 
 def verify_certificate(cert: Union[Certificate, str]) -> tuple[bool, dict]:
-    """Re-run every check from the stored data: rebuild the input group from
-    its table, regenerate the fusion system from the stored generators,
-    re-verify the biset, the embedding, the stored witnesses verbatim, and
-    the final battery.  Nothing is trusted from the construction except the
-    orbit list and the witness elements, which are exactly the data the
-    certificate is allowed to supply."""
+    """Replay the stage list on the certificate's own data.  The file supplies
+    the input table, the policy, the orbit list with m and n, the witnesses and
+    the prime; every other section must equal the one recomputed from these,
+    except the stability report, whose content depends on the check level."""
     if isinstance(cert, str):
         cert = Certificate.load(cert)
     report: dict = {"tool_version": cert.tool_version}
@@ -718,117 +777,20 @@ def verify_certificate(cert: Union[Certificate, str]) -> tuple[bool, dict]:
         report["failed_stage"] = cert.failed_stage
         return False, report
 
-    table = cert.input["table"]
     try:
-        A_group = FiniteGroup(table, name=cert.input["name"], validate=True)
-    except (ValueError, IndexError) as exc:
-        report["reason"] = "input table invalid: %s" % exc
-        return False, report
-    if A_group.table_hash() != cert.input["table_sha256"]:
-        report["reason"] = "input table hash mismatch"
-        return False, report
-    if A_group.order != cert.input["order"]:
-        report["reason"] = "input order mismatch"
-        return False, report
-    A = InputGroupA(cert.input["name"], A_group)
-
-    if A.order == 1:
-        ok = cert.failed_stage is None and cert.prime is None
-        report["trivial"] = True
-        return ok, report
-
-    policy = VerificationPolicy.from_payload(cert.policy)
-    flags = _empty_flags()
-
-    S, system, U = build_fusion_for(A, policy)
-    if S.table_hash() != cert.ambient["table_sha256"]:
-        report["reason"] = "ambient table hash mismatch"
-        return False, report
-    try:
-        rebuilt = [system.morphism_from_payload(p) for p in cert.fusion_generators]
-    except (ValueError, KeyError, IndexError) as exc:
-        report["reason"] = "fusion generator payload rejected: %s" % exc
-        return False, report
-    if rebuilt != system.generators:
-        report["reason"] = "stored fusion generators differ from the regenerated system"
+        try:
+            A = InputGroupA(cert.input["name"], FiniteGroup(cert.input["table"], validate=True))
+            policy = VerificationPolicy.from_payload(cert.policy)
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            raise _Rejected("input", "input table or policy invalid: %s" % exc) from None
+        if _input_payload(A) != cert.input:
+            raise _Rejected("input", "input name, order or table hash disagrees with the table")
+        flags, sections, failed_stage, reason = _run_stages(A, policy, _Stored(cert))
+    except _Rejected as exc:
+        report["failed_stage"] = exc.stage
+        report["reason"] = str(exc)
         return False, report
 
-    ok31, rep31 = verify_thm31(S, system, U, A)
-    flags.update(_construction_flags(rep31))
-    report["construction_checks"] = rep31
-
-    try:
-        orbits = [orbit_from_payload(system, p) for p in cert.biset["orbits"]]
-    except (KeyError, ValueError) as exc:
-        report["reason"] = "orbit payload rejected: %s" % exc
-        return False, report
-    X = SemicharacteristicBiset(orbits, int(cert.biset["m"]), int(cert.biset["n"]))
-    ctx = DiagonalContext(system)
-    gen_ok, gen_rep = verify_generated(system, X)
-    flags["biset_generated"] = gen_ok
-    if not gen_ok:
-        report["reason"] = "stored orbit data rejected: %s" % gen_rep.get("failure")
-        return False, report
-    # the equalizer seeds the identity orbit with weight 1, so its recorded
-    # multiplicity is exactly the denominator-clearing multiplier
-    if X.orbits[0].multiplicity != X.m:
-        report["reason"] = "stored multiplier disagrees with the leading orbit"
-        return False, report
-    stab_ok, stab_rep = verify_stability(system, X, level=policy.level, context=ctx)
-    flags["biset_stable"] = stab_ok
-    if not stab_ok:
-        report["reason"] = "stored orbits are not stable: %s" % stab_rep.get("failure")
-        return False, report
-    pred_ok, pred_rep = check_orbit_predictions(system, X, context=ctx)
-    flags["orbit_predictions"] = pred_ok
-    report["biset"] = {"generated": gen_rep, "stability": stab_rep}
-
-    pe = decompose(system, X)
-    emb_ok, emb_rep = verify_embedding(pe)
-    flags.update(_embedding_flags(pe, emb_rep))
-    report["embedding"] = emb_rep
-    if cert.embedding.get("slot_tables") != pe.slot_tables():
-        report["reason"] = "stored slot tables disagree with the embedding"
-        return False, report
-
-    try:
-        stored_iota_ok = all(
-            _wreath_from_payload(S, entry) == pe.iota(int(entry["element"]))
-            for entry in cert.embedding["iota_generators"]
-        )
-    except (ValueError, KeyError) as exc:
-        report["reason"] = "malformed generator image: %s" % exc
-        return False, report
-    if not stored_iota_ok:
-        report["reason"] = "stored generator images disagree with the embedding"
-        return False, report
-
-    if len(cert.embedding["witnesses"]) != len(system.generators):
-        report["reason"] = "witness count mismatch"
-        return False, report
-    witness_elements = []
-    try:
-        for payload in cert.embedding["witnesses"]:
-            witness_elements.append(_wreath_from_payload(S, payload))
-    except ValueError as exc:
-        report["reason"] = "malformed witness: %s" % exc
-        return False, report
-    wit_ok = all(
-        pe.check_witness(g, w) for g, w in zip(system.generators, witness_elements)
-    )
-
-    p = cert.prime
-    if not isinstance(p, int):
-        report["reason"] = "missing or malformed prime"
-        return False, report
-    main_ok, main_rep = verify_main(S, U, pe, witness_elements, p, A.order, policy)
-    flags.update(_main_flags(p, A.order, wit_ok, main_rep))
-    report["main_checks"] = main_rep
-
-    mismatched = sorted(name for name in FLAG_NAMES if flags[name] != cert.flags.get(name))
-    report["flags"] = flags
-    report["flag_mismatches"] = mismatched
-    ok = not mismatched and all(flags.values())
-    if not ok and "reason" not in report:
-        report["reason"] = "recomputed flags disagree or fail"
-    return ok, report
+    report.update(sections, flags=flags, failed_stage=failed_stage, reason=reason)
+    report["flag_mismatches"] = sorted(n for n in FLAG_NAMES if flags[n] != cert.flags.get(n))
+    return failed_stage is None, report

@@ -339,6 +339,16 @@ def _mut_corrupt_slot_table(payload):
     reps[0] += 1
 
 
+def _mut_forge_construction_report(payload):
+    payload["construction_checks"]["largest_index"] = 999
+
+
+def _mut_forge_closure_mode(payload):
+    # claim the exact normal-closure battery where only transitivity ran
+    payload["main_checks"]["top_closure"]["mode"] = "normal_closure"
+    payload["embedding"]["top_closure_mode"] = "normal_closure"
+
+
 # (name, mutator, stability-sensitive): stability-sensitive corruptions keep
 # the stored check level; the rest can re-verify at the fast level
 STANDARD_MUTATIONS = [
@@ -358,6 +368,8 @@ STANDARD_MUTATIONS = [
     ("corrupt_iota_image", _mut_corrupt_iota, False),
     ("corrupt_input_table", _mut_corrupt_input_table, False),
     ("corrupt_slot_table", _mut_corrupt_slot_table, False),
+    ("forge_construction_report", _mut_forge_construction_report, False),
+    ("forge_closure_mode", _mut_forge_closure_mode, False),
 ]
 
 

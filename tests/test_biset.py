@@ -26,6 +26,7 @@ from automizer.biset import (
     orbit_payload,
     outer_class_representatives,
     verify_generated,
+    move_diagonal,
     verify_stability,
 )
 from automizer.fusion import Morphism, generate, inner_fusion
@@ -403,7 +404,7 @@ class TestConjugacyInvariance:
         d = Diagonal(skey, phi.images)
         x = data.draw(st.integers(0, G.order - 1))
         y = data.draw(st.integers(0, G.order - 1))
-        assert ctx.mark_biset(X, d) == ctx.mark_biset(X, ctx.move(d, x, y))
+        assert ctx.mark_biset(X, d) == ctx.mark_biset(X, move_diagonal(G, d, x, y))
 
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)
@@ -415,4 +416,4 @@ class TestConjugacyInvariance:
         d = Diagonal(skey, phi.images)
         x = data.draw(st.integers(0, 31))
         y = data.draw(st.integers(0, 31))
-        assert ctx.mark_biset(X, d) == ctx.mark_biset(X, ctx.move(d, x, y))
+        assert ctx.mark_biset(X, d) == ctx.mark_biset(X, move_diagonal(S, d, x, y))

@@ -1,12 +1,16 @@
 """CLI surface tests, run in-process through main()."""
 
+import contextlib
+import copy
 import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from automizer.cli import main
-from automizer.realize import Certificate
+from automizer.grouprep import InputGroupA
+from automizer.realize import Certificate, run_pipeline
 
 
 def run_cli(argv, capsys):
@@ -106,3 +110,62 @@ def test_realize_custom_table_file(tmp_path, capsys):
     out_path = str(tmp_path / "cert.json")
     code, out = run_cli(["realize", "--group", str(tfile), "--out", out_path], capsys)
     assert code == 0
+
+
+@pytest.fixture(scope="module")
+def trivial_payload():
+    return json.loads(run_pipeline(InputGroupA.from_name("1")).to_json_bytes())
+
+
+def _replace(payload, path, value):
+    payload = copy.deepcopy(payload)
+    target = payload
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return payload
+
+
+def _verify_payload(payload, directory):
+    path = directory / "cert.json"
+    path.write_text(json.dumps(payload))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "--cert", str(path)])
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda p: p["input"].pop("table"),
+        lambda p: p["input"].update(table=5),
+        lambda p: p.update(flags=[True] * 12),
+        lambda p: p["policy"].update(sample_pairs=3),
+    ],
+    ids=["missing_table", "table_not_a_list", "flags_as_list", "unknown_policy_key"],
+)
+def test_verify_rejects_malformed_trivial_certificate(trivial_payload, tmp_path, mutate):
+    payload = copy.deepcopy(trivial_payload)
+    mutate(payload)
+    code, out = _verify_payload(payload, tmp_path)
+    assert code == 1
+    assert "unreadable" in out or "REJECTED" in out
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_verify_never_raises_on_one_replaced_field(trivial_payload, tmp_path_factory, data):
+    paths = [(key,) for key in trivial_payload]
+    paths += [(key, sub) for key, v in trivial_payload.items() if isinstance(v, dict) for sub in v]
+    path = data.draw(st.sampled_from(paths))
+    payload = _replace(trivial_payload, path, data.draw(JSON_VALUES))
+    code, _ = _verify_payload(payload, tmp_path_factory.getbasetemp())
+    assert code in (0, 1)

@@ -326,6 +326,21 @@ class TestPayload:
                 payload = system.morphism_payload(m)
                 assert system.morphism_from_payload(payload) == m
 
+    @pytest.mark.parametrize("bad", [[-1], [4], [1.0], ["1"], [True], 1, [1, 3]])
+    def test_rejects_entries_outside_the_group(self, bad):
+        # -1 would otherwise wrap to element 3 through list indexing
+        G = catalog_group("C4")
+        system = inner_fusion(G, G.all_subgroups())
+        assert system.morphism_from_payload(
+            {"source_generators": [1], "generator_images": [1]}
+        ) == Morphism((0, 1, 2, 3), (0, 1, 2, 3))
+        for payload in (
+            {"source_generators": bad, "generator_images": [1]},
+            {"source_generators": [1], "generator_images": bad},
+        ):
+            with pytest.raises(ValueError):
+                system.morphism_from_payload(payload)
+
 
 class TestProperties:
     @given(st.data())

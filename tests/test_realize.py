@@ -25,6 +25,7 @@ from automizer.realize import (
     verify_thm31,
 )
 from automizer.fusion import inner_fusion
+from automizer import realize
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +61,11 @@ class TestPolicy:
     def test_payload_round_trip(self):
         p = VerificationPolicy(max_n=5000, level="fast")
         assert VerificationPolicy.from_payload(p.as_payload()) == p
+
+    @pytest.mark.parametrize("payload", [{"max_n": 10, "sample": 3}, {"max_n": "10"}, {"max_n": None}])
+    def test_payload_rejects_unknown_key_or_type(self, payload):
+        with pytest.raises(ValueError):
+            VerificationPolicy.from_payload(payload)
 
 
 class TestBertrand:
@@ -203,6 +209,26 @@ class TestPipeline:
         cert = run_pipeline(InputGroupA.from_name("C2"), raised)
         assert cert.flags == c2_cert.flags
         assert cert.accepted
+
+
+class TestSharedStages:
+    def test_failed_stage_is_the_same_in_realize_and_verify(self, c2_cert, monkeypatch):
+        real = realize.verify_thm31
+
+        def failing(*args):
+            _, rep = real(*args)
+            return False, dict(rep, family_joins=False)
+
+        monkeypatch.setattr(realize, "verify_thm31", failing)
+        cert = run_pipeline(InputGroupA.from_name("C2"))
+        assert not cert.accepted
+        assert cert.failed_stage == "construction_checks"
+        assert cert.biset == cert.embedding == cert.main_checks == {}
+        assert cert.prime is None
+        ok, rep = verify_certificate(c2_cert)
+        assert not ok
+        assert rep["failed_stage"] == "construction_checks"
+        assert "family_joins" in rep["reason"]
 
 
 class TestVerifyCertificate:

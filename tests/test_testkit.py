@@ -13,6 +13,7 @@ from automizer.biset import (
     OrbitRecord,
     SemicharacteristicBiset,
     build_semicharacteristic,
+    move_diagonal,
 )
 from automizer.fusion import Morphism, generate, inner_fusion
 from automizer.grouprep import FiniteGroup, ScaleError, are_isomorphic, catalog_group
@@ -191,7 +192,7 @@ class TestBruteMarks:
                 base = table[(skey, phi.images)]
                 for x in range(G.order):
                     for y in range(G.order):
-                        d2 = ctx.move(phi, x, y)
+                        d2 = move_diagonal(G, phi, x, y)
                         moved_any = moved_any or d2 != phi
                         assert table[(d2.source, d2.images)] == base
         assert moved_any
@@ -207,14 +208,21 @@ class TestBruteMarks:
 class TestMutationHarness:
     def test_mutation_names_are_distinct(self):
         names = [n for n, _, _ in STANDARD_MUTATIONS]
-        assert len(names) == len(set(names)) == 16
+        assert len(names) == len(set(names)) == 18
 
     def test_unknown_name_rejected(self, c2_cert):
         with pytest.raises(ValueError, match="unknown mutation"):
             mutation_suite(c2_cert, names=["no_such_mutation"])
 
     def test_cheap_mutations_all_rejected(self, c2_cert):
-        names = ["flip_flag", "inconsistent_flag", "corrupt_input_table", "corrupt_n", "corrupt_m"]
+        names = [
+            "flip_flag",
+            "inconsistent_flag",
+            "corrupt_input_table",
+            "corrupt_n",
+            "corrupt_m",
+            "forge_construction_report",
+        ]
         report = mutation_suite(c2_cert, names=names)
         assert set(report) == set(names) | {"all_rejected"}
         for name in names:
