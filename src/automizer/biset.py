@@ -22,7 +22,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .grouprep import FiniteGroup, ScaleError
 from .fusion import FusionSystem, Morphism, all_injective_homs
@@ -53,6 +53,24 @@ def move_diagonal(G: FiniteGroup, d: Diagonal, x: int, y: int) -> Diagonal:
     return Diagonal(tuple(p for p, _ in pairs), tuple(q for _, q in pairs))
 
 
+def diagonal_orbit(
+    G: FiniteGroup, d: Diagonal, moves: Sequence[tuple[int, int]]
+) -> dict[Diagonal, tuple[int, int]]:
+    """Every conjugate of the diagonal under the pairs the moves generate, by
+    BFS in move order, each with a pair (x, y) that moves d onto it."""
+    conj = {d: (0, 0)}
+    queue = deque([d])
+    while queue:
+        cur = queue.popleft()
+        px, sx = conj[cur]
+        for x, y in moves:
+            nxt = move_diagonal(G, cur, x, y)
+            if nxt not in conj:
+                conj[nxt] = (G.mul(x, px), G.mul(y, sx))
+                queue.append(nxt)
+    return conj
+
+
 class DiagonalContext:
     """Shared caches for diagonal classification and mark computation."""
 
@@ -60,40 +78,23 @@ class DiagonalContext:
         self.system = system
         self.G = system.ambient
         self.lattice = system.lattice
-        G = self.G
-        self._move_gens = [(g, 0) for g in G.minimal_generators()]
-        self._move_gens += [(0, g) for g in G.minimal_generators()]
+        gens = self.G.minimal_generators()
+        self._move_gens = [(g, 0) for g in gens] + [(0, g) for g in gens]
         self._xlists: dict[tuple, list] = {}
         self._transporter: dict[tuple, int] = {}
-        self._centralizer_size: dict[tuple, int] = {}
-        self._norm_index: dict[tuple, int] = {}
-        self._sxs_canon: dict[tuple, tuple] = {}
+        self._sxs_canon: dict[Diagonal, Diagonal] = {}
 
     # -- conjugacy ------------------------------------------------------------
 
     def sxs_orbit(self, d: Diagonal) -> list[Diagonal]:
-        """The full S x S conjugacy class, by generator BFS."""
-        seen = {d}
-        queue = deque([d])
-        while queue:
-            cur = queue.popleft()
-            for x, y in self._move_gens:
-                nxt = move_diagonal(self.G, cur, x, y)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return sorted(seen)
+        """The full S x S conjugacy class, sorted."""
+        return sorted(diagonal_orbit(self.G, d, self._move_gens))
 
     def sxs_canonical(self, d: Diagonal) -> Diagonal:
-        cached = self._sxs_canon.get(d)
-        if cached is not None:
-            return Diagonal(*cached)
-        orbit = self.sxs_orbit(d)
-        rep = orbit[0]
-        key = (rep.source, rep.images)
-        for member in orbit:
-            self._sxs_canon[member] = key
-        return rep
+        if d not in self._sxs_canon:
+            orbit = self.sxs_orbit(d)
+            self._sxs_canon.update(dict.fromkeys(orbit, orbit[0]))
+        return self._sxs_canon[d]
 
     def fprime_orbit(self, d: Diagonal) -> list[Diagonal]:
         """The orbit of the diagonal under the product action: fusion morphisms
@@ -110,6 +111,19 @@ class DiagonalContext:
                 out.add(Diagonal(new_source, tuple(G.conj(s, b) for b in base)))
         return sorted(out)
 
+    def classes(
+        self, homs: Callable[[tuple], Sequence[Morphism]]
+    ) -> Iterator[tuple[Diagonal, list[Diagonal]]]:
+        """The classes of the diagonals homs(P) under the product action, as
+        (first diagonal met, members), sources in decreasing order."""
+        assigned: set[Diagonal] = set()
+        for skey in sorted(self.lattice.keys, key=lambda k: (-len(k), k)):
+            for d in homs(skey):
+                if d not in assigned:
+                    members = self.fprime_orbit(d)
+                    assigned.update(members)
+                    yield d, members
+
     def sxs_representatives(self, members: Sequence[Diagonal]) -> list[Diagonal]:
         """The least member of each S x S class met by the members, in the
         order the classes are first met."""
@@ -123,22 +137,8 @@ class DiagonalContext:
         return reps
 
     def normalizer_index(self, d: Diagonal) -> int:
-        """|N_{SxS}(Delta)/Delta|: the number of conjugating pairs fixing the
-        diagonal, divided by its order."""
-        key = (d.source, d.images)
-        cached = self._norm_index.get(key)
-        if cached is not None:
-            return cached
-        G = self.G
-        count = 0
-        for x in range(G.order):
-            for y in range(G.order):
-                if move_diagonal(G, d, x, y) == d:
-                    count += 1
-        assert count % len(d.source) == 0
-        val = count // len(d.source)
-        self._norm_index[key] = val
-        return val
+        """|N_{SxS}(Delta)/Delta|, by orbit-stabilizer: |S|^2 / (|class| |P|)."""
+        return self.G.order ** 2 // (len(self.sxs_orbit(d)) * len(d.source))
 
     # -- marks ------------------------------------------------------------------
 
@@ -194,7 +194,7 @@ class DiagonalContext:
         assert total % len(qkey) == 0, "mark formula must divide by |Q|"
         return total // len(qkey)
 
-    def mark_terms(self, terms: Sequence[tuple[tuple, tuple, Fraction]], d: Diagonal) -> Fraction:
+    def mark_terms(self, terms: Sequence[tuple[tuple, tuple, Fraction | int]], d: Diagonal) -> Fraction:
         acc = Fraction(0)
         for source, images, coeff in terms:
             if coeff:
@@ -202,10 +202,7 @@ class DiagonalContext:
         return acc
 
     def mark_biset(self, X: SemicharacteristicBiset, d: Diagonal) -> int:
-        acc = 0
-        for rec in X.orbits:
-            acc += rec.multiplicity * self.mark_orbit(rec.source, rec.images, d)
-        return acc
+        return int(self.mark_terms([(r.source, r.images, r.multiplicity) for r in X.orbits], d))
 
 
 def outer_class_representatives(system: FusionSystem) -> list[Morphism]:
@@ -230,32 +227,24 @@ def build_semicharacteristic(
     on every other same-size class and on all smaller ones."""
     ctx = context or DiagonalContext(system)
     G = system.ambient
-    lattice = system.lattice
     full = tuple(range(G.order))
 
     terms: list[tuple[tuple, tuple, Fraction]] = []
     for rep in outer_class_representatives(system):
         terms.append((full, rep.images, Fraction(1)))
 
-    assigned: set[Diagonal] = set()
-    for skey in sorted(lattice.keys, key=lambda k: (-len(k), k)):
-        if skey == full:
+    for d, members in ctx.classes(system.hom_set):
+        if d.source == full:
             continue
-        for phi in system.hom_set(skey):
-            d = Diagonal(skey, phi.images)
-            if d in assigned:
-                continue
-            members = ctx.fprime_orbit(d)
-            assigned.update(members)
-            reps = sorted(ctx.sxs_representatives(members), key=lambda r: (r.source, r.images))
-            marks = {rep: ctx.mark_terms(terms, rep) for rep in reps}
-            peak = max(marks.values())
-            for rep in reps:
-                gap = peak - marks[rep]
-                assert gap >= 0
-                if gap:
-                    coeff = gap / ctx.normalizer_index(rep)
-                    terms.append((rep.source, rep.images, coeff))
+        reps = sorted(ctx.sxs_representatives(members), key=lambda r: (r.source, r.images))
+        marks = {rep: ctx.mark_terms(terms, rep) for rep in reps}
+        peak = max(marks.values())
+        for rep in reps:
+            gap = peak - marks[rep]
+            assert gap >= 0
+            if gap:
+                coeff = gap / ctx.normalizer_index(rep)
+                terms.append((rep.source, rep.images, coeff))
 
     m = 1
     for _, _, coeff in terms:
@@ -273,6 +262,14 @@ def build_semicharacteristic(
     return SemicharacteristicBiset(orbits, m, n)
 
 
+def _foreign_twist(system: FusionSystem, X: SemicharacteristicBiset) -> Optional[str]:
+    """Why some orbit twist is not a stored fusion morphism, or None."""
+    for rec in X.orbits:
+        if not system.contains(Diagonal(rec.source, rec.images)):
+            return "orbit twist %r is not a fusion morphism" % ((rec.source, rec.images),)
+    return None
+
+
 def verify_generated(system: FusionSystem, X: SemicharacteristicBiset) -> tuple[bool, dict]:
     """Orbit 0 must be the identity orbit on the full group with multiplicity
     m, every twist must be a stored fusion morphism, and the slot count must
@@ -288,15 +285,14 @@ def verify_generated(system: FusionSystem, X: SemicharacteristicBiset) -> tuple[
     if X.orbits[0].multiplicity != X.m:
         report["failure"] = "multiplier disagrees with the leading orbit"
         return False, report
-    n = 0
-    for rec in X.orbits:
-        if rec.multiplicity < 1:
-            report["failure"] = "orbit with nonpositive multiplicity"
-            return False, report
-        if rec.images not in system.store.get(rec.source, {}):
-            report["failure"] = "orbit twist %r is not a fusion morphism" % ((rec.source, rec.images),)
-            return False, report
-        n += rec.multiplicity * (G.order // len(rec.source))
+    if any(rec.multiplicity < 1 for rec in X.orbits):
+        report["failure"] = "orbit with nonpositive multiplicity"
+        return False, report
+    foreign = _foreign_twist(system, X)
+    if foreign:
+        report["failure"] = foreign
+        return False, report
+    n = sum(rec.multiplicity * (G.order // len(rec.source)) for rec in X.orbits)
     if n != X.n:
         report["failure"] = "slot count mismatch: %d recorded, %d recomputed" % (X.n, n)
         return False, report
@@ -306,43 +302,38 @@ def verify_generated(system: FusionSystem, X: SemicharacteristicBiset) -> tuple[
 def verify_stability(
     system: FusionSystem,
     X: SemicharacteristicBiset,
-    level: str = "full",
     context: Optional[DiagonalContext] = None,
 ) -> tuple[bool, dict]:
-    """Marks must be constant on every class of twisted diagonals under the
-    product action.  Level "full" ranges over all injective homomorphisms
-    from every subgroup (the exact stability criterion); level "fast" only
-    over the fusion morphisms themselves."""
-    if level not in ("full", "fast"):
-        raise ValueError("level must be 'full' or 'fast'")
+    """Marks must be constant on every class of injective twisted diagonals
+    under the product action (fusion morphisms on the source, inner maps on
+    the target): the exact stability criterion.
+
+    Precondition, checked first: every orbit twist is a stored fusion
+    morphism.  Then only classes whose twist lies in F are compared.  By the
+    transporter formula, (S x S)/Delta(Q, gamma) has a point fixed by
+    Delta(P, phi) only if phi = c_y . gamma . c_{x^-1} on P, a map in F when
+    gamma is; and a class whose twist is outside F has no member in F.  So
+    every orbit has mark 0 on such a class.  Every class is still walked and
+    counted."""
+    foreign = _foreign_twist(system, X)
+    if foreign:
+        return False, {"failure": foreign, "checked_classes": 0}
     ctx = context or DiagonalContext(system)
     G = system.ambient
-    lattice = system.lattice
     checked_classes = 0
-    assigned: set[Diagonal] = set()
-    for skey in sorted(lattice.keys, key=lambda k: (-len(k), k)):
-        if level == "full":
-            homs = all_injective_homs(G, lattice, skey)
-        else:
-            homs = system.hom_set(skey)
-        for phi in homs:
-            d = Diagonal(skey, phi.images)
-            if d in assigned:
-                continue
-            members = ctx.fprime_orbit(d)
-            assigned.update(members)
+    for d, members in ctx.classes(lambda skey: all_injective_homs(G, system.lattice, skey)):
+        if system.contains(d):
             reps = ctx.sxs_representatives(members)
-            if len(reps) > 1:
-                marks = [ctx.mark_biset(X, rep) for rep in reps]
-                if len(set(marks)) != 1:
-                    return False, {
-                        "failure": "marks differ on one diagonal class",
-                        "class_source": skey,
-                        "witness": [(r.source, r.images, mk) for r, mk in zip(reps, marks)],
-                        "checked_classes": checked_classes,
-                    }
-            checked_classes += 1
-    return True, {"checked_classes": checked_classes, "level": level}
+            marks = [ctx.mark_biset(X, rep) for rep in reps]
+            if len(set(marks)) > 1:
+                return False, {
+                    "failure": "marks differ on one diagonal class",
+                    "class_source": d.source,
+                    "witness": [(r.source, r.images, mk) for r, mk in zip(reps, marks)],
+                    "checked_classes": checked_classes,
+                }
+        checked_classes += 1
+    return True, {"checked_classes": checked_classes, "level": "full"}
 
 
 def check_orbit_predictions(
@@ -356,17 +347,12 @@ def check_orbit_predictions(
     intersection of all nonextendable sources."""
     ctx = context or DiagonalContext(system)
     G = system.ambient
-    orbit_canon = {
-        (c.source, c.images)
-        for c in (ctx.sxs_canonical(Diagonal(rec.source, rec.images)) for rec in X.orbits)
-    }
+    orbit_canon = {ctx.sxs_canonical(Diagonal(rec.source, rec.images)) for rec in X.orbits}
     missing = []
     for skey in system.lattice.keys:
         for m in system.hom_set(skey):
-            if system.is_nonextendable(m):
-                canon = ctx.sxs_canonical(Diagonal(skey, m.images))
-                if (canon.source, canon.images) not in orbit_canon:
-                    missing.append((skey, m.images))
+            if system.is_nonextendable(m) and ctx.sxs_canonical(m) not in orbit_canon:
+                missing.append((skey, m.images))
     core = set(range(G.order))
     for rec in X.orbits:
         conj_int = set(rec.source)

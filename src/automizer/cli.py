@@ -33,7 +33,7 @@ def _load_input(spec: str) -> InputGroupA:
 
 
 def _policy(args) -> VerificationPolicy:
-    kwargs = {"level": args.policy}
+    kwargs = {}
     if args.max_n is not None:
         kwargs["max_n"] = args.max_n
     if args.max_subgroups is not None:
@@ -145,7 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_real = subs.add_parser("realize", help="run the pipeline and write a certificate")
     p_real.add_argument("--group", required=True, help="catalog name or table file path")
-    p_real.add_argument("--policy", choices=("fast", "full"), default="full")
+    p_real.add_argument(
+        "--policy", choices=("full",), default="full", help="check strength; every check is exact"
+    )
     p_real.add_argument("--max-n", type=int, default=None)
     p_real.add_argument("--max-subgroups", type=int, default=None)
     p_real.add_argument("--max-perm-degree", type=int, default=None)

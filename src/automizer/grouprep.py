@@ -185,9 +185,6 @@ class FiniteGroup:
         gens = tuple(sorted(set(gens) - {0}))
         return Subgroup(self.closure(gens), gens)
 
-    def trivial_subgroup(self) -> Subgroup:
-        return Subgroup((0,), ())
-
     def full_subgroup(self) -> Subgroup:
         return Subgroup(tuple(range(self.order)), tuple(self.minimal_generators()))
 

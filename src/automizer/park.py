@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .biset import SemicharacteristicBiset, move_diagonal
+from .biset import SemicharacteristicBiset, diagonal_orbit
 from .fusion import ATOM, COMPOSE, INNER, FusionSystem, Morphism
 from .grouprep import FiniteGroup, ScaleError, Subgroup
 from .permcore import Permutation, word_parity
@@ -313,16 +313,7 @@ class ParkEmbedding:
         G = self.G
         sub = self._subgroup(skey)
         moves = [(g, 0) for g in sub.generators] + [(0, g) for g in G.minimal_generators()]
-        conj = {d: (0, 0)}
-        queue = deque([d])
-        while queue:
-            cur = queue.popleft()
-            px, sx = conj[cur]
-            for x, y in moves:
-                nxt = move_diagonal(G, cur, x, y)
-                if nxt not in conj:
-                    conj[nxt] = (G.mul(x, px), G.mul(y, sx))
-                    queue.append(nxt)
+        conj = diagonal_orbit(G, d, moves)
         rep = min(conj)
         p_r, s_r = conj[rep]
         for member, (p_m, s_m) in conj.items():

@@ -57,9 +57,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
 
-    def moved_points(self) -> list[int]:
-        return [i for i, j in enumerate(self.images) if i != j]
-
     def smallest_moved(self) -> Optional[int]:
         for i, j in enumerate(self.images):
             if i != j:

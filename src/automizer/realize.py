@@ -70,21 +70,18 @@ UNCHECKED_ASSUMPTION = (
 
 @dataclass
 class VerificationPolicy:
-    """Scale bounds and check depth for a pipeline run."""
+    """Scale bounds for a pipeline run; every check runs at full strength."""
 
     max_subgroup_order: int = 4096
     max_subgroups: int = 20000
     max_n: int = 10 ** 6
     max_perm_degree: int = 150
-    level: str = "full"
 
     def __post_init__(self):
         for name in ("max_subgroup_order", "max_subgroups", "max_n", "max_perm_degree"):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise ValueError("%s must be a positive integer" % name)
-        if self.level not in ("fast", "full"):
-            raise ValueError("level must be 'fast' or 'full'")
 
     def as_payload(self) -> dict:
         return {
@@ -92,11 +89,16 @@ class VerificationPolicy:
             "max_subgroups": self.max_subgroups,
             "max_n": self.max_n,
             "max_perm_degree": self.max_perm_degree,
-            "level": self.level,
+            # one exact stability check; the literal keeps certificate bytes
+            "level": "full",
         }
 
     @classmethod
     def from_payload(cls, payload: dict) -> "VerificationPolicy":
+        payload = dict(payload)
+        level = payload.pop("level", None)
+        if level != "full":
+            raise ValueError("policy level %r is not 'full', the one stability check" % (level,))
         unknown = sorted(set(payload) - set(cls.__dataclass_fields__))
         if unknown:
             raise ValueError("unknown policy keys: %s" % ", ".join(unknown))
@@ -590,9 +592,8 @@ class _Stored:
     """The supplied data decoded from a certificate; every other section must
     equal the recomputed one."""
 
-    # parts a verifier cannot recompute identically: the witnesses are supplied
-    # data, and the stability report depends on the level the check ran at
-    NOT_COMPARED = {"biset": "stability", "embedding": "witnesses"}
+    # the witnesses are supplied data, checked against their identities
+    NOT_COMPARED = {"embedding": "witnesses"}
 
     def __init__(self, cert: Certificate):
         self.cert = cert
@@ -691,9 +692,7 @@ def _run_stages(A: InputGroupA, policy: VerificationPolicy, source):
     flags["biset_generated"], biset["generated"] = verify_generated(system, X)
     if not flags["biset_generated"]:
         return stop("biset", "orbit data rejected: %s" % biset["generated"]["failure"])
-    flags["biset_stable"], biset["stability"] = verify_stability(
-        system, X, level=policy.level, context=ctx
-    )
+    flags["biset_stable"], biset["stability"] = verify_stability(system, X, context=ctx)
     if not flags["biset_stable"]:
         return stop("biset", "orbits are not stable: %s" % biset["stability"]["failure"])
     flags["orbit_predictions"], pred = check_orbit_predictions(system, X, context=ctx)
@@ -766,8 +765,7 @@ def run_pipeline(A: InputGroupA, policy: Optional[VerificationPolicy] = None) ->
 def verify_certificate(cert: Union[Certificate, str]) -> tuple[bool, dict]:
     """Replay the stage list on the certificate's own data.  The file supplies
     the input table, the policy, the orbit list with m and n, the witnesses and
-    the prime; every other section must equal the one recomputed from these,
-    except the stability report, whose content depends on the check level."""
+    the prime; every other section must equal the one recomputed from these."""
     if isinstance(cert, str):
         cert = Certificate.load(cert)
     report: dict = {"tool_version": cert.tool_version}

@@ -7,12 +7,12 @@ an accepted certificate must survive in full.  The standard generators,
 distinguished subgroups and free-orbit padding that only the tests build on
 live here too."""
 
-import copy
 import json
 from dataclasses import dataclass
+from typing import Optional
 
-from .biset import OrbitRecord, SemicharacteristicBiset
-from .fusion import FusionSystem, Morphism, generate
+from .biset import Diagonal, DiagonalContext, OrbitRecord, SemicharacteristicBiset
+from .fusion import FusionSystem, Morphism, all_injective_homs, generate
 from .grouprep import FiniteGroup, ScaleError, SGroup, Subgroup
 from .permcore import PermGroup, Permutation, parse_cycles
 from .realize import Certificate, verify_certificate
@@ -239,6 +239,23 @@ def brute_marks_table(
     return table
 
 
+def exhaustive_class_marks(
+    system: FusionSystem, X: SemicharacteristicBiset, context: Optional[DiagonalContext] = None
+) -> list[tuple[Diagonal, list[int]]]:
+    """The stability comparison over every class of injective twisted
+    diagonals, fusion twist or not: for each class with more than one S x S
+    representative, its first diagonal and the marks on the representatives.
+    The biset is stable iff every mark list is constant."""
+    ctx = context or DiagonalContext(system)
+    G = system.ambient
+    out = []
+    for d, members in ctx.classes(lambda skey: all_injective_homs(G, system.lattice, skey)):
+        reps = ctx.sxs_representatives(members)
+        if len(reps) > 1:
+            out.append((d, [ctx.mark_biset(X, rep) for rep in reps]))
+    return out
+
+
 # -- structured certificate corruption -----------------------------------------------
 
 
@@ -343,40 +360,43 @@ def _mut_forge_construction_report(payload):
     payload["construction_checks"]["largest_index"] = 999
 
 
+def _mut_forge_stability_report(payload):
+    payload["biset"]["stability"]["checked_classes"] += 1
+
+
 def _mut_forge_closure_mode(payload):
     # claim the exact normal-closure battery where only transitivity ran
     payload["main_checks"]["top_closure"]["mode"] = "normal_closure"
     payload["embedding"]["top_closure_mode"] = "normal_closure"
 
 
-# (name, mutator, stability-sensitive): stability-sensitive corruptions keep
-# the stored check level; the rest can re-verify at the fast level
 STANDARD_MUTATIONS = [
-    ("drop_orbit", _mut_drop_orbit, False),
-    ("drop_orbit_fix_n", _mut_drop_orbit_fix_n, True),
-    ("bump_multiplicity", _mut_bump_multiplicity, False),
-    ("bump_multiplicity_fix_n", _mut_bump_multiplicity_fix_n, True),
-    ("corrupt_witness_base", _mut_corrupt_witness_base, False),
-    ("corrupt_witness_top", _mut_corrupt_witness_top, False),
-    ("corrupt_generator_image", _mut_corrupt_generator, False),
-    ("drop_generator", _mut_drop_generator, False),
-    ("flip_flag", _mut_flip_flag, False),
-    ("inconsistent_flag", _mut_inconsistent_flag, False),
-    ("corrupt_n", _mut_corrupt_n, False),
-    ("corrupt_m", _mut_corrupt_m, False),
-    ("corrupt_prime", _mut_corrupt_prime, False),
-    ("corrupt_iota_image", _mut_corrupt_iota, False),
-    ("corrupt_input_table", _mut_corrupt_input_table, False),
-    ("corrupt_slot_table", _mut_corrupt_slot_table, False),
-    ("forge_construction_report", _mut_forge_construction_report, False),
-    ("forge_closure_mode", _mut_forge_closure_mode, False),
+    ("drop_orbit", _mut_drop_orbit),
+    ("drop_orbit_fix_n", _mut_drop_orbit_fix_n),
+    ("bump_multiplicity", _mut_bump_multiplicity),
+    ("bump_multiplicity_fix_n", _mut_bump_multiplicity_fix_n),
+    ("corrupt_witness_base", _mut_corrupt_witness_base),
+    ("corrupt_witness_top", _mut_corrupt_witness_top),
+    ("corrupt_generator_image", _mut_corrupt_generator),
+    ("drop_generator", _mut_drop_generator),
+    ("flip_flag", _mut_flip_flag),
+    ("inconsistent_flag", _mut_inconsistent_flag),
+    ("corrupt_n", _mut_corrupt_n),
+    ("corrupt_m", _mut_corrupt_m),
+    ("corrupt_prime", _mut_corrupt_prime),
+    ("corrupt_iota_image", _mut_corrupt_iota),
+    ("corrupt_input_table", _mut_corrupt_input_table),
+    ("corrupt_slot_table", _mut_corrupt_slot_table),
+    ("forge_construction_report", _mut_forge_construction_report),
+    ("forge_stability_report", _mut_forge_stability_report),
+    ("forge_closure_mode", _mut_forge_closure_mode),
 ]
 
 
 def mutation_suite(cert: Certificate, names=None) -> dict:
     """Apply every standard corruption to a fresh copy of the certificate and
     re-verify.  Report per-mutation rejection; all_rejected is the verdict."""
-    base = json.loads(cert.to_json_bytes())
+    data = cert.to_json_bytes()
     results = {}
     if names is not None:
         known = {entry[0] for entry in STANDARD_MUTATIONS}
@@ -386,10 +406,8 @@ def mutation_suite(cert: Certificate, names=None) -> dict:
     selected = [
         entry for entry in STANDARD_MUTATIONS if names is None or entry[0] in names
     ]
-    for name, mutate, needs_level in selected:
-        payload = copy.deepcopy(base)
-        if not needs_level:
-            payload["policy"]["level"] = "fast"
+    for name, mutate in selected:
+        payload = json.loads(data)
         try:
             mutate(payload)
             mutated = Certificate.from_payload(payload)

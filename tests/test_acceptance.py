@@ -115,8 +115,8 @@ def test_criterion_2_c2_end_to_end(c2_run, c2_reconstruction):
         # biset stage on the stored orbits, stability at the exact level
         gen_ok, _ = verify_generated(system, X)
         assert gen_ok
-        stab_ok, stab_rep = verify_stability(system, X, level="full", context=ctx)
-        assert stab_ok and stab_rep["level"] == "full"
+        stab_ok, stab_rep = verify_stability(system, X, context=ctx)
+        assert stab_ok and stab_rep == {"checked_classes": 16019, "level": "full"}
         pred_ok, _ = check_orbit_predictions(system, X, context=ctx)
         assert pred_ok
 

@@ -39,7 +39,8 @@ from automizer.grouprep import (
     enumerate_subgroups,
     homocyclic_rank2,
 )
-from automizer.testkit import append_free_orbits
+from automizer.fusion import all_injective_homs
+from automizer.testkit import append_free_orbits, exhaustive_class_marks
 
 
 # -- fixtures -------------------------------------------------------------------
@@ -224,6 +225,17 @@ class TestIdentityOrbitMark:
         full = tuple(range(32))
         assert ctx_big.normalizer_index(Diagonal(full, full)) == S.center().order
 
+    def test_normalizer_index_matches_stabilizer_count(self, klein3, ambient_c2):
+        for G, system, ctx, X in (klein3, ambient_c2):
+            for rec in X.orbits:
+                d = Diagonal(rec.source, rec.images)
+                fixing = sum(
+                    move_diagonal(G, d, x, y) == d
+                    for x in range(G.order)
+                    for y in range(G.order)
+                )
+                assert ctx.normalizer_index(d) * len(d.source) == fixing
+
 
 class TestBuilder:
     def test_klein3_shape(self, klein3):
@@ -279,18 +291,16 @@ class TestBuilder:
 
 
 class TestStability:
-    def test_fast_and_full_on_klein3(self, klein3):
+    def test_stable_on_klein3(self, klein3):
         _, system, ctx, X = klein3
-        ok, rep = verify_stability(system, X, level="fast", context=ctx)
-        assert ok, rep
-        ok, rep = verify_stability(system, X, level="full", context=ctx)
+        ok, rep = verify_stability(system, X, context=ctx)
         assert ok, rep
 
-    def test_fast_on_ambient(self, ambient_c2):
+    def test_stable_on_ambient(self, ambient_c2):
         _, system, ctx, X = ambient_c2
-        ok, rep = verify_stability(system, X, level="fast", context=ctx)
+        ok, rep = verify_stability(system, X, context=ctx)
         assert ok, rep
-        assert rep["checked_classes"] > 0
+        assert rep == {"checked_classes": 16019, "level": "full"}
 
     def test_dropping_identity_orbit_detected(self, ambient_c2):
         _, system, ctx, X = ambient_c2
@@ -299,7 +309,7 @@ class TestStability:
         )
         ok, _ = verify_generated(system, broken)
         assert not ok
-        ok, rep = verify_stability(system, broken, level="fast", context=ctx)
+        ok, rep = verify_stability(system, broken, context=ctx)
         assert not ok
         assert rep["witness"]
 
@@ -309,13 +319,69 @@ class TestStability:
         bumped = list(X.orbits)
         bumped[1] = OrbitRecord(rec.source, rec.images, rec.multiplicity + 1)
         broken = SemicharacteristicBiset(bumped, X.m, X.n + 4 // len(rec.source))
-        ok, _ = verify_stability(system, broken, level="full", context=ctx)
+        ok, _ = verify_stability(system, broken, context=ctx)
         assert not ok
 
-    def test_level_validation(self, klein3):
+    def test_rejects_non_fusion_orbit_twist(self, klein3):
         _, system, ctx, X = klein3
-        with pytest.raises(ValueError):
-            verify_stability(system, X, level="medium", context=ctx)
+        # the transposition of two involutions is an automorphism outside F
+        foreign = OrbitRecord((0, 1, 2, 3), (0, 2, 1, 3), 1)
+        assert not system.contains(Diagonal(foreign.source, foreign.images))
+        broken = SemicharacteristicBiset(X.orbits + [foreign], X.m, X.n + 1)
+        ok, rep = verify_stability(system, broken, context=ctx)
+        assert not ok
+        assert "fusion morphism" in rep["failure"]
+
+
+def klein3_variants(G, X):
+    """The klein3 biset and four edits of it: a bumped multiplicity, a dropped
+    outer orbit, a dropped identity orbit and two padded free orbits."""
+    rec = X.orbits[1]
+    bumped = list(X.orbits)
+    bumped[1] = OrbitRecord(rec.source, rec.images, rec.multiplicity + 1)
+    return [
+        X,
+        SemicharacteristicBiset(bumped, X.m, X.n + 1),
+        SemicharacteristicBiset(X.orbits[:1] + X.orbits[2:], X.m, X.n - 1),
+        SemicharacteristicBiset(X.orbits[1:], X.m, X.n - 1),
+        append_free_orbits(X, G.order, count=2),
+    ]
+
+
+class TestExhaustiveOracle:
+    """The exact check compares marks only on classes whose twist is in F;
+    the oracle compares them on every class of injective diagonals."""
+
+    def test_klein3_verdicts_agree(self, klein3):
+        G, system, ctx, X = klein3
+        verdicts = []
+        for Y in klein3_variants(G, X):
+            ok, _ = verify_stability(system, Y, context=ctx)
+            table = exhaustive_class_marks(system, Y, context=ctx)
+            assert ok == all(len(set(marks)) == 1 for _, marks in table)
+            verdicts.append(ok)
+        assert verdicts == [True, False, False, False, True]
+
+    def test_klein3_marks_vanish_outside_f(self, klein3):
+        G, system, ctx, X = klein3
+        outside = [
+            d
+            for skey in system.lattice.keys
+            for d in all_injective_homs(G, system.lattice, skey)
+            if not system.contains(d)
+        ]
+        assert outside
+        for Y in klein3_variants(G, X):
+            assert all(ctx.mark_biset(Y, d) == 0 for d in outside)
+
+    def test_ambient_verdict_agrees_and_marks_vanish_outside_f(self, ambient_c2):
+        _, system, ctx, X = ambient_c2
+        ok, rep = verify_stability(system, X, context=ctx)
+        table = exhaustive_class_marks(system, X, context=ctx)
+        assert ok and all(len(set(marks)) == 1 for _, marks in table)
+        outside = [marks for d, marks in table if not system.contains(d)]
+        assert len(outside) == 552
+        assert all(mark == 0 for marks in outside for mark in marks)
 
 
 class TestPredictionsAndFreeOrbits:
@@ -340,7 +406,7 @@ class TestPredictionsAndFreeOrbits:
         assert any(r.source == (0,) and r.multiplicity == 2 for r in padded.orbits)
         ok, _ = verify_generated(system, padded)
         assert ok
-        ok, rep = verify_stability(system, padded, level="full", context=ctx)
+        ok, rep = verify_stability(system, padded, context=ctx)
         assert ok, rep
         ok, witness = literal_left_stable(G, system, padded)
         assert ok, witness

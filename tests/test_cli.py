@@ -65,6 +65,23 @@ def test_verify_rejects_tampered_file(tmp_path, capsys):
     assert code == 1
 
 
+def test_realize_policy_is_full_only(tmp_path, capsys):
+    out_path = str(tmp_path / "trivial.json")
+    code, _ = run_cli(["realize", "--group", "1", "--policy", "full", "--out", out_path], capsys)
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["realize", "--group", "1", "--policy", "fast", "--out", out_path])
+    assert exc.value.code == 2
+
+
+def test_verify_rejects_fast_level(tmp_path, capsys, c2_cert):
+    payload = json.loads(c2_cert.to_json_bytes())
+    payload["policy"]["level"] = "fast"
+    code, out = _verify_payload(payload, tmp_path)
+    assert code == 1
+    assert "REJECTED" in out and "level 'fast'" in out
+
+
 def test_verify_missing_file(tmp_path, capsys):
     code, out = run_cli(["verify", "--cert", str(tmp_path / "nope.json")], capsys)
     assert code == 1

@@ -35,10 +35,8 @@ def c2_parts():
     return A, S, system, U
 
 
-def fast_payload(cert):
-    payload = json.loads(cert.to_json_bytes())
-    payload["policy"]["level"] = "fast"
-    return payload
+def payload_of(cert):
+    return json.loads(cert.to_json_bytes())
 
 
 class TestPolicy:
@@ -48,24 +46,28 @@ class TestPolicy:
         assert p.max_subgroups == 20000
         assert p.max_n == 10 ** 6
         assert p.max_perm_degree == 150
-        assert p.level == "full"
+        assert p.as_payload()["level"] == "full"
 
     def test_rejects_bad_level(self):
-        with pytest.raises(ValueError):
-            VerificationPolicy(level="paranoid")
+        for level in ("fast", "paranoid", None):
+            payload = dict(VerificationPolicy().as_payload(), level=level)
+            with pytest.raises(ValueError, match="level"):
+                VerificationPolicy.from_payload(payload)
+        with pytest.raises(TypeError):
+            VerificationPolicy(level="full")
 
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(ValueError):
             VerificationPolicy(max_n=0)
 
     def test_payload_round_trip(self):
-        p = VerificationPolicy(max_n=5000, level="fast")
+        p = VerificationPolicy(max_n=5000)
         assert VerificationPolicy.from_payload(p.as_payload()) == p
 
     @pytest.mark.parametrize("payload", [{"max_n": 10, "sample": 3}, {"max_n": "10"}, {"max_n": None}])
     def test_payload_rejects_unknown_key_or_type(self, payload):
-        with pytest.raises(ValueError):
-            VerificationPolicy.from_payload(payload)
+        with pytest.raises(ValueError, match="sample|max_n"):
+            VerificationPolicy.from_payload(dict(payload, level="full"))
 
 
 class TestBertrand:
@@ -237,12 +239,16 @@ class TestVerifyCertificate:
         assert ok, rep
         assert rep["flag_mismatches"] == []
 
-    def test_clean_fast(self, c2_cert):
-        ok, rep = verify_certificate(Certificate.from_payload(fast_payload(c2_cert)))
-        assert ok, rep
+    def test_rejects_fast_level(self, c2_cert):
+        payload = payload_of(c2_cert)
+        payload["policy"]["level"] = "fast"
+        ok, rep = verify_certificate(Certificate.from_payload(payload))
+        assert not ok
+        assert rep["failed_stage"] == "input"
+        assert "level 'fast'" in rep["reason"]
 
     def test_rejects_unaccepted(self, c2_cert):
-        payload = fast_payload(c2_cert)
+        payload = payload_of(c2_cert)
         payload["flags"]["biset_stable"] = False
         payload["accepted"] = False
         ok, rep = verify_certificate(Certificate.from_payload(payload))
@@ -250,47 +256,47 @@ class TestVerifyCertificate:
         assert "not accepted" in rep["reason"]
 
     def test_rejects_corrupt_input_table(self, c2_cert):
-        payload = fast_payload(c2_cert)
+        payload = payload_of(c2_cert)
         payload["input"]["table"] = [[0, 1], [1, 1]]
         ok, rep = verify_certificate(Certificate.from_payload(payload))
         assert not ok
 
     def test_rejects_wrong_table_hash(self, c2_cert):
-        payload = fast_payload(c2_cert)
+        payload = payload_of(c2_cert)
         payload["input"]["table_sha256"] = "0" * 64
         ok, rep = verify_certificate(Certificate.from_payload(payload))
         assert not ok
         assert "hash" in rep["reason"]
 
     def test_rejects_dropped_generator(self, c2_cert):
-        payload = fast_payload(c2_cert)
+        payload = payload_of(c2_cert)
         del payload["fusion_generators"][10]
         ok, rep = verify_certificate(Certificate.from_payload(payload))
         assert not ok
         assert "generator" in rep["reason"]
 
     def test_rejects_corrupt_slot_count(self, c2_cert):
-        payload = fast_payload(c2_cert)
+        payload = payload_of(c2_cert)
         payload["biset"]["n"] += 8
         ok, rep = verify_certificate(Certificate.from_payload(payload))
         assert not ok
         assert "orbit data" in rep["reason"]
 
     def test_rejects_corrupt_witness(self, c2_cert):
-        payload = fast_payload(c2_cert)
+        payload = payload_of(c2_cert)
         runs = payload["embedding"]["witnesses"][0]["base_runs"]
         runs[0][0] = (runs[0][0] + 1) % 32
         ok, rep = verify_certificate(Certificate.from_payload(payload))
         assert not ok
 
     def test_rejects_corrupt_prime(self, c2_cert):
-        payload = fast_payload(c2_cert)
+        payload = payload_of(c2_cert)
         payload["prime"] = 4
         ok, rep = verify_certificate(Certificate.from_payload(payload))
         assert not ok
 
     def test_rejects_corrupt_iota_image(self, c2_cert):
-        payload = fast_payload(c2_cert)
+        payload = payload_of(c2_cert)
         top = payload["embedding"]["iota_generators"][0]["top"]
         top[0], top[1] = top[1], top[0]
         ok, rep = verify_certificate(Certificate.from_payload(payload))

@@ -207,8 +207,8 @@ class TestBruteMarks:
 
 class TestMutationHarness:
     def test_mutation_names_are_distinct(self):
-        names = [n for n, _, _ in STANDARD_MUTATIONS]
-        assert len(names) == len(set(names)) == 18
+        names = [n for n, _ in STANDARD_MUTATIONS]
+        assert len(names) == len(set(names)) == 19
 
     def test_unknown_name_rejected(self, c2_cert):
         with pytest.raises(ValueError, match="unknown mutation"):
