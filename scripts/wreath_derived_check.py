@@ -15,14 +15,9 @@ import time
 import numpy as np
 
 from automizer.grouprep import catalog_group
-from automizer.park import (
-    WreathElement,
-    base_only,
-    gamma_prime_member,
-    to_permutation,
-    top_only,
-)
+from automizer.park import WreathElement, gamma_prime_member
 from automizer.permcore import PermGroup, Permutation
+from automizer.testkit import base_only, to_permutation, top_only
 
 
 def main() -> int:

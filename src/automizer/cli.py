@@ -38,8 +38,6 @@ def _policy(args) -> VerificationPolicy:
         kwargs["max_n"] = args.max_n
     if args.max_subgroups is not None:
         kwargs["max_subgroups"] = args.max_subgroups
-    if args.max_perm_degree is not None:
-        kwargs["max_perm_degree"] = args.max_perm_degree
     return VerificationPolicy(**kwargs)
 
 
@@ -150,7 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_real.add_argument("--max-n", type=int, default=None)
     p_real.add_argument("--max-subgroups", type=int, default=None)
-    p_real.add_argument("--max-perm-degree", type=int, default=None)
     p_real.add_argument("--out", required=True, help="certificate output path")
     p_real.set_defaults(func=cmd_realize)
 

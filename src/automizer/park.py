@@ -21,8 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .biset import SemicharacteristicBiset, diagonal_orbit
-from .fusion import ATOM, COMPOSE, INNER, FusionSystem, Morphism
-from .grouprep import FiniteGroup, ScaleError, Subgroup
+from .fusion import FusionSystem, Morphism
+from .grouprep import FiniteGroup, Subgroup
 from .permcore import Permutation, word_parity
 
 
@@ -103,34 +103,6 @@ def wreath_inverse(a: WreathElement) -> WreathElement:
     inv_top = np.empty_like(a.top)
     inv_top[a.top] = np.arange(a.n, dtype=np.int32)
     return WreathElement(a.group, inv[a.base[a.top]], inv_top)
-
-
-def base_only(group: FiniteGroup, n: int, entries: dict[int, int]) -> WreathElement:
-    base = np.zeros(n, dtype=np.int32)
-    for slot, val in entries.items():
-        base[slot] = val
-    return WreathElement(group, base, np.arange(n, dtype=np.int32))
-
-
-def top_only(group: FiniteGroup, perm: Permutation) -> WreathElement:
-    return WreathElement(
-        group, np.zeros(perm.degree, dtype=np.int32), np.asarray(perm.images, dtype=np.int32)
-    )
-
-
-def to_permutation(a: WreathElement, max_degree: int = 10 ** 5) -> Permutation:
-    """The action on slot-times-group points; only for small products."""
-    G = a.group
-    degree = a.n * G.order
-    if degree > max_degree:
-        raise ScaleError("max_degree", max_degree, degree)
-    mul, _ = _np_tables(G)
-    images = np.empty(degree, dtype=np.int64)
-    order = G.order
-    for j in range(a.n):
-        k = int(a.top[j])
-        images[j * order : (j + 1) * order] = k * order + mul[int(a.base[k])]
-    return Permutation(tuple(int(i) for i in images))
 
 
 def gamma_prime_member(a: WreathElement, sprime, n: Optional[int] = None) -> bool:
@@ -214,7 +186,6 @@ class ParkEmbedding:
         self._plain_orbits: dict[tuple, list] = {}
         self._canon: dict[tuple, dict] = {}
         self._witnesses: dict[tuple, WreathElement] = {}
-        self._atom_witnesses: dict[int, WreathElement] = {}
 
     # -- the embedding ----------------------------------------------------------
 
@@ -382,54 +353,6 @@ class ParkEmbedding:
                 return False
         return True
 
-    def _atom_witness(self, aid: int) -> WreathElement:
-        cached = self._atom_witnesses.get(aid)
-        if cached is not None:
-            return cached
-        prov = self.system.atom_provenance[aid]
-        if prov[0] == INNER:
-            el = self.iota(prov[1])
-        elif prov[2]:
-            gen = self.system.generators[prov[1]]
-            forward = next(
-                i
-                for i, a in enumerate(self.system.atoms)
-                if a.source == gen.source and a.images == gen.images
-            )
-            el = self._atom_witness(forward).inverse()
-        else:
-            el = self.witness(self.system.atoms[aid])
-        self._atom_witnesses[aid] = el
-        return el
-
-    def witness_from_provenance(self, source: tuple, images: tuple) -> WreathElement:
-        """Witness assembled along the morphism's construction chain: the
-        witness of a restriction is the witness of the restricted atom, and
-        composition multiplies witnesses."""
-        cached = self._witnesses.get((source, images))
-        if cached is not None:
-            return cached
-        chain = []
-        cur = images
-        while True:
-            prov = self.system.store[source][cur]
-            if prov[0] == ATOM:
-                el = self._atom_witness(prov[1])
-                break
-            if prov[0] != COMPOSE:
-                raise ValueError("unknown provenance %r" % (prov,))
-            hit = self._witnesses.get((source, prov[2]))
-            if hit is not None:
-                chain.append(self._atom_witness(prov[1]))
-                el = hit
-                break
-            chain.append(self._atom_witness(prov[1]))
-            cur = prov[2]
-        for aw in reversed(chain):
-            el = aw * el
-        self._witnesses[(source, images)] = el
-        return el
-
 
 def decompose(system: FusionSystem, X: SemicharacteristicBiset) -> ParkEmbedding:
     return ParkEmbedding(system, X)
@@ -462,16 +385,3 @@ def verify_embedding(pe: ParkEmbedding) -> tuple[bool, dict]:
         "base_intersection_in_core": ok_base,
     }
     return ok_hom and ok_inj and ok_base, report
-
-
-def verify_all_witnesses(pe: ParkEmbedding) -> tuple[bool, dict]:
-    """Build a witness for every stored morphism along provenance and check
-    the conjugation identity elementwise."""
-    checked = 0
-    for source, bucket in pe.system.store.items():
-        for images in bucket:
-            g = pe.witness_from_provenance(source, images)
-            if not pe.check_witness(Morphism(source, images), g):
-                return False, {"failed": (source, images), "checked": checked}
-            checked += 1
-    return True, {"checked": checked}

@@ -68,6 +68,11 @@ UNCHECKED_ASSUMPTION = (
 )
 
 
+# The top closure is checked by Schreier-Sims up to this degree and by
+# transitivity above it; the verifier fixes the bound, not the certificate.
+_MAX_SCHREIER_SIMS_DEGREE = 150
+
+
 @dataclass
 class VerificationPolicy:
     """Scale bounds for a pipeline run; every check runs at full strength."""
@@ -75,30 +80,26 @@ class VerificationPolicy:
     max_subgroup_order: int = 4096
     max_subgroups: int = 20000
     max_n: int = 10 ** 6
-    max_perm_degree: int = 150
+
+    # fixed by the verifier, not the policy; written so certificate bytes stay the same
+    FIXED = {"level": "full", "max_perm_degree": _MAX_SCHREIER_SIMS_DEGREE}
 
     def __post_init__(self):
-        for name in ("max_subgroup_order", "max_subgroups", "max_n", "max_perm_degree"):
+        for name in self.__dataclass_fields__:
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:
                 raise ValueError("%s must be a positive integer" % name)
 
     def as_payload(self) -> dict:
-        return {
-            "max_subgroup_order": self.max_subgroup_order,
-            "max_subgroups": self.max_subgroups,
-            "max_n": self.max_n,
-            "max_perm_degree": self.max_perm_degree,
-            # one exact stability check; the literal keeps certificate bytes
-            "level": "full",
-        }
+        return {**{name: getattr(self, name) for name in self.__dataclass_fields__}, **self.FIXED}
 
     @classmethod
     def from_payload(cls, payload: dict) -> "VerificationPolicy":
         payload = dict(payload)
-        level = payload.pop("level", None)
-        if level != "full":
-            raise ValueError("policy level %r is not 'full', the one stability check" % (level,))
+        for key, fixed in cls.FIXED.items():
+            value = payload.pop(key, None)
+            if type(value) is not type(fixed) or value != fixed:
+                raise ValueError("policy %s %r is not %r, the verifier's own" % (key, value, fixed))
         unknown = sorted(set(payload) - set(cls.__dataclass_fields__))
         if unknown:
             raise ValueError("unknown policy keys: %s" % ", ".join(unknown))
@@ -278,29 +279,20 @@ def automizer_oracle(
 # -- wreath-side checks ----------------------------------------------------------------
 
 
-class _UnionFind:
-    __slots__ = ("parent", "classes")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.classes = n
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        self.classes -= 1
-        return True
+def _join(label: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """The class labels after merging the class of every j with the class of
+    perm[j]; each label is the least point of its class.  Min-label hooking
+    with pointer jumping, repeated until no pair crosses two classes; hooking
+    both ends of each pair makes every pass merge, whatever the map."""
+    while (label[perm] != label).any():
+        a, b = label, label[perm]
+        hook = np.arange(len(label))
+        np.minimum.at(hook, a, b)
+        np.minimum.at(hook, b, a)
+        while (hook[hook] != hook).any():
+            hook = hook[hook]
+        label = hook[label]
+    return label
 
 
 def _closure_transitive(
@@ -308,39 +300,50 @@ def _closure_transitive(
 ) -> tuple[bool, dict]:
     """One-sided transitivity certificate for the normal closure of the seed
     permutations under the conjugators: a True verdict is sound because every
-    merged generator is an explicit conjugate of a seed."""
-    uf = _UnionFind(n)
+    merged generator is an explicit conjugate of a seed.  There is one class
+    exactly when every label is 0."""
+    label = np.arange(n)
     for s in seeds:
-        for j in range(n):
-            uf.union(j, int(s[j]))
-    inv = []
-    for c in conjugators:
-        ci = np.empty(n, dtype=c.dtype)
-        ci[c] = np.arange(n, dtype=c.dtype)
-        inv.append((c, ci))
+        label = _join(label, s)
     frontier = list(seeds)
     rounds = 0
-    while frontier and uf.classes > 1 and rounds < max_rounds:
+    while frontier and label.any() and rounds < max_rounds:
         rounds += 1
         fresh = []
-        for c, ci in inv:
+        for c in conjugators:
             for sig in frontier:
-                tau = c[sig[ci]]
-                merged = False
-                for j in range(n):
-                    t = int(tau[j])
-                    if t != j and uf.union(j, t):
-                        merged = True
-                if merged:
+                tau = np.empty_like(c)
+                tau[c] = c[sig]
+                if (label[tau] != label).any():
+                    label = _join(label, tau)
                     fresh.append(tau)
-                    if uf.classes == 1:
+                    if not label.any():
                         return True, {"rounds": rounds, "classes": 1}
         frontier = fresh
-    return uf.classes == 1, {"rounds": rounds, "classes": uf.classes}
+    classes = int(np.count_nonzero(label == np.arange(n)))
+    return classes == 1, {"rounds": rounds, "classes": classes}
 
 
-def _closure_mode(n: int, policy: VerificationPolicy) -> str:
-    return "normal_closure" if n <= policy.max_perm_degree else "transitivity_only"
+def _closure_mode(n: int) -> str:
+    return "normal_closure" if n <= _MAX_SCHREIER_SIMS_DEGREE else "transitivity_only"
+
+
+def _top_closure(n: int, seed_tops: list[np.ndarray], conj_tops: list[np.ndarray]) -> dict:
+    """The normal closure of the seed tops under the group they generate with
+    the conjugator tops must be Alt(n): checked by Schreier-Sims up to degree
+    _MAX_SCHREIER_SIMS_DEGREE, and above it only as transitivity."""
+    seeds_even = all(word_parity(t) == 0 for t in seed_tops)
+    seeds_nontrivial = any((t != np.arange(n)).any() for t in seed_tops)
+    report = {"mode": _closure_mode(n), "seeds_even": seeds_even, "seeds_nontrivial": seeds_nontrivial}
+    if report["mode"] == "normal_closure":
+        seed_perms = [Permutation(tuple(t.tolist())) for t in seed_tops]
+        group = PermGroup([Permutation(tuple(t.tolist())) for t in conj_tops] + seed_perms)
+        report["closure_order"] = group.normal_closure(seed_perms).order()
+        report["ok"] = seeds_even and report["closure_order"] == math.factorial(n) // 2
+    else:
+        transitive, detail = _closure_transitive(n, seed_tops, conj_tops)
+        report.update(detail, ok=seeds_even and seeds_nontrivial and transitive)
+    return report
 
 
 def verify_main(
@@ -350,7 +353,6 @@ def verify_main(
     witness_elements: Sequence[WreathElement],
     p: int,
     a_order: int,
-    policy: VerificationPolicy,
 ) -> tuple[bool, dict]:
     """The final battery: (a) images of the ambient generators land in the
     derived subgroup of the wreath product, (b) the normal closure of the
@@ -369,21 +371,7 @@ def verify_main(
     seed_tops = [pe.iota(u).top for u in U.generators]
     conj_tops = [pe.iota(s).top for s in s_gens]
     conj_tops += [w.top for w in witness_elements]
-    seeds_even = all(word_parity(t) == 0 for t in seed_tops)
-    seeds_nontrivial = any((t != np.arange(n)).any() for t in seed_tops)
-
-    mode = _closure_mode(n, policy)
-    if mode == "normal_closure":
-        seed_perms = [Permutation(tuple(int(x) for x in t)) for t in seed_tops]
-        conj_perms = [Permutation(tuple(int(x) for x in t)) for t in conj_tops]
-        group = PermGroup(conj_perms + seed_perms)
-        closure = group.normal_closure(seed_perms)
-        closure_ok = seeds_even and closure.order() == math.factorial(n) // 2
-        closure_detail = {"closure_order": closure.order()}
-    else:
-        transitive, detail = _closure_transitive(n, seed_tops, conj_tops)
-        closure_ok = seeds_even and seeds_nontrivial and transitive
-        closure_detail = detail
+    top_closure = _top_closure(n, seed_tops, conj_tops)
 
     prime_ok = _is_prime(p) and S.order % p != 0 and p <= n
     degree_ok = n >= 5 and n > 2 * a_order
@@ -394,13 +382,7 @@ def verify_main(
             "failures": [int(s) for s in membership_failures],
             "ok": membership_ok,
         },
-        "top_closure": {
-            "mode": mode,
-            "seeds_even": seeds_even,
-            "seeds_nontrivial": bool(seeds_nontrivial),
-            "ok": closure_ok,
-            **{k: int(v) for k, v in closure_detail.items()},
-        },
+        "top_closure": top_closure,
         "prime_conditions": {
             "prime": p,
             "divides_ambient": S.order % p == 0,
@@ -409,7 +391,7 @@ def verify_main(
         },
         "degree_conditions": {"n": n, "lower_bound": 2 * a_order, "ok": degree_ok},
     }
-    return membership_ok and closure_ok and prime_ok and degree_ok, report
+    return membership_ok and top_closure["ok"] and prime_ok and degree_ok, report
 
 
 # -- certificate -----------------------------------------------------------------------
@@ -477,24 +459,7 @@ class Certificate:
         return all(self.flags.get(name) is True for name in FLAG_NAMES)
 
     def to_payload(self) -> dict:
-        return {
-            "format": "automizer-certificate",
-            "tool_version": self.tool_version,
-            "input": self.input,
-            "exponent": self.exponent,
-            "ambient": self.ambient,
-            "fusion_generators": self.fusion_generators,
-            "construction_checks": self.construction_checks,
-            "biset": self.biset,
-            "embedding": self.embedding,
-            "prime": self.prime,
-            "main_checks": self.main_checks,
-            "flags": self.flags,
-            "accepted": self.accepted,
-            "failed_stage": self.failed_stage,
-            "policy": self.policy,
-            "assumption": self.assumption,
-        }
+        return {"format": "automizer-certificate", **{name: getattr(self, name) for name in _FIELD_TYPES}}
 
     @classmethod
     def from_payload(cls, payload: dict) -> "Certificate":
@@ -717,7 +682,7 @@ def _run_stages(A: InputGroupA, policy: VerificationPolicy, source):
         "iota_generators": [
             {"element": int(s), **_wreath_payload(pe.iota(s))} for s in S.minimal_generators()
         ],
-        "top_closure_mode": _closure_mode(pe.n, policy),
+        "top_closure_mode": _closure_mode(pe.n),
     }
     if not (emb_ok and flags["iota_injective_hom"] and flags["iota_base_trivial"]):
         failed = ", ".join(k for k, v in emb_rep.items() if v is False) or "iota_base_trivial"
@@ -731,7 +696,7 @@ def _run_stages(A: InputGroupA, policy: VerificationPolicy, source):
         return stop("embedding", "a witness fails its conjugation identity")
 
     p = sections["prime"] = source.prime(A.order)
-    _, main_rep = verify_main(S, U, pe, witness_elements, p, A.order, policy)
+    _, main_rep = verify_main(S, U, pe, witness_elements, p, A.order)
     sections["main_checks"] = main_rep
     flags["witnesses_ok"] = flags["witnesses_ok"] and main_rep["generator_membership"]["ok"]
     flags["top_closure_is_An"] = main_rep["top_closure"]["ok"] and main_rep["degree_conditions"]["ok"]

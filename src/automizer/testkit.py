@@ -11,9 +11,12 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .biset import Diagonal, DiagonalContext, OrbitRecord, SemicharacteristicBiset
-from .fusion import FusionSystem, Morphism, all_injective_homs, generate
+from .fusion import ATOM, COMPOSE, INNER, FusionSystem, Morphism, all_injective_homs, generate
 from .grouprep import FiniteGroup, ScaleError, SGroup, Subgroup
+from .park import ParkEmbedding, WreathElement
 from .permcore import PermGroup, Permutation, parse_cycles
 from .realize import Certificate, verify_certificate
 
@@ -79,6 +82,102 @@ def append_free_orbits(X: SemicharacteristicBiset, G_order: int, count: int = 1)
     else:
         orbits.append(OrbitRecord((0,), (0,), count))
     return SemicharacteristicBiset(orbits, X.m, X.n + count * G_order)
+
+
+# -- wreath elements as permutations, witnesses along provenance ---------------------
+
+
+def base_only(group: FiniteGroup, n: int, entries: dict[int, int]) -> WreathElement:
+    base = np.zeros(n, dtype=np.int32)
+    for slot, val in entries.items():
+        base[slot] = val
+    return WreathElement(group, base, np.arange(n, dtype=np.int32))
+
+
+def top_only(group: FiniteGroup, perm: Permutation) -> WreathElement:
+    return WreathElement(
+        group, np.zeros(perm.degree, dtype=np.int32), np.asarray(perm.images, dtype=np.int32)
+    )
+
+
+def to_permutation(a: WreathElement, max_degree: int = 10 ** 5) -> Permutation:
+    """The action on slot-times-group points; only for small products."""
+    G = a.group
+    degree = a.n * G.order
+    if degree > max_degree:
+        raise ScaleError("max_degree", max_degree, degree)
+    mul = np.asarray(G.table, dtype=np.int64)
+    images = np.empty(degree, dtype=np.int64)
+    order = G.order
+    for j in range(a.n):
+        k = int(a.top[j])
+        images[j * order : (j + 1) * order] = k * order + mul[int(a.base[k])]
+    return Permutation(tuple(int(i) for i in images))
+
+
+def _atom_witness(pe: ParkEmbedding, aid: int, cache: dict) -> WreathElement:
+    key = ("atom", aid)
+    cached = cache.get(key)
+    if cached is not None:
+        return cached
+    prov = pe.system.atom_provenance[aid]
+    if prov[0] == INNER:
+        el = pe.iota(prov[1])
+    elif prov[2]:
+        gen = pe.system.generators[prov[1]]
+        forward = next(
+            i
+            for i, a in enumerate(pe.system.atoms)
+            if a.source == gen.source and a.images == gen.images
+        )
+        el = _atom_witness(pe, forward, cache).inverse()
+    else:
+        el = pe.witness(pe.system.atoms[aid])
+    cache[key] = el
+    return el
+
+
+def witness_from_provenance(pe: ParkEmbedding, source: tuple, images: tuple, cache: dict) -> WreathElement:
+    """Witness assembled along the morphism's construction chain: the
+    witness of a restriction is the witness of the restricted atom, and
+    composition multiplies witnesses.  The cache holds atom witnesses and
+    assembled ones across calls."""
+    cached = cache.get((source, images))
+    if cached is not None:
+        return cached
+    chain = []
+    cur = images
+    while True:
+        prov = pe.system.store[source][cur]
+        if prov[0] == ATOM:
+            el = _atom_witness(pe, prov[1], cache)
+            break
+        if prov[0] != COMPOSE:
+            raise ValueError("unknown provenance %r" % (prov,))
+        chain.append(_atom_witness(pe, prov[1], cache))
+        hit = cache.get((source, prov[2]))
+        if hit is not None:
+            el = hit
+            break
+        cur = prov[2]
+    for aw in reversed(chain):
+        el = aw * el
+    cache[(source, images)] = el
+    return el
+
+
+def verify_all_witnesses(pe: ParkEmbedding) -> tuple[bool, dict]:
+    """Build a witness for every stored morphism along provenance and check
+    the conjugation identity elementwise."""
+    cache: dict = {}
+    checked = 0
+    for source, bucket in pe.system.store.items():
+        for images in bucket:
+            g = witness_from_provenance(pe, source, images, cache)
+            if not pe.check_witness(Morphism(source, images), g):
+                return False, {"failed": (source, images), "checked": checked}
+            checked += 1
+    return True, {"checked": checked}
 
 
 # -- surrogate corpus --------------------------------------------------------------
@@ -364,6 +463,11 @@ def _mut_forge_stability_report(payload):
     payload["biset"]["stability"]["checked_classes"] += 1
 
 
+def _mut_forge_perm_degree(payload):
+    # ask for the weaker transitivity check at a degree Schreier-Sims covers
+    payload["policy"]["max_perm_degree"] = 100
+
+
 def _mut_forge_closure_mode(payload):
     # claim the exact normal-closure battery where only transitivity ran
     payload["main_checks"]["top_closure"]["mode"] = "normal_closure"
@@ -390,6 +494,7 @@ STANDARD_MUTATIONS = [
     ("forge_construction_report", _mut_forge_construction_report),
     ("forge_stability_report", _mut_forge_stability_report),
     ("forge_closure_mode", _mut_forge_closure_mode),
+    ("forge_perm_degree", _mut_forge_perm_degree),
 ]
 
 

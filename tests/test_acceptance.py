@@ -23,16 +23,7 @@ from automizer.biset import (
 )
 from automizer.fusion import generate
 from automizer.grouprep import InputGroupA, ScaleError, are_isomorphic, catalog_group
-from automizer.park import (
-    WreathElement,
-    base_only,
-    decompose,
-    gamma_prime_member,
-    to_permutation,
-    top_only,
-    verify_all_witnesses,
-    verify_embedding,
-)
+from automizer.park import WreathElement, decompose, gamma_prime_member, verify_embedding
 from automizer.permcore import PermGroup, Permutation, parse_cycles
 from automizer.realize import (
     FLAG_NAMES,
@@ -41,10 +32,14 @@ from automizer.realize import (
     run_pipeline,
 )
 from automizer.testkit import (
+    base_only,
     brute_fusion,
     conjugation_generators,
     corpus,
     mutation_suite,
+    to_permutation,
+    top_only,
+    verify_all_witnesses,
 )
 
 

@@ -82,6 +82,27 @@ def test_verify_rejects_fast_level(tmp_path, capsys, c2_cert):
     assert "REJECTED" in out and "level 'fast'" in out
 
 
+def test_realize_has_no_perm_degree_option(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["realize", "--group", "1", "--max-perm-degree", "10", "--out", str(tmp_path / "x.json")])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "key, value, reason",
+    [
+        ("max_perm_degree", 100, "max_perm_degree 100 is not 150"),
+        ("max_subgroups", True, "max_subgroups must be a positive integer"),
+    ],
+)
+def test_verify_rejects_forged_policy(tmp_path, c2_cert, key, value, reason):
+    payload = json.loads(c2_cert.to_json_bytes())
+    payload["policy"][key] = value
+    code, out = _verify_payload(payload, tmp_path)
+    assert code == 1
+    assert "REJECTED" in out and reason in out
+
+
 def test_verify_missing_file(tmp_path, capsys):
     code, out = run_cli(["verify", "--cert", str(tmp_path / "nope.json")], capsys)
     assert code == 1

@@ -28,17 +28,14 @@ from automizer.grouprep import (
 from automizer.park import (
     ParkEmbedding,
     WreathElement,
-    base_only,
     decompose,
     gamma_prime_member,
-    to_permutation,
-    top_only,
-    verify_all_witnesses,
     verify_embedding,
     wreath_inverse,
     wreath_multiply,
 )
 from automizer.permcore import PermGroup, Permutation, identity_perm
+from automizer.testkit import base_only, to_permutation, top_only, verify_all_witnesses
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,9 @@ JSON payload so they exercise exactly the surface an attacker would touch."""
 
 import copy
 import json
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -45,7 +47,7 @@ class TestPolicy:
         assert p.max_subgroup_order == 4096
         assert p.max_subgroups == 20000
         assert p.max_n == 10 ** 6
-        assert p.max_perm_degree == 150
+        assert p.as_payload()["max_perm_degree"] == 150
         assert p.as_payload()["level"] == "full"
 
     def test_rejects_bad_level(self):
@@ -56,6 +58,17 @@ class TestPolicy:
         with pytest.raises(TypeError):
             VerificationPolicy(level="full")
 
+    def test_rejects_forged_perm_degree(self):
+        payload = VerificationPolicy().as_payload()
+        for degree in (100, 10 ** 4, True, 150.0):
+            with pytest.raises(ValueError, match="max_perm_degree"):
+                VerificationPolicy.from_payload(dict(payload, max_perm_degree=degree))
+        del payload["max_perm_degree"]
+        with pytest.raises(ValueError, match="max_perm_degree None"):
+            VerificationPolicy.from_payload(payload)
+        with pytest.raises(TypeError):
+            VerificationPolicy(max_perm_degree=150)
+
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(ValueError):
             VerificationPolicy(max_n=0)
@@ -64,10 +77,120 @@ class TestPolicy:
         p = VerificationPolicy(max_n=5000)
         assert VerificationPolicy.from_payload(p.as_payload()) == p
 
-    @pytest.mark.parametrize("payload", [{"max_n": 10, "sample": 3}, {"max_n": "10"}, {"max_n": None}])
+    @pytest.mark.parametrize(
+        "payload",
+        [{"max_n": 10, "sample": 3}, {"max_n": "10"}, {"max_n": None}, {"max_n": True}],
+    )
     def test_payload_rejects_unknown_key_or_type(self, payload):
         with pytest.raises(ValueError, match="sample|max_n"):
-            VerificationPolicy.from_payload(dict(payload, level="full"))
+            VerificationPolicy.from_payload(dict(payload, level="full", max_perm_degree=150))
+
+
+def _union_find_closure(n, seeds, conjugators, max_rounds):
+    """The union-find frontier that the label arrays replaced, kept as the
+    reference for _closure_transitive."""
+    parent = list(range(n))
+
+    def union(a, b):
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        parent[b] = a
+        return a != b
+
+    for s in seeds:
+        for j in range(n):
+            union(j, int(s[j]))
+    def classes():
+        return sum(parent[j] == j for j in range(n))
+
+    frontier = list(seeds)
+    rounds = 0
+    while frontier and classes() > 1 and rounds < max_rounds:
+        rounds += 1
+        fresh = []
+        for c in conjugators:
+            ci = np.argsort(c)
+            for sig in frontier:
+                tau = c[sig[ci]]
+                if any([union(j, int(tau[j])) for j in range(n)]):
+                    fresh.append(tau)
+                    if classes() == 1:
+                        return True, {"rounds": rounds, "classes": 1}
+        frontier = fresh
+    return classes() == 1, {"rounds": rounds, "classes": classes()}
+
+
+def _perms(n):
+    """Uniform permutations of [0, n), and products of up to three
+    transpositions, so that many draws leave several classes."""
+    def swapped(pairs):
+        p = list(range(n))
+        for i, j in pairs:
+            p[i], p[j] = p[j], p[i]
+        return p
+
+    index = st.integers(0, max(n - 1, 0))
+    swaps = st.lists(st.tuples(index, index), max_size=3 if n else 0).map(swapped)
+    return st.one_of(st.permutations(range(n)), swaps).map(lambda p: np.asarray(p, dtype=np.int32))
+
+
+def _cycle(n, points):
+    p = np.arange(n, dtype=np.int32)
+    p[list(points)] = np.roll(list(points), -1)
+    return p
+
+
+def _symmetric_tops(n):
+    return [np.roll(np.arange(n, dtype=np.int32), -1), _cycle(n, (0, 1))]
+
+
+class TestTopClosure:
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_labels_agree_with_union_find(self, data):
+        n = data.draw(st.integers(0, 40))
+        seeds = data.draw(st.lists(_perms(n), max_size=3))
+        conjugators = data.draw(st.lists(_perms(n), max_size=3))
+        max_rounds = data.draw(st.sampled_from([1, 2, 3, 32]))
+        assert realize._closure_transitive(n, seeds, conjugators, max_rounds) == (
+            _union_find_closure(n, seeds, conjugators, max_rounds)
+        )
+
+    def test_mode_follows_n(self):
+        assert realize._closure_mode(150) == "normal_closure"
+        assert realize._closure_mode(151) == "transitivity_only"
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_three_cycle_closes_to_alternating(self, n):
+        rep = realize._top_closure(n, [_cycle(n, (0, 1, 2))], _symmetric_tops(n))
+        assert rep["mode"] == "normal_closure"
+        assert rep["ok"] and rep["seeds_even"] and rep["seeds_nontrivial"]
+        assert rep["closure_order"] == math.factorial(n) // 2
+
+    def test_odd_seed_is_refused(self):
+        rep = realize._top_closure(5, [_cycle(5, (0, 1))], _symmetric_tops(5))
+        assert rep["mode"] == "normal_closure"
+        assert not rep["seeds_even"] and not rep["ok"]
+        assert rep["closure_order"] == 120
+
+    def test_transitivity_above_the_bound(self):
+        n = 151
+        rng = np.random.default_rng(7)
+        seed = _cycle(n, (0, 1, 2))
+        conjugators = [rng.permutation(n).astype(np.int32) for _ in range(3)]
+        rep = realize._top_closure(n, [seed], conjugators)
+        assert rep["mode"] == "transitivity_only"
+        assert rep["ok"] and rep["classes"] == 1
+        assert "closure_order" not in rep
+        # conjugators that keep each half of the points leave two classes
+        halves = [
+            np.concatenate([rng.permutation(76), 76 + rng.permutation(75)]).astype(np.int32)
+            for _ in range(3)
+        ]
+        rep = realize._top_closure(n, [seed, _cycle(n, (80, 81, 82))], halves)
+        assert not rep["ok"] and rep["classes"] == 2
 
 
 class TestBertrand:

@@ -208,7 +208,7 @@ class TestBruteMarks:
 class TestMutationHarness:
     def test_mutation_names_are_distinct(self):
         names = [n for n, _ in STANDARD_MUTATIONS]
-        assert len(names) == len(set(names)) == 19
+        assert len(names) == len(set(names)) == 20
 
     def test_unknown_name_rejected(self, c2_cert):
         with pytest.raises(ValueError, match="unknown mutation"):
