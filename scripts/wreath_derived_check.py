@@ -17,7 +17,7 @@ import numpy as np
 from automizer.grouprep import catalog_group
 from automizer.park import WreathElement, gamma_prime_member
 from automizer.permcore import PermGroup, Permutation
-from automizer.testkit import base_only, to_permutation, top_only
+from automizer.testkit import base_only, is_member, to_permutation, top_only
 
 
 def main() -> int:
@@ -57,7 +57,7 @@ def main() -> int:
     for _ in range(args.samples):
         el = WreathElement(G, rng.integers(0, G.order, size=n), rng.permutation(n))
         by_formula = gamma_prime_member(el, sprime)
-        by_chain = to_permutation(el) in derived
+        by_chain = is_member(derived, to_permutation(el))
         agree += by_formula == by_chain
         members += by_formula
     print("membership formula vs stabilizer chain: %d/%d agree (%d members)"

@@ -381,4 +381,6 @@ def orbit_payload(system: FusionSystem, rec: OrbitRecord) -> dict:
 
 def orbit_from_payload(system: FusionSystem, payload: dict) -> OrbitRecord:
     m = system.morphism_from_payload(payload)
-    return OrbitRecord(m.source, m.images, int(payload["multiplicity"]))
+    if type(payload["multiplicity"]) is not int:
+        raise ValueError("orbit multiplicity must be an integer")
+    return OrbitRecord(m.source, m.images, payload["multiplicity"])

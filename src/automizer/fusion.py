@@ -19,7 +19,7 @@ synthesize conjugation witnesses multiplicatively.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .grouprep import FiniteGroup, Subgroup, _word_map, injective_homs
 
@@ -59,12 +59,6 @@ class SubgroupLattice:
         self._fsets = {k: frozenset(k) for k in self.keys}
         self._subkeys: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         self._covers: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-
-    def key_of(self, elements: Iterable[int]) -> tuple[int, ...]:
-        key = tuple(sorted(elements))
-        if key not in self.by_key:
-            raise KeyError("element set is not in the enumerated lattice")
-        return key
 
     def subkeys_of(self, key) -> list[tuple[int, ...]]:
         """Keys of all subgroups contained in the given one."""
@@ -195,19 +189,9 @@ class FusionSystem:
 
     # -- morphism arithmetic ----------------------------------------------------
 
-    def apply(self, m: Morphism, x: int) -> int:
-        return m.images[self.lattice.posmap[m.source][x]]
-
-    def restrict(self, m: Morphism, subkey: tuple[int, ...]) -> Morphism:
-        pos = self.lattice.posmap[m.source]
-        return Morphism(subkey, tuple(m.images[pos[x]] for x in subkey))
-
     def compose(self, g: Morphism, m: Morphism) -> Morphism:
         pos = self.lattice.posmap[g.source]
         return Morphism(m.source, tuple(g.images[pos[x]] for x in m.images))
-
-    def invert(self, m: Morphism) -> Morphism:
-        return _invert(m)
 
     # -- queries ------------------------------------------------------------------
 
@@ -400,11 +384,6 @@ def generate(
     homomorphisms together with all conjugations."""
     lattice = SubgroupLattice(ambient, subgroups)
     return FusionSystem(lattice, generators)
-
-
-def inner_fusion(ambient: FiniteGroup, subgroups: Sequence[Subgroup]) -> FusionSystem:
-    """The conjugation-only system on the ambient group."""
-    return generate(ambient, subgroups, [])
 
 
 def all_injective_homs(

@@ -13,6 +13,7 @@ tuples, and the configurable caps raise ScaleError rather than thrash.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -74,11 +75,9 @@ class FiniteGroup:
 
     def __init__(self, table: Sequence[Sequence[int]], name: str = "", validate: bool = False):
         if isinstance(table, np.ndarray):
-            self._np_table = table.astype(np.int64)
             self.table = table.tolist()
         else:
             self.table = [list(row) for row in table]
-            self._np_table = np.array(self.table, dtype=np.int64)
         self.order = len(self.table)
         self.name = name
         if any(len(row) != self.order for row in self.table):
@@ -95,6 +94,8 @@ class FiniteGroup:
 
     def _validate(self) -> None:
         n = self.order
+        if any(type(x) is not int for row in self.table for x in row):
+            raise ValueError("table entries must be integers")
         for row in self.table:
             if sorted(row) != list(range(n)):
                 raise ValueError("table row is not a permutation of the elements")
@@ -134,14 +135,6 @@ class FiniteGroup:
             acc = self.table[acc][x]
         return acc
 
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inverse[a], -k)
-        acc = 0
-        for _ in range(k):
-            acc = self.table[acc][a]
-        return acc
-
     def element_order(self, a: int) -> int:
         cached = self._order_cache.get(a)
         if cached is not None:
@@ -155,10 +148,6 @@ class FiniteGroup:
 
     def exponent(self) -> int:
         return math.lcm(*(self.element_order(a) for a in range(self.order)))
-
-    def is_abelian(self) -> bool:
-        t = self.table
-        return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(a))
 
     def commutator(self, a: int, b: int) -> int:
         """[a, b] = a b a^-1 b^-1."""
@@ -184,9 +173,6 @@ class FiniteGroup:
     def subgroup(self, gens: Iterable[int]) -> Subgroup:
         gens = tuple(sorted(set(gens) - {0}))
         return Subgroup(self.closure(gens), gens)
-
-    def full_subgroup(self) -> Subgroup:
-        return Subgroup(tuple(range(self.order)), tuple(self.minimal_generators()))
 
     def minimal_generators(self, within: Optional[Sequence[int]] = None) -> list[int]:
         """A short (not necessarily minimum) generating list, greedily built,
@@ -224,21 +210,10 @@ class FiniteGroup:
         subs.sort(key=lambda h: (h.order, h.elements))
         return subs
 
-    def centralizer(self, elements: Iterable[int], within: Optional[Iterable[int]] = None) -> Subgroup:
-        pool = range(self.order) if within is None else within
-        elems = list(elements)
-        t = self.table
-        cent = [g for g in pool if all(t[g][x] == t[x][g] for x in elems)]
-        return Subgroup(tuple(sorted(cent)), tuple(sorted(cent)))
-
-    def normalizer(self, sub: Subgroup, within: Optional[Iterable[int]] = None) -> Subgroup:
-        pool = range(self.order) if within is None else within
+    def normalizer(self, sub: Subgroup) -> Subgroup:
         eset = sub.element_set
-        norm = [g for g in pool if all(self.conj(g, x) in eset for x in sub.elements)]
+        norm = [g for g in range(self.order) if all(self.conj(g, x) in eset for x in sub.elements)]
         return Subgroup(tuple(sorted(norm)), tuple(sorted(norm)))
-
-    def center(self) -> Subgroup:
-        return self.centralizer(range(self.order))
 
     def commutator_subgroup(self) -> Subgroup:
         comms = set()
@@ -251,9 +226,10 @@ class FiniteGroup:
     def join(self, a: Subgroup, b: Subgroup) -> Subgroup:
         return self.subgroup(set(a.elements) | set(b.elements))
 
-    def intersect(self, a: Subgroup, b: Subgroup) -> Subgroup:
-        common = tuple(sorted(set(a.elements) & set(b.elements)))
-        return Subgroup(common, tuple(x for x in common if x != 0))
+    @functools.cached_property
+    def np_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The multiplication table and the inverse map as int32 arrays."""
+        return np.asarray(self.table, dtype=np.int32), np.asarray(self.inverse, dtype=np.int32)
 
     def table_hash(self) -> str:
         payload = repr(self.table).encode()
@@ -496,15 +472,6 @@ class SGroup(FiniteGroup):
             rank = rank * self.e + (v % self.e)
         return rank * self.A.order + a_idx
 
-    def decode(self, idx: int) -> tuple[tuple[int, ...], int]:
-        a_idx = idx % self.A.order
-        rank = idx // self.A.order
-        vec = [0] * self.rank
-        for i in range(self.rank - 1, -1, -1):
-            vec[i] = rank % self.e
-            rank //= self.e
-        return tuple(vec), a_idx
-
     # -- distinguished subgroups ------------------------------------------------
 
     def U_subgroup(self) -> Subgroup:
@@ -527,15 +494,14 @@ def enumerate_subgroups(S: FiniteGroup, max_order: int = 4096, max_count: int = 
     return S.all_subgroups(max_count=max_count)
 
 
-def homocyclic_rank2(S: SGroup, subgroups: Optional[list[Subgroup]] = None) -> list[Subgroup]:
-    """All V <= S with V isomorphic to C_e x C_e, each with a fixed generating
-    pair (first pair of order-e elements in index order that splits V)."""
+def homocyclic_rank2(S: SGroup, subgroups: list[Subgroup]) -> list[Subgroup]:
+    """The V among the subgroups with V isomorphic to C_e x C_e, each with a
+    fixed generating pair (first pair of order-e elements in index order that
+    splits V)."""
     e = S.e
     if e == 1:
         return []
     target = e * e
-    if subgroups is None:
-        subgroups = S.all_subgroups()
     out = []
     for sub in subgroups:
         if sub.order != target:

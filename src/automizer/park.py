@@ -26,16 +26,6 @@ from .grouprep import FiniteGroup, Subgroup
 from .permcore import Permutation, word_parity
 
 
-def _np_tables(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
-    cached = getattr(G, "_wreath_tables", None)
-    if cached is None:
-        mul = np.asarray(G.table, dtype=np.int32)
-        inv = np.asarray([G.inv(x) for x in range(G.order)], dtype=np.int32)
-        cached = (mul, inv)
-        G._wreath_tables = cached
-    return cached
-
-
 class WreathElement:
     """An element (base; top) of S wr Sigma_n, base entries indexing into S."""
 
@@ -92,14 +82,14 @@ class WreathElement:
 def wreath_multiply(a: WreathElement, b: WreathElement) -> WreathElement:
     if a.group is not b.group or a.n != b.n:
         raise ValueError("wreath elements live over different products")
-    mul, _ = _np_tables(a.group)
+    mul, _ = a.group.np_tables
     inv_top = np.empty_like(a.top)
     inv_top[a.top] = np.arange(a.n, dtype=np.int32)
     return WreathElement(a.group, mul[a.base, b.base[inv_top]], a.top[b.top])
 
 
 def wreath_inverse(a: WreathElement) -> WreathElement:
-    _, inv = _np_tables(a.group)
+    _, inv = a.group.np_tables
     inv_top = np.empty_like(a.top)
     inv_top[a.top] = np.arange(a.n, dtype=np.int32)
     return WreathElement(a.group, inv[a.base[a.top]], inv_top)

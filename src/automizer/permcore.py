@@ -5,14 +5,15 @@ Permutations are stored in word form: ``images[i]`` is the image of point
 ``compose(p, q)`` applies ``q`` first and then ``p``, so ``(p * q)(x) =
 p(q(x))``.  Stabilizer chains are built by a deterministic Schreier-Sims
 procedure (no randomization, base points are always the smallest moved
-point available), so orders, transversals and membership answers are
-reproducible run to run.
+point available), so orders and transversals are reproducible run to run.
+Orbits of maps on [0, n) are class labels, merged by ``merge_labels``.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 
 class Permutation:
@@ -28,12 +29,6 @@ class Permutation:
 
     @property
     def degree(self) -> int:
-        return len(self.images)
-
-    def __getitem__(self, i: int) -> int:
-        return self.images[i]
-
-    def __len__(self) -> int:
         return len(self.images)
 
     def __eq__(self, other) -> bool:
@@ -81,13 +76,6 @@ class Permutation:
                 out.append(tuple(cyc))
         return out
 
-    def parity(self) -> int:
-        """0 for even, 1 for odd."""
-        return word_parity(self.images)
-
-    def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
-
     def extended(self, degree: int) -> "Permutation":
         """The same permutation viewed in Sym([0, degree))."""
         if degree < len(self.images):
@@ -99,20 +87,28 @@ def identity_perm(degree: int) -> Permutation:
     return Permutation(range(degree))
 
 
+def merge_labels(label: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """The class labels after merging the class of every j with the class of
+    perm[j]; each label is the least point of its class.  Min-label hooking
+    with pointer jumping, repeated until no pair crosses two classes; hooking
+    both ends of each pair makes every pass merge, whatever the map."""
+    while (label[perm] != label).any():
+        a, b = label, label[perm]
+        hook = np.arange(len(label))
+        np.minimum.at(hook, a, b)
+        np.minimum.at(hook, b, a)
+        while (hook[hook] != hook).any():
+            hook = hook[hook]
+        label = hook[label]
+    return label
+
+
 def word_parity(images: Sequence[int]) -> int:
     """Parity of a permutation word (a tuple or an integer array): 0 for
     even, 1 for odd, from the count of cycles including fixed points."""
     n = len(images)
-    seen = [False] * n
-    cycles = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        cycles += 1
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = images[j]
+    points = np.arange(n)
+    cycles = np.count_nonzero(merge_labels(points, np.asarray(images, dtype=np.intp)) == points)
     return (n - cycles) % 2
 
 
@@ -199,27 +195,6 @@ class PermGroup:
         self.degree = degree
         self.generators = [g for g in gens if not g.is_identity()]
         self._levels: Optional[list[_Level]] = None
-
-    # -- orbits ---------------------------------------------------------
-
-    def orbit(self, point: int) -> list[int]:
-        """Orbit of a point under the generators, in BFS discovery order."""
-        if not 0 <= point < self.degree:
-            raise ValueError("point %d out of range" % point)
-        seen = {point}
-        queue = [point]
-        for p in queue:
-            for g in self.generators:
-                q = g.images[p]
-                if q not in seen:
-                    seen.add(q)
-                    queue.append(q)
-        return queue
-
-    def is_transitive(self) -> bool:
-        if self.degree == 0:
-            return True
-        return len(self.orbit(0)) == self.degree
 
     # -- deterministic Schreier-Sims -------------------------------------
 
@@ -321,20 +296,6 @@ class PermGroup:
         for lv in self._chain():
             n *= len(lv.orbit)
         return n
-
-    def sift(self, p: Permutation) -> Permutation:
-        """Residue of p against the chain; identity iff p is a member."""
-        if p.degree != self.degree:
-            if p.degree < self.degree:
-                p = p.extended(self.degree)
-            else:
-                raise ValueError("degree mismatch")
-        self._chain()
-        residue, _ = self._strip(p)
-        return residue
-
-    def __contains__(self, p: Permutation) -> bool:
-        return self.sift(p).is_identity()
 
     def elements(self) -> Iterator[Permutation]:
         """All elements by transversal products (use only on small groups)."""

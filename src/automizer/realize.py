@@ -42,7 +42,7 @@ from .grouprep import (
     homocyclic_rank2,
 )
 from .park import ParkEmbedding, WreathElement, decompose, gamma_prime_member, verify_embedding
-from .permcore import PermGroup, Permutation, identity_perm, word_parity
+from .permcore import PermGroup, Permutation, merge_labels, word_parity
 
 FLAG_NAMES = (
     "autF_U_iso_A",
@@ -246,17 +246,7 @@ def automizer_oracle(
         raise ScaleError("max_oracle_elements", max_elements, order)
     if not U0_gens:
         raise ValueError("need at least one subgroup generator")
-    ident = identity_perm(U0_gens[0].degree)
-    seen = {ident}
-    queue = [ident]
-    while queue:
-        x = queue.pop()
-        for g in U0_gens:
-            y = x * g
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    u_sorted = sorted(seen, key=lambda p: p.images)
+    u_sorted = sorted(PermGroup(U0_gens).elements(), key=lambda p: p.images)
     u_index = {p: i for i, p in enumerate(u_sorted)}
 
     induced = set()
@@ -279,22 +269,6 @@ def automizer_oracle(
 # -- wreath-side checks ----------------------------------------------------------------
 
 
-def _join(label: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """The class labels after merging the class of every j with the class of
-    perm[j]; each label is the least point of its class.  Min-label hooking
-    with pointer jumping, repeated until no pair crosses two classes; hooking
-    both ends of each pair makes every pass merge, whatever the map."""
-    while (label[perm] != label).any():
-        a, b = label, label[perm]
-        hook = np.arange(len(label))
-        np.minimum.at(hook, a, b)
-        np.minimum.at(hook, b, a)
-        while (hook[hook] != hook).any():
-            hook = hook[hook]
-        label = hook[label]
-    return label
-
-
 def _closure_transitive(
     n: int, seeds: list[np.ndarray], conjugators: list[np.ndarray], max_rounds: int = 32
 ) -> tuple[bool, dict]:
@@ -304,7 +278,7 @@ def _closure_transitive(
     exactly when every label is 0."""
     label = np.arange(n)
     for s in seeds:
-        label = _join(label, s)
+        label = merge_labels(label, s)
     frontier = list(seeds)
     rounds = 0
     while frontier and label.any() and rounds < max_rounds:
@@ -315,7 +289,7 @@ def _closure_transitive(
                 tau = np.empty_like(c)
                 tau[c] = c[sig]
                 if (label[tau] != label).any():
-                    label = _join(label, tau)
+                    label = merge_labels(label, tau)
                     fresh.append(tau)
                     if not label.any():
                         return True, {"rounds": rounds, "classes": 1}
@@ -397,22 +371,40 @@ def verify_main(
 # -- certificate -----------------------------------------------------------------------
 
 
-def _run_length(values) -> list[list[int]]:
-    out: list[list[int]] = []
-    for v in values:
-        v = int(v)
-        if out and out[-1][0] == v:
-            out[-1][1] += 1
-        else:
-            out.append([v, 1])
-    return out
+def _run_length(values: np.ndarray) -> list[list[int]]:
+    """[value, count] for each maximal run of equal entries, in order."""
+    if not values.size:
+        return []
+    starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
+    counts = np.diff(np.r_[starts, values.size])
+    return np.column_stack((values[starts], counts)).tolist()
 
 
-def _run_length_decode(pairs) -> list[int]:
-    out: list[int] = []
-    for v, c in pairs:
-        out.extend([int(v)] * int(c))
-    return out
+def _indices(values, bound: int, what: str) -> list:
+    """The values, if they are a list of JSON integers in [0, bound)."""
+    if (
+        not isinstance(values, list)
+        or set(map(type, values)) - {int}
+        or (values and not 0 <= min(values) <= max(values) < bound)
+    ):
+        raise ValueError("%s must be a list of integers in [0, %d)" % (what, bound))
+    return values
+
+
+def _run_length_decode(runs, n: int, bound: int) -> np.ndarray:
+    """Expand [value, count] runs of values in [0, bound); the counts must be
+    positive integers summing to n, checked before anything is expanded."""
+    if not isinstance(runs, list) or not all(isinstance(r, list) and len(r) == 2 for r in runs):
+        raise ValueError("base runs must be [value, count] pairs")
+    values = _indices([v for v, _ in runs], bound, "base run values")
+    counts = [c for _, c in runs]
+    if set(map(type, counts)) - {int} or min(counts, default=1) < 1 or sum(counts) != n:
+        raise ValueError("base run counts must be positive integers summing to %d" % n)
+    return np.repeat(values, counts)
+
+
+def _not_a_number(name: str):
+    raise ValueError("%s is not a JSON number" % name)
 
 
 # the JSON type of every top-level certificate field besides "format"
@@ -480,7 +472,11 @@ class Certificate:
 
     @classmethod
     def from_json_bytes(cls, data: bytes) -> "Certificate":
-        return cls.from_payload(json.loads(data.decode("ascii")))
+        try:
+            payload = json.loads(data.decode("ascii"), parse_constant=_not_a_number)
+        except RecursionError:
+            raise ValueError("certificate nests too deeply to parse") from None
+        return cls.from_payload(payload)
 
     def save(self, path: str) -> None:
         with open(path, "wb") as fh:
@@ -514,14 +510,15 @@ def _ambient_payload(S: SGroup) -> dict:
 
 def _wreath_payload(el: WreathElement) -> dict:
     return {
-        "top": [int(x) for x in el.top],
+        "top": el.top.tolist(),
         "base_runs": _run_length(el.base),
     }
 
 
 def _wreath_from_payload(group: FiniteGroup, payload: dict) -> WreathElement:
-    base = _run_length_decode(payload["base_runs"])
-    return WreathElement(group, base, [int(x) for x in payload["top"]], validate=True)
+    top = _indices(payload["top"], len(payload["top"]), "top")
+    base = _run_length_decode(payload["base_runs"], len(top), group.order)
+    return WreathElement(group, base, top, validate=True)
 
 
 # -- the stage list shared by realize and verify ---------------------------------------
@@ -567,9 +564,13 @@ class _Stored:
         data = self.cert.biset
         try:
             orbits = [orbit_from_payload(system, p) for p in data["orbits"]]
-            return SemicharacteristicBiset(orbits, int(data["m"]), int(data["n"]))
+            if type(data["m"]) is not int or type(data["n"]) is not int:
+                raise ValueError("m and n must be integers")
         except (KeyError, TypeError, ValueError) as exc:
             raise _Rejected("biset", "orbit payload rejected: %s" % exc) from None
+        if data["n"] > policy.max_n:
+            raise ScaleError("max_n", policy.max_n, data["n"])
+        return SemicharacteristicBiset(orbits, data["m"], data["n"])
 
     def witnesses(self, pe, generators):
         payloads = self.cert.embedding.get("witnesses")

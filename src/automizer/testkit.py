@@ -4,8 +4,8 @@ Everything here exists to check the main modules against independent
 computations: ambient-conjugation fusion by direct enumeration, fixed-point
 tables by materializing coset spaces, and a structured corruption suite that
 an accepted certificate must survive in full.  The standard generators,
-distinguished subgroups and free-orbit padding that only the tests build on
-live here too."""
+distinguished subgroups, the codec inverse, the center, chain membership and
+free-orbit padding that only the tests and scripts build on live here too."""
 
 import json
 from dataclasses import dataclass
@@ -69,6 +69,21 @@ def Z_subgroup(S: SGroup, copy: int) -> Subgroup:
     return S.subgroup([S.encode(vec_one, 0)])
 
 
+def decode(S: SGroup, idx: int) -> tuple[tuple[int, ...], int]:
+    """The (vector, A-index) pair that SGroup.encode sends to idx."""
+    rank, a_idx = divmod(idx, S.A.order)
+    vec = [0] * S.rank
+    for i in range(S.rank - 1, -1, -1):
+        rank, vec[i] = divmod(rank, S.e)
+    return tuple(vec), a_idx
+
+
+def center(G: FiniteGroup) -> tuple[int, ...]:
+    """The elements commuting with every element."""
+    t = G.table
+    return tuple(g for g in range(G.order) if all(t[g][x] == t[x][g] for x in range(G.order)))
+
+
 def append_free_orbits(X: SemicharacteristicBiset, G_order: int, count: int = 1) -> SemicharacteristicBiset:
     """A stable biset stays stable after adding free orbits; this pads with
     (S x S)/Delta(1, 1) copies so some orbit source is trivial."""
@@ -106,7 +121,7 @@ def to_permutation(a: WreathElement, max_degree: int = 10 ** 5) -> Permutation:
     degree = a.n * G.order
     if degree > max_degree:
         raise ScaleError("max_degree", max_degree, degree)
-    mul = np.asarray(G.table, dtype=np.int64)
+    mul, _ = G.np_tables
     images = np.empty(degree, dtype=np.int64)
     order = G.order
     for j in range(a.n):
@@ -178,6 +193,13 @@ def verify_all_witnesses(pe: ParkEmbedding) -> tuple[bool, dict]:
                 return False, {"failed": (source, images), "checked": checked}
             checked += 1
     return True, {"checked": checked}
+
+
+def is_member(group: PermGroup, p: Permutation) -> bool:
+    """Membership by sifting p through the group's stabilizer chain."""
+    group._chain()
+    residue, _ = group._strip(p)
+    return residue.is_identity()
 
 
 # -- surrogate corpus --------------------------------------------------------------

@@ -109,6 +109,14 @@ def test_verify_missing_file(tmp_path, capsys):
     assert "unreadable" in out
 
 
+def test_verify_reports_deep_nesting(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200000)
+    code, out = run_cli(["verify", "--cert", str(path)], capsys)
+    assert code == 1
+    assert "unreadable certificate: certificate nests too deeply" in out
+
+
 def test_verify_full_certificate(tmp_path, capsys, c2_cert):
     path = str(tmp_path / "c2.json")
     c2_cert.save(path)

@@ -14,7 +14,6 @@ from automizer.fusion import (
     SubgroupLattice,
     all_injective_homs,
     generate,
-    inner_fusion,
 )
 from automizer.grouprep import (
     FiniteGroup,
@@ -24,6 +23,7 @@ from automizer.grouprep import (
     find_isomorphism,
 )
 from automizer.permcore import PermGroup, Permutation, compose, parse_cycles
+from automizer.testkit import is_member
 
 
 # -- oracle machinery ----------------------------------------------------------
@@ -38,7 +38,7 @@ def build_surrogate(g0_gens, s0_gens, degree):
     index = {p.images: i for i, p in enumerate(s0_perms)}
     g0 = PermGroup([parse_cycles(t, degree) for t in g0_gens], degree=degree)
     for p in s0_perms:
-        assert p.extended(degree) in g0, "surrogate subgroup must sit inside the overgroup"
+        assert is_member(g0, p.extended(degree)), "surrogate subgroup must sit inside the overgroup"
 
     atoms = []
     seen = set()
@@ -89,6 +89,19 @@ def brute_injective_homs(G, gens, H):
     return out
 
 
+def apply(system, m, x):
+    return m.images[system.lattice.posmap[m.source][x]]
+
+
+def restrict(system, m, subkey):
+    pos = system.lattice.posmap[m.source]
+    return Morphism(subkey, tuple(m.images[pos[x]] for x in subkey))
+
+
+def invert(m):
+    return Morphism(*zip(*sorted(zip(m.images, m.source))))
+
+
 def store_as_sets(system):
     return {k: set(v) for k, v in system.store.items() if v}
 
@@ -124,13 +137,13 @@ class TestSurrogateEquivalence:
         system = generate(ambient, subs, atoms)
         table, _ = system.aut_group_table(tuple(range(4)))
         assert table.order == 6
-        assert not table.is_abelian()
+        assert any(table.mul(a, b) != table.mul(b, a) for a in range(6) for b in range(6))
 
 
 class TestInnerFusion:
     def test_d8_counts_match_brute(self):
         G = catalog_group("D8")
-        system = inner_fusion(G, G.all_subgroups())
+        system = generate(G, G.all_subgroups(), [])
         for skey in system.lattice.keys:
             brute = {tuple(G.conj(s, x) for x in skey) for s in range(8)}
             assert set(system.store[skey]) == brute
@@ -138,12 +151,12 @@ class TestInnerFusion:
     def test_focal_of_inner_is_derived(self):
         for name in ["D8", "Q8", "S4"]:
             G = catalog_group(name)
-            system = inner_fusion(G, G.all_subgroups())
+            system = generate(G, G.all_subgroups(), [])
             assert system.focal_subgroup().elements == G.commutator_subgroup().elements
 
     def test_only_full_source_is_nonextendable(self):
         G = catalog_group("D8")
-        system = inner_fusion(G, G.all_subgroups())
+        system = generate(G, G.all_subgroups(), [])
         sources = system.nonextendable_sources()
         assert set(sources) == {tuple(range(8))}
         assert system.core_intersection() == tuple(range(8))
@@ -178,7 +191,7 @@ class TestStoreLaws:
         for skey in system.lattice.keys:
             for m in system.hom_set(skey):
                 for subkey in system.lattice.subkeys_of(skey):
-                    assert system.contains(system.restrict(m, subkey))
+                    assert system.contains(restrict(system, m, subkey))
 
     def test_composition_closed(self, s4_d8):
         _, system = s4_d8
@@ -192,7 +205,7 @@ class TestStoreLaws:
         _, system = s4_d8
         for skey in system.lattice.keys:
             for m in system.hom_set(skey):
-                assert system.contains(system.invert(m))
+                assert system.contains(invert(m))
 
     def test_inclusions_present(self, s4_d8):
         _, system = s4_d8
@@ -330,7 +343,7 @@ class TestPayload:
     def test_rejects_entries_outside_the_group(self, bad):
         # -1 would otherwise wrap to element 3 through list indexing
         G = catalog_group("C4")
-        system = inner_fusion(G, G.all_subgroups())
+        system = generate(G, G.all_subgroups(), [])
         assert system.morphism_from_payload(
             {"source_generators": [1], "generator_images": [1]}
         ) == Morphism((0, 1, 2, 3), (0, 1, 2, 3))
@@ -354,7 +367,7 @@ class TestProperties:
         g = data.draw(st.sampled_from(system.hom_set(ikey)))
         comp = system.compose(g, m)
         x = data.draw(st.sampled_from(skey))
-        assert system.apply(comp, x) == system.apply(g, system.apply(m, x))
+        assert apply(system, comp, x) == apply(system, g, apply(system, m, x))
 
     @given(st.data())
     @settings(max_examples=50, deadline=None)
@@ -363,6 +376,6 @@ class TestProperties:
         keys = [k for k in system.lattice.keys if system.hom_set(k)]
         skey = data.draw(st.sampled_from(keys))
         m = data.draw(st.sampled_from(system.hom_set(skey)))
-        inv = system.invert(m)
+        inv = invert(m)
         for x in skey:
-            assert system.apply(inv, system.apply(m, x)) == x
+            assert apply(system, inv, apply(system, m, x)) == x

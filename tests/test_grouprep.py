@@ -23,7 +23,7 @@ from automizer.grouprep import (
     load_table_file,
 )
 from automizer.permcore import parse_cycles
-from automizer.testkit import Z_subgroup, fixed_subgroup
+from automizer.testkit import Z_subgroup, center, decode, fixed_subgroup
 
 
 # -- independent oracles -------------------------------------------------------
@@ -37,6 +37,15 @@ def oracle_closure(table, seed):
         if new <= cur:
             return tuple(sorted(cur))
         cur |= new
+
+
+def is_abelian(G):
+    return all(G.mul(a, b) == G.mul(b, a) for a in range(G.order) for b in range(a))
+
+
+def whole(G):
+    """The whole group as a subgroup with a short generating list."""
+    return G.subgroup(G.minimal_generators())
 
 
 def assert_subgroup_list_complete(G, subs):
@@ -79,11 +88,11 @@ class TestCatalog:
             assert G.table[0] == list(range(G.order))
 
     def test_abelianness(self):
-        assert catalog_group("C6").is_abelian()
-        assert catalog_group("C2xC2").is_abelian()
-        assert not catalog_group("S3").is_abelian()
-        assert not catalog_group("D8").is_abelian()
-        assert not catalog_group("Q8").is_abelian()
+        assert is_abelian(catalog_group("C6"))
+        assert is_abelian(catalog_group("C2xC2"))
+        assert not is_abelian(catalog_group("S3"))
+        assert not is_abelian(catalog_group("D8"))
+        assert not is_abelian(catalog_group("Q8"))
 
     def test_q8_has_unique_involution(self):
         Q8 = catalog_group("Q8")
@@ -148,19 +157,17 @@ class TestSubgroups:
             enumerate_subgroups(catalog_group("S4"), max_order=20)
         assert exc.value.bound_name == "max_subgroup_order"
 
-    def test_centralizer_normalizer_against_brute(self):
+    def test_normalizer_against_brute(self):
         G = catalog_group("D8")
         for gens in [(2,), (1,), (2, 1)]:
             H = G.subgroup(gens)
-            cent = {g for g in range(8) if all(G.table[g][x] == G.table[x][g] for x in H.elements)}
             norm = {g for g in range(8) if {G.conj(g, x) for x in H.elements} == set(H.elements)}
-            assert set(G.centralizer(H.elements).elements) == cent
             assert set(G.normalizer(H).elements) == norm
 
     def test_center_and_derived(self):
-        assert catalog_group("D8").center().order == 2
-        assert catalog_group("Q8").center().order == 2
-        assert catalog_group("S3").center().order == 1
+        assert len(center(catalog_group("D8"))) == 2
+        assert len(center(catalog_group("Q8"))) == 2
+        assert len(center(catalog_group("S3"))) == 1
         assert catalog_group("S3").commutator_subgroup().order == 3
         assert catalog_group("D8").commutator_subgroup().order == 2
         assert catalog_group("Q8").commutator_subgroup().order == 2
@@ -171,7 +178,7 @@ class TestSubgroups:
         r2 = G.subgroup([2])
         refl = G.subgroup([1])
         assert G.join(r2, refl).order == 8 or G.join(r2, refl).order == 4
-        assert G.intersect(r2, refl).order == 1
+        assert set(r2.elements) & set(refl.elements) == {0}
 
     def test_subgroup_requires_sorted(self):
         with pytest.raises(ValueError):
@@ -181,26 +188,26 @@ class TestSubgroups:
 class TestAutomorphisms:
     def test_aut_klein_four_is_6(self):
         G = catalog_group("C2xC2")
-        autos = automorphisms_of(G, G.full_subgroup())
+        autos = automorphisms_of(G, whole(G))
         assert len(autos) == 6
 
     def test_aut_c3xc3_is_48(self):
         G = catalog_group("C3xC3")
-        autos = automorphisms_of(G, G.full_subgroup())
+        autos = automorphisms_of(G, whole(G))
         assert len(autos) == 48
 
     def test_aut_c4_is_2(self):
         G = catalog_group("C4")
-        autos = automorphisms_of(G, G.full_subgroup())
+        autos = automorphisms_of(G, whole(G))
         assert len(autos) == 2
 
     def test_aut_trivial(self):
         G = catalog_group("1")
-        assert automorphisms_of(G, G.full_subgroup()) == [{0: 0}]
+        assert automorphisms_of(G, whole(G)) == [{0: 0}]
 
     def test_autos_are_automorphisms(self):
         G = catalog_group("C2xC2")
-        V = G.full_subgroup()
+        V = whole(G)
         for table in automorphisms_of(G, V):
             assert sorted(table.values()) == list(V.elements)
             for a in V.elements:
@@ -290,7 +297,7 @@ class TestSGroup:
     def test_codec_round_trip(self):
         S = build_S(InputGroupA.from_name("C2"))
         for idx in range(32):
-            vec, a = S.decode(idx)
+            vec, a = decode(S, idx)
             assert S.encode(vec, a) == idx
 
     def test_multiplication_law_against_inline_oracle(self):
@@ -298,9 +305,9 @@ class TestSGroup:
         A = InputGroupA.from_name("C2")
         S = build_S(A)
         for i in range(32):
-            u, a = S.decode(i)
+            u, a = decode(S, i)
             for j in range(32):
-                v, b = S.decode(j)
+                v, b = decode(S, j)
                 acted = [v[S.coord_perm[a][c]] for c in range(4)]
                 expect_vec = tuple((u[c] + acted[c]) % 2 for c in range(4))
                 expect = S.encode(expect_vec, A.group.mul(a, b))
@@ -330,10 +337,10 @@ class TestSGroup:
         assert fixed.order == 4
         z1, z2 = Z_subgroup(S, 0), Z_subgroup(S, 1)
         assert z1.order == 2 and z2.order == 2
-        assert S.intersect(z1, z2).order == 1
+        assert set(z1.elements) & set(z2.elements) == {0}
         assert S.join(z1, z2).elements == fixed.elements
         # fixed vectors commute with everything here: center equals C_U(A)
-        assert S.center().elements == fixed.elements
+        assert center(S) == fixed.elements
 
     def test_derived_subgroup_matches_brute(self):
         S = build_S(InputGroupA.from_name("C2"))
@@ -411,8 +418,8 @@ class TestProperties:
     def test_power_order(self, G, seed):
         x = seed % G.order
         o = G.element_order(x)
-        assert G.power(x, o) == 0
-        assert all(G.power(x, k) != 0 for k in range(1, o))
+        assert G.product([x] * o) == 0
+        assert all(G.product([x] * k) != 0 for k in range(1, o))
 
     @given(small_group(), st.integers(0, 1000), st.integers(0, 1000))
     @settings(max_examples=60, deadline=None)

@@ -13,10 +13,11 @@ from automizer.permcore import (
     compose,
     format_cycles,
     identity_perm,
+    merge_labels,
     parse_cycles,
     word_parity,
 )
-from automizer.testkit import alternating_gens, symmetric_gens
+from automizer.testkit import alternating_gens, is_member, symmetric_gens
 
 
 def brute_elements(gens, degree):
@@ -52,6 +53,18 @@ def brute_normal_closure(seeds, gens, degree):
                 work.append(conj)
         core.add(h)
     return brute_elements([Permutation(h) for h in core], degree)
+
+
+def labels(group):
+    """Orbit labels of a permutation group: the least point of each orbit."""
+    label = np.arange(group.degree)
+    for g in group.generators:
+        label = merge_labels(label, np.asarray(g.images))
+    return label
+
+
+def is_transitive(group):
+    return not labels(group).any()
 
 
 perm_strategy = st.integers(2, 7).flatmap(
@@ -96,7 +109,7 @@ class TestArithmetic:
     @given(same_degree_pairs(2))
     def test_parity_is_multiplicative(self, pair):
         p, q = pair
-        assert (p * q).parity() == (p.parity() + q.parity()) % 2
+        assert word_parity((p * q).images) == (word_parity(p.images) + word_parity(q.images)) % 2
 
     @settings(max_examples=60)
     @given(perm_strategy)
@@ -104,13 +117,30 @@ class TestArithmetic:
         # oracle: each cycle of length L is a product of L - 1 transpositions
         expect = sum(len(c) - 1 for c in p.cycles()) % 2
         assert word_parity(np.asarray(p.images, dtype=np.int32)) == expect
-        assert word_parity(p.images) == p.parity() == expect
+        assert word_parity(p.images) == expect
+
+    @pytest.mark.parametrize("n", [1, 150, 151, 7792])
+    def test_word_parity_against_a_cycle_walk(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            images = rng.permutation(n)
+            seen = np.zeros(n, dtype=bool)
+            cycles = 0
+            for start in range(n):
+                if not seen[start]:
+                    cycles += 1
+                    j = start
+                    while not seen[j]:
+                        seen[j] = True
+                        j = images[j]
+            assert word_parity(images) == (n - cycles) % 2
 
     def test_parity_known_values(self):
-        assert parse_cycles("(0 1)", degree=4).parity() == 1
-        assert parse_cycles("(0 1 2)", degree=4).parity() == 0
-        assert parse_cycles("(0 1)(2 3)", degree=4).parity() == 0
-        assert identity_perm(4).parity() == 0
+        assert word_parity(parse_cycles("(0 1)", degree=4).images) == 1
+        assert word_parity(parse_cycles("(0 1 2)", degree=4).images) == 0
+        assert word_parity(parse_cycles("(0 1)(2 3)", degree=4).images) == 0
+        assert word_parity(identity_perm(4).images) == 0
+        assert word_parity(()) == 0
 
     def test_parse_rejects_bad_text(self):
         with pytest.raises(ValueError):
@@ -126,9 +156,29 @@ class TestArithmetic:
         assert format_cycles(identity_perm(5)) == "()"
         assert parse_cycles("()", degree=5) == identity_perm(5)
 
-    def test_order(self):
-        assert parse_cycles("(0 1 2)(3 4)", degree=5).order() == 6
-        assert identity_perm(3).order() == 1
+    @settings(max_examples=100)
+    @given(st.integers(1, 30).flatmap(
+        lambda n: st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), max_size=3)
+    ))
+    def test_merge_labels_matches_union_find(self, maps):
+        # oracle: union-find over the pairs (j, f(j)) of every map, arbitrary
+        # maps included; hooking the larger root under the smaller keeps each
+        # root the least point of its class
+        n = len(maps[0]) if maps else 1
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        label = np.arange(n)
+        for f in maps:
+            label = merge_labels(label, np.asarray(f))
+            for j, fj in enumerate(f):
+                a, b = find(j), find(fj)
+                parent[max(a, b)] = min(a, b)
+        assert label.tolist() == [find(j) for j in range(n)]
 
 
 class TestChain:
@@ -149,13 +199,13 @@ class TestChain:
         gens = alternating_gens(5)
         inside = brute_elements(gens, 5)
         group = PermGroup(gens)
-        assert Permutation((1, 0, 3, 2, 4)) in group
+        assert is_member(group, Permutation((1, 0, 3, 2, 4)))
         count = 0
         for images in sorted(inside):
-            assert Permutation(images) in group
+            assert is_member(group, Permutation(images))
             count += 1
         assert count == 60
-        assert parse_cycles("(0 1)", degree=5) not in group
+        assert not is_member(group, parse_cycles("(0 1)", degree=5))
 
     def test_trivial_group(self):
         g = PermGroup([], degree=4)
@@ -171,9 +221,9 @@ class TestChain:
 
     def test_orbit_and_transitivity(self):
         g = PermGroup([parse_cycles("(0 1)(2 3)", degree=4)])
-        assert sorted(g.orbit(0)) == [0, 1]
-        assert not g.is_transitive()
-        assert PermGroup(symmetric_gens(4)).is_transitive()
+        assert labels(g).tolist() == [0, 0, 2, 2]
+        assert not is_transitive(g)
+        assert is_transitive(PermGroup(symmetric_gens(4)))
 
     def test_determinism(self):
         a = PermGroup(symmetric_gens(6))
@@ -215,23 +265,23 @@ class TestRecognition:
 
     def test_symmetric(self):
         g = PermGroup(symmetric_gens(6))
-        assert g.is_transitive() and g.order() == math.factorial(6)
+        assert is_transitive(g) and g.order() == math.factorial(6)
 
     def test_alternating(self):
         g = PermGroup(alternating_gens(7))
-        assert all(p.parity() == 0 for p in g.generators)
-        assert g.is_transitive() and g.order() == math.factorial(7) // 2
+        assert all(word_parity(p.images) == 0 for p in g.generators)
+        assert is_transitive(g) and g.order() == math.factorial(7) // 2
 
     def test_intransitive_is_neither(self):
         g = PermGroup([parse_cycles("(0 1)", degree=4)])
-        assert not g.is_transitive()
+        assert not is_transitive(g)
 
     def test_transitive_proper_subgroup_is_neither(self):
         # Cyclic of order 5 inside Sym(5): transitive, far from Alt(5).
         g = PermGroup([parse_cycles("(0 1 2 3 4)")])
-        assert g.is_transitive() and g.order() == 5
+        assert is_transitive(g) and g.order() == 5
 
     def test_dihedral_is_neither(self):
         g = PermGroup([parse_cycles("(0 1 2 3 4)"), parse_cycles("(1 4)(2 3)", degree=5)])
-        assert g.is_transitive()
+        assert is_transitive(g)
         assert g.order() == 10

@@ -5,8 +5,11 @@ flag, payload, and re-verification tests.  Tampering tests go through the
 JSON payload so they exercise exactly the surface an attacker would touch."""
 
 import copy
+import hashlib
+import itertools
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +29,8 @@ from automizer.realize import (
     verify_certificate,
     verify_thm31,
 )
-from automizer.fusion import inner_fusion
+from automizer.biset import orbit_from_payload
+from automizer.fusion import generate
 from automizer import realize
 
 
@@ -261,7 +265,7 @@ class TestBuildFusion:
     def test_thm31_rejects_inner_system(self, c2_parts):
         # the inner system has focal subgroup S' and full extension core
         A, S, system, U = c2_parts
-        inner = inner_fusion(S, list(system.lattice.by_key.values()))
+        inner = generate(S, list(system.lattice.by_key.values()), [])
         ok, rep = verify_thm31(S, inner, U, A)
         assert not ok
         assert not rep["focal_full"]
@@ -424,3 +428,90 @@ class TestVerifyCertificate:
         top[0], top[1] = top[1], top[0]
         ok, rep = verify_certificate(Certificate.from_payload(payload))
         assert not ok
+
+
+class TestMalformedPayloads:
+    """The certificate decoders accept only JSON integers, check sizes before
+    allocating, and turn every malformed value into a ValueError."""
+
+    C4 = catalog_group("C4")
+
+    def witness(self, top, runs):
+        return realize._wreath_from_payload(self.C4, {"top": top, "base_runs": runs})
+
+    @given(st.lists(st.integers(0, 3), max_size=60))
+    @settings(max_examples=100, deadline=None)
+    def test_run_length_round_trip(self, values):
+        base = np.asarray(values, dtype=np.int32)
+        runs = realize._run_length(base)
+        assert runs == [[v, len(list(group))] for v, group in itertools.groupby(values)]
+        assert realize._run_length_decode(runs, len(values), 4).tolist() == values
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 10 ** 4)), min_size=1, max_size=4), st.integers(0, 8))
+    @settings(max_examples=50, deadline=None)
+    def test_run_counts_must_sum_to_the_top_length(self, runs, n):
+        runs = [list(r) for r in runs]
+        if sum(c for _, c in runs) == n:
+            runs[0][1] += 1
+        with pytest.raises(ValueError, match="summing to"):
+            realize._run_length_decode(runs, n, 4)
+
+    @pytest.mark.parametrize(
+        "runs",
+        [[[0, 2 ** 62]], [[0, "2"]], [[0, True], [1, 1]], [[0, 0], [1, 2]], [[0, 2.0]],
+         [["1", 2]], [[True, 2]], [[2 ** 40, 2]], [0, 2]],
+    )
+    def test_rejects_bad_runs(self, runs):
+        with pytest.raises(ValueError):
+            self.witness([1, 0], runs)
+
+    @pytest.mark.parametrize(
+        "top", [[2 ** 40, 0], ["1", 0], [True, 0], [1.0, 0], [float("inf"), 0], "10"]
+    )
+    def test_rejects_bad_top(self, top):
+        el = self.witness([1, 0], [[3, 1], [0, 1]])
+        assert el.top.tolist() == [1, 0] and el.base.tolist() == [3, 0]
+        with pytest.raises(ValueError):
+            self.witness(top, [[0, 2]])
+
+    @pytest.mark.parametrize("mult", [float("inf"), "2", True, 2.0, None])
+    def test_orbit_multiplicity_must_be_an_integer(self, mult):
+        system = generate(self.C4, self.C4.all_subgroups(), [])
+        payload = {"source_generators": [1], "generator_images": [1], "multiplicity": 2}
+        assert orbit_from_payload(system, payload).multiplicity == 2
+        with pytest.raises(ValueError, match="multiplicity"):
+            orbit_from_payload(system, dict(payload, multiplicity=mult))
+
+    @pytest.mark.parametrize("m,n", [("8", 4), (8, "4"), (True, 4), (8, 4.0)])
+    def test_stored_m_and_n_must_be_integers(self, m, n):
+        system = generate(self.C4, self.C4.all_subgroups(), [])
+        orbit = {"source_generators": [1], "generator_images": [1], "multiplicity": 1}
+        stored = realize._Stored(SimpleNamespace(biset={"orbits": [orbit], "m": m, "n": n}))
+        with pytest.raises(realize._Rejected, match="integers"):
+            stored.biset(system, VerificationPolicy(), None)
+
+    def test_stored_slot_count_is_bounded_before_the_embedding(self):
+        system = generate(self.C4, self.C4.all_subgroups(), [])
+        orbit = {"source_generators": [1], "generator_images": [1], "multiplicity": 10 ** 9}
+        stored = realize._Stored(SimpleNamespace(biset={"orbits": [orbit], "m": 10 ** 9, "n": 10 ** 9}))
+        with pytest.raises(ScaleError) as exc:
+            stored.biset(system, VerificationPolicy(), None)
+        assert exc.value.bound_name == "max_n"
+
+    def test_input_table_must_hold_integers(self):
+        # False passes every table check that compares or indexes with it
+        payload = payload_of(run_pipeline(InputGroupA.from_name("1")))
+        payload["input"]["table"] = [[False]]
+        payload["input"]["table_sha256"] = hashlib.sha256(repr([[False]]).encode()).hexdigest()
+        ok, rep = verify_certificate(Certificate.from_payload(payload))
+        assert not ok
+        assert rep["failed_stage"] == "input" and "integers" in rep["reason"]
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_load_rejects_non_numbers(self, constant):
+        with pytest.raises(ValueError, match="not a JSON number"):
+            Certificate.from_json_bytes(b'{"format": "automizer-certificate", "prime": %s}' % constant.encode())
+
+    def test_load_rejects_deep_nesting(self):
+        with pytest.raises(ValueError, match="nests too deeply"):
+            Certificate.from_json_bytes(b"[" * 200000)

@@ -15,7 +15,7 @@ from automizer.biset import (
     build_semicharacteristic,
     move_diagonal,
 )
-from automizer.fusion import Morphism, generate, inner_fusion
+from automizer.fusion import Morphism, generate
 from automizer.grouprep import FiniteGroup, ScaleError, are_isomorphic, catalog_group
 from automizer.permcore import PermGroup
 from automizer.testkit import (
@@ -53,7 +53,7 @@ def klein3():
 @pytest.fixture(scope="module")
 def d8_inner():
     G = catalog_group("D8")
-    system = inner_fusion(G, G.all_subgroups())
+    system = generate(G, G.all_subgroups(), [])
     ctx = DiagonalContext(system)
     return system, ctx, build_semicharacteristic(system, context=ctx)
 
@@ -119,7 +119,7 @@ class TestBruteFusion:
         gens = pair.subgroup_generators()
         table, _ = abstract_subgroup(gens)
         system = brute_fusion(pair.group(), gens)
-        inner = inner_fusion(table, table.all_subgroups())
+        inner = generate(table, table.all_subgroups(), [])
         central = [
             x
             for x in range(1, table.order)
@@ -127,7 +127,8 @@ class TestBruteFusion:
         ]
         assert len(central) == 1
         z = central[0]
-        zkey = system.lattice.key_of((0, z))
+        zkey = (0, z)
+        assert zkey in system.lattice.by_key
         zpos = zkey.index(z)
         assert {m.images[zpos] for m in inner.hom_set(zkey)} == {z}
         assert len({m.images[zpos] for m in system.hom_set(zkey)}) == 3
@@ -136,7 +137,7 @@ class TestBruteFusion:
         pair = _pair("A4/A4")
         system = brute_fusion(pair.group(), pair.subgroup_generators())
         table, _ = abstract_subgroup(pair.subgroup_generators())
-        inner = inner_fusion(table, table.all_subgroups())
+        inner = generate(table, table.all_subgroups(), [])
         assert _store_shape(system) == _store_shape(inner)
 
     def test_scale_guard(self):
@@ -163,7 +164,7 @@ class TestBruteMarks:
         # (S x S)/Delta(1, id) is fixed only by the trivial diagonal, where it
         # contributes |S|^2 cosets
         G = catalog_group("C4")
-        system = inner_fusion(G, G.all_subgroups())
+        system = generate(G, G.all_subgroups(), [])
         X = SemicharacteristicBiset([OrbitRecord((0,), (0,), 1)], 1, 4)
         table = brute_marks_table(system, X)
         for (skey, images), count in table.items():
