@@ -370,13 +370,8 @@ def check_orbit_predictions(
 
 
 def orbit_payload(system: FusionSystem, rec: OrbitRecord) -> dict:
-    sub = system.lattice.by_key[rec.source]
-    pos = system.lattice.posmap[rec.source]
-    return {
-        "source_generators": list(sub.generators),
-        "generator_images": [rec.images[pos[g]] for g in sub.generators],
-        "multiplicity": rec.multiplicity,
-    }
+    m = Morphism(rec.source, rec.images)
+    return {**system.morphism_payload(m), "multiplicity": rec.multiplicity}
 
 
 def orbit_from_payload(system: FusionSystem, payload: dict) -> OrbitRecord:

@@ -174,17 +174,15 @@ class FiniteGroup:
         gens = tuple(sorted(set(gens) - {0}))
         return Subgroup(self.closure(gens), gens)
 
-    def minimal_generators(self, within: Optional[Sequence[int]] = None) -> list[int]:
-        """A short (not necessarily minimum) generating list, greedily built,
-        of the whole group or of the subgroup with the given elements."""
-        pool = range(self.order) if within is None else within
+    def minimal_generators(self) -> list[int]:
+        """A short (not necessarily minimum) generating list, greedily built."""
         gens: list[int] = []
         cur = (0,)
-        for a in sorted(pool, key=lambda x: -self.element_order(x)):
+        for a in sorted(range(self.order), key=lambda x: -self.element_order(x)):
             if a not in cur:
                 gens.append(a)
                 cur = self.closure(gens)
-                if len(cur) == len(pool):
+                if len(cur) == self.order:
                     break
         return gens
 
@@ -542,7 +540,7 @@ def automorphisms_of(G: FiniteGroup, V: Subgroup) -> list[dict[int, int]]:
     elements, by the generator-image search inside V."""
     gens = list(V.generators)
     if G.closure(gens) != V.elements:
-        gens = G.minimal_generators(V.elements)
+        raise ValueError("subgroup record lacks a generating set")
     autos = list(injective_homs(G, gens, G, V.elements))
     autos.sort(key=lambda t: tuple(t[x] for x in V.elements))
     return autos

@@ -15,9 +15,6 @@ in, so an element acts by <t_j, y> -> <t_top[j], base[top[j]] y>.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Optional
-
 import numpy as np
 
 from .biset import SemicharacteristicBiset, diagonal_orbit
@@ -95,64 +92,50 @@ def wreath_inverse(a: WreathElement) -> WreathElement:
     return WreathElement(a.group, inv[a.base[a.top]], inv_top)
 
 
-def gamma_prime_member(a: WreathElement, sprime, n: Optional[int] = None) -> bool:
+def gamma_prime_member(a: WreathElement, sprime: Subgroup) -> bool:
     """Membership in the derived subgroup of S wr Sigma_n for n >= 5: the top
     must be even and the ordered product of the base must land in the derived
     subgroup of S (the order is immaterial modulo it)."""
-    n = a.n if n is None else n
-    if n < 5:
-        raise ValueError("membership formula requires n >= 5, got %d" % n)
-    if word_parity(a.top) != 0:
-        return False
-    G = a.group
-    acc = 0
-    for v in a.base:
-        acc = G.mul(acc, int(v))
-    members = sprime.element_set if isinstance(sprime, Subgroup) else set(sprime)
-    return acc in members
+    if a.n < 5:
+        raise ValueError("membership formula requires n >= 5, got %d" % a.n)
+    return word_parity(a.top) == 0 and a.group.product(a.base.tolist()) in sprime.element_set
 
 
 class _RecordTables:
-    """Per-orbit translation tables shared by all multiplicity copies."""
+    """Per-orbit translation tables shared by all multiplicity copies: row u
+    of sig and kap is iota(u) on the orbit's own slots, kap target indexed."""
 
-    __slots__ = ("reps", "coset_of", "n_slots", "sig", "kap", "phi")
+    __slots__ = ("reps", "n_slots", "sig", "kap")
 
     def __init__(self, G: FiniteGroup, source: tuple, images: tuple):
         order = G.order
         phi = np.full(order, -1, dtype=np.int32)
-        for q, img in zip(source, images):
-            phi[q] = img
+        phi[list(source)] = images
         coset_of = np.full(order, -1, dtype=np.int32)
         reps = []
         for s in range(order):
-            if coset_of[s] >= 0:
-                continue
-            j = len(reps)
-            reps.append(s)
-            for q in source:
-                coset_of[G.mul(s, q)] = j
-        n_slots = len(reps)
-        sig = np.empty((order, n_slots), dtype=np.int32)
-        kap = np.empty((order, n_slots), dtype=np.int32)
-        for u in range(order):
-            row_s = sig[u]
-            row_k = kap[u]
-            for j, t in enumerate(reps):
-                k = int(coset_of[G.mul(u, t)])
-                q = G.mul(G.mul(G.inv(reps[k]), u), t)
-                row_s[j] = k
-                row_k[k] = phi[q]
+            if coset_of[s] < 0:
+                coset_of[[G.mul(s, q) for q in source]] = len(reps)
+                reps.append(s)
+        # u t_j = t_k q with k = sig[u, j] and q in the source; kap[u, k] = phi(q)
+        mul, inv = G.np_tables
+        t = np.array(reps)
+        ut = mul[:, t]
+        sig = coset_of[ut]
+        kap = np.full_like(sig, -1)
+        np.put_along_axis(kap, sig, phi[mul[inv[t[sig]], ut]], axis=1)
         assert (kap >= 0).all(), "coset translation left the orbit source"
         self.reps = tuple(reps)
-        self.coset_of = coset_of
-        self.n_slots = n_slots
+        self.n_slots = len(reps)
         self.sig = sig
         self.kap = kap
-        self.phi = phi
 
 
 class ParkEmbedding:
-    """The embedding of the ambient group into S wr Sigma_n over a biset."""
+    """The embedding of the ambient group into S wr Sigma_n over a biset.
+
+    Row u of the (|S|, n) arrays tops and bases is iota(u); every reader
+    works on them by whole-array gathers."""
 
     def __init__(self, system: FusionSystem, X: SemicharacteristicBiset):
         G = system.ambient
@@ -163,48 +146,29 @@ class ParkEmbedding:
         self.G = G
         self.X = X
         self.records = [_RecordTables(G, rec.source, rec.images) for rec in X.orbits]
-        self.blocks: list[tuple[int, int]] = []  # (record index, slot offset)
-        offset = 0
-        for ri, rec in enumerate(X.orbits):
-            for _ in range(rec.multiplicity):
-                self.blocks.append((ri, offset))
-                offset += self.records[ri].n_slots
-        self.n = offset
+        self.n = sum(tab.n_slots * rec.multiplicity for tab, rec in zip(self.records, X.orbits))
         if self.n != X.n:
             raise ValueError("slot count disagrees with the biset: %d vs %d" % (self.n, X.n))
-        self._iota: dict[int, WreathElement] = {}
-        self._plain_orbits: dict[tuple, list] = {}
+        self.tops = np.empty((G.order, self.n), dtype=np.int32)
+        self.bases = np.empty((G.order, self.n), dtype=np.int32)
+        offset = 0
+        for tab, rec in zip(self.records, X.orbits):
+            for _ in range(rec.multiplicity):
+                self.tops[:, offset : offset + tab.n_slots] = tab.sig + offset
+                self.bases[:, offset : offset + tab.n_slots] = tab.kap
+                offset += tab.n_slots
         self._canon: dict[tuple, dict] = {}
-        self._witnesses: dict[tuple, WreathElement] = {}
 
     # -- the embedding ----------------------------------------------------------
 
     def iota(self, u: int) -> WreathElement:
-        cached = self._iota.get(u)
-        if cached is not None:
-            return cached
         if not 0 <= u < self.G.order:
             raise ValueError("element %r outside the ambient group" % (u,))
-        base = np.empty(self.n, dtype=np.int32)
-        top = np.empty(self.n, dtype=np.int32)
-        for ri, off in self.blocks:
-            tab = self.records[ri]
-            top[off : off + tab.n_slots] = tab.sig[u] + off
-            base[off : off + tab.n_slots] = tab.kap[u]
-        el = WreathElement(self.G, base, top)
-        self._iota[u] = el
-        return el
+        return WreathElement(self.G, self.bases[u], self.tops[u])
 
     def top_trivial_set(self) -> list[int]:
         """Elements whose image lies in the base subgroup."""
-        out = []
-        for u in range(self.G.order):
-            if all(
-                (self.records[ri].sig[u] == np.arange(self.records[ri].n_slots)).all()
-                for ri, _ in self.blocks
-            ):
-                out.append(u)
-        return out
+        return np.flatnonzero((self.tops == np.arange(self.n)).all(axis=1)).tolist()
 
     def slot_tables(self) -> list[dict]:
         return [
@@ -217,52 +181,33 @@ class ParkEmbedding:
 
     # -- witnesses --------------------------------------------------------------
 
-    def _subgroup(self, skey: tuple) -> Subgroup:
-        return self.system.lattice.by_key[skey]
-
-    def _orbits_under(self, skey: tuple, action):
-        """Slot orbits per block under p -> action(p), with transversal data:
-        for each slot, a pair (p, kappa) with <t_slot, e> = p.<t_base, e>.kappa^-1
-        in the action's sense."""
-        G = self.G
-        sub = self._subgroup(skey)
-        gens = list(sub.generators) or []
-        out = []
-        for ri, off in self.blocks:
-            tab = self.records[ri]
-            seen = np.zeros(tab.n_slots, dtype=bool)
-            for j0 in range(tab.n_slots):
-                if seen[j0]:
-                    continue
-                trans = {j0: (0, 0)}
-                seen[j0] = True
-                queue = deque([j0])
-                while queue:
-                    j = queue.popleft()
-                    p_j, k_j = trans[j]
-                    for g in gens:
-                        a = action(g)
-                        j2 = int(tab.sig[a][j])
-                        if not seen[j2]:
-                            seen[j2] = True
-                            trans[j2] = (G.mul(g, p_j), G.mul(int(tab.kap[a][j2]), k_j))
-                            queue.append(j2)
-                vee = []
-                rho = []
-                for p in sub.elements:
-                    a = action(p)
-                    if int(tab.sig[a][j0]) == j0:
-                        vee.append(p)
-                        rho.append(int(tab.kap[a][j0]))
-                out.append(
-                    {
-                        "block": (ri, off),
-                        "base_slot": j0,
-                        "trans": trans,
-                        "stab": Morphism(tuple(vee), tuple(rho)),
-                    }
-                )
-        return out
+    def _orbits(self, skey: tuple, acts, ids: dict) -> tuple:
+        """Slot orbits of P = skey acting through acts (aligned with skey).
+        Per slot: the least point of its orbit, and a transversal, the least
+        index i with acts[i] moving that point onto the slot.  Per orbit: its
+        least point, the id in ids of the _canonical class of its stabilizer
+        diagonal, and the pair conjugating the diagonal onto the class
+        representative."""
+        T = self.tops[list(acts)]
+        B = self.bases[list(acts)]
+        slots = np.arange(self.n)
+        j0 = T.min(axis=0)
+        trans = (T[:, j0] == slots).argmax(axis=0)
+        starts = np.flatnonzero(j0 == slots)
+        cols = np.where(T[:, starts] == starts, B[:, starts], -1).T
+        distinct, first, label = np.unique(cols, axis=0, return_index=True, return_inverse=True)
+        source = np.asarray(skey)
+        cls = np.empty(len(distinct), dtype=np.intp)
+        conj = np.empty((len(distinct), 2), dtype=np.intp)
+        # first-met order: the cache keeps the conjugators of the first
+        # diagonal queried in each class, and those fix the witness bases
+        for c in np.argsort(first):
+            keep = distinct[c] >= 0
+            d = Morphism(tuple(source[keep].tolist()), tuple(distinct[c][keep].tolist()))
+            rep, conj[c] = self._canonical(skey, d)
+            cls[c] = ids.setdefault(rep, len(ids))
+        label = label.reshape(-1)
+        return j0, trans, starts, cls[label], conj[label]
 
     def _canonical(self, skey: tuple, d: Morphism) -> tuple[Morphism, tuple[int, int]]:
         """The least P x S conjugate of the stabilizer diagonal d, plus a pair
@@ -272,7 +217,7 @@ class ParkEmbedding:
         if hit is not None:
             return hit
         G = self.G
-        sub = self._subgroup(skey)
+        sub = self.system.lattice.by_key[skey]
         moves = [(g, 0) for g in sub.generators] + [(0, g) for g in G.minimal_generators()]
         conj = diagonal_orbit(G, d, moves)
         rep = min(conj)
@@ -283,57 +228,34 @@ class ParkEmbedding:
 
     def witness(self, phi: Morphism) -> WreathElement:
         """A wreath element conjugating iota(u) to iota(phi(u)) for all u in
-        the source, built by matching stabilizer classes of slot orbits."""
-        cached = self._witnesses.get((phi.source, phi.images))
-        if cached is not None:
-            return cached
-        G = self.G
+        the source: the k-th plain orbit of each stabilizer class goes to the
+        k-th twisted orbit of that class."""
+        mul, inv = self.G.np_tables
         skey = phi.source
-        pos = self.system.lattice.posmap[skey]
-        phi_map = {q: phi.images[pos[q]] for q in skey}
-
-        plain = self._plain_orbits.get(skey)
-        if plain is None:
-            plain = self._orbits_under(skey, lambda p: p)
-            self._plain_orbits[skey] = plain
-        twisted = self._orbits_under(skey, lambda p: phi_map[p])
-
-        def keyed(orbits):
-            out = {}
-            for orb in orbits:
-                rep, conj = self._canonical(skey, orb["stab"])
-                out.setdefault(rep, []).append((orb, conj))
-            return out
-
-        plain_by_rep = keyed(plain)
-        twisted_by_rep = keyed(twisted)
-        if {k: len(v) for k, v in plain_by_rep.items()} != {
-            k: len(v) for k, v in twisted_by_rep.items()
-        }:
+        phi_map = np.zeros(self.G.order, dtype=np.int32)
+        phi_map[list(skey)] = phi.images
+        ids: dict[Morphism, int] = {}
+        j0, trans, starts1, cls1, conj1 = self._orbits(skey, skey, ids)
+        _, _, starts2, cls2, conj2 = self._orbits(skey, phi.images, ids)
+        if not np.array_equal(np.sort(cls1), np.sort(cls2)):
             raise RuntimeError(
                 "stabilizer classes of the plain and twisted restrictions differ; "
                 "the biset is not stable for %r" % (phi,)
             )
-
+        partner = np.empty_like(cls1)
+        partner[np.argsort(cls1, kind="stable")] = np.argsort(cls2, kind="stable")
+        (p1, s1), (p2, s2) = conj1.T, conj2[partner].T
+        p0, s0 = mul[inv[p1], p2], mul[inv[s1], s2]
+        # per slot k: its orbit o, transversal p_k and kappa_k = base of iota(p_k) at k
+        o = np.searchsorted(starts1, j0)
+        p_k = np.asarray(skey)[trans]
+        slots = np.arange(self.n)
+        kap_k = self.bases[p_k, slots]
+        w = phi_map[mul[p_k, p0[o]]]
+        j_t = self.tops[w, starts2[partner][o]]
         base = np.zeros(self.n, dtype=np.int32)
-        top = np.full(self.n, -1, dtype=np.int32)
-        for rep in sorted(plain_by_rep):
-            for (o1, (p1, s1)), (o2, (p2, s2)) in zip(plain_by_rep[rep], twisted_by_rep[rep]):
-                p0 = G.mul(G.inv(p1), p2)
-                s0 = G.mul(G.inv(s1), s2)
-                ri2, off2 = o2["block"]
-                tab2 = self.records[ri2]
-                j2 = o2["base_slot"]
-                ri1, off1 = o1["block"]
-                for k, (p_k, kap_k) in o1["trans"].items():
-                    w = phi_map[G.mul(p_k, p0)]
-                    j_t = int(tab2.sig[w][j2])
-                    val = G.mul(G.mul(int(tab2.kap[w][j_t]), G.inv(s0)), G.inv(kap_k))
-                    top[off1 + k] = off2 + j_t
-                    base[off2 + j_t] = val
-        el = WreathElement(self.G, base, top, validate=True)
-        self._witnesses[(phi.source, phi.images)] = el
-        return el
+        base[j_t] = mul[mul[self.bases[w, j_t], inv[s0[o]]], inv[kap_k]]
+        return WreathElement(self.G, base, j_t, validate=True)
 
     def check_witness(self, phi: Morphism, g: WreathElement) -> bool:
         """The conjugation identity on every element of the source."""

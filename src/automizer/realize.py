@@ -337,9 +337,7 @@ def verify_main(
     n = pe.n
     sprime = S.commutator_subgroup()
     s_gens = S.minimal_generators()
-    membership_failures = [
-        s for s in s_gens if not gamma_prime_member(pe.iota(s), sprime, n=n)
-    ]
+    membership_failures = [s for s in s_gens if not gamma_prime_member(pe.iota(s), sprime)]
     membership_ok = not membership_failures
 
     seed_tops = [pe.iota(u).top for u in U.generators]
@@ -674,7 +672,7 @@ def _run_stages(A: InputGroupA, policy: VerificationPolicy, source):
     pe = decompose(system, X)
     emb_ok, emb_rep = verify_embedding(pe)
     flags["iota_injective_hom"] = emb_rep["homomorphism"] and emb_rep["injective"]
-    flags["iota_base_trivial"] = pe.top_trivial_set() == [0]
+    flags["iota_base_trivial"] = emb_rep["top_trivial_elements"] == (0,)
     embedding = sections["embedding"] = {
         "n": pe.n,
         "base_index_convention": "target",

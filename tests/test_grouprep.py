@@ -150,7 +150,7 @@ class TestSubgroups:
     def test_max_count_cap(self):
         with pytest.raises(ScaleError) as exc:
             catalog_group("S4").all_subgroups(max_count=10)
-        assert exc.value.bound_name == "max_subgroups"
+        assert (exc.value.bound_name, exc.value.bound_value) == ("max_subgroups", 10)
 
     def test_enumerate_order_cap(self):
         with pytest.raises(ScaleError) as exc:
@@ -204,6 +204,11 @@ class TestAutomorphisms:
     def test_aut_trivial(self):
         G = catalog_group("1")
         assert automorphisms_of(G, whole(G)) == [{0: 0}]
+
+    def test_generators_must_generate(self):
+        G = catalog_group("C2xC2")
+        with pytest.raises(ValueError, match="generating set"):
+            automorphisms_of(G, Subgroup((0, 1, 2, 3), (1,)))
 
     def test_autos_are_automorphisms(self):
         G = catalog_group("C2xC2")

@@ -1,7 +1,8 @@
 """The library defines only what the pipeline reaches: every function, class
 and method of the library modules (testkit excluded) is named on some line of
 those modules or of the scripts outside its own definition.  Test-only helpers
-belong in testkit."""
+belong in testkit.  Every attribute the library stores on self is read on
+some line of the library, the scripts, testkit or the tests."""
 
 import ast
 import re
@@ -10,6 +11,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted(p for p in (ROOT / "src" / "automizer").glob("*.py") if p.name != "testkit.py")
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+READERS = LIBRARY + SCRIPTS + [ROOT / "src" / "automizer" / "testkit.py"]
+READERS += sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_definitions() -> list[str]:
@@ -35,3 +38,45 @@ def unused_definitions() -> list[str]:
 
 def test_every_library_definition_is_reached():
     assert unused_definitions() == []
+
+
+def unread_attributes() -> list[str]:
+    """Each `self.<attr> =` in the library whose attribute no line reads, a
+    line that stores it not counting."""
+    stores: dict[str, list[tuple[Path, int, str]]] = {}
+    for path in LIBRARY:
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in ast.walk(cls):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, ast.AnnAssign):
+                    targets = [node.target]
+                else:
+                    continue
+                for target in targets:
+                    for t in ast.walk(target):
+                        if (
+                            isinstance(t, ast.Attribute)
+                            and isinstance(t.value, ast.Name)
+                            and t.value.id == "self"
+                        ):
+                            stores.setdefault(t.attr, []).append((path, t.lineno, cls.name))
+    lines = {path: path.read_text().splitlines() for path in READERS}
+    unread = []
+    for attr, sites in sorted(stores.items()):
+        stored_at = {(path, number) for path, number, _ in sites}
+        word = re.compile(r"\.%s\b" % re.escape(attr))
+        if not any(
+            word.search(line)
+            for path, text in lines.items()
+            for number, line in enumerate(text, 1)
+            if (path, number) not in stored_at
+        ):
+            unread += ["%s:%d %s.%s" % (p.name, n, c, attr) for p, n, c in sites]
+    return unread
+
+
+def test_every_stored_attribute_is_read():
+    assert unread_attributes() == []

@@ -5,6 +5,8 @@ acts on slot-times-group points, so wreath arithmetic, the embedding, witness
 conjugation, and the derived-subgroup membership formula can all be checked
 against plain permutation groups at small degree."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,7 +37,15 @@ from automizer.park import (
     wreath_multiply,
 )
 from automizer.permcore import PermGroup, Permutation, identity_perm
-from automizer.testkit import base_only, is_member, to_permutation, top_only, verify_all_witnesses
+from automizer.testkit import (
+    base_only,
+    brute_fusion,
+    corpus,
+    is_member,
+    to_permutation,
+    top_only,
+    verify_all_witnesses,
+)
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +69,84 @@ def ambient_pe():
     system = generate(S, subs, gens)
     X = build_semicharacteristic(system, context=DiagonalContext(system))
     return S, system, X, decompose(system, X)
+
+
+@pytest.fixture(scope="module")
+def a6_d8_system():
+    """D8 as the Sylow 2-subgroup of A6: 13 slots, and the witnesses depend
+    on which diagonal of a class _canonical meets first."""
+    pair = next(p for p in corpus() if p.name == "A6/D8")
+    system = brute_fusion(pair.group(), pair.subgroup_generators())
+    X = build_semicharacteristic(system, context=DiagonalContext(system))
+    return system, X
+
+
+def reference_witness(pe, phi):
+    """The witness by a slot BFS per block with per-slot orbit matching, a
+    reference for the array gathers of ParkEmbedding.witness.  It queries
+    pe._canonical in the same first-met order, so on a fresh embedding it
+    must give the same bytes."""
+    G = pe.G
+    sub = pe.system.lattice.by_key[phi.source]
+    phi_map = dict(zip(phi.source, phi.images))
+    blocks = []
+    offset = 0
+    for tab, rec in zip(pe.records, pe.X.orbits):
+        for _ in range(rec.multiplicity):
+            blocks.append((tab, offset))
+            offset += tab.n_slots
+
+    def orbits_under(action):
+        out = []
+        for tab, off in blocks:
+            seen = np.zeros(tab.n_slots, dtype=bool)
+            for j0 in range(tab.n_slots):
+                if seen[j0]:
+                    continue
+                trans = {j0: (0, 0)}
+                seen[j0] = True
+                queue = deque([j0])
+                while queue:
+                    j = queue.popleft()
+                    p_j, k_j = trans[j]
+                    for g in sub.generators:
+                        a = action(g)
+                        j2 = int(tab.sig[a][j])
+                        if not seen[j2]:
+                            seen[j2] = True
+                            trans[j2] = (G.mul(g, p_j), G.mul(int(tab.kap[a][j2]), k_j))
+                            queue.append(j2)
+                vee = [p for p in sub.elements if tab.sig[action(p)][j0] == j0]
+                rho = [int(tab.kap[action(p)][j0]) for p in vee]
+                out.append((tab, off, j0, trans, Morphism(tuple(vee), tuple(rho))))
+        return out
+
+    def keyed(orbits):
+        out = {}
+        for orb in orbits:
+            rep, conj = pe._canonical(phi.source, orb[-1])
+            out.setdefault(rep, []).append((orb, conj))
+        return out
+
+    plain = keyed(orbits_under(lambda p: p))
+    twisted = keyed(orbits_under(lambda p: phi_map[p]))
+    if {k: len(v) for k, v in plain.items()} != {k: len(v) for k, v in twisted.items()}:
+        raise RuntimeError("the biset is not stable for %r" % (phi,))
+    base = np.zeros(pe.n, dtype=np.int32)
+    top = np.full(pe.n, -1, dtype=np.int32)
+    for rep in sorted(plain):
+        for (o1, (p1, s1)), (o2, (p2, s2)) in zip(plain[rep], twisted[rep]):
+            p0 = G.mul(G.inv(p1), p2)
+            s0 = G.mul(G.inv(s1), s2)
+            _, off1, _, trans, _ = o1
+            tab2, off2, j2, _, _ = o2
+            for k, (p_k, kap_k) in trans.items():
+                w = phi_map[G.mul(p_k, p0)]
+                j_t = int(tab2.sig[w][j2])
+                val = G.mul(G.mul(int(tab2.kap[w][j_t]), G.inv(s0)), G.inv(kap_k))
+                top[off1 + k] = off2 + j_t
+                base[off2 + j_t] = val
+    return WreathElement(G, base, top, validate=True)
 
 
 def random_element(rng, G, n):
@@ -288,10 +376,22 @@ class TestSmallEmbedding:
         ok, rep = verify_embedding(decompose(system, X))
         assert ok and rep["homomorphism"] and rep["exhaustive"], rep
         pe = decompose(system, X)
-        pe._iota[77] = WreathElement(G, [78], [0])
+        pe.bases[77], pe.tops[77] = 78, 0
         ok, rep = verify_embedding(pe)
         assert not ok
         assert not rep["homomorphism"]
+
+    def test_unstable_biset_has_no_witness(self, klein3_pe):
+        # the lone identity orbit: the order-3 twist moves the stabilizer
+        # diagonal of the one slot out of its class
+        G, system, X, pe = klein3_pe
+        full = (0, 1, 2, 3)
+        lone = SemicharacteristicBiset([OrbitRecord(full, full, 1)], 1, 1)
+        twist = Morphism(full, (0, 2, 3, 1))
+        with pytest.raises(RuntimeError, match="not stable"):
+            decompose(system, lone).witness(twist)
+        with pytest.raises(RuntimeError, match="not stable"):
+            reference_witness(decompose(system, lone), twist)
 
     def test_missing_identity_orbit_rejected(self):
         G = catalog_group("D8")
@@ -305,6 +405,22 @@ class TestSmallEmbedding:
         wrong = SemicharacteristicBiset(X.orbits, X.m, X.n + 1)
         with pytest.raises(ValueError):
             decompose(system, wrong)
+
+
+class TestWitnessReference:
+    @pytest.mark.parametrize("name", ["klein3", "a6_d8"])
+    def test_witnesses_match_the_slot_bfs(self, name, klein3_pe, a6_d8_system):
+        system, X = {"klein3": klein3_pe[1:3], "a6_d8": a6_d8_system}[name]
+        pe, ref = decompose(system, X), decompose(system, X)
+        checked = 0
+        for key in sorted(system.store):
+            for images in system.store[key]:
+                phi = Morphism(key, images)
+                w, r = pe.witness(phi), reference_witness(ref, phi)
+                assert (w.top.tobytes(), w.base.tobytes()) == (r.top.tobytes(), r.base.tobytes())
+                checked += 1
+        assert checked == sum(len(b) for b in system.store.values())
+        assert pe.n > 1 and any(len(bucket) > 1 for bucket in system.store.values())
 
 
 class TestAmbientEmbedding:

@@ -497,6 +497,7 @@ class TestMalformedPayloads:
         with pytest.raises(ScaleError) as exc:
             stored.biset(system, VerificationPolicy(), None)
         assert exc.value.bound_name == "max_n"
+        assert exc.value.bound_value == VerificationPolicy().max_n
 
     def test_input_table_must_hold_integers(self):
         # False passes every table check that compares or indexes with it
