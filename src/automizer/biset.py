@@ -24,8 +24,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
+import numpy as np
+
 from .grouprep import FiniteGroup, ScaleError
 from .fusion import FusionSystem, Morphism, all_injective_homs
+from .permcore import merge_labels
 
 
 Diagonal = Morphism  # a twisted diagonal is stored exactly like a morphism
@@ -299,6 +302,44 @@ def verify_generated(system: FusionSystem, X: SemicharacteristicBiset) -> tuple[
     return True, report
 
 
+def injective_diagonal_classes(system: FusionSystem) -> list[tuple[tuple, np.ndarray, np.ndarray]]:
+    """The classes of injective twisted diagonals under the product action,
+    as orbit labels.  Per F-class of subgroups, in decreasing order: its first
+    subgroup R, the rows of Inj(R, S) as full images sorted by images, and
+    each row's label, the least row of its orbit under Aut_F(R) x Inn(S).
+    Every class with a source F-conjugate to R meets Inj(R, S) in exactly one
+    such orbit, so the classes and the labels correspond one to one."""
+    G = system.ambient
+    lat = system.lattice
+    mul, inv = G.np_tables
+    conj_moves = [mul[mul[s], inv[s]] for s in G.minimal_generators()]
+    out = []
+    met: set[tuple] = set()
+    for skey in sorted(lat.keys, key=lambda k: (-len(k), k)):
+        if skey in met:
+            continue
+        met.update(tuple(sorted(psi.images)) for psi in system.hom_set(skey))
+        rows = np.array([d.images for d in all_injective_homs(G, lat, skey)], dtype=np.intp)
+        label = np.arange(len(rows))
+        pos = lat.posmap[skey]
+        gcols = [pos[g] for g in lat.by_key[skey].generators]
+        # a homomorphism is fixed by its generator images, so a moved row is
+        # found by sorting on those columns; the trivial source has one row
+        if gcols:
+            order = np.lexsort(rows[:, gcols].T)
+            ref = rows[order][:, gcols]
+            moved = [conj[rows] for conj in conj_moves]
+            moved += [rows[:, [pos[a] for a in alpha.images]] for alpha in system.aut(skey)]
+            for M in moved:
+                found = np.lexsort(M[:, gcols].T)
+                assert np.array_equal(M[found][:, gcols], ref), "a moved row left Inj(R, S)"
+                perm = np.empty_like(order)
+                perm[found] = order
+                label = merge_labels(label, perm)
+        out.append((skey, rows, label))
+    return out
+
+
 def verify_stability(
     system: FusionSystem,
     X: SemicharacteristicBiset,
@@ -313,26 +354,33 @@ def verify_stability(
     transporter formula, (S x S)/Delta(Q, gamma) has a point fixed by
     Delta(P, phi) only if phi = c_y . gamma . c_{x^-1} on P, a map in F when
     gamma is; and a class whose twist is outside F has no member in F.  So
-    every orbit has mark 0 on such a class.  Every class is still walked and
-    counted."""
+    every orbit has mark 0 on such a class.  Every class is still counted, by
+    orbit labels; the fusion classes are walked in the builder's order, and a
+    failure reports how many classes that order met before it."""
     foreign = _foreign_twist(system, X)
     if foreign:
         return False, {"failure": foreign, "checked_classes": 0}
     ctx = context or DiagonalContext(system)
-    G = system.ambient
+    earlier: dict[tuple, tuple[int, np.ndarray, np.ndarray]] = {}
     checked_classes = 0
-    for d, members in ctx.classes(lambda skey: all_injective_homs(G, system.lattice, skey)):
-        if system.contains(d):
-            reps = ctx.sxs_representatives(members)
-            marks = [ctx.mark_biset(X, rep) for rep in reps]
-            if len(set(marks)) > 1:
-                return False, {
-                    "failure": "marks differ on one diagonal class",
-                    "class_source": d.source,
-                    "witness": [(r.source, r.images, mk) for r, mk in zip(reps, marks)],
-                    "checked_classes": checked_classes,
-                }
-        checked_classes += 1
+    for skey, rows, label in injective_diagonal_classes(system):
+        roots = np.flatnonzero(label == np.arange(len(label)))
+        earlier[skey] = (checked_classes, rows, roots)
+        checked_classes += len(roots)
+    for d, members in ctx.classes(system.hom_set):
+        reps = ctx.sxs_representatives(members)
+        marks = [ctx.mark_biset(X, rep) for rep in reps]
+        if len(set(marks)) > 1:
+            # d is the least row of its class, and the labels of Inj(R, S)
+            # are met in increasing order
+            before, rows, roots = earlier[d.source]
+            row = np.flatnonzero((rows == d.images).all(axis=1))[0]
+            return False, {
+                "failure": "marks differ on one diagonal class",
+                "class_source": d.source,
+                "witness": [(r.source, r.images, mk) for r, mk in zip(reps, marks)],
+                "checked_classes": before + int(np.count_nonzero(roots < row)),
+            }
     return True, {"checked_classes": checked_classes, "level": "full"}
 
 

@@ -571,8 +571,15 @@ def injective_homs(
     nothing, since ord(ab) = ord(ba) and ord(g^2) is fixed by ord(g).  A full
     assignment extends along the word map; the extension f is a homomorphism
     exactly when f(x g) = f(x) f(g) for every x and every generator g, by
-    induction on the word length of the right factor."""
+    induction on the word length of the right factor.  The extension takes
+    each element one step from its word's prefix, so those steps hold by
+    construction and only the other pairs (x, g) are checked."""
     words = _word_map(G, gens)
+    steps = [(x, G.product(gens[gi] for gi in w[:-1]), w[-1]) for x, w in words.items() if w]
+    built = {(prefix, gi) for _, prefix, gi in steps}
+    checks = [
+        (x, G.mul(x, g), gi) for x in words for gi, g in enumerate(gens) if (x, gi) not in built
+    ]
     by_order: dict[int, list[int]] = {}
     for y in targets:
         by_order.setdefault(H.element_order(y), []).append(y)
@@ -581,11 +588,11 @@ def injective_homs(
 
     def extend(k: int) -> Iterator[dict[int, int]]:
         if k == len(gens):
-            table = {x: H.product(images[gi] for gi in w) for x, w in words.items()}
+            table = {0: 0}
+            for x, prefix, gi in steps:
+                table[x] = ht[table[prefix]][images[gi]]
             if len(set(table.values())) == len(table) and all(
-                table[gt[x][g]] == ht[fx][y]
-                for x, fx in table.items()
-                for g, y in zip(gens, images)
+                table[xg] == ht[table[x]][images[gi]] for x, xg, gi in checks
             ):
                 yield table
             return

@@ -195,7 +195,15 @@ class ParkEmbedding:
         trans = (T[:, j0] == slots).argmax(axis=0)
         starts = np.flatnonzero(j0 == slots)
         cols = np.where(T[:, starts] == starts, B[:, starts], -1).T
-        distinct, first, label = np.unique(cols, axis=0, return_index=True, return_inverse=True)
+        # distinct diagonals by a stable lexsort of the rows: the first row
+        # of each run of equal rows is the least row with that diagonal
+        order = np.lexsort(cols.T)
+        run = np.ones(len(order), dtype=bool)
+        run[1:] = (cols[order[1:]] != cols[order[:-1]]).any(axis=1)
+        first = order[run]
+        distinct = cols[first]
+        label = np.empty_like(order)
+        label[order] = np.cumsum(run) - 1
         source = np.asarray(skey)
         cls = np.empty(len(distinct), dtype=np.intp)
         conj = np.empty((len(distinct), 2), dtype=np.intp)
@@ -206,7 +214,6 @@ class ParkEmbedding:
             d = Morphism(tuple(source[keep].tolist()), tuple(distinct[c][keep].tolist()))
             rep, conj[c] = self._canonical(skey, d)
             cls[c] = ids.setdefault(rep, len(ids))
-        label = label.reshape(-1)
         return j0, trans, starts, cls[label], conj[label]
 
     def _canonical(self, skey: tuple, d: Morphism) -> tuple[Morphism, tuple[int, int]]:

@@ -20,8 +20,10 @@ from automizer.biset import (
     DiagonalContext,
     OrbitRecord,
     SemicharacteristicBiset,
+    _foreign_twist,
     build_semicharacteristic,
     check_orbit_predictions,
+    injective_diagonal_classes,
     orbit_from_payload,
     orbit_payload,
     outer_class_representatives,
@@ -40,7 +42,13 @@ from automizer.grouprep import (
     homocyclic_rank2,
 )
 from automizer.fusion import all_injective_homs
-from automizer.testkit import append_free_orbits, center, exhaustive_class_marks
+from automizer.testkit import (
+    append_free_orbits,
+    brute_fusion,
+    center,
+    corpus,
+    exhaustive_class_marks,
+)
 
 
 # -- fixtures -------------------------------------------------------------------
@@ -382,6 +390,82 @@ class TestExhaustiveOracle:
         outside = [marks for d, marks in table if not system.contains(d)]
         assert len(outside) == 552
         assert all(mark == 0 for marks in outside for mark in marks)
+
+
+def reference_verify_stability(system, X, ctx):
+    """The stability check as a walk that builds every class of injective
+    diagonals one by one and counts it when it is met."""
+    foreign = _foreign_twist(system, X)
+    if foreign:
+        return False, {"failure": foreign, "checked_classes": 0}
+    G = system.ambient
+    checked_classes = 0
+    for d, members in ctx.classes(lambda skey: all_injective_homs(G, system.lattice, skey)):
+        if system.contains(d):
+            reps = ctx.sxs_representatives(members)
+            marks = [ctx.mark_biset(X, rep) for rep in reps]
+            if len(set(marks)) > 1:
+                return False, {
+                    "failure": "marks differ on one diagonal class",
+                    "class_source": d.source,
+                    "witness": [(r.source, r.images, mk) for r, mk in zip(reps, marks)],
+                    "checked_classes": checked_classes,
+                }
+        checked_classes += 1
+    return True, {"checked_classes": checked_classes, "level": "full"}
+
+
+class TestClassLabels:
+    """The orbit labels on Inj(R, S) against the class walk that builds every
+    class of injective diagonals: per class, its members with source R are
+    exactly the rows labelled with the class's first row."""
+
+    @staticmethod
+    def assert_labels_match_walk(system):
+        G = system.ambient
+        ctx = DiagonalContext(system)
+        labelled = {
+            skey: (rows.tolist(), label.tolist())
+            for skey, rows, label in injective_diagonal_classes(system)
+        }
+        walked = 0
+        for d, members in ctx.classes(lambda k: all_injective_homs(G, system.lattice, k)):
+            rows, label = labelled[d.source]
+            first = rows.index(list(d.images))
+            assert label[first] == first
+            in_class = {tuple(rows[i]) for i, lab in enumerate(label) if lab == first}
+            assert in_class == {m.images for m in members if m.source == d.source}
+            walked += 1
+        roots = sum(
+            sum(lab == i for i, lab in enumerate(label)) for _, label in labelled.values()
+        )
+        assert roots == walked
+
+    def test_klein3(self, klein3):
+        _, system, _, _ = klein3
+        self.assert_labels_match_walk(system)
+
+    @pytest.mark.parametrize("pair", corpus(), ids=lambda p: p.name)
+    def test_corpus(self, pair):
+        self.assert_labels_match_walk(brute_fusion(pair.group(), pair.subgroup_generators()))
+
+
+class TestFailureReport:
+    """The label count reports what the walk that builds every class reported:
+    the verdict, the failing class, its marks and the classes met before it."""
+
+    def test_klein3_variants(self, klein3):
+        G, system, ctx, X = klein3
+        for Y in klein3_variants(G, X):
+            expect = reference_verify_stability(system, Y, DiagonalContext(system))
+            assert verify_stability(system, Y, context=ctx) == expect
+
+    def test_ambient_without_identity_orbit(self, ambient_c2):
+        _, system, ctx, X = ambient_c2
+        broken = SemicharacteristicBiset(X.orbits[1:], X.m, X.n - X.orbits[0].multiplicity)
+        expect = reference_verify_stability(system, broken, DiagonalContext(system))
+        assert not expect[0] and expect[1]["checked_classes"] > 0
+        assert verify_stability(system, broken, context=ctx) == expect
 
 
 class TestPredictionsAndFreeOrbits:
