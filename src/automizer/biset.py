@@ -18,6 +18,7 @@ checks suffice since both sides are homomorphisms on P.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .grouprep import FiniteGroup, ScaleError
-from .fusion import FusionSystem, Morphism, all_injective_homs
+from .fusion import FusionSystem, Morphism, injective_images
 from .permcore import merge_labels
 
 
@@ -83,8 +84,7 @@ class DiagonalContext:
         self.lattice = system.lattice
         gens = self.G.minimal_generators()
         self._move_gens = [(g, 0) for g in gens] + [(0, g) for g in gens]
-        self._xlists: dict[tuple, list] = {}
-        self._transporter: dict[tuple, int] = {}
+        self._gammas: dict[tuple, np.ndarray] = {}
         self._sxs_canon: dict[Diagonal, Diagonal] = {}
 
     # -- conjugacy ------------------------------------------------------------
@@ -145,67 +145,54 @@ class DiagonalContext:
 
     # -- marks ------------------------------------------------------------------
 
-    def _xlist(self, pkey: tuple, qkey: tuple) -> list[tuple[int, tuple[int, ...]]]:
-        """Pairs (x, images of the source generators under c_{x^-1}) for every
-        x with x^-1 P x <= Q."""
-        cached = self._xlists.get((pkey, qkey))
-        if cached is not None:
-            return cached
-        G = self.G
-        gens = self.lattice.by_key[pkey].generators
-        qset = self.lattice._fsets[qkey]
-        out = []
-        if len(pkey) <= len(qkey):
-            for x in range(G.order):
-                xi = G.inv(x)
-                conj_gens = tuple(G.conj(xi, g) for g in gens)
-                if all(c in qset for c in conj_gens):
-                    out.append((x, conj_gens))
-        self._xlists[(pkey, qkey)] = out
-        return out
+    @functools.cached_property
+    def _cj(self) -> np.ndarray:
+        """cj[y, t] = y t y^-1."""
+        mul, inv = self.G.np_tables
+        return mul[mul, inv[:, np.newaxis]]
 
-    def _transporter_count(self, theta: tuple[int, ...], phi: tuple[int, ...]) -> int:
-        """|{y in S : c_y . theta = phi on the generators}|."""
-        key = (theta, phi)
-        cached = self._transporter.get(key)
-        if cached is not None:
-            return cached
-        G = self.G
-        count = 0
-        for y in range(G.order):
-            if all(G.conj(y, t) == p for t, p in zip(theta, phi)):
-                count += 1
-        self._transporter[key] = count
-        return count
+    def _gamma(self, source: tuple, images: tuple) -> np.ndarray:
+        """The twist of an orbit as a row over S: its images on the source,
+        -1 elsewhere."""
+        row = self._gammas.get((source, images))
+        if row is None:
+            row = np.full(self.G.order, -1, dtype=np.int32)
+            row[list(source)] = images
+            self._gammas[(source, images)] = row
+        return row
 
-    def mark_orbit(self, rec_source: tuple, rec_images: tuple, d: Diagonal) -> int:
-        """Fixed points of Delta(P, phi) on (S x S)/Delta(Q, gamma)."""
-        G = self.G
-        pkey = d.source
-        qkey = rec_source
-        gens = self.lattice.by_key[pkey].generators
-        if not gens:
-            total = G.order * G.order
-        else:
-            qpos = self.lattice.posmap[qkey]
-            ppos = self.lattice.posmap[pkey]
-            phi = tuple(d.images[ppos[g]] for g in gens)
-            total = 0
-            for x, conj_gens in self._xlist(pkey, qkey):
-                theta = tuple(rec_images[qpos[c]] for c in conj_gens)
-                total += self._transporter_count(theta, phi)
-        assert total % len(qkey) == 0, "mark formula must divide by |Q|"
-        return total // len(qkey)
+    def orbit_marks(self, orbits: Sequence[tuple[tuple, tuple]], d: Diagonal) -> np.ndarray:
+        """Fixed points of Delta(P, phi) on each (S x S)/Delta(Q, gamma), for
+        the (Q, gamma) in orbits: the number of pairs (x, y) with x^-1 P x <= Q
+        and c_y . gamma . c_{x^-1} = phi on the generators of P, over |Q|."""
+        cj = self._cj
+        gamma = np.array([self._gamma(q, g) for q, g in orbits], dtype=np.int32)
+        gamma = gamma.reshape(len(orbits), self.G.order)
+        gens = np.array(self.lattice.by_key[d.source].generators, dtype=np.intp)
+        ppos = self.lattice.posmap[d.source]
+        phi = [d.images[ppos[g]] for g in gens.tolist()]
+        # theta[o, x, i] = gamma_o(x^-1 g_i x), -1 unless x^-1 g_i x lies in Q_o
+        _, inv = self.G.np_tables
+        theta = gamma[:, cj[inv[:, np.newaxis], gens]]
+        orbit, x = np.nonzero((theta >= 0).all(axis=2))
+        theta = theta[orbit, x]
+        # hit[y, j]: c_y sends the j-th theta onto phi, column by column
+        hit = np.ones((self.G.order, len(orbit)), dtype=bool)
+        for i, p in enumerate(phi):
+            hit &= cj[:, theta[:, i]] == p
+        total = np.bincount(orbit[np.nonzero(hit)[1]], minlength=len(orbits))
+        qorder = np.array([len(q) for q, _ in orbits])
+        assert not (total % qorder).any(), "mark formula must divide by |Q|"
+        return total // qorder
 
-    def mark_terms(self, terms: Sequence[tuple[tuple, tuple, Fraction | int]], d: Diagonal) -> Fraction:
-        acc = Fraction(0)
-        for source, images, coeff in terms:
-            if coeff:
-                acc += coeff * self.mark_orbit(source, images, d)
-        return acc
+    def mark_terms(self, terms: Sequence[tuple[tuple, tuple, Fraction]], d: Diagonal) -> Fraction:
+        marks = self.orbit_marks([(source, images) for source, images, _ in terms], d)
+        pairs = zip((coeff for _, _, coeff in terms), marks.tolist())
+        return sum((coeff * mark for coeff, mark in pairs if mark), Fraction(0))
 
     def mark_biset(self, X: SemicharacteristicBiset, d: Diagonal) -> int:
-        return int(self.mark_terms([(r.source, r.images, r.multiplicity) for r in X.orbits], d))
+        marks = self.orbit_marks([(r.source, r.images) for r in X.orbits], d)
+        return sum(mark * r.multiplicity for mark, r in zip(marks.tolist(), X.orbits))
 
 
 def outer_class_representatives(system: FusionSystem) -> list[Morphism]:
@@ -319,7 +306,7 @@ def injective_diagonal_classes(system: FusionSystem) -> list[tuple[tuple, np.nda
         if skey in met:
             continue
         met.update(tuple(sorted(psi.images)) for psi in system.hom_set(skey))
-        rows = np.array([d.images for d in all_injective_homs(G, lat, skey)], dtype=np.intp)
+        rows = injective_images(G, lat, skey)
         label = np.arange(len(rows))
         pos = lat.posmap[skey]
         gcols = [pos[g] for g in lat.by_key[skey].generators]

@@ -21,6 +21,8 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .grouprep import FiniteGroup, Subgroup, _word_map, injective_homs
 
 
@@ -386,19 +388,15 @@ def generate(
     return FusionSystem(lattice, generators)
 
 
-def all_injective_homs(
+def injective_images(
     G: FiniteGroup,
     lattice: SubgroupLattice,
     source_key: tuple[int, ...],
-) -> list[Morphism]:
+) -> np.ndarray:
     """Every injective homomorphism from the subgroup into the ambient group,
-    sorted by images."""
+    as one row of images aligned with the source, rows sorted by images."""
     gens = list(lattice.by_key[source_key].generators)
     if G.closure(gens) != source_key:
         raise ValueError("subgroup record lacks a generating set")
-    out = [
-        Morphism(source_key, tuple(table[x] for x in source_key))
-        for table in injective_homs(G, gens, G, range(G.order))
-    ]
-    out.sort(key=lambda m: m.images)
-    return out
+    rows = injective_homs(G, gens, G, range(G.order))
+    return rows[np.lexsort(rows.T[::-1])]

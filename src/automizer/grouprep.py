@@ -18,7 +18,7 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -541,9 +541,9 @@ def automorphisms_of(G: FiniteGroup, V: Subgroup) -> list[dict[int, int]]:
     gens = list(V.generators)
     if G.closure(gens) != V.elements:
         raise ValueError("subgroup record lacks a generating set")
-    autos = list(injective_homs(G, gens, G, V.elements))
-    autos.sort(key=lambda t: tuple(t[x] for x in V.elements))
-    return autos
+    rows = injective_homs(G, gens, G, V.elements)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    return [dict(zip(V.elements, row)) for row in rows.tolist()]
 
 
 def _word_map(G: FiniteGroup, gens: Sequence[int]) -> dict[int, tuple[int, ...]]:
@@ -561,52 +561,55 @@ def _word_map(G: FiniteGroup, gens: Sequence[int]) -> dict[int, tuple[int, ...]]
 
 def injective_homs(
     G: FiniteGroup, gens: Sequence[int], H: FiniteGroup, targets: Iterable[int]
-) -> Iterator[dict[int, int]]:
+) -> np.ndarray:
     """Every injective homomorphism from the subgroup <gens> of G into H that
-    sends each generator into targets, as a map on element indices.
+    sends each generator into targets, as one row of images per map, the
+    columns aligned with the sorted elements of <gens>.  Rows come in
+    lexicographic order of the generator images, candidates in targets order.
 
-    Generator-image backtracking: the candidates for a generator are the
-    targets of its own order, and a partial assignment survives only if
-    ord(g_i g_k) = ord(y_i y_k) for every earlier i.  The other pairs add
-    nothing, since ord(ab) = ord(ba) and ord(g^2) is fixed by ord(g).  A full
-    assignment extends along the word map; the extension f is a homomorphism
-    exactly when f(x g) = f(x) f(g) for every x and every generator g, by
-    induction on the word length of the right factor.  The extension takes
-    each element one step from its word's prefix, so those steps hold by
-    construction and only the other pairs (x, g) are checked."""
+    The generator images are extended one generator at a time over the whole
+    frontier: the candidates for a generator are the targets of its own
+    order, and a row survives only if ord(g_i g_k) = ord(y_i y_k) for every
+    earlier i.  The other pairs add nothing, since ord(ab) = ord(ba) and
+    ord(g^2) is fixed by ord(g).  A full row extends along the word map; the
+    extension f is a homomorphism exactly when f(x g) = f(x) f(g) for every x
+    and every generator g, by induction on the word length of the right
+    factor.  The extension takes each element one step from its word's
+    prefix, so those steps hold by construction and only the other pairs
+    (x, g) are checked.  A homomorphism is injective when its kernel is
+    trivial: no element but the identity maps to 0."""
     words = _word_map(G, gens)
-    steps = [(x, G.product(gens[gi] for gi in w[:-1]), w[-1]) for x, w in words.items() if w]
+    pos = {x: i for i, x in enumerate(sorted(words))}
+    steps = [
+        (pos[x], pos[G.product(gens[gi] for gi in w[:-1])], w[-1]) for x, w in words.items() if w
+    ]
     built = {(prefix, gi) for _, prefix, gi in steps}
     checks = [
-        (x, G.mul(x, g), gi) for x in words for gi, g in enumerate(gens) if (x, gi) not in built
+        (pos[x], pos[G.mul(x, g)], gi)
+        for x in words
+        for gi, g in enumerate(gens)
+        if (pos[x], gi) not in built
     ]
-    by_order: dict[int, list[int]] = {}
-    for y in targets:
-        by_order.setdefault(H.element_order(y), []).append(y)
-    gt, ht = G.table, H.table
-    images: list[int] = []
-
-    def extend(k: int) -> Iterator[dict[int, int]]:
-        if k == len(gens):
-            table = {0: 0}
-            for x, prefix, gi in steps:
-                table[x] = ht[table[prefix]][images[gi]]
-            if len(set(table.values())) == len(table) and all(
-                table[xg] == ht[table[x]][images[gi]] for x, xg, gi in checks
-            ):
-                yield table
-            return
-        g = gens[k]
-        for cand in by_order.get(G.element_order(g), ()):
-            if all(
-                H.element_order(ht[images[i]][cand]) == G.element_order(gt[gens[i]][g])
-                for i in range(k)
-            ):
-                images.append(cand)
-                yield from extend(k + 1)
-                images.pop()
-
-    return extend(0)
+    ht = H.np_tables[0]
+    horder = np.array([H.element_order(y) for y in range(H.order)])
+    targets = np.fromiter(targets, dtype=np.int32)
+    images = np.zeros((1, 0), dtype=np.int32)
+    for k, g in enumerate(gens):
+        cands = targets[horder[targets] == G.element_order(g)]
+        images = np.column_stack(
+            (np.repeat(images, len(cands), axis=0), np.tile(cands, len(images)))
+        )
+        keep = np.ones(len(images), dtype=bool)
+        for i in range(k):
+            keep &= horder[ht[images[:, i], images[:, k]]] == G.element_order(G.mul(gens[i], g))
+        images = images[keep]
+    table = np.zeros((len(images), len(pos)), dtype=np.int32)
+    for x, prefix, gi in steps:
+        table[:, x] = ht[table[:, prefix], images[:, gi]]
+    keep = (table[:, 1:] != 0).all(axis=1)
+    for x, xg, gi in checks:
+        keep &= table[:, xg] == ht[table[:, x], images[:, gi]]
+    return table[keep]
 
 
 def find_isomorphism(G1: FiniteGroup, G2: FiniteGroup) -> Optional[dict[int, int]]:
@@ -617,7 +620,8 @@ def find_isomorphism(G1: FiniteGroup, G2: FiniteGroup) -> Optional[dict[int, int
     prof2 = sorted(G2.element_order(x) for x in range(G2.order))
     if prof1 != prof2:
         return None
-    return next(injective_homs(G1, G1.minimal_generators(), G2, range(G2.order)), None)
+    rows = injective_homs(G1, G1.minimal_generators(), G2, range(G2.order))
+    return dict(enumerate(rows[0].tolist())) if len(rows) else None
 
 
 def are_isomorphic(G1: FiniteGroup, G2: FiniteGroup) -> bool:

@@ -264,13 +264,30 @@ class ParkEmbedding:
         base[j_t] = mul[mul[self.bases[w, j_t], inv[s0[o]]], inv[kap_k]]
         return WreathElement(self.G, base, j_t, validate=True)
 
+    def _factors(self, elements: np.ndarray) -> np.ndarray:
+        """Row per element u: the factor iota(u) applies to the point in each
+        slot j, bases[u, tops[u, j]]."""
+        return self.bases.ravel().take(self.tops[elements] + elements[:, np.newaxis] * self.n)
+
     def check_witness(self, phi: Morphism, g: WreathElement) -> bool:
-        """The conjugation identity on every element of the source."""
-        gi = g.inverse()
-        for u, fu in zip(phi.source, phi.images):
-            if g * self.iota(u) * gi != self.iota(fu):
-                return False
-        return True
+        """The conjugation identity g iota(u) g^-1 = iota(phi(u)) on every
+        element u of the source, checked as g iota(u) = iota(phi(u)) g for all
+        u at once.  With g = (b; sigma), iota(u) = (c; t) and
+        iota(phi(u)) = (c'; t'), the tops must agree, sigma t = t' sigma; then
+        the slot sigma(t(j)) = t'(sigma(j)) carries b[sigma(t(j))] c[t(j)] on
+        the left and c'[t'(sigma(j))] b[sigma(j)] on the right, and as j runs
+        over the slots so does that slot."""
+        order = self.G.order
+        mul = self.G.np_tables[0].ravel()
+        src, img = np.asarray(phi.source), np.asarray(phi.images)
+        sigma = g.top
+        t = self.tops[src]
+        if not np.array_equal(sigma.take(t), self.tops[img].take(sigma, axis=1)):
+            return False
+        bs = g.base.take(sigma)
+        left = mul.take(bs.take(t) * order + self._factors(src))
+        right = mul.take(self._factors(img).take(sigma, axis=1) * order + bs)
+        return np.array_equal(left, right)
 
 
 def decompose(system: FusionSystem, X: SemicharacteristicBiset) -> ParkEmbedding:

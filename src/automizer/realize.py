@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -378,24 +379,28 @@ def _run_length(values: np.ndarray) -> list[list[int]]:
     return np.column_stack((values[starts], counts)).tolist()
 
 
-def _indices(values, bound: int, what: str) -> list:
-    """The values, if they are a list of JSON integers in [0, bound)."""
-    if (
-        not isinstance(values, list)
-        or set(map(type, values)) - {int}
-        or (values and not 0 <= min(values) <= max(values) < bound)
-    ):
-        raise ValueError("%s must be a list of integers in [0, %d)" % (what, bound))
-    return values
+def _indices(values, bound: int, what: str) -> np.ndarray:
+    """The values as an array, if they are a list of JSON integers in
+    [0, bound)."""
+    reason = "%s must be a list of integers in [0, %d)" % (what, bound)
+    if not isinstance(values, list) or set(map(type, values)) - {int}:
+        raise ValueError(reason)
+    try:
+        out = np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(reason) from None
+    if out.size and not 0 <= out.min() <= out.max() < bound:
+        raise ValueError(reason)
+    return out
 
 
 def _run_length_decode(runs, n: int, bound: int) -> np.ndarray:
     """Expand [value, count] runs of values in [0, bound); the counts must be
     positive integers summing to n, checked before anything is expanded."""
-    if not isinstance(runs, list) or not all(isinstance(r, list) and len(r) == 2 for r in runs):
+    if not isinstance(runs, list) or set(map(type, runs)) - {list} or set(map(len, runs)) - {2}:
         raise ValueError("base runs must be [value, count] pairs")
-    values = _indices([v for v, _ in runs], bound, "base run values")
-    counts = [c for _, c in runs]
+    values = _indices(list(map(itemgetter(0), runs)), bound, "base run values")
+    counts = list(map(itemgetter(1), runs))
     if set(map(type, counts)) - {int} or min(counts, default=1) < 1 or sum(counts) != n:
         raise ValueError("base run counts must be positive integers summing to %d" % n)
     return np.repeat(values, counts)

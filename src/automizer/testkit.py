@@ -14,7 +14,16 @@ from typing import Optional
 import numpy as np
 
 from .biset import Diagonal, DiagonalContext, OrbitRecord, SemicharacteristicBiset
-from .fusion import ATOM, COMPOSE, INNER, FusionSystem, Morphism, all_injective_homs, generate
+from .fusion import (
+    ATOM,
+    COMPOSE,
+    INNER,
+    FusionSystem,
+    Morphism,
+    SubgroupLattice,
+    generate,
+    injective_images,
+)
 from .grouprep import FiniteGroup, ScaleError, SGroup, Subgroup
 from .park import ParkEmbedding, WreathElement
 from .permcore import PermGroup, Permutation, parse_cycles
@@ -358,6 +367,15 @@ def brute_marks_table(
                     count += 1
             table[(skey, phi.images)] = count
     return table
+
+
+def all_injective_homs(
+    G: FiniteGroup, lattice: SubgroupLattice, source_key: tuple[int, ...]
+) -> list[Morphism]:
+    """Every injective homomorphism from the subgroup into the ambient group,
+    as morphisms sorted by images."""
+    rows = injective_images(G, lattice, source_key)
+    return [Morphism(source_key, tuple(row)) for row in rows.tolist()]
 
 
 def exhaustive_class_marks(

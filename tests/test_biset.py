@@ -41,8 +41,8 @@ from automizer.grouprep import (
     enumerate_subgroups,
     homocyclic_rank2,
 )
-from automizer.fusion import all_injective_homs
 from automizer.testkit import (
+    all_injective_homs,
     append_free_orbits,
     brute_fusion,
     center,
@@ -179,11 +179,11 @@ class TestMarksAgainstLiteral:
             for k in system.lattice.keys
             for m in system.hom_set(k)
         ]
-        for rec in X.orbits:
-            for d in diags:
-                assert ctx.mark_orbit(rec.source, rec.images, d) == literal_mark(
-                    G, rec.source, rec.images, d.source, d.images
-                )
+        twists = [(rec.source, rec.images) for rec in X.orbits]
+        for d in diags:
+            assert ctx.orbit_marks(twists, d).tolist() == [
+                literal_mark(G, source, images, d.source, d.images) for source, images in twists
+            ]
 
     def test_d8_inner_sample(self):
         G = catalog_group("D8")
@@ -193,7 +193,7 @@ class TestMarksAgainstLiteral:
         for skey in system.lattice.keys:
             for m in system.hom_set(skey)[:3]:
                 d = Diagonal(skey, m.images)
-                assert ctx.mark_orbit(full, full, d) == literal_mark(
+                assert ctx.orbit_marks([(full, full)], d)[0] == literal_mark(
                     G, full, full, skey, m.images
                 )
 
@@ -203,11 +203,87 @@ class TestMarksAgainstLiteral:
         samples = [Diagonal(full, full), Diagonal((0,), (0,))]
         klein = next(k for k in system.lattice.keys if len(k) == 4)
         samples += [Diagonal(klein, m.images) for m in system.hom_set(klein)[:2]]
-        for rec in X.orbits[:3] + X.orbits[-2:]:
-            for d in samples:
-                assert ctx.mark_orbit(rec.source, rec.images, d) == literal_mark(
-                    S, rec.source, rec.images, d.source, d.images
-                )
+        twists = [(rec.source, rec.images) for rec in X.orbits[:3] + X.orbits[-2:]]
+        for d in samples:
+            assert ctx.orbit_marks(twists, d).tolist() == [
+                literal_mark(S, source, images, d.source, d.images) for source, images in twists
+            ]
+
+
+class ReferenceMarks:
+    """The transporter loop that the vector marks replaced: per orbit
+    (Q, gamma) the x with x^-1 P x <= Q, and per x the y with
+    c_y . gamma . c_{x^-1} = phi on the generators of P, cached by (P, Q)
+    and by (theta, phi)."""
+
+    def __init__(self, system):
+        self.G = system.ambient
+        self.lattice = system.lattice
+        self.xlists = {}
+        self.transporter = {}
+
+    def xlist(self, pkey, qkey):
+        if (pkey, qkey) not in self.xlists:
+            G = self.G
+            gens = self.lattice.by_key[pkey].generators
+            out = []
+            if len(pkey) <= len(qkey):
+                for x in range(G.order):
+                    conj_gens = tuple(G.conj(G.inv(x), g) for g in gens)
+                    if all(c in qkey for c in conj_gens):
+                        out.append(conj_gens)
+            self.xlists[(pkey, qkey)] = out
+        return self.xlists[(pkey, qkey)]
+
+    def transporter_count(self, theta, phi):
+        if (theta, phi) not in self.transporter:
+            G = self.G
+            self.transporter[(theta, phi)] = sum(
+                all(G.conj(y, t) == p for t, p in zip(theta, phi)) for y in range(G.order)
+            )
+        return self.transporter[(theta, phi)]
+
+    def mark(self, source, images, d):
+        gens = self.lattice.by_key[d.source].generators
+        if not gens:
+            total = self.G.order ** 2
+        else:
+            qpos = self.lattice.posmap[source]
+            ppos = self.lattice.posmap[d.source]
+            phi = tuple(d.images[ppos[g]] for g in gens)
+            total = 0
+            for conj_gens in self.xlist(d.source, source):
+                theta = tuple(images[qpos[c]] for c in conj_gens)
+                total += self.transporter_count(theta, phi)
+        assert total % len(source) == 0
+        return total // len(source)
+
+
+class TestMarksAgainstTransporterLoop:
+    """orbit_marks, every orbit's mark in one gather, equals the transporter
+    loop orbit by orbit."""
+
+    def test_ambient_orbits_at_every_representative(self, ambient_c2):
+        _, system, ctx, X = ambient_c2
+        ref = ReferenceMarks(system)
+        twists = [(rec.source, rec.images) for rec in X.orbits]
+        reps = [
+            rep
+            for _, members in ctx.classes(system.hom_set)
+            for rep in ctx.sxs_representatives(members)
+        ]
+        assert (len(twists), len(reps)) == (172, 239)
+        for rep in reps:
+            assert ctx.orbit_marks(twists, rep).tolist() == [ref.mark(q, g, rep) for q, g in twists]
+
+    def test_klein3_variants_at_every_diagonal(self, klein3):
+        G, system, ctx, X = klein3
+        ref = ReferenceMarks(system)
+        diags = [d for skey in system.lattice.keys for d in all_injective_homs(G, system.lattice, skey)]
+        for Y in klein3_variants(G, X):
+            twists = [(rec.source, rec.images) for rec in Y.orbits]
+            for d in diags:
+                assert ctx.orbit_marks(twists, d).tolist() == [ref.mark(q, g, d) for q, g in twists]
 
 
 class TestIdentityOrbitMark:
@@ -217,14 +293,14 @@ class TestIdentityOrbitMark:
         z = len(center(S))
         # every fusion automorphism of this S is inner, so the mark is |Z(S)|
         for alpha in system.aut(full):
-            assert ctx.mark_orbit(full, full, Diagonal(full, alpha.images)) == z
+            assert ctx.orbit_marks([(full, full)], Diagonal(full, alpha.images))[0] == z
 
     def test_outer_twists_get_mark_zero(self, klein3):
         G, system, ctx, _ = klein3
         full = (0, 1, 2, 3)
         for alpha in system.aut(full):
             expected = 4 if alpha.is_identity else 0
-            assert ctx.mark_orbit(full, full, Diagonal(full, alpha.images)) == expected
+            assert ctx.orbit_marks([(full, full)], Diagonal(full, alpha.images))[0] == expected
 
     def test_normalizer_index_of_identity_diagonal(self, klein3, ambient_c2):
         _, _, ctx_small, _ = klein3

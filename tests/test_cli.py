@@ -125,6 +125,31 @@ def test_verify_full_certificate(tmp_path, capsys, c2_cert):
     assert "verifies" in out
 
 
+@pytest.fixture(scope="module")
+def c2_payload(c2_cert):
+    return json.loads(c2_cert.to_json_bytes())
+
+
+@pytest.mark.parametrize(
+    "witness,reason",
+    [
+        ({"top": [1, 0], "base_runs": [[0, 1], 1]}, "base runs must be [value, count] pairs"),
+        ({"top": [True, 0], "base_runs": [[0, 2]]}, "top must be a list of integers in [0, 2)"),
+        ({"top": [1, 0], "base_runs": [[0, 2.0]]}, "base run counts must be positive integers summing to 2"),
+        ({"top": [1, 0], "base_runs": [[32, 2]]}, "base run values must be a list of integers in [0, 32)"),
+        ({"top": [1, 0], "base_runs": [[0, 0], [1, 2]]}, "base run counts must be positive integers summing to 2"),
+        ({"top": [1, 0], "base_runs": [[0, 3]]}, "base run counts must be positive integers summing to 2"),
+    ],
+    ids=["run_not_a_list", "bool_top", "float_count", "value_out_of_range", "count_below_1", "counts_not_summing"],
+)
+def test_verify_rejects_malformed_witness(c2_payload, tmp_path, witness, reason):
+    witnesses = [witness] + c2_payload["embedding"]["witnesses"][1:]
+    payload = dict(c2_payload, embedding=dict(c2_payload["embedding"], witnesses=witnesses))
+    code, out = _verify_payload(payload, tmp_path)
+    assert code == 1
+    assert "malformed witness: %s" % reason in out
+
+
 def test_oracle(tmp_path, capsys):
     gfile = tmp_path / "s4.txt"
     gfile.write_text("4\n(0 1)\n(0 1 2 3)\n")

@@ -12,18 +12,22 @@ from automizer.fusion import (
     FusionSystem,
     Morphism,
     SubgroupLattice,
-    all_injective_homs,
     generate,
 )
 from automizer.grouprep import (
     FiniteGroup,
+    InputGroupA,
+    _word_map,
     are_isomorphic,
     automorphisms_of,
+    build_S,
     catalog_group,
+    enumerate_subgroups,
     find_isomorphism,
+    injective_homs,
 )
 from automizer.permcore import PermGroup, Permutation, compose, parse_cycles
-from automizer.testkit import is_member
+from automizer.testkit import all_injective_homs, corpus, is_member
 
 
 # -- oracle machinery ----------------------------------------------------------
@@ -328,6 +332,78 @@ class TestSearchAgainstBruteForce:
                 for a in range(G.order):
                     for b in range(G.order):
                         assert iso[G.mul(a, b)] == H.mul(iso[a], iso[b])
+
+
+def reference_injective_homs(G, gens, H, targets):
+    """The recursive generator-image search that the array kernel replaced:
+    one candidate at a time, depth first, each full assignment extended along
+    the word map and checked on the pairs that are not a step of it.  Yields
+    maps on element indices in lexicographic order of the generator images."""
+    words = _word_map(G, gens)
+    steps = [(x, G.product(gens[gi] for gi in w[:-1]), w[-1]) for x, w in words.items() if w]
+    built = {(prefix, gi) for _, prefix, gi in steps}
+    checks = [
+        (x, G.mul(x, g), gi) for x in words for gi, g in enumerate(gens) if (x, gi) not in built
+    ]
+    by_order = {}
+    for y in targets:
+        by_order.setdefault(H.element_order(y), []).append(y)
+    gt, ht = G.table, H.table
+    images = []
+
+    def extend(k):
+        if k == len(gens):
+            table = {0: 0}
+            for x, prefix, gi in steps:
+                table[x] = ht[table[prefix]][images[gi]]
+            if len(set(table.values())) == len(table) and all(
+                table[xg] == ht[table[x]][images[gi]] for x, xg, gi in checks
+            ):
+                yield table
+            return
+        g = gens[k]
+        for cand in by_order.get(G.element_order(g), ()):
+            if all(
+                H.element_order(ht[images[i]][cand]) == G.element_order(gt[gens[i]][g])
+                for i in range(k)
+            ):
+                images.append(cand)
+                yield from extend(k + 1)
+                images.pop()
+
+    return extend(0)
+
+
+class TestKernelAgainstRecursiveSearch:
+    """The array kernel gives the rows of the recursive search, in the same
+    order, so find_isomorphism returns the same first map."""
+
+    @staticmethod
+    def assert_same_rows(G, subgroups):
+        for sub in subgroups:
+            gens = list(sub.generators)
+            expect = [[t[x] for x in sorted(t)] for t in reference_injective_homs(G, gens, G, range(G.order))]
+            assert injective_homs(G, gens, G, range(G.order)).tolist() == expect
+
+    def test_c2_ambient_subgroups(self):
+        S = build_S(InputGroupA.from_name("C2"))
+        subs = enumerate_subgroups(S)
+        assert len(subs) == 106
+        self.assert_same_rows(S, subs)
+
+    @pytest.mark.parametrize("name", TestSearchAgainstBruteForce.NAMES)
+    def test_brute_force_groups(self, name):
+        G = catalog_group(name)
+        self.assert_same_rows(G, G.all_subgroups())
+
+    @pytest.mark.parametrize("pair", corpus(), ids=lambda p: p.name)
+    def test_first_isomorphism(self, pair):
+        # the same group with its non-identity labels reversed
+        G, _ = FiniteGroup.from_permutations(pair.subgroup_generators())
+        r = [0] + list(range(G.order - 1, 0, -1))
+        H = FiniteGroup([[r[G.mul(r[a], r[b])] for b in range(G.order)] for a in range(G.order)])
+        expect = next(reference_injective_homs(G, G.minimal_generators(), H, range(H.order)))
+        assert find_isomorphism(G, H) == expect
 
 
 class TestPayload:

@@ -452,6 +452,28 @@ class TestAmbientEmbedding:
             g = pe.witness(gen)
             assert pe.check_witness(gen, g)
 
+    def test_check_witness_rejects_one_edit(self, ambient_pe):
+        """One base entry changed, or two top entries swapped, is no longer a
+        witness by the product check g iota(u) g^-1 = iota(phi(u)), and the
+        array check rejects it too."""
+        S, system, X, pe = ambient_pe
+
+        def product_check(phi, g):
+            gi = g.inverse()
+            return all(g * pe.iota(u) * gi == pe.iota(fu) for u, fu in zip(phi.source, phi.images))
+
+        for gen in [gen for gen in system.generators if not gen.is_identity][:6]:
+            g = pe.witness(gen)
+            # the first slot that iota(phi(u)) moves, for the last u
+            k = int(np.flatnonzero(pe.tops[gen.images[-1]] != np.arange(pe.n))[0])
+            base = g.base.copy()
+            base[k] = S.mul(1, base[k])
+            top = g.top.copy()
+            top[[k, k + 1]] = top[[k + 1, k]]
+            for edited in (WreathElement(S, base, g.top), WreathElement(S, g.base, top)):
+                assert not product_check(gen, edited)
+                assert not pe.check_witness(gen, edited)
+
     def test_all_witnesses(self, ambient_pe):
         S, system, X, pe = ambient_pe
         ok, rep = verify_all_witnesses(pe)
