@@ -10,10 +10,6 @@ restrictions of the full-source atoms and then left-composing stored
 morphisms with full-source atoms only; right factors never need restricting
 because a restricted composite is the composite of the restricted right
 factor, which is itself in the store.
-
-Every stored morphism carries provenance: either it is the restriction of a
-single atom, or it is atom-compose-parent.  Downstream code unwinds this to
-synthesize conjugation witnesses multiplicatively.
 """
 
 from __future__ import annotations
@@ -37,12 +33,6 @@ class Morphism(NamedTuple):
     @property
     def is_identity(self) -> bool:
         return self.source == self.images
-
-
-# provenance tags
-INNER = "inner"      # ("inner", s)            restriction of conjugation by s
-ATOM = "atom"        # ("atom", atom_id)       restriction of a generator atom
-COMPOSE = "compose"  # ("compose", atom_id, parent_images)
 
 
 class SubgroupLattice:
@@ -97,10 +87,8 @@ class FusionSystem:
         self.lattice = lattice
         self.ambient = lattice.ambient
         self.generators = list(generators)
-        self.atoms: list[Morphism] = []
-        self.atom_provenance: list[tuple] = []
-        # store[source_key][images] = provenance
-        self.store: dict[tuple[int, ...], dict[tuple[int, ...], tuple]] = {}
+        # store[source_key] = the image tuples of the hom set
+        self.store: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
         self._restriction_sets: dict[tuple, set] = {}
         self._homsets: dict[tuple, list[Morphism]] = {}
         self._build()
@@ -108,69 +96,53 @@ class FusionSystem:
     # -- construction ---------------------------------------------------------
 
     def _build(self) -> None:
-        G = self.ambient
-        full = tuple(range(G.order))
+        full = tuple(range(self.ambient.order))
         if full not in self.lattice.by_key:
             raise ValueError("lattice must contain the full group")
 
-        seen_atoms: dict[tuple, int] = {}
-        for s in range(G.order):
-            images = tuple(G.conj(s, x) for x in full)
-            if (full, images) not in seen_atoms:
-                seen_atoms[(full, images)] = len(self.atoms)
-                self.atoms.append(Morphism(full, images))
-                self.atom_provenance.append((INNER, s))
-        self._n_inner = len(self.atoms)
-
-        for gi, gen in enumerate(self.generators):
+        inner = [m.images for m in self.aut_S(full)]
+        # the atoms, deduplicated in order: inner maps, then each generator
+        # and its inverse
+        atoms = dict.fromkeys(Morphism(full, images) for images in inner)
+        for gen in self.generators:
             self._check_generator(gen)
-            inv = _invert(gen)
-            for m, tag in ((gen, ("gen", gi, False)), (inv, ("gen", gi, True))):
-                key = (m.source, m.images)
-                if key not in seen_atoms:
-                    seen_atoms[key] = len(self.atoms)
-                    self.atoms.append(m)
-                    self.atom_provenance.append(tag)
+            atoms.update(dict.fromkeys((gen, _invert(gen))))
 
         # seeds: every restriction of every atom
         queue: deque[Morphism] = deque()
-        for aid, atom in enumerate(self.atoms):
+        for atom in atoms:
             amap = self.lattice.posmap[atom.source]
             for pkey in self.lattice.subkeys_of(atom.source):
                 images = tuple(atom.images[amap[x]] for x in pkey)
-                if self._add(pkey, images, (ATOM, aid)):
+                if self._add(pkey, images):
                     queue.append(Morphism(pkey, images))
 
         # closure: left-compose with full atoms
-        inner = self.atoms[: self._n_inner]
         gen_atoms = [
-            (aid, atom, self.lattice._fsets[atom.source])
-            for aid, atom in enumerate(self.atoms)
-            if aid >= self._n_inner
+            (atom, self.lattice._fsets[atom.source]) for atom in list(atoms)[len(inner):]
         ]
-        max_gen_source = max((len(a.source) for _, a, _ in gen_atoms), default=0)
+        max_gen_source = max((len(a.source) for a, _ in gen_atoms), default=0)
         while queue:
             m = queue.popleft()
             skey = m.source
-            for aid in range(self._n_inner):
-                atom = inner[aid]
-                images = tuple(atom.images[x] for x in m.images)
-                if self._add(skey, images, (COMPOSE, aid, m.images)):
+            for conj in inner:
+                images = tuple(conj[x] for x in m.images)
+                if self._add(skey, images):
                     queue.append(Morphism(skey, images))
             if len(m.source) <= max_gen_source:
                 iset = frozenset(m.images)
-                for aid, atom, src_set in gen_atoms:
+                for atom, src_set in gen_atoms:
                     if len(iset) <= len(src_set) and iset <= src_set:
                         amap = self.lattice.posmap[atom.source]
                         images = tuple(atom.images[amap[x]] for x in m.images)
-                        if self._add(skey, images, (COMPOSE, aid, m.images)):
+                        if self._add(skey, images):
                             queue.append(Morphism(skey, images))
 
-    def _add(self, source_key, images, provenance) -> bool:
-        bucket = self.store.setdefault(source_key, {})
+    def _add(self, source_key, images) -> bool:
+        bucket = self.store.setdefault(source_key, set())
         if images in bucket:
             return False
-        bucket[images] = provenance
+        bucket.add(images)
         return True
 
     def _check_generator(self, m: Morphism) -> None:
@@ -187,7 +159,8 @@ class FusionSystem:
                     raise ValueError("generator source is not closed")
                 if m.images[pos[ab]] != G.mul(m.images[pos[a]], m.images[pos[b]]):
                     raise ValueError("generator is not a homomorphism")
-        tuple(sorted(m.images)) in self.lattice.by_key or _raise_image(m)
+        if tuple(sorted(m.images)) not in self.lattice.by_key:
+            raise ValueError("generator image is not an enumerated subgroup")
 
     # -- morphism arithmetic ----------------------------------------------------
 
@@ -200,7 +173,7 @@ class FusionSystem:
     def hom_set(self, source_key) -> list[Morphism]:
         cached = self._homsets.get(source_key)
         if cached is None:
-            bucket = self.store.get(source_key, {})
+            bucket = self.store.get(source_key, ())
             cached = [Morphism(source_key, images) for images in sorted(bucket)]
             self._homsets[source_key] = cached
         return cached
@@ -224,7 +197,7 @@ class FusionSystem:
         return out
 
     def contains(self, m: Morphism) -> bool:
-        return m.images in self.store.get(m.source, {})
+        return m.images in self.store.get(m.source, ())
 
     def aut_group_table(self, source_key) -> tuple[FiniteGroup, list[Morphism]]:
         """Aut_F(P) as a table group (identity at index 0) plus element list."""
@@ -244,16 +217,16 @@ class FusionSystem:
         ordered by least member, and the identity's class first."""
         if source_key is None:
             source_key = tuple(range(self.ambient.order))
-        auts = self.aut(source_key)
-        inner_images = {self.atoms[aid].images for aid in range(self._n_inner)}
+        pos = self.lattice.posmap[source_key]
+        inner_images = [m.images for m in self.aut_S(source_key)]
         classes: list[list[Morphism]] = []
         assigned: dict[tuple, int] = {}
-        for m in auts:
+        for m in self.aut(source_key):
             if m.images in assigned:
                 continue
             cls = []
-            for inner in sorted(inner_images):
-                images = tuple(inner[x] for x in m.images)
+            for inner in inner_images:
+                images = tuple(inner[pos[x]] for x in m.images)
                 if images not in assigned:
                     assigned[images] = len(classes)
                     cls.append(Morphism(source_key, images))
@@ -371,10 +344,6 @@ class FusionSystem:
 def _invert(m: Morphism) -> Morphism:
     pairs = sorted(zip(m.images, m.source))
     return Morphism(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
-
-
-def _raise_image(m: Morphism):
-    raise ValueError("generator image is not an enumerated subgroup")
 
 
 def generate(

@@ -158,6 +158,7 @@ class ParkEmbedding:
                 self.bases[:, offset : offset + tab.n_slots] = tab.kap
                 offset += tab.n_slots
         self._canon: dict[tuple, dict] = {}
+        self._s_moves = [(0, g) for g in G.minimal_generators()]
 
     # -- the embedding ----------------------------------------------------------
 
@@ -225,7 +226,7 @@ class ParkEmbedding:
             return hit
         G = self.G
         sub = self.system.lattice.by_key[skey]
-        moves = [(g, 0) for g in sub.generators] + [(0, g) for g in G.minimal_generators()]
+        moves = [(g, 0) for g in sub.generators] + self._s_moves
         conj = diagonal_orbit(G, d, moves)
         rep = min(conj)
         p_r, s_r = conj[rep]

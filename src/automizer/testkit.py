@@ -8,6 +8,7 @@ distinguished subgroups, the codec inverse, the center, chain membership and
 free-orbit padding that only the tests and scripts build on live here too."""
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -15,12 +16,10 @@ import numpy as np
 
 from .biset import Diagonal, DiagonalContext, OrbitRecord, SemicharacteristicBiset
 from .fusion import (
-    ATOM,
-    COMPOSE,
-    INNER,
     FusionSystem,
     Morphism,
     SubgroupLattice,
+    _invert,
     generate,
     injective_images,
 )
@@ -108,7 +107,7 @@ def append_free_orbits(X: SemicharacteristicBiset, G_order: int, count: int = 1)
     return SemicharacteristicBiset(orbits, X.m, X.n + count * G_order)
 
 
-# -- wreath elements as permutations, witnesses along provenance ---------------------
+# -- wreath elements as permutations, witnesses by a reference closure -------------
 
 
 def base_only(group: FiniteGroup, n: int, entries: dict[int, int]) -> WreathElement:
@@ -139,69 +138,67 @@ def to_permutation(a: WreathElement, max_degree: int = 10 ** 5) -> Permutation:
     return Permutation(tuple(int(i) for i in images))
 
 
-def _atom_witness(pe: ParkEmbedding, aid: int, cache: dict) -> WreathElement:
-    key = ("atom", aid)
-    cached = cache.get(key)
-    if cached is not None:
-        return cached
-    prov = pe.system.atom_provenance[aid]
-    if prov[0] == INNER:
-        el = pe.iota(prov[1])
-    elif prov[2]:
-        gen = pe.system.generators[prov[1]]
-        forward = next(
-            i
-            for i, a in enumerate(pe.system.atoms)
-            if a.source == gen.source and a.images == gen.images
-        )
-        el = _atom_witness(pe, forward, cache).inverse()
-    else:
-        el = pe.witness(pe.system.atoms[aid])
-    cache[key] = el
-    return el
+def witnessed_closure(pe: ParkEmbedding) -> dict:
+    """The fusion closure of the system's atoms, recomputed with a wreath
+    witness carried by every morphism: iota(s) for conjugation by s, the
+    Park witness for a generator and its inverse for the inverse, the same
+    witness for a restriction, and the product for a composite.  Restrictions
+    of the atoms seed a worklist that left-composes with every atom; a
+    generator's witness is built when the closure first needs it.  Returns
+    {source: {images: witness}}."""
+    system = pe.system
+    G, lat = system.ambient, system.lattice
+    full = tuple(range(G.order))
+    make: dict = {}
+    for s in range(G.order):
+        make.setdefault(Morphism(full, tuple(G.conj(s, x) for x in full)), lambda s=s: pe.iota(s))
+    for gen in system.generators:
+        make.setdefault(gen, lambda gen=gen: pe.witness(gen))
+        make.setdefault(_invert(gen), lambda gen=gen: atom_witness(gen).inverse())
+    built: dict = {}
 
+    def atom_witness(atom: Morphism) -> WreathElement:
+        if atom not in built:
+            built[atom] = make[atom]()
+        return built[atom]
 
-def witness_from_provenance(pe: ParkEmbedding, source: tuple, images: tuple, cache: dict) -> WreathElement:
-    """Witness assembled along the morphism's construction chain: the
-    witness of a restriction is the witness of the restricted atom, and
-    composition multiplies witnesses.  The cache holds atom witnesses and
-    assembled ones across calls."""
-    cached = cache.get((source, images))
-    if cached is not None:
-        return cached
-    chain = []
-    cur = images
-    while True:
-        prov = pe.system.store[source][cur]
-        if prov[0] == ATOM:
-            el = _atom_witness(pe, prov[1], cache)
-            break
-        if prov[0] != COMPOSE:
-            raise ValueError("unknown provenance %r" % (prov,))
-        chain.append(_atom_witness(pe, prov[1], cache))
-        hit = cache.get((source, prov[2]))
-        if hit is not None:
-            el = hit
-            break
-        cur = prov[2]
-    for aw in reversed(chain):
-        el = aw * el
-    cache[(source, images)] = el
-    return el
+    closed: dict = {}
+    queue: deque = deque()
+
+    def add(source, images, atom, parent=None) -> None:
+        bucket = closed.setdefault(source, {})
+        if images not in bucket:
+            w = atom_witness(atom)
+            bucket[images] = w if parent is None else w * bucket[parent]
+            queue.append((source, images))
+
+    for atom in make:
+        pos = lat.posmap[atom.source]
+        for pkey in lat.subkeys_of(atom.source):
+            add(pkey, tuple(atom.images[pos[x]] for x in pkey), atom)
+    while queue:
+        source, images = queue.popleft()
+        iset = set(images)
+        for atom in make:
+            if iset <= lat._fsets[atom.source]:
+                pos = lat.posmap[atom.source]
+                add(source, tuple(atom.images[pos[x]] for x in images), atom, images)
+    return closed
 
 
 def verify_all_witnesses(pe: ParkEmbedding) -> tuple[bool, dict]:
-    """Build a witness for every stored morphism along provenance and check
-    the conjugation identity elementwise."""
-    cache: dict = {}
+    """Recompute the closure in witnessed_closure: its hom sets must equal the
+    system's store, and every witness must pass the conjugation identity
+    elementwise."""
+    closed = witnessed_closure(pe)
+    same = {source: set(bucket) for source, bucket in closed.items()} == pe.system.store
     checked = 0
-    for source, bucket in pe.system.store.items():
-        for images in bucket:
-            g = witness_from_provenance(pe, source, images, cache)
+    for source, bucket in closed.items():
+        for images, g in bucket.items():
             if not pe.check_witness(Morphism(source, images), g):
-                return False, {"failed": (source, images), "checked": checked}
+                return False, {"failed": (source, images), "checked": checked, "same_hom_sets": same}
             checked += 1
-    return True, {"checked": checked}
+    return same, {"checked": checked, "same_hom_sets": same}
 
 
 def is_member(group: PermGroup, p: Permutation) -> bool:

@@ -106,10 +106,6 @@ def invert(m):
     return Morphism(*zip(*sorted(zip(m.images, m.source))))
 
 
-def store_as_sets(system):
-    return {k: set(v) for k, v in system.store.items() if v}
-
-
 SURROGATES = {
     "s4_d8": (["(0 1)", "(0 1 2 3)"], ["(0 1 2 3)", "(0 2)"], 4),
     "s4_v4": (["(0 1)", "(0 1 2 3)"], ["(0 1)(2 3)", "(0 2)(1 3)"], 4),
@@ -125,7 +121,7 @@ class TestSurrogateEquivalence:
         g0_gens, s0_gens, degree = SURROGATES[name]
         ambient, subs, atoms, brute = build_surrogate(g0_gens, s0_gens, degree)
         system = generate(ambient, subs, atoms)
-        assert store_as_sets(system) == brute
+        assert system.store == brute
 
     def test_a4_v4_has_order_3_fusion(self):
         ambient, subs, atoms, _ = build_surrogate(*SURROGATES["a4_v4"])
@@ -150,7 +146,7 @@ class TestInnerFusion:
         system = generate(G, G.all_subgroups(), [])
         for skey in system.lattice.keys:
             brute = {tuple(G.conj(s, x) for x in skey) for s in range(8)}
-            assert set(system.store[skey]) == brute
+            assert system.store[skey] == brute
 
     def test_focal_of_inner_is_derived(self):
         for name in ["D8", "Q8", "S4"]:
@@ -174,14 +170,40 @@ def s4_d8():
 
 
 @pytest.fixture(scope="module")
+def s4_klein_c3():
+    """S4 with one order-3 automorphism of a non-normal Klein four.  The
+    generator family is not closed under S-conjugation, so c_s composed with
+    the generator is reached only by the inner left-composition step."""
+    G = catalog_group("S4")
+    subs = G.all_subgroups()
+    klein = next(
+        h for h in subs
+        if h.order == 4 and all(G.element_order(x) <= 2 for x in h.elements)
+        and G.normalizer(h).order < G.order
+    )
+    a, b, c = klein.elements[1:]
+    return G, generate(G, subs, [Morphism(klein.elements, (0, b, c, a))])
+
+
+@pytest.fixture(scope="module")
 def small_system():
     ambient, subs, atoms, _ = build_surrogate(*SURROGATES["a4_v4"])
     return generate(ambient, subs, atoms)
 
 
 class TestStoreLaws:
-    def test_all_stored_are_injective_homs(self, s4_d8):
-        G, system = s4_d8
+    STORED = 28
+
+    @pytest.fixture
+    def law_system(self, s4_d8):
+        return s4_d8
+
+    def test_stored_count(self, law_system):
+        _, system = law_system
+        assert sum(len(bucket) for bucket in system.store.values()) == self.STORED
+
+    def test_all_stored_are_injective_homs(self, law_system):
+        G, system = law_system
         for skey, bucket in system.store.items():
             pos = system.lattice.posmap[skey]
             for images in bucket:
@@ -190,44 +212,55 @@ class TestStoreLaws:
                     for b in skey:
                         assert images[pos[G.mul(a, b)]] == G.mul(images[pos[a]], images[pos[b]])
 
-    def test_restriction_closed(self, s4_d8):
-        _, system = s4_d8
+    def test_restriction_closed(self, law_system):
+        _, system = law_system
         for skey in system.lattice.keys:
             for m in system.hom_set(skey):
                 for subkey in system.lattice.subkeys_of(skey):
                     assert system.contains(restrict(system, m, subkey))
 
-    def test_composition_closed(self, s4_d8):
-        _, system = s4_d8
+    def test_composition_closed(self, law_system):
+        _, system = law_system
         morphs = [m for k in system.lattice.keys for m in system.hom_set(k)]
         for m in morphs:
             ikey = tuple(sorted(m.images))
             for g in system.hom_set(ikey):
                 assert system.contains(system.compose(g, m))
 
-    def test_inverse_closed(self, s4_d8):
-        _, system = s4_d8
+    def test_inverse_closed(self, law_system):
+        _, system = law_system
         for skey in system.lattice.keys:
             for m in system.hom_set(skey):
                 assert system.contains(invert(m))
 
-    def test_inclusions_present(self, s4_d8):
-        _, system = s4_d8
+    def test_inclusions_present(self, law_system):
+        _, system = law_system
         for skey in system.lattice.keys:
             assert system.contains(Morphism(skey, skey))
 
-    def test_hom_from_trivial_is_singleton(self, s4_d8):
-        _, system = s4_d8
+    def test_hom_from_trivial_is_singleton(self, law_system):
+        _, system = law_system
         assert system.hom_set((0,)) == [Morphism((0,), (0,))]
 
-    def test_closure_idempotent(self, s4_d8):
-        ambient, system = s4_d8
+    def test_closure_idempotent(self, law_system):
+        ambient, system = law_system
         regenerated = generate(
             ambient,
             system.lattice.subgroups,
             [m for k in system.lattice.keys for m in system.hom_set(k)],
         )
-        assert store_as_sets(regenerated) == store_as_sets(system)
+        assert regenerated.store == system.store
+
+
+class TestStoreLawsKleinC3(TestStoreLaws):
+    """The same laws on a system whose closure needs inner maps composed on
+    the left of a generator."""
+
+    STORED = 372
+
+    @pytest.fixture
+    def law_system(self, s4_klein_c3):
+        return s4_klein_c3
 
 
 class TestExtendability:

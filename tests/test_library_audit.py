@@ -5,6 +5,8 @@ belong in testkit.  Every attribute the library stores on self is read on
 some line of the library, the scripts, testkit or the tests."""
 
 import ast
+import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -80,3 +82,23 @@ def unread_attributes() -> list[str]:
 
 def test_every_stored_attribute_is_read():
     assert unread_attributes() == []
+
+
+def test_benchmark_patch_points_resolve():
+    """Every name the benchmark's tracer wraps still exists: a renamed
+    function or method would otherwise leave its span silently empty."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        "%s.%s" % (module, name)
+        for module, name, _ in tracing.FUNCTION_PATCH_POINTS
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    missing += [
+        "%s.%s.%s" % (module, cls, attr)
+        for module, cls, attr, _ in tracing.METHOD_PATCH_POINTS
+        if attr not in vars(getattr(importlib.import_module(module), cls))
+    ]
+    assert tracing.FUNCTION_PATCH_POINTS and tracing.METHOD_PATCH_POINTS
+    assert missing == []
