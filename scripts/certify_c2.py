@@ -1,7 +1,7 @@
 """Run the full realization pipeline for a small input group, save the
 certificate, and re-verify it from the file alone.  Prints wall and CPU
-seconds for both passes, the certificate's size and SHA-256, and the peak
-RSS of the process.
+seconds for both passes, the CPU seconds of the certificate write, the
+certificate's size and SHA-256, and the peak RSS of the process.
 
 The default input C2 is the smallest nontrivial case and the one whose
 numbers are pinned throughout the test suite: ambient order 32, 172 biset
@@ -33,10 +33,14 @@ def main() -> int:
     t0, c0 = time.perf_counter(), time.process_time()
     cert = run_pipeline(A)
     t_run, c_run = time.perf_counter() - t0, time.process_time() - c0
-    cert.save(args.out)
+    c0 = time.process_time()
     data = cert.to_json_bytes()
+    with open(args.out, "wb") as fh:
+        fh.write(data)
+    c_write = time.process_time() - c0
 
     print("pipeline: %.1fs wall, %.1fs CPU" % (t_run, c_run))
+    print("certificate write: %.2fs CPU" % c_write)
     print("ambient order %d, exponent %d, rank %d" % (
         cert.ambient["order"], cert.ambient["exponent"], cert.ambient["rank"]))
     print("fusion generators: %d" % len(cert.fusion_generators))

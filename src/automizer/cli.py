@@ -74,7 +74,11 @@ def cmd_realize(args, out) -> int:
     except ScaleError as exc:
         print("scale rejection: %s" % exc, file=out)
         return EXIT_SCALE
-    cert.save(args.out)
+    try:
+        cert.save(args.out)
+    except OSError as exc:
+        print("cannot write certificate: %s" % exc, file=out)
+        return EXIT_FAILED
     _print_summary(cert, out)
     print("certificate written to %s" % args.out, file=out)
     return EXIT_OK if cert.accepted else EXIT_FAILED

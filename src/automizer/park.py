@@ -158,6 +158,8 @@ class ParkEmbedding:
                 self.bases[:, offset : offset + tab.n_slots] = tab.kap
                 offset += tab.n_slots
         self._canon: dict[tuple, dict] = {}
+        self._last_diagonals: tuple = (None, None)
+        self._last_plain: tuple = (None, None)
         self._s_moves = [(0, g) for g in G.minimal_generators()]
 
     # -- the embedding ----------------------------------------------------------
@@ -182,40 +184,70 @@ class ParkEmbedding:
 
     # -- witnesses --------------------------------------------------------------
 
-    def _orbits(self, skey: tuple, acts, ids: dict) -> tuple:
+    def _diagonals(self, qkey: tuple) -> tuple:
+        """The slot orbits of the subgroup Q = qkey, which depend on the set Q
+        alone: per slot the least point j0 of its orbit; the orbits' least
+        points, starts; per start the label of its class, classes numbered in
+        first-met order; and per class the stabilizer diagonal as a row over
+        qkey, the base iota(q) applies at the start where q fixes it and -1
+        elsewhere.  Only the last subgroup's are kept: the generators of one
+        source come in a row."""
+        if self._last_diagonals[0] != qkey:
+            T = self.tops[list(qkey)]
+            B = self.bases[list(qkey)]
+            slots = np.arange(self.n)
+            j0 = T.min(axis=0)
+            starts = np.flatnonzero(j0 == slots)
+            cols = np.where(T[:, starts] == starts, B[:, starts], -1).T
+            # equal rows by a stable lexsort: the first row of each run of
+            # equal rows is the least start with that diagonal
+            order = np.lexsort(cols.T)
+            run = np.ones(len(order), dtype=bool)
+            run[1:] = (cols[order[1:]] != cols[order[:-1]]).any(axis=1)
+            least = np.empty_like(order)
+            least[order] = order[run][np.cumsum(run) - 1]
+            met, label = np.unique(least, return_inverse=True)
+            self._last_diagonals = (qkey, (j0, starts, label, cols[met]))
+        return self._last_diagonals[1]
+
+    def _classes(self, skey: tuple, acts, ids: dict) -> tuple:
         """Slot orbits of P = skey acting through acts (aligned with skey).
-        Per slot: the least point of its orbit, and a transversal, the least
-        index i with acts[i] moving that point onto the slot.  Per orbit: its
-        least point, the id in ids of the _canonical class of its stabilizer
-        diagonal, and the pair conjugating the diagonal onto the class
-        representative."""
-        T = self.tops[list(acts)]
-        B = self.bases[list(acts)]
-        slots = np.arange(self.n)
-        j0 = T.min(axis=0)
-        trans = (T[:, j0] == slots).argmax(axis=0)
-        starts = np.flatnonzero(j0 == slots)
-        cols = np.where(T[:, starts] == starts, B[:, starts], -1).T
-        # distinct diagonals by a stable lexsort of the rows: the first row
-        # of each run of equal rows is the least row with that diagonal
-        order = np.lexsort(cols.T)
-        run = np.ones(len(order), dtype=bool)
-        run[1:] = (cols[order[1:]] != cols[order[:-1]]).any(axis=1)
-        first = order[run]
-        distinct = cols[first]
-        label = np.empty_like(order)
-        label[order] = np.cumsum(run) - 1
+        They are the orbits of the set Q of acts, so they come from
+        _diagonals(Q), with each diagonal's columns moved from Q's order to
+        the order of acts.  Returns j0 and starts as there, and per start the
+        id in ids of the _canonical class of its stabilizer diagonal and the
+        pair conjugating the diagonal onto the class representative."""
+        qkey = tuple(sorted(acts))
+        j0, starts, label, rows = self._diagonals(qkey)
+        rows = rows[:, np.searchsorted(qkey, acts)]
         source = np.asarray(skey)
-        cls = np.empty(len(distinct), dtype=np.intp)
-        conj = np.empty((len(distinct), 2), dtype=np.intp)
+        cls = np.empty(len(rows), dtype=np.intp)
+        conj = np.empty((len(rows), 2), dtype=np.intp)
         # first-met order: the cache keeps the conjugators of the first
         # diagonal queried in each class, and those fix the witness bases
-        for c in np.argsort(first):
-            keep = distinct[c] >= 0
-            d = Morphism(tuple(source[keep].tolist()), tuple(distinct[c][keep].tolist()))
+        for c, row in enumerate(rows):
+            keep = row >= 0
+            d = Morphism(tuple(source[keep].tolist()), tuple(row[keep].tolist()))
             rep, conj[c] = self._canonical(skey, d)
             cls[c] = ids.setdefault(rep, len(ids))
-        return j0, trans, starts, cls[label], conj[label]
+        return j0, starts, cls[label], conj[label]
+
+    def _plain_side(self, skey: tuple) -> tuple:
+        """The plain restriction to P = skey.  Per slot k: its orbit o, the
+        transversal p_k, the least element of P moving the orbit's least
+        point onto k, and kappa_k, the base of iota(p_k) at k.  Per orbit:
+        its class id and conjugating pair, as in _classes.  And a copy of the
+        class ids met so far.  Only the last source's are kept."""
+        if self._last_plain[0] != skey:
+            ids: dict[Morphism, int] = {}
+            j0, starts, cls, conj = self._classes(skey, skey, ids)
+            slots = np.arange(self.n)
+            trans = (self.tops[list(skey)][:, j0] == slots).argmax(axis=0)
+            p_k = np.asarray(skey)[trans]
+            o = np.searchsorted(starts, j0)
+            self._last_plain = (skey, (o, p_k, self.bases[p_k, slots], cls, conj, ids))
+        o, p_k, kap_k, cls, conj, ids = self._last_plain[1]
+        return o, p_k, kap_k, cls, conj, dict(ids)
 
     def _canonical(self, skey: tuple, d: Morphism) -> tuple[Morphism, tuple[int, int]]:
         """The least P x S conjugate of the stabilizer diagonal d, plus a pair
@@ -242,9 +274,8 @@ class ParkEmbedding:
         skey = phi.source
         phi_map = np.zeros(self.G.order, dtype=np.int32)
         phi_map[list(skey)] = phi.images
-        ids: dict[Morphism, int] = {}
-        j0, trans, starts1, cls1, conj1 = self._orbits(skey, skey, ids)
-        _, _, starts2, cls2, conj2 = self._orbits(skey, phi.images, ids)
+        o, p_k, kap_k, cls1, conj1, ids = self._plain_side(skey)
+        _, starts2, cls2, conj2 = self._classes(skey, phi.images, ids)
         if not np.array_equal(np.sort(cls1), np.sort(cls2)):
             raise RuntimeError(
                 "stabilizer classes of the plain and twisted restrictions differ; "
@@ -254,11 +285,6 @@ class ParkEmbedding:
         partner[np.argsort(cls1, kind="stable")] = np.argsort(cls2, kind="stable")
         (p1, s1), (p2, s2) = conj1.T, conj2[partner].T
         p0, s0 = mul[inv[p1], p2], mul[inv[s1], s2]
-        # per slot k: its orbit o, transversal p_k and kappa_k = base of iota(p_k) at k
-        o = np.searchsorted(starts1, j0)
-        p_k = np.asarray(skey)[trans]
-        slots = np.arange(self.n)
-        kap_k = self.bases[p_k, slots]
         w = phi_map[mul[p_k, p0[o]]]
         j_t = self.tops[w, starts2[partner][o]]
         base = np.zeros(self.n, dtype=np.int32)

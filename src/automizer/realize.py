@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional, Sequence, Union
@@ -370,13 +371,17 @@ def verify_main(
 # -- certificate -----------------------------------------------------------------------
 
 
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The value and the length of each maximal run of equal entries, in order."""
+    if not values.size:
+        return values, values
+    starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
+    return values[starts], np.diff(np.r_[starts, values.size])
+
+
 def _run_length(values: np.ndarray) -> list[list[int]]:
     """[value, count] for each maximal run of equal entries, in order."""
-    if not values.size:
-        return []
-    starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
-    counts = np.diff(np.r_[starts, values.size])
-    return np.column_stack((values[starts], counts)).tolist()
+    return np.column_stack(_runs(values)).tolist()
 
 
 def _indices(values, bound: int, what: str) -> np.ndarray:
@@ -469,9 +474,30 @@ class Certificate:
         return cert
 
     def to_json_bytes(self) -> bytes:
-        return (
-            json.dumps(self.to_payload(), sort_keys=True, separators=(",", ":")) + "\n"
-        ).encode("ascii")
+        """The canonical text: sorted keys, no spaces, one closing newline.
+        json.dumps writes a hole for each built witness, and the witness
+        text, joined from its arrays, fills it."""
+        payload = self.to_payload()
+        built: list[_BuiltWitness] = []
+
+        def hole(value):
+            if not isinstance(value, _BuiltWitness):
+                raise TypeError("%s is not JSON serializable" % type(value).__name__)
+            built.append(value)
+            return _HOLE
+
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=hole)
+        if built:
+            pieces = text.split(json.dumps(_HOLE))
+            if len(pieces) == len(built) + 1:
+                bound = max(max(w.element.n, w.element.group.order) for w in built) + 1
+                digits = np.array([str(i) for i in range(bound)], dtype=object)
+                texts = [_wreath_text(w.element, digits) for w in built]
+                text = "".join(t for pair in zip(pieces, texts) for t in pair) + pieces[-1]
+            else:
+                # another string of the payload reads like a hole
+                text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=dict)
+        return (text + "\n").encode("ascii")
 
     @classmethod
     def from_json_bytes(cls, data: bytes) -> "Certificate":
@@ -518,6 +544,42 @@ def _wreath_payload(el: WreathElement) -> dict:
     }
 
 
+def _wreath_text(el: WreathElement, digits: np.ndarray) -> str:
+    """json.dumps(_wreath_payload(el), sort_keys=True, separators=(",", ":")),
+    joined straight from the arrays: digits[i] is str(i), for every i up to
+    the degree and the group order."""
+    values, counts = _runs(el.base)
+    runs = "],[".join(map(",".join, zip(digits[values].tolist(), digits[counts].tolist())))
+    return '{"base_runs":[%s],"top":[%s]}' % (
+        "[%s]" % runs if values.size else "",
+        ",".join(digits[el.top].tolist()),
+    )
+
+
+# json.dumps writes this string where a built witness goes
+_HOLE = "\0"
+
+
+class _BuiltWitness(Mapping):
+    """A witness the pipeline built, read as its payload: the lists are made
+    only when asked for, and Certificate.to_json_bytes writes its text from
+    the arrays."""
+
+    __slots__ = ("element",)
+
+    def __init__(self, element: WreathElement):
+        self.element = element
+
+    def __getitem__(self, key):
+        return _wreath_payload(self.element)[key]
+
+    def __iter__(self):
+        return iter(("base_runs", "top"))
+
+    def __len__(self) -> int:
+        return 2
+
+
 def _wreath_from_payload(group: FiniteGroup, payload: dict) -> WreathElement:
     top = _indices(payload["top"], len(payload["top"]), "top")
     base = _run_length_decode(payload["base_runs"], len(top), group.order)
@@ -544,7 +606,7 @@ class _Built:
 
     def witnesses(self, pe, generators):
         elements = [pe.witness(g) for g in generators]
-        return elements, [_wreath_payload(w) for w in elements]
+        return elements, list(map(_BuiltWitness, elements))
 
     def prime(self, a_order):
         return bertrand_prime(a_order)

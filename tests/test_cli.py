@@ -43,6 +43,14 @@ def test_realize_unknown_group(tmp_path, capsys):
     assert "bad input group" in out
 
 
+def test_realize_unwritable_out(tmp_path, capsys):
+    out_path = str(tmp_path / "missing" / "trivial.json")
+    code, out = run_cli(["realize", "--group", "1", "--out", out_path], capsys)
+    assert code == 1
+    assert out.startswith("cannot write certificate: ")
+    assert "No such file or directory" in out
+
+
 def test_verify_round_trip(tmp_path, capsys):
     out_path = str(tmp_path / "trivial.json")
     assert main(["realize", "--group", "1", "--out", out_path]) == 0

@@ -5,6 +5,7 @@ acts on slot-times-group points, so wreath arithmetic, the embedding, witness
 conjugation, and the derived-subgroup membership formula can all be checked
 against plain permutation groups at small degree."""
 
+import itertools
 from collections import deque
 
 import numpy as np
@@ -421,6 +422,27 @@ class TestWitnessReference:
                 checked += 1
         assert checked == sum(len(b) for b in system.store.values())
         assert pe.n > 1 and any(len(bucket) > 1 for bucket in system.store.values())
+
+
+class TestWitnessMemo:
+    def test_round_robin_sources_give_pipeline_bytes(self, ambient_pe):
+        """The embedding keeps only the last subgroup's slot orbits and the
+        last source's plain side; taking the sources in turn recomputes them,
+        and the witnesses must not change."""
+        S, system, X, _ = ambient_pe
+        by_source = {}
+        for gen in system.generators:
+            by_source.setdefault(gen.source, []).append(gen)
+        round_robin = [
+            gen for turn in itertools.zip_longest(*by_source.values()) for gen in turn if gen
+        ]
+        assert len(round_robin) == len(system.generators) == 246
+        assert round_robin[:2] != system.generators[:2]
+        pipeline, interleaved = decompose(system, X), decompose(system, X)
+        want = {gen: pipeline.witness(gen) for gen in system.generators}
+        for gen in round_robin:
+            w = interleaved.witness(gen)
+            assert (w.top.tobytes(), w.base.tobytes()) == (want[gen].top.tobytes(), want[gen].base.tobytes())
 
 
 class TestAmbientEmbedding:

@@ -5,6 +5,7 @@ flag, payload, and re-verification tests.  Tampering tests go through the
 JSON payload so they exercise exactly the surface an attacker would touch."""
 
 import copy
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -13,7 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from automizer.grouprep import FiniteGroup, InputGroupA, ScaleError, are_isomorphic, catalog_group
 from automizer.permcore import PermGroup, parse_cycles
@@ -31,6 +32,7 @@ from automizer.realize import (
 )
 from automizer.biset import orbit_from_payload
 from automizer.fusion import generate
+from automizer.park import WreathElement
 from automizer import realize
 
 
@@ -428,6 +430,61 @@ class TestVerifyCertificate:
         top[0], top[1] = top[1], top[0]
         ok, rep = verify_certificate(Certificate.from_payload(payload))
         assert not ok
+
+
+def canonical_json(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def digit_table(bound):
+    return np.array([str(i) for i in range(bound)], dtype=object)
+
+
+class TestWitnessText:
+    """The certificate writer joins each built witness's text from its arrays
+    and splices it into json.dumps of the rest; the text must be exactly what
+    json.dumps makes of the witness payload."""
+
+    S3 = catalog_group("S3")
+
+    def test_every_c2_witness(self, c2_cert):
+        built = c2_cert.embedding["witnesses"]
+        assert len(built) == 246
+        digits = digit_table(7793)
+        for w in built:
+            assert isinstance(w, realize._BuiltWitness)
+            assert realize._wreath_text(w.element, digits) == canonical_json(
+                realize._wreath_payload(w.element)
+            )
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 5), st.integers(1, 14)), max_size=6),
+        st.randoms(use_true_random=False),
+    )
+    @example([(5, 1)], None)
+    @example([(5, 12)], None)
+    @example([(0, 3), (5, 10), (0, 1)], None)
+    @settings(max_examples=100, deadline=None)
+    def test_small_elements(self, runs, rng):
+        base = [v for v, c in runs for _ in range(c)]
+        top = list(range(len(base)))
+        if rng is not None:
+            rng.shuffle(top)
+        el = WreathElement(self.S3, base, top, validate=True)
+        digits = digit_table(max(el.n, self.S3.order) + 1)
+        assert realize._wreath_text(el, digits) == canonical_json(realize._wreath_payload(el))
+
+    def test_same_verdict_in_memory_and_loaded(self, c2_cert):
+        loaded = Certificate.from_json_bytes(c2_cert.to_json_bytes())
+        in_memory, from_file = verify_certificate(c2_cert), verify_certificate(loaded)
+        assert in_memory[0] and from_file[0]
+        assert in_memory == from_file
+
+    def test_a_string_reading_like_a_hole_is_written_plainly(self, c2_cert):
+        cert = dataclasses.replace(c2_cert, input=dict(c2_cert.input, name="\0"))
+        payload = payload_of(c2_cert)
+        payload["input"]["name"] = "\0"
+        assert cert.to_json_bytes() == (canonical_json(payload) + "\n").encode("ascii")
 
 
 class TestMalformedPayloads:
