@@ -537,11 +537,15 @@ def _ambient_payload(S: SGroup) -> dict:
     }
 
 
+# each payload field of a wreath element, made from its arrays
+_WREATH_FIELDS = {
+    "top": lambda el: el.top.tolist(),
+    "base_runs": lambda el: _run_length(el.base),
+}
+
+
 def _wreath_payload(el: WreathElement) -> dict:
-    return {
-        "top": el.top.tolist(),
-        "base_runs": _run_length(el.base),
-    }
+    return {name: make(el) for name, make in _WREATH_FIELDS.items()}
 
 
 def _wreath_text(el: WreathElement, digits: np.ndarray) -> str:
@@ -571,13 +575,13 @@ class _BuiltWitness(Mapping):
         self.element = element
 
     def __getitem__(self, key):
-        return _wreath_payload(self.element)[key]
+        return _WREATH_FIELDS[key](self.element)
 
     def __iter__(self):
-        return iter(("base_runs", "top"))
+        return iter(_WREATH_FIELDS)
 
     def __len__(self) -> int:
-        return 2
+        return len(_WREATH_FIELDS)
 
 
 def _wreath_from_payload(group: FiniteGroup, payload: dict) -> WreathElement:
