@@ -63,6 +63,16 @@ def _print_summary(cert: Certificate, out) -> None:
     print(verdict, file=out)
 
 
+def _open_out(path: str):
+    """Open the certificate path for writing before the pipeline runs,
+    without truncating a file already there.  Returns the file and whether
+    this call made it."""
+    try:
+        return open(path, "xb"), True
+    except FileExistsError:
+        return open(path, "ab"), False
+
+
 def cmd_realize(args, out) -> int:
     try:
         A = _load_input(args.group)
@@ -70,15 +80,29 @@ def cmd_realize(args, out) -> int:
         print("bad input group: %s" % exc, file=out)
         return EXIT_FAILED
     try:
-        cert = run_pipeline(A, _policy(args))
-    except ScaleError as exc:
-        print("scale rejection: %s" % exc, file=out)
-        return EXIT_SCALE
-    try:
-        cert.save(args.out)
+        fh, made = _open_out(args.out)
     except OSError as exc:
         print("cannot write certificate: %s" % exc, file=out)
         return EXIT_FAILED
+    written = False
+    try:
+        with fh:
+            try:
+                cert = run_pipeline(A, _policy(args))
+            except ScaleError as exc:
+                print("scale rejection: %s" % exc, file=out)
+                return EXIT_SCALE
+            data = cert.to_json_bytes()
+            if fh.seekable():
+                fh.truncate(0)
+            fh.write(data)
+        written = True
+    except OSError as exc:
+        print("cannot write certificate: %s" % exc, file=out)
+        return EXIT_FAILED
+    finally:
+        if made and not written:
+            os.remove(args.out)
     _print_summary(cert, out)
     print("certificate written to %s" % args.out, file=out)
     return EXIT_OK if cert.accepted else EXIT_FAILED

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import itemgetter
@@ -384,31 +385,48 @@ def _run_length(values: np.ndarray) -> list[list[int]]:
     return np.column_stack(_runs(values)).tolist()
 
 
-def _indices(values, bound: int, what: str) -> np.ndarray:
-    """The values as an array, if they are a list of JSON integers in
-    [0, bound)."""
-    reason = "%s must be a list of integers in [0, %d)" % (what, bound)
+def _json_ints(values) -> Optional[np.ndarray]:
+    """The values as an int64 array if they are a list of JSON integers that
+    fit one, else None."""
     if not isinstance(values, list) or set(map(type, values)) - {int}:
-        raise ValueError(reason)
+        return None
     try:
-        out = np.asarray(values, dtype=np.int64)
+        return np.asarray(values, dtype=np.int64)
     except OverflowError:
-        raise ValueError(reason) from None
-    if out.size and not 0 <= out.min() <= out.max() < bound:
-        raise ValueError(reason)
-    return out
+        return None
 
 
-def _run_length_decode(runs, n: int, bound: int) -> np.ndarray:
-    """Expand [value, count] runs of values in [0, bound); the counts must be
-    positive integers summing to n, checked before anything is expanded."""
+def _in_range(values: Optional[np.ndarray], bound: int, what: str) -> np.ndarray:
+    """The values, if they are integers in [0, bound); None stands for a
+    field that is not a list of JSON integers."""
+    if values is None or values.size and not 0 <= values.min() <= values.max() < bound:
+        raise ValueError("%s must be a list of integers in [0, %d)" % (what, bound))
+    return values
+
+
+def _wreath_from_arrays(group: FiniteGroup, top: np.ndarray, values, counts) -> WreathElement:
+    """The witness with this top and these [value, count] base runs, checked
+    in the order the fields are read: the one validator of witnesses held as
+    arrays and of witnesses read as JSON lists.  The counts must be positive
+    and sum to the degree before anything is expanded."""
+    n = len(top)
+    _in_range(top, n, "top")
+    _in_range(values, group.order, "base run values")
+    if counts is None or counts.size and not 1 <= counts.min() <= counts.max() <= n or counts.sum() != n:
+        raise ValueError("base run counts must be positive integers summing to %d" % n)
+    return WreathElement(group, np.repeat(values, counts), top, validate=True)
+
+
+def _wreath_from_payload(group: FiniteGroup, payload: dict) -> WreathElement:
+    """A witness read as JSON lists: the top is checked before the runs are
+    read, and the rest goes to _wreath_from_arrays."""
+    n = len(payload["top"])
+    top = _in_range(_json_ints(payload["top"]), n, "top")
+    runs = payload["base_runs"]
     if not isinstance(runs, list) or set(map(type, runs)) - {list} or set(map(len, runs)) - {2}:
         raise ValueError("base runs must be [value, count] pairs")
-    values = _indices(list(map(itemgetter(0), runs)), bound, "base run values")
-    counts = list(map(itemgetter(1), runs))
-    if set(map(type, counts)) - {int} or min(counts, default=1) < 1 or sum(counts) != n:
-        raise ValueError("base run counts must be positive integers summing to %d" % n)
-    return np.repeat(values, counts)
+    values = _json_ints(list(map(itemgetter(0), runs)))
+    return _wreath_from_arrays(group, top, values, _json_ints(list(map(itemgetter(1), runs))))
 
 
 def _not_a_number(name: str):
@@ -475,24 +493,23 @@ class Certificate:
 
     def to_json_bytes(self) -> bytes:
         """The canonical text: sorted keys, no spaces, one closing newline.
-        json.dumps writes a hole for each built witness, and the witness
-        text, joined from its arrays, fills it."""
+        json.dumps writes a hole for each witness held as arrays, and the
+        witness text, joined from its arrays, fills it."""
         payload = self.to_payload()
-        built: list[_BuiltWitness] = []
+        held: list[_Witness] = []
 
         def hole(value):
-            if not isinstance(value, _BuiltWitness):
+            if not isinstance(value, _Witness):
                 raise TypeError("%s is not JSON serializable" % type(value).__name__)
-            built.append(value)
+            held.append(value)
             return _HOLE
 
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=hole)
-        if built:
+        if held:
             pieces = text.split(json.dumps(_HOLE))
-            if len(pieces) == len(built) + 1:
-                bound = max(max(w.element.n, w.element.group.order) for w in built) + 1
-                digits = np.array([str(i) for i in range(bound)], dtype=object)
-                texts = [_wreath_text(w.element, digits) for w in built]
+            if len(pieces) == len(held) + 1:
+                digits = _digits(max(max(w.top.size, int(w.base.max(initial=0))) for w in held))
+                texts = [_wreath_text(w, digits) for w in held]
                 text = "".join(t for pair in zip(pieces, texts) for t in pair) + pieces[-1]
             else:
                 # another string of the payload reads like a hole
@@ -501,15 +518,16 @@ class Certificate:
 
     @classmethod
     def from_json_bytes(cls, data: bytes) -> "Certificate":
+        """Parse the text; each witness written in canonical text is read
+        straight into arrays (see _read_witness_text), the rest by json.loads."""
+        text = data.decode("ascii")
         try:
-            payload = json.loads(data.decode("ascii"), parse_constant=_not_a_number)
+            payload = _read_witness_text(text)
+            if payload is None:
+                payload = json.loads(text, parse_constant=_not_a_number)
         except RecursionError:
             raise ValueError("certificate nests too deeply to parse") from None
         return cls.from_payload(payload)
-
-    def save(self, path: str) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_json_bytes())
 
     @classmethod
     def load(cls, path: str) -> "Certificate":
@@ -548,10 +566,15 @@ def _wreath_payload(el: WreathElement) -> dict:
     return {name: make(el) for name, make in _WREATH_FIELDS.items()}
 
 
+def _digits(bound: int) -> np.ndarray:
+    """str(i) for every i in [0, bound]."""
+    return np.array([str(i) for i in range(bound + 1)], dtype=object)
+
+
 def _wreath_text(el: WreathElement, digits: np.ndarray) -> str:
     """json.dumps(_wreath_payload(el), sort_keys=True, separators=(",", ":")),
-    joined straight from the arrays: digits[i] is str(i), for every i up to
-    the degree and the group order."""
+    joined straight from the arrays: digits is _digits of at least the degree
+    and every base entry."""
     values, counts = _runs(el.base)
     runs = "],[".join(map(",".join, zip(digits[values].tolist(), digits[counts].tolist())))
     return '{"base_runs":[%s],"top":[%s]}' % (
@@ -560,22 +583,25 @@ def _wreath_text(el: WreathElement, digits: np.ndarray) -> str:
     )
 
 
-# json.dumps writes this string where a built witness goes
+# json.dumps writes this string where a witness held as arrays goes; the
+# reader puts it, numbered, where it took one out
 _HOLE = "\0"
 
 
-class _BuiltWitness(Mapping):
-    """A witness the pipeline built, read as its payload: the lists are made
-    only when asked for, and Certificate.to_json_bytes writes its text from
-    the arrays."""
+class _Witness(Mapping):
+    """A witness held as its base and top arrays, read as its payload: the
+    lists are made only when asked for, and Certificate.to_json_bytes writes
+    its text from the arrays.  The pipeline's witnesses are held this way, and
+    so are the witnesses a certificate gives in canonical text."""
 
-    __slots__ = ("element",)
+    __slots__ = ("base", "top")
 
-    def __init__(self, element: WreathElement):
-        self.element = element
+    def __init__(self, base: np.ndarray, top: np.ndarray):
+        self.base = base
+        self.top = top
 
     def __getitem__(self, key):
-        return _WREATH_FIELDS[key](self.element)
+        return _WREATH_FIELDS[key](self)
 
     def __iter__(self):
         return iter(_WREATH_FIELDS)
@@ -584,10 +610,84 @@ class _BuiltWitness(Mapping):
         return len(_WREATH_FIELDS)
 
 
-def _wreath_from_payload(group: FiniteGroup, payload: dict) -> WreathElement:
-    top = _indices(payload["top"], len(payload["top"]), "top")
-    base = _run_length_decode(payload["base_runs"], len(top), group.order)
-    return WreathElement(group, base, top, validate=True)
+# a witness object whose arrays hold only digits, commas and brackets; the
+# round trip through _wreath_text decides whether it is in canonical text
+_WITNESS_TEXT = re.compile(r'\{"base_runs":\[([0-9,\[\]]*)\],"top":\[([0-9,]*)\]\}')
+_BRACKETS = str.maketrans("", "", "[]")
+
+
+def _witness_arrays(match: re.Match) -> Optional[_Witness]:
+    """The arrays of a matched witness, if its top and its run counts sum to
+    one degree n and no number in it exceeds n; None otherwise.  The numbers
+    are bounded so that the digit table of the round trip stays within the
+    size of the text."""
+    try:
+        top = np.fromstring(match[2], dtype=np.int64, sep=",")
+        runs = np.fromstring(match[1].translate(_BRACKETS), dtype=np.int64, sep=",")
+    except ValueError:
+        return None
+    n = top.size
+    if runs.size % 2 or max(top.max(initial=0), runs.max(initial=0)) > n or n >= 2 ** 31:
+        return None
+    values, counts = runs[0::2], runs[1::2]
+    if counts.sum() != n:
+        return None
+    return _Witness(np.repeat(values, counts).astype(np.int32), top.astype(np.int32))
+
+
+def _read_witness_text(text: str) -> Optional[dict]:
+    """json.loads(text), but with each witness written in the writer's own
+    canonical text held as a _Witness over int arrays, and only the rest of
+    the document parsed by json.loads.  None where the text must be parsed
+    plainly instead.
+
+    Each match of _WITNESS_TEXT that reads back through _wreath_text to the
+    same characters is taken out, and a numbered marker string goes in its
+    place.  The result is accepted only if the text held no \\u0000 escape
+    (so only markers hold NUL), the reduced text parses, and the markers are
+    found, each as a whole item and in order, in embedding.witnesses.
+
+    This accepts a document only if json.loads accepts it, and yields equal
+    values.  A match whose { is structural is a whole JSON object in a value
+    position (its text is what the writer makes of its arrays), so putting a
+    string value in its place changes nothing else.  A match whose { lies
+    inside a JSON string gives a marker whose opening quote either ends that
+    string, leaving a bare \\u0000 token that fails the parse, or follows a
+    backslash and is read as part of a longer string; either way that marker
+    is not found as a whole item.  A marker under a duplicate key that
+    json.loads drops is not found either."""
+    if "\\u0000" in text:
+        return None
+    found = []
+    for match in _WITNESS_TEXT.finditer(text):
+        w = _witness_arrays(match)
+        if w is not None:
+            found.append((match, w))
+    if not found:
+        return None
+    digits = _digits(max(w.top.size for _, w in found))
+    pieces, held, end = [], [], 0
+    for match, w in found:
+        if _wreath_text(w, digits) == match[0]:
+            pieces += [text[end:match.start()], json.dumps(_HOLE + str(len(held)))]
+            held.append(w)
+            end = match.end()
+    if not held:
+        return None
+    pieces.append(text[end:])
+    try:
+        payload = json.loads("".join(pieces), parse_constant=_not_a_number)
+        listed = payload["embedding"]["witnesses"]
+    except (ValueError, RecursionError, KeyError, TypeError):
+        return None
+    if not isinstance(listed, list):
+        return None
+    at = [i for i, item in enumerate(listed) if isinstance(item, str) and item[:1] == _HOLE]
+    if [listed[i] for i in at] != [_HOLE + str(k) for k in range(len(held))]:
+        return None
+    for i, w in zip(at, held):
+        listed[i] = w
+    return payload
 
 
 # -- the stage list shared by realize and verify ---------------------------------------
@@ -610,7 +710,7 @@ class _Built:
 
     def witnesses(self, pe, generators):
         elements = [pe.witness(g) for g in generators]
-        return elements, list(map(_BuiltWitness, elements))
+        return elements, [_Witness(el.base, el.top) for el in elements]
 
     def prime(self, a_order):
         return bertrand_prime(a_order)
@@ -646,7 +746,12 @@ class _Stored:
         if not isinstance(payloads, list) or len(payloads) != len(generators):
             raise _Rejected("embedding", "witness count mismatch")
         try:
-            elements = [_wreath_from_payload(pe.G, p) for p in payloads]
+            elements = [
+                _wreath_from_arrays(pe.G, p.top, *_runs(p.base))
+                if isinstance(p, _Witness)
+                else _wreath_from_payload(pe.G, p)
+                for p in payloads
+            ]
         except (KeyError, TypeError, ValueError) as exc:
             raise _Rejected("embedding", "malformed witness: %s" % exc) from None
         if any(w.n != pe.n for w in elements):

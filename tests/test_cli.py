@@ -8,8 +8,10 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from automizer import cli
 from automizer.cli import main
 from automizer.grouprep import InputGroupA
+from automizer import realize
 from automizer.realize import Certificate, run_pipeline
 
 
@@ -33,6 +35,23 @@ def test_realize_scale_rejection(tmp_path, capsys):
     )
     assert code == 2
     assert "max_subgroups" in out
+    assert not (tmp_path / "c3.json").exists()
+
+
+def test_realize_scale_rejection_keeps_an_existing_file(tmp_path, capsys):
+    path = tmp_path / "c3.json"
+    path.write_bytes(b"an earlier certificate")
+    code, out = run_cli(["realize", "--group", "C3", "--out", str(path)], capsys)
+    assert code == 2
+    assert path.read_bytes() == b"an earlier certificate"
+
+
+def test_realize_overwrites_an_existing_file(tmp_path, capsys):
+    path = tmp_path / "trivial.json"
+    path.write_bytes(b"x" * 5000)
+    code, _ = run_cli(["realize", "--group", "1", "--out", str(path)], capsys)
+    assert code == 0
+    assert path.read_bytes() == run_pipeline(InputGroupA.from_name("1")).to_json_bytes()
 
 
 def test_realize_unknown_group(tmp_path, capsys):
@@ -43,7 +62,11 @@ def test_realize_unknown_group(tmp_path, capsys):
     assert "bad input group" in out
 
 
-def test_realize_unwritable_out(tmp_path, capsys):
+def test_realize_unwritable_out(tmp_path, capsys, monkeypatch):
+    def no_pipeline(*args):
+        raise AssertionError("the pipeline ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_pipeline", no_pipeline)
     out_path = str(tmp_path / "missing" / "trivial.json")
     code, out = run_cli(["realize", "--group", "1", "--out", out_path], capsys)
     assert code == 1
@@ -126,9 +149,9 @@ def test_verify_reports_deep_nesting(tmp_path, capsys):
 
 
 def test_verify_full_certificate(tmp_path, capsys, c2_cert):
-    path = str(tmp_path / "c2.json")
-    c2_cert.save(path)
-    code, out = run_cli(["verify", "--cert", path], capsys)
+    path = tmp_path / "c2.json"
+    path.write_bytes(c2_cert.to_json_bytes())
+    code, out = run_cli(["verify", "--cert", str(path)], capsys)
     assert code == 0
     assert "verifies" in out
 
@@ -138,7 +161,7 @@ def c2_payload(c2_cert):
     return json.loads(c2_cert.to_json_bytes())
 
 
-@pytest.mark.parametrize(
+malformed_witnesses = pytest.mark.parametrize(
     "witness,reason",
     [
         ({"top": [1, 0], "base_runs": [[0, 1], 1]}, "base runs must be [value, count] pairs"),
@@ -150,12 +173,29 @@ def c2_payload(c2_cert):
     ],
     ids=["run_not_a_list", "bool_top", "float_count", "value_out_of_range", "count_below_1", "counts_not_summing"],
 )
+
+
+def _with_first_witness(payload, witness):
+    witnesses = [witness] + payload["embedding"]["witnesses"][1:]
+    return dict(payload, embedding=dict(payload["embedding"], witnesses=witnesses))
+
+
+@malformed_witnesses
 def test_verify_rejects_malformed_witness(c2_payload, tmp_path, witness, reason):
-    witnesses = [witness] + c2_payload["embedding"]["witnesses"][1:]
-    payload = dict(c2_payload, embedding=dict(c2_payload["embedding"], witnesses=witnesses))
-    code, out = _verify_payload(payload, tmp_path)
+    code, out = _verify_payload(_with_first_witness(c2_payload, witness), tmp_path)
     assert code == 1
     assert "malformed witness: %s" % reason in out
+
+
+@malformed_witnesses
+def test_verify_rejects_malformed_witness_in_canonical_text(c2_payload, tmp_path, witness, reason):
+    # in the writer's own text the other 245 witnesses are read as arrays
+    payload = _with_first_witness(c2_payload, witness)
+    code, out = _verify_payload(payload, tmp_path, sort_keys=True, separators=(",", ":"))
+    assert code == 1
+    assert "malformed witness: %s" % reason in out
+    held = Certificate.load(str(tmp_path / "cert.json")).embedding["witnesses"]
+    assert [isinstance(w, realize._Witness) for w in held] == [False] + [True] * 245
 
 
 def test_oracle(tmp_path, capsys):
@@ -205,9 +245,9 @@ def _replace(payload, path, value):
     return payload
 
 
-def _verify_payload(payload, directory):
+def _verify_payload(payload, directory, **dumps):
     path = directory / "cert.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(payload, **dumps))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["verify", "--cert", str(path)])

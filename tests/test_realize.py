@@ -323,9 +323,9 @@ class TestPipeline:
         blob = c2_cert.to_json_bytes()
         again = Certificate.from_json_bytes(blob)
         assert again.to_json_bytes() == blob
-        path = str(tmp_path / "cert.json")
-        c2_cert.save(path)
-        assert Certificate.load(path).flags == c2_cert.flags
+        path = tmp_path / "cert.json"
+        path.write_bytes(blob)
+        assert Certificate.load(str(path)).flags == c2_cert.flags
 
     def test_acceptance_bit_is_checked_on_load(self, c2_cert):
         payload = json.loads(c2_cert.to_json_bytes())
@@ -452,10 +452,8 @@ class TestWitnessText:
         assert len(built) == 246
         digits = digit_table(7793)
         for w in built:
-            assert isinstance(w, realize._BuiltWitness)
-            assert realize._wreath_text(w.element, digits) == canonical_json(
-                realize._wreath_payload(w.element)
-            )
+            assert isinstance(w, realize._Witness)
+            assert realize._wreath_text(w, digits) == canonical_json(realize._wreath_payload(w))
 
     @given(
         st.lists(st.tuples(st.integers(0, 5), st.integers(1, 14)), max_size=6),
@@ -487,6 +485,122 @@ class TestWitnessText:
         assert cert.to_json_bytes() == (canonical_json(payload) + "\n").encode("ascii")
 
 
+def reference_read(data: bytes) -> Certificate:
+    """The certificate reader with no witness fast path: one json.loads of
+    the whole text."""
+    try:
+        payload = json.loads(data.decode("ascii"), parse_constant=realize._not_a_number)
+    except RecursionError:
+        raise ValueError("certificate nests too deeply to parse") from None
+    return Certificate.from_payload(payload)
+
+
+def read_and_verify(read, data):
+    """(certificate, outcome): the outcome is the verdict, failed stage and
+    reason, or the type and message of the error the read raised."""
+    try:
+        cert = read(data)
+    except ValueError as exc:
+        return None, (type(exc), str(exc))
+    ok, rep = verify_certificate(cert)
+    return cert, (ok, rep.get("failed_stage"), rep.get("reason"))
+
+
+def _first_witness(text, rewrite):
+    """The text with its first witness replaced by rewrite(payload)."""
+    start = text.index('"witnesses":[{') + len('"witnesses":[')
+    end = text.index("]}", start) + 2
+    return text[:start] + rewrite(json.loads(text[start:end])) + text[end:]
+
+
+def _split_a_run(w):
+    runs = w["base_runs"]
+    i = next(i for i, (_, count) in enumerate(runs) if count > 1)
+    runs[i:i + 1] = [[runs[i][0], 1], [runs[i][0], runs[i][1] - 1]]
+    return canonical_json(w)
+
+
+def _set_top(w, i, value):
+    w["top"][i] = value
+    return canonical_json(w)
+
+
+def _set_base_value(w, value):
+    w["base_runs"][0][0] = value
+    return canonical_json(w)
+
+
+SMALL_WITNESS = '{"base_runs":[[0,1]],"top":[0]}'
+
+
+def _in_name(text, raw):
+    """The text with raw put at the start of the input name string."""
+    return text.replace('"input":{"name":"', '"input":{"name":"' + raw, 1)
+
+
+# each case: (id, document, rewrite of its canonical text, whether its first
+# witness is held as arrays once read, or None where the text does not
+# parse).  The small document is the trivial certificate with three witnesses
+# added; its verdict comes before the witness stage.  The C2 cases reach it.
+READER_CASES = [
+    ("witness_text_in_a_string", "small", lambda t: _in_name(t, json.dumps(SMALL_WITNESS)[1:-1]), True),
+    ("raw_witness_in_a_string", "small", lambda t: _in_name(t, SMALL_WITNESS), None),
+    ("escaped_quote_before_a_witness", "small", lambda t: _in_name(t, "\\" + SMALL_WITNESS), None),
+    ("witness_under_main_checks", "small", lambda t: t.replace('"main_checks":{', '"main_checks":{"a":%s,' % SMALL_WITNESS), False),
+    ("duplicate_embedding_first", "small", lambda t: '{"embedding":{"witnesses":[%s]},' % SMALL_WITNESS + t[1:], False),
+    ("duplicate_embedding_last", "small", lambda t: t[:-2] + ',"embedding":{"witnesses":[%s]}}\n' % SMALL_WITNESS, False),
+    ("nul_escape_in_a_name", "small", lambda t: _in_name(t, "\\u0000"), False),
+    ("nul_escape_in_a_key", "small", lambda t: t.replace('"main_checks":{', '"main_checks":{"\\u0000":0,'), False),
+    ("leading_zero", "small", lambda t: _first_witness(t, lambda w: canonical_json(w).replace('"top":[', '"top":[0')), None),
+    ("trailing_comma", "small", lambda t: _first_witness(t, lambda w: canonical_json(w)[:-2] + ",]}"), None),
+    ("zero_count_run", "small", lambda t: _first_witness(t, lambda w: canonical_json(w).replace("[[", "[[0,0],[", 1)), False),
+    ("non_maximal_runs", "small", lambda t: _first_witness(t, _split_a_run), False),
+    ("top_entry_2_63", "small", lambda t: _first_witness(t, lambda w: _set_top(w, 0, 2 ** 63)), False),
+    ("spaces_after_commas", "small", lambda t: _first_witness(t, lambda w: json.dumps(w, sort_keys=True, separators=(", ", ":"))), False),
+    ("non_ascii_name", "small", lambda t: _in_name(t, "\u00e9"), None),
+    ("base_value_outside_the_group", "c2", lambda t: _first_witness(t, lambda w: _set_base_value(w, 32)), True),
+    ("top_not_a_permutation", "c2", lambda t: _first_witness(t, lambda w: _set_top(w, 1, w["top"][0])), True),
+    ("top_entry_equal_to_n", "c2", lambda t: _first_witness(t, lambda w: _set_top(w, 0, len(w["top"]))), True),
+]
+
+
+class TestReaderEquivalence:
+    """Certificate.from_json_bytes reads witnesses in canonical text straight
+    into arrays.  On every document it must give the payload, verdict and
+    reason of one plain json.loads of the whole text."""
+
+    @pytest.fixture(scope="class")
+    def texts(self, c2_cert):
+        small = payload_of(run_pipeline(InputGroupA.from_name("1")))
+        small["embedding"]["witnesses"] = [
+            {"base_runs": [[1, 2], [0, 1]], "top": [2, 0, 1]},
+            {"base_runs": [[0, 3]], "top": [0, 1, 2]},
+            {"base_runs": [], "top": []},
+        ]
+        return {"small": canonical_json(small) + "\n", "c2": c2_cert.to_json_bytes().decode("ascii")}
+
+    def test_the_c2_certificate_is_read_as_arrays(self, c2_cert, texts):
+        cert = Certificate.from_json_bytes(texts["c2"].encode("ascii"))
+        assert all(isinstance(w, realize._Witness) for w in cert.embedding["witnesses"])
+        assert cert.to_payload() == c2_cert.to_payload()
+        assert cert.to_json_bytes() == texts["c2"].encode("ascii")
+
+    @pytest.mark.parametrize("doc, rewrite, held", [c[1:] for c in READER_CASES], ids=[c[0] for c in READER_CASES])
+    def test_same_as_one_json_loads(self, texts, doc, rewrite, held):
+        text = rewrite(texts[doc])
+        assert text != texts[doc]
+        data = text.encode("utf-8")
+        cert, outcome = read_and_verify(Certificate.from_json_bytes, data)
+        ref, ref_outcome = read_and_verify(reference_read, data)
+        assert outcome == ref_outcome
+        if held is None:
+            assert cert is None
+            return
+        assert isinstance(cert.embedding["witnesses"][0], realize._Witness) is held
+        assert cert.to_payload() == ref.to_payload()
+        assert cert.to_json_bytes() == ref.to_json_bytes()
+
+
 class TestMalformedPayloads:
     """The certificate decoders accept only JSON integers, check sizes before
     allocating, and turn every malformed value into a ValueError."""
@@ -502,7 +616,7 @@ class TestMalformedPayloads:
         base = np.asarray(values, dtype=np.int32)
         runs = realize._run_length(base)
         assert runs == [[v, len(list(group))] for v, group in itertools.groupby(values)]
-        assert realize._run_length_decode(runs, len(values), 4).tolist() == values
+        assert self.witness(list(range(len(values))), runs).base.tolist() == values
 
     @given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 10 ** 4)), min_size=1, max_size=4), st.integers(0, 8))
     @settings(max_examples=50, deadline=None)
@@ -511,7 +625,7 @@ class TestMalformedPayloads:
         if sum(c for _, c in runs) == n:
             runs[0][1] += 1
         with pytest.raises(ValueError, match="summing to"):
-            realize._run_length_decode(runs, n, 4)
+            self.witness(list(range(n)), runs)
 
     @pytest.mark.parametrize(
         "runs",

@@ -6,8 +6,11 @@ the axiom closure of the maximal-domain conjugation generators, pair by pair.
 The marks oracle is checked against the transporter formula, and the
 corruption harness against a real certificate."""
 
+import json
+
 import pytest
 
+from automizer import realize
 from automizer.biset import (
     DiagonalContext,
     OrbitRecord,
@@ -18,6 +21,7 @@ from automizer.biset import (
 from automizer.fusion import Morphism, generate
 from automizer.grouprep import FiniteGroup, ScaleError, are_isomorphic, catalog_group
 from automizer.permcore import PermGroup
+from automizer.realize import Certificate, verify_certificate
 from automizer.testkit import (
     STANDARD_MUTATIONS,
     abstract_subgroup,
@@ -202,6 +206,20 @@ class TestBruteMarks:
 
 
 class TestMutationHarness:
+    @pytest.mark.parametrize("name", ["corrupt_witness_base", "corrupt_witness_top"])
+    def test_witness_mutations_rejected_from_canonical_bytes(self, c2_cert, name):
+        """mutation_suite goes through Certificate.from_payload; the same
+        corruption written as canonical text goes through the reader that
+        holds witnesses as arrays, and must be rejected for the same reason."""
+        payload = json.loads(c2_cert.to_json_bytes())
+        dict(STANDARD_MUTATIONS)[name](payload)
+        data = (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
+        read = Certificate.from_json_bytes(data)
+        assert all(isinstance(w, realize._Witness) for w in read.embedding["witnesses"])
+        ok, report = verify_certificate(read)
+        assert not ok
+        assert report["reason"] == mutation_suite(c2_cert, names=[name])[name]["reason"]
+
     def test_mutation_names_are_distinct(self):
         names = [n for n, _ in STANDARD_MUTATIONS]
         assert len(names) == len(set(names)) == 20
