@@ -93,7 +93,7 @@ def cmd_realize(args, out) -> int:
                 print("scale rejection: %s" % exc, file=out)
                 return EXIT_SCALE
             data = cert.to_json_bytes()
-            if fh.seekable():
+            if fh.seekable():  # a pipe, such as /dev/stdout, cannot be truncated
                 fh.truncate(0)
             fh.write(data)
         written = True

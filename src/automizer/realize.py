@@ -617,10 +617,9 @@ _BRACKETS = str.maketrans("", "", "[]")
 
 
 def _witness_arrays(match: re.Match) -> Optional[_Witness]:
-    """The arrays of a matched witness, if its top and its run counts sum to
-    one degree n and no number in it exceeds n; None otherwise.  The numbers
-    are bounded so that the digit table of the round trip stays within the
-    size of the text."""
+    """The arrays of a matched witness, or None unless its run counts sum to
+    the length n of its top and no number in it exceeds n.  The bound keeps
+    the digit table of the round trip within the size of the text."""
     try:
         top = np.fromstring(match[2], dtype=np.int64, sep=",")
         runs = np.fromstring(match[1].translate(_BRACKETS), dtype=np.int64, sep=",")

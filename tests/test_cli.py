@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,6 +61,19 @@ def test_realize_unknown_group(tmp_path, capsys):
     )
     assert code == 1
     assert "bad input group" in out
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_realize_writes_to_a_pipe(capsys):
+    read_end, write_end = os.pipe()
+    with os.fdopen(read_end, "rb") as reader:
+        try:
+            code, _ = run_cli(["realize", "--group", "1", "--out", "/proc/self/fd/%d" % write_end], capsys)
+        finally:
+            os.close(write_end)
+        data = reader.read()
+    assert code == 0
+    assert data == run_pipeline(InputGroupA.from_name("1")).to_json_bytes()
 
 
 def test_realize_unwritable_out(tmp_path, capsys, monkeypatch):

@@ -533,6 +533,16 @@ def _set_base_value(w, value):
 SMALL_WITNESS = '{"base_runs":[[0,1]],"top":[0]}'
 
 
+def _marker_lookalike(text):
+    """The witness list [w, "\\u00001"] and a witness object under
+    main_checks: the string is the marker the reader would put in place of
+    that second object."""
+    payload = json.loads(text)
+    payload["embedding"]["witnesses"][1:] = ["\0" + "1"]
+    payload["main_checks"]["a"] = json.loads(SMALL_WITNESS)
+    return canonical_json(payload) + "\n"
+
+
 def _in_name(text, raw):
     """The text with raw put at the start of the input name string."""
     return text.replace('"input":{"name":"', '"input":{"name":"' + raw, 1)
@@ -550,12 +560,15 @@ READER_CASES = [
     ("duplicate_embedding_first", "small", lambda t: '{"embedding":{"witnesses":[%s]},' % SMALL_WITNESS + t[1:], False),
     ("duplicate_embedding_last", "small", lambda t: t[:-2] + ',"embedding":{"witnesses":[%s]}}\n' % SMALL_WITNESS, False),
     ("nul_escape_in_a_name", "small", lambda t: _in_name(t, "\\u0000"), False),
+    ("nul_marker_lookalike", "small", _marker_lookalike, False),
     ("nul_escape_in_a_key", "small", lambda t: t.replace('"main_checks":{', '"main_checks":{"\\u0000":0,'), False),
     ("leading_zero", "small", lambda t: _first_witness(t, lambda w: canonical_json(w).replace('"top":[', '"top":[0')), None),
     ("trailing_comma", "small", lambda t: _first_witness(t, lambda w: canonical_json(w)[:-2] + ",]}"), None),
     ("zero_count_run", "small", lambda t: _first_witness(t, lambda w: canonical_json(w).replace("[[", "[[0,0],[", 1)), False),
     ("non_maximal_runs", "small", lambda t: _first_witness(t, _split_a_run), False),
     ("top_entry_2_63", "small", lambda t: _first_witness(t, lambda w: _set_top(w, 0, 2 ** 63)), False),
+    # above the degree, so no digit table of 10 ** 12 entries is made
+    ("base_value_10_12", "small", lambda t: _first_witness(t, lambda w: _set_base_value(w, 10 ** 12)), False),
     ("spaces_after_commas", "small", lambda t: _first_witness(t, lambda w: json.dumps(w, sort_keys=True, separators=(", ", ":"))), False),
     ("non_ascii_name", "small", lambda t: _in_name(t, "\u00e9"), None),
     ("base_value_outside_the_group", "c2", lambda t: _first_witness(t, lambda w: _set_base_value(w, 32)), True),
