@@ -19,6 +19,7 @@ checks suffice since both sides are homomorphisms on P.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -289,18 +290,18 @@ def verify_generated(system: FusionSystem, X: SemicharacteristicBiset) -> tuple[
     return True, report
 
 
-def injective_diagonal_classes(system: FusionSystem) -> list[tuple[tuple, np.ndarray, np.ndarray]]:
+def injective_diagonal_classes(system: FusionSystem) -> Iterator[tuple[tuple, np.ndarray, np.ndarray]]:
     """The classes of injective twisted diagonals under the product action,
     as orbit labels.  Per F-class of subgroups, in decreasing order: its first
     subgroup R, the rows of Inj(R, S) as full images sorted by images, and
     each row's label, the least row of its orbit under Aut_F(R) x Inn(S).
     Every class with a source F-conjugate to R meets Inj(R, S) in exactly one
-    such orbit, so the classes and the labels correspond one to one."""
+    such orbit, so the classes and the labels correspond one to one.  One
+    F-class is made at a time, each moved copy of its rows one at a time."""
     G = system.ambient
     lat = system.lattice
     mul, inv = G.np_tables
     conj_moves = [mul[mul[s], inv[s]] for s in G.minimal_generators()]
-    out = []
     met: set[tuple] = set()
     for skey in sorted(lat.keys, key=lambda k: (-len(k), k)):
         if skey in met:
@@ -315,16 +316,17 @@ def injective_diagonal_classes(system: FusionSystem) -> list[tuple[tuple, np.nda
         if gcols:
             order = np.lexsort(rows[:, gcols].T)
             ref = rows[order][:, gcols]
-            moved = [conj[rows] for conj in conj_moves]
-            moved += [rows[:, [pos[a] for a in alpha.images]] for alpha in system.aut(skey)]
+            moved = itertools.chain(
+                (conj[rows] for conj in conj_moves),
+                (rows[:, [pos[a] for a in alpha.images]] for alpha in system.aut(skey)),
+            )
             for M in moved:
                 found = np.lexsort(M[:, gcols].T)
                 assert np.array_equal(M[found][:, gcols], ref), "a moved row left Inj(R, S)"
                 perm = np.empty_like(order)
                 perm[found] = order
                 label = merge_labels(label, perm)
-        out.append((skey, rows, label))
-    return out
+        yield skey, rows, label
 
 
 def verify_stability(
@@ -348,19 +350,20 @@ def verify_stability(
     if foreign:
         return False, {"failure": foreign, "checked_classes": 0}
     ctx = context or DiagonalContext(system)
-    earlier: dict[tuple, tuple[int, np.ndarray, np.ndarray]] = {}
+    earlier: dict[tuple, tuple[int, np.ndarray]] = {}
     checked_classes = 0
-    for skey, rows, label in injective_diagonal_classes(system):
+    for skey, _, label in injective_diagonal_classes(system):
         roots = np.flatnonzero(label == np.arange(len(label)))
-        earlier[skey] = (checked_classes, rows, roots)
+        earlier[skey] = (checked_classes, roots)
         checked_classes += len(roots)
     for d, members in ctx.classes(system.hom_set):
         reps = ctx.sxs_representatives(members)
         marks = [ctx.mark_biset(X, rep) for rep in reps]
         if len(set(marks)) > 1:
             # d is the least row of its class, and the labels of Inj(R, S)
-            # are met in increasing order
-            before, rows, roots = earlier[d.source]
+            # are met in increasing order; the rows are made again here
+            before, roots = earlier[d.source]
+            rows = injective_images(system.ambient, system.lattice, d.source)
             row = np.flatnonzero((rows == d.images).all(axis=1))[0]
             return False, {
                 "failure": "marks differ on one diagonal class",

@@ -92,10 +92,14 @@ def cmd_realize(args, out) -> int:
             except ScaleError as exc:
                 print("scale rejection: %s" % exc, file=out)
                 return EXIT_SCALE
-            data = cert.to_json_bytes()
+            # written in pieces; an existing file is truncated only once the
+            # first piece, made after everything that can fail, is in hand
+            chunks = cert.json_chunks()
+            first = next(chunks)
             if fh.seekable():  # a pipe, such as /dev/stdout, cannot be truncated
                 fh.truncate(0)
-            fh.write(data)
+            fh.write(first)
+            fh.writelines(chunks)
         written = True
     except OSError as exc:
         print("cannot write certificate: %s" % exc, file=out)

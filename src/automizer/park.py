@@ -298,7 +298,15 @@ class ParkEmbedding:
 
     def check_witness(self, phi: Morphism, g: WreathElement) -> bool:
         """The conjugation identity g iota(u) g^-1 = iota(phi(u)) on every
-        element u of the source, checked as g iota(u) = iota(phi(u)) g for all
+        element u of the source P, checked on the generators of P alone.
+
+        Both sides are homomorphisms on P: iota is one (verify_embedding
+        proves it before any witness is checked), and so is phi
+        (FusionSystem._check_generator proves it of every generator of the
+        system).  So the u where they agree form a subgroup, and agreement
+        on the generators of P is agreement on all of P.
+
+        The identity is checked as g iota(u) = iota(phi(u)) g for all those
         u at once.  With g = (b; sigma), iota(u) = (c; t) and
         iota(phi(u)) = (c'; t'), the tops must agree, sigma t = t' sigma; then
         the slot sigma(t(j)) = t'(sigma(j)) carries b[sigma(t(j))] c[t(j)] on
@@ -306,7 +314,11 @@ class ParkEmbedding:
         over the slots so does that slot."""
         order = self.G.order
         mul = self.G.np_tables[0].ravel()
-        src, img = np.asarray(phi.source), np.asarray(phi.images)
+        lattice = self.system.lattice
+        pos = lattice.posmap[phi.source]
+        gens = lattice.by_key[phi.source].generators
+        src = np.array(gens, dtype=np.intp)
+        img = np.array([phi.images[pos[u]] for u in gens], dtype=np.intp)
         sigma = g.top
         t = self.tops[src]
         if not np.array_equal(sigma.take(t), self.tops[img].take(sigma, axis=1)):

@@ -10,13 +10,14 @@ that can be re-checked from the file alone."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -404,29 +405,37 @@ def _in_range(values: Optional[np.ndarray], bound: int, what: str) -> np.ndarray
     return values
 
 
-def _wreath_from_arrays(group: FiniteGroup, top: np.ndarray, values, counts) -> WreathElement:
-    """The witness with this top and these [value, count] base runs, checked
-    in the order the fields are read: the one validator of witnesses held as
-    arrays and of witnesses read as JSON lists.  The counts must be positive
-    and sum to the degree before anything is expanded."""
+_COUNTS = "base run counts must be positive integers summing to %d"
+
+
+def _wreath_from_arrays(group: FiniteGroup, top: np.ndarray, base: np.ndarray) -> WreathElement:
+    """A witness held as arrays, checked in place with the checks, in the
+    order and with the messages of _wreath_from_payload.  The base is its
+    runs expanded: the run values are in range exactly when the base
+    entries are, and the counts are positive and sum to the degree exactly
+    when the base has one entry per slot."""
     n = len(top)
     _in_range(top, n, "top")
-    _in_range(values, group.order, "base run values")
-    if counts is None or counts.size and not 1 <= counts.min() <= counts.max() <= n or counts.sum() != n:
-        raise ValueError("base run counts must be positive integers summing to %d" % n)
-    return WreathElement(group, np.repeat(values, counts), top, validate=True)
+    _in_range(base, group.order, "base run values")
+    if base.size != n:
+        raise ValueError(_COUNTS % n)
+    return WreathElement(group, base, top, validate=True)
 
 
 def _wreath_from_payload(group: FiniteGroup, payload: dict) -> WreathElement:
-    """A witness read as JSON lists: the top is checked before the runs are
-    read, and the rest goes to _wreath_from_arrays."""
+    """A witness read as JSON lists, checked in the order the fields are
+    read: the top before the runs are read, and the counts, which must be
+    positive and sum to the degree, before anything is expanded."""
     n = len(payload["top"])
     top = _in_range(_json_ints(payload["top"]), n, "top")
     runs = payload["base_runs"]
     if not isinstance(runs, list) or set(map(type, runs)) - {list} or set(map(len, runs)) - {2}:
         raise ValueError("base runs must be [value, count] pairs")
-    values = _json_ints(list(map(itemgetter(0), runs)))
-    return _wreath_from_arrays(group, top, values, _json_ints(list(map(itemgetter(1), runs))))
+    values = _in_range(_json_ints(list(map(itemgetter(0), runs))), group.order, "base run values")
+    counts = _json_ints(list(map(itemgetter(1), runs)))
+    if counts is None or counts.size and not 1 <= counts.min() <= counts.max() <= n or counts.sum() != n:
+        raise ValueError(_COUNTS % n)
+    return WreathElement(group, np.repeat(values, counts), top, validate=True)
 
 
 def _not_a_number(name: str):
@@ -491,10 +500,14 @@ class Certificate:
             raise ValueError("stored acceptance bit disagrees with the flags")
         return cert
 
-    def to_json_bytes(self) -> bytes:
-        """The canonical text: sorted keys, no spaces, one closing newline.
-        json.dumps writes a hole for each witness held as arrays, and the
-        witness text, joined from its arrays, fills it."""
+    def json_chunks(self) -> Iterator[bytes]:
+        """The canonical text in pieces, as ASCII bytes: sorted keys, no
+        spaces, one closing newline.  The document is written with a hole
+        for each witness held as arrays, and the witness text, joined from
+        its arrays, fills it as a chunk of its own, so no whole copy of the
+        document is held.  Everything that can fail runs before the first
+        chunk.  to_json_bytes joins the chunks, for a caller that wants the
+        whole text at once."""
         payload = self.to_payload()
         held: list[_Witness] = []
 
@@ -504,27 +517,31 @@ class Certificate:
             held.append(value)
             return _HOLE
 
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=hole)
+        pieces = _canonical_text(payload, hole).split(json.dumps(_HOLE).encode("ascii"))
+        if len(pieces) != len(held) + 1:
+            # another string of the payload reads like a hole
+            pieces, held = [_canonical_text(payload, dict)], []
         if held:
-            pieces = text.split(json.dumps(_HOLE))
-            if len(pieces) == len(held) + 1:
-                digits = _digits(max(max(w.top.size, int(w.base.max(initial=0))) for w in held))
-                texts = [_wreath_text(w, digits) for w in held]
-                text = "".join(t for pair in zip(pieces, texts) for t in pair) + pieces[-1]
-            else:
-                # another string of the payload reads like a hole
-                text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=dict)
-        return (text + "\n").encode("ascii")
+            digits = _digits(max(max(w.top.size, int(w.base.max(initial=0))) for w in held))
+        for piece, w in zip(pieces, held):
+            yield piece
+            yield _wreath_text(w, digits).encode("ascii")
+        yield pieces[-1] + b"\n"
+
+    def to_json_bytes(self) -> bytes:
+        return b"".join(self.json_chunks())
 
     @classmethod
     def from_json_bytes(cls, data: bytes) -> "Certificate":
         """Parse the text; each witness written in canonical text is read
-        straight into arrays (see _read_witness_text), the rest by json.loads."""
-        text = data.decode("ascii")
+        straight from the bytes into arrays (see _read_witness_text), the
+        rest by json.loads."""
+        if not data.isascii():
+            data.decode("ascii")  # raises the decoder's own error
         try:
-            payload = _read_witness_text(text)
+            payload = _read_witness_text(data)
             if payload is None:
-                payload = json.loads(text, parse_constant=_not_a_number)
+                payload = json.loads(data.decode("ascii"), parse_constant=_not_a_number)
         except RecursionError:
             raise ValueError("certificate nests too deeply to parse") from None
         return cls.from_payload(payload)
@@ -533,6 +550,19 @@ class Certificate:
     def load(cls, path: str) -> "Certificate":
         with open(path, "rb") as fh:
             return cls.from_json_bytes(fh.read())
+
+
+def _canonical_text(payload: dict, default) -> bytes:
+    """json.dumps(payload, sort_keys=True, separators=(",", ":"),
+    default=default) as ASCII bytes, made by the incremental encoder and
+    joined a batch of tokens at a time: json.dumps holds every small token
+    of the text at once, over ten times the text's size."""
+    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=default)
+    tokens = encoder.iterencode(payload)
+    batches = []
+    while batch := "".join(itertools.islice(tokens, 4096)):
+        batches.append(batch.encode("ascii"))
+    return b"".join(batches)
 
 
 def _input_payload(A: InputGroupA) -> dict:
@@ -590,13 +620,16 @@ _HOLE = "\0"
 
 class _Witness(Mapping):
     """A witness held as its base and top arrays, read as its payload: the
-    lists are made only when asked for, and Certificate.to_json_bytes writes
+    lists are made only when asked for, and Certificate.json_chunks writes
     its text from the arrays.  The pipeline's witnesses are held this way, and
-    so are the witnesses a certificate gives in canonical text."""
+    so are the witnesses a certificate gives in canonical text.  The arrays
+    are made read-only, so that no wreath element sharing them can change the
+    certificate."""
 
     __slots__ = ("base", "top")
 
     def __init__(self, base: np.ndarray, top: np.ndarray):
+        base.flags.writeable = top.flags.writeable = False
         self.base = base
         self.top = top
 
@@ -612,8 +645,7 @@ class _Witness(Mapping):
 
 # a witness object whose arrays hold only digits, commas and brackets; the
 # round trip through _wreath_text decides whether it is in canonical text
-_WITNESS_TEXT = re.compile(r'\{"base_runs":\[([0-9,\[\]]*)\],"top":\[([0-9,]*)\]\}')
-_BRACKETS = str.maketrans("", "", "[]")
+_WITNESS_TEXT = re.compile(rb'\{"base_runs":\[([0-9,\[\]]*)\],"top":\[([0-9,]*)\]\}')
 
 
 def _witness_arrays(match: re.Match) -> Optional[_Witness]:
@@ -622,7 +654,7 @@ def _witness_arrays(match: re.Match) -> Optional[_Witness]:
     the digit table of the round trip within the size of the text."""
     try:
         top = np.fromstring(match[2], dtype=np.int64, sep=",")
-        runs = np.fromstring(match[1].translate(_BRACKETS), dtype=np.int64, sep=",")
+        runs = np.fromstring(match[1].translate(None, b"[]"), dtype=np.int64, sep=",")
     except ValueError:
         return None
     n = top.size
@@ -634,11 +666,12 @@ def _witness_arrays(match: re.Match) -> Optional[_Witness]:
     return _Witness(np.repeat(values, counts).astype(np.int32), top.astype(np.int32))
 
 
-def _read_witness_text(text: str) -> Optional[dict]:
-    """json.loads(text), but with each witness written in the writer's own
-    canonical text held as a _Witness over int arrays, and only the rest of
-    the document parsed by json.loads.  None where the text must be parsed
-    plainly instead.
+def _read_witness_text(data: bytes) -> Optional[dict]:
+    """json.loads of the ASCII text data, but with each witness written in
+    the writer's own canonical text held as a _Witness over int arrays, read
+    from the bytes themselves, and only the rest of the document decoded and
+    parsed by json.loads.  None where the text must be parsed plainly
+    instead.
 
     Each match of _WITNESS_TEXT that reads back through _wreath_text to the
     same characters is taken out, and a numbered marker string goes in its
@@ -655,10 +688,10 @@ def _read_witness_text(text: str) -> Optional[dict]:
     backslash and is read as part of a longer string; either way that marker
     is not found as a whole item.  A marker under a duplicate key that
     json.loads drops is not found either."""
-    if "\\u0000" in text:
+    if b"\\u0000" in data:
         return None
     found = []
-    for match in _WITNESS_TEXT.finditer(text):
+    for match in _WITNESS_TEXT.finditer(data):
         w = _witness_arrays(match)
         if w is not None:
             found.append((match, w))
@@ -667,15 +700,15 @@ def _read_witness_text(text: str) -> Optional[dict]:
     digits = _digits(max(w.top.size for _, w in found))
     pieces, held, end = [], [], 0
     for match, w in found:
-        if _wreath_text(w, digits) == match[0]:
-            pieces += [text[end:match.start()], json.dumps(_HOLE + str(len(held)))]
+        if _wreath_text(w, digits).encode("ascii") == match[0]:
+            pieces += [data[end:match.start()], json.dumps(_HOLE + str(len(held))).encode("ascii")]
             held.append(w)
             end = match.end()
     if not held:
         return None
-    pieces.append(text[end:])
+    pieces.append(data[end:])
     try:
-        payload = json.loads("".join(pieces), parse_constant=_not_a_number)
+        payload = json.loads(b"".join(pieces).decode("ascii"), parse_constant=_not_a_number)
         listed = payload["embedding"]["witnesses"]
     except (ValueError, RecursionError, KeyError, TypeError):
         return None
@@ -746,7 +779,7 @@ class _Stored:
             raise _Rejected("embedding", "witness count mismatch")
         try:
             elements = [
-                _wreath_from_arrays(pe.G, p.top, *_runs(p.base))
+                _wreath_from_arrays(pe.G, p.top, p.base)
                 if isinstance(p, _Witness)
                 else _wreath_from_payload(pe.G, p)
                 for p in payloads

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import os
@@ -53,6 +54,23 @@ def test_realize_overwrites_an_existing_file(tmp_path, capsys):
     code, _ = run_cli(["realize", "--group", "1", "--out", str(path)], capsys)
     assert code == 0
     assert path.read_bytes() == run_pipeline(InputGroupA.from_name("1")).to_json_bytes()
+
+
+def test_realize_serialization_failure_keeps_an_existing_file(tmp_path, monkeypatch):
+    # the certificate is written in pieces, and the file is truncated only
+    # once the first piece, made after everything that can fail, is in hand
+    def foreign(A, policy):
+        return dataclasses.replace(run_pipeline(A, policy), main_checks={"a": object()})
+
+    monkeypatch.setattr(cli, "run_pipeline", foreign)
+    path = tmp_path / "trivial.json"
+    path.write_bytes(b"an earlier certificate")
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        main(["realize", "--group", "1", "--out", str(path)])
+    assert path.read_bytes() == b"an earlier certificate"
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        main(["realize", "--group", "1", "--out", str(tmp_path / "new.json")])
+    assert not (tmp_path / "new.json").exists()
 
 
 def test_realize_unknown_group(tmp_path, capsys):

@@ -150,6 +150,13 @@ def reference_witness(pe, phi):
     return WreathElement(G, base, top, validate=True)
 
 
+def product_check(pe, phi, g):
+    """g iota(u) g^-1 = iota(phi(u)) by wreath products, for every u in the
+    source of phi."""
+    gi = g.inverse()
+    return all(g * pe.iota(u) * gi == pe.iota(fu) for u, fu in zip(phi.source, phi.images))
+
+
 def random_element(rng, G, n):
     base = rng.integers(0, G.order, size=n)
     top = rng.permutation(n)
@@ -479,11 +486,6 @@ class TestAmbientEmbedding:
         witness by the product check g iota(u) g^-1 = iota(phi(u)), and the
         array check rejects it too."""
         S, system, X, pe = ambient_pe
-
-        def product_check(phi, g):
-            gi = g.inverse()
-            return all(g * pe.iota(u) * gi == pe.iota(fu) for u, fu in zip(phi.source, phi.images))
-
         for gen in [gen for gen in system.generators if not gen.is_identity][:6]:
             g = pe.witness(gen)
             # the first slot that iota(phi(u)) moves, for the last u
@@ -493,8 +495,28 @@ class TestAmbientEmbedding:
             top = g.top.copy()
             top[[k, k + 1]] = top[[k + 1, k]]
             for edited in (WreathElement(S, base, g.top), WreathElement(S, g.base, top)):
-                assert not product_check(gen, edited)
+                assert not product_check(pe, gen, edited)
                 assert not pe.check_witness(gen, edited)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_generator_check_agrees_with_the_product_check(self, ambient_pe, data):
+        """check_witness compares the two sides on the source's generators
+        only; on a C2 witness with one base entry changed, or one pair of top
+        entries swapped, or none, it must agree with the product check on
+        every element of the source."""
+        S, system, X, pe = ambient_pe
+        gen = data.draw(st.sampled_from(system.generators))
+        g = pe.witness(gen)
+        base, top = g.base.copy(), g.top.copy()
+        k = data.draw(st.integers(0, pe.n - 1))
+        if data.draw(st.booleans()):
+            base[k] = data.draw(st.integers(0, S.order - 1))
+        else:
+            j = data.draw(st.integers(0, pe.n - 1))
+            top[[k, j]] = top[[j, k]]
+        edited = WreathElement(S, base, top)
+        assert pe.check_witness(gen, edited) == product_check(pe, gen, edited)
 
     def test_all_witnesses(self, ambient_pe):
         S, system, X, pe = ambient_pe

@@ -10,6 +10,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -442,7 +443,7 @@ def digit_table(bound):
 
 class TestWitnessText:
     """The certificate writer joins each built witness's text from its arrays
-    and splices it into json.dumps of the rest; the text must be exactly what
+    and writes it between the chunks of the rest; the text must be exactly what
     json.dumps makes of the witness payload."""
 
     S3 = catalog_group("S3")
@@ -612,6 +613,61 @@ class TestReaderEquivalence:
         assert isinstance(cert.embedding["witnesses"][0], realize._Witness) is held
         assert cert.to_payload() == ref.to_payload()
         assert cert.to_json_bytes() == ref.to_json_bytes()
+
+
+def traced(call):
+    """call() under tracemalloc: its result, and the traced bytes it left
+    held and at its peak, both counted above what was held before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held - before, peak - before
+
+
+class TestStreamedCertificate:
+    """The certificate is written in pieces and read without a second copy
+    of its text.  A whole copy of the C2 text is 12.2 MB; the memory bounds
+    are far below that."""
+
+    def test_one_chunk_per_witness(self, c2_cert):
+        chunks = list(c2_cert.json_chunks())
+        assert len(chunks) == 2 * 246 + 1
+        assert max(map(len, chunks)) < 2 ** 20
+
+    def test_a_foreign_object_fails_before_the_first_chunk(self, c2_cert):
+        cert = dataclasses.replace(c2_cert, main_checks={"a": object()})
+        with pytest.raises(TypeError, match="object is not JSON serializable"):
+            next(cert.json_chunks())
+
+    def test_the_write_holds_no_copy_of_the_document(self, c2_cert, tmp_path):
+        path = tmp_path / "c2.json"
+
+        def write():
+            with open(path, "wb") as fh:
+                for chunk in c2_cert.json_chunks():
+                    fh.write(chunk)
+
+        _, _, peak = traced(write)
+        assert path.stat().st_size == 12204862
+        assert peak < 2 * 10 ** 6
+
+    def test_the_read_holds_no_second_copy_of_the_text(self, c2_cert):
+        data = c2_cert.to_json_bytes()
+        cert, held, peak = traced(lambda: Certificate.from_json_bytes(data))
+        # the witness arrays are most of what the read leaves held
+        assert all(isinstance(w, realize._Witness) for w in cert.embedding["witnesses"])
+        assert peak < 1.25 * held
+
+    def test_witness_arrays_are_read_only(self, c2_cert):
+        read = Certificate.from_json_bytes(c2_cert.to_json_bytes())
+        for w in (c2_cert.embedding["witnesses"][0], read.embedding["witnesses"][0]):
+            for array in (w.base, w.top):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1
 
 
 class TestMalformedPayloads:
