@@ -18,7 +18,6 @@ checks suffice since both sides are homomorphisms on P.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import deque
@@ -86,19 +85,19 @@ class DiagonalContext:
         gens = self.G.minimal_generators()
         self._move_gens = [(g, 0) for g in gens] + [(0, g) for g in gens]
         self._gammas: dict[tuple, np.ndarray] = {}
-        self._sxs_canon: dict[Diagonal, Diagonal] = {}
+        self._sxs: dict[Diagonal, tuple[Diagonal, int]] = {}
 
     # -- conjugacy ------------------------------------------------------------
 
-    def sxs_orbit(self, d: Diagonal) -> list[Diagonal]:
-        """The full S x S conjugacy class, sorted."""
-        return sorted(diagonal_orbit(self.G, d, self._move_gens))
-
-    def sxs_canonical(self, d: Diagonal) -> Diagonal:
-        if d not in self._sxs_canon:
-            orbit = self.sxs_orbit(d)
-            self._sxs_canon.update(dict.fromkeys(orbit, orbit[0]))
-        return self._sxs_canon[d]
+    def sxs_class(self, d: Diagonal) -> tuple[Diagonal, int]:
+        """The least member of the S x S class of the diagonal and the class
+        size, from one BFS per class kept for every member."""
+        hit = self._sxs.get(d)
+        if hit is None:
+            orbit = diagonal_orbit(self.G, d, self._move_gens)
+            hit = (min(orbit), len(orbit))
+            self._sxs.update(dict.fromkeys(orbit, hit))
+        return hit
 
     def fprime_orbit(self, d: Diagonal) -> list[Diagonal]:
         """The orbit of the diagonal under the product action: fusion morphisms
@@ -129,28 +128,14 @@ class DiagonalContext:
                     yield d, members
 
     def sxs_representatives(self, members: Sequence[Diagonal]) -> list[Diagonal]:
-        """The least member of each S x S class met by the members, in the
-        order the classes are first met."""
-        reps: list[Diagonal] = []
-        seen: set[Diagonal] = set()
-        for member in members:
-            if member not in seen:
-                orbit = self.sxs_orbit(member)
-                seen.update(orbit)
-                reps.append(orbit[0])
-        return reps
+        """The least member of each S x S class met by the members, sorted."""
+        return sorted({self.sxs_class(member)[0] for member in members})
 
     def normalizer_index(self, d: Diagonal) -> int:
         """|N_{SxS}(Delta)/Delta|, by orbit-stabilizer: |S|^2 / (|class| |P|)."""
-        return self.G.order ** 2 // (len(self.sxs_orbit(d)) * len(d.source))
+        return self.G.order ** 2 // (self.sxs_class(d)[1] * len(d.source))
 
     # -- marks ------------------------------------------------------------------
-
-    @functools.cached_property
-    def _cj(self) -> np.ndarray:
-        """cj[y, t] = y t y^-1."""
-        mul, inv = self.G.np_tables
-        return mul[mul, inv[:, np.newaxis]]
 
     def _gamma(self, source: tuple, images: tuple) -> np.ndarray:
         """The twist of an orbit as a row over S: its images on the source,
@@ -166,7 +151,7 @@ class DiagonalContext:
         """Fixed points of Delta(P, phi) on each (S x S)/Delta(Q, gamma), for
         the (Q, gamma) in orbits: the number of pairs (x, y) with x^-1 P x <= Q
         and c_y . gamma . c_{x^-1} = phi on the generators of P, over |Q|."""
-        cj = self._cj
+        cj = self.G.np_conj
         gamma = np.array([self._gamma(q, g) for q, g in orbits], dtype=np.int32)
         gamma = gamma.reshape(len(orbits), self.G.order)
         gens = np.array(self.lattice.by_key[d.source].generators, dtype=np.intp)
@@ -197,12 +182,14 @@ class DiagonalContext:
 
 
 def outer_class_representatives(system: FusionSystem) -> list[Morphism]:
-    """One automorphism of S per outer class, the identity first."""
-    reps = []
-    for cls in system.out_classes():
-        ident = Morphism(cls[0].source, cls[0].source)
-        reps.append(ident if ident in cls else cls[0])
-    return reps
+    """The least member of each coset Inn(S) alpha in Aut_F(S), sorted; the
+    identity is the least automorphism, so it comes first."""
+    full = tuple(range(system.ambient.order))
+    inner = [c.images for c in system.aut_S(full)]
+    return sorted({
+        min(Morphism(full, tuple(c[x] for x in alpha.images)) for c in inner)
+        for alpha in system.aut(full)
+    })
 
 
 def build_semicharacteristic(
@@ -227,7 +214,7 @@ def build_semicharacteristic(
     for d, members in ctx.classes(system.hom_set):
         if d.source == full:
             continue
-        reps = sorted(ctx.sxs_representatives(members), key=lambda r: (r.source, r.images))
+        reps = ctx.sxs_representatives(members)
         marks = {rep: ctx.mark_terms(terms, rep) for rep in reps}
         peak = max(marks.values())
         for rep in reps:
@@ -300,8 +287,7 @@ def injective_diagonal_classes(system: FusionSystem) -> Iterator[tuple[tuple, np
     F-class is made at a time, each moved copy of its rows one at a time."""
     G = system.ambient
     lat = system.lattice
-    mul, inv = G.np_tables
-    conj_moves = [mul[mul[s], inv[s]] for s in G.minimal_generators()]
+    conj_moves = G.np_conj[G.minimal_generators()]
     met: set[tuple] = set()
     for skey in sorted(lat.keys, key=lambda k: (-len(k), k)):
         if skey in met:
@@ -385,24 +371,23 @@ def check_orbit_predictions(
     intersection of all nonextendable sources."""
     ctx = context or DiagonalContext(system)
     G = system.ambient
-    orbit_canon = {ctx.sxs_canonical(Diagonal(rec.source, rec.images)) for rec in X.orbits}
+    orbit_canon = {ctx.sxs_class(Diagonal(rec.source, rec.images))[0] for rec in X.orbits}
     missing = []
     for skey in system.lattice.keys:
         for m in system.hom_set(skey):
-            if system.is_nonextendable(m) and ctx.sxs_canonical(m) not in orbit_canon:
+            if system.is_nonextendable(m) and ctx.sxs_class(m)[0] not in orbit_canon:
                 missing.append((skey, m.images))
-    core = set(range(G.order))
+    # t lies in every y Q y^-1 exactly when y t y^-1 lies in Q for every y
+    inside = np.ones(G.order, dtype=bool)
     for rec in X.orbits:
-        conj_int = set(rec.source)
-        for s in range(G.order):
-            conj_int &= {G.conj(s, q) for q in rec.source}
-        core &= conj_int
-    qf = set(system.core_intersection())
-    ok = not missing and core <= qf
+        inside &= np.isin(G.np_conj, rec.source).all(axis=0)
+    core = tuple(np.flatnonzero(inside).tolist())
+    qf = system.core_intersection()
+    ok = not missing and set(core) <= set(qf)
     report = {
         "missing_conjugates": missing,
-        "orbit_core": tuple(sorted(core)),
-        "nonextendable_core": tuple(sorted(qf)),
+        "orbit_core": core,
+        "nonextendable_core": qf,
     }
     return ok, report
 

@@ -74,11 +74,6 @@ class SubgroupLattice:
             self._covers[key] = cached
         return cached
 
-    def cyclic_keys(self) -> list[tuple[int, ...]]:
-        G = self.ambient
-        return [k for k in self.keys
-                if any(G.closure([x]) == k for x in k)]
-
 
 class FusionSystem:
     """A materialized fusion system: every morphism of every hom set."""
@@ -212,30 +207,6 @@ class FusionSystem:
         ]
         return FiniteGroup(table), elems
 
-    def out_classes(self, source_key=None) -> list[list[Morphism]]:
-        """Aut_F(S) modulo inner automorphisms; each class sorted, classes
-        ordered by least member, and the identity's class first."""
-        if source_key is None:
-            source_key = tuple(range(self.ambient.order))
-        pos = self.lattice.posmap[source_key]
-        inner_images = [m.images for m in self.aut_S(source_key)]
-        classes: list[list[Morphism]] = []
-        assigned: dict[tuple, int] = {}
-        for m in self.aut(source_key):
-            if m.images in assigned:
-                continue
-            cls = []
-            for inner in inner_images:
-                images = tuple(inner[pos[x]] for x in m.images)
-                if images not in assigned:
-                    assigned[images] = len(classes)
-                    cls.append(Morphism(source_key, images))
-            cls.sort(key=lambda x: x.images)
-            classes.append(cls)
-        ident = Morphism(source_key, source_key)
-        classes.sort(key=lambda c: (ident not in c, c[0].images))
-        return classes
-
     # -- extendability ------------------------------------------------------------
 
     def _restrictions_onto(self, rkey, pkey) -> set:
@@ -306,10 +277,10 @@ class FusionSystem:
         morphisms on them."""
         G = self.ambient
         gens = set()
-        for ckey in self.lattice.cyclic_keys():
+        for ckey in self.lattice.keys:
             singles = [x for x in ckey if G.closure([x]) == ckey]
+            pos = self.lattice.posmap[ckey]
             for m in self.hom_set(ckey):
-                pos = self.lattice.posmap[ckey]
                 for s in singles:
                     gens.add(G.mul(m.images[pos[s]], G.inv(s)))
         gens.discard(0)

@@ -59,15 +59,9 @@ class Subgroup:
     def __contains__(self, x: int) -> bool:
         return x in self.element_set
 
-    @property
+    @functools.cached_property
     def element_set(self) -> frozenset:
-        # cached on first use; object.__setattr__ because frozen
-        try:
-            return object.__getattribute__(self, "_eset")
-        except AttributeError:
-            es = frozenset(self.elements)
-            object.__setattr__(self, "_eset", es)
-            return es
+        return frozenset(self.elements)
 
 
 class FiniteGroup:
@@ -228,6 +222,12 @@ class FiniteGroup:
     def np_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """The multiplication table and the inverse map as int32 arrays."""
         return np.asarray(self.table, dtype=np.int32), np.asarray(self.inverse, dtype=np.int32)
+
+    @functools.cached_property
+    def np_conj(self) -> np.ndarray:
+        """np_conj[y, t] = y t y^-1, the array form of conj."""
+        mul, inv = self.np_tables
+        return mul[mul, inv[:, np.newaxis]]
 
     def table_hash(self) -> str:
         payload = repr(self.table).encode()
@@ -500,11 +500,12 @@ def homocyclic_rank2(S: SGroup, subgroups: list[Subgroup]) -> list[Subgroup]:
     if e == 1:
         return []
     target = e * e
+    divisors = {d for d in range(1, e + 1) if e % d == 0}
     out = []
     for sub in subgroups:
         if sub.order != target:
             continue
-        if any(S.element_order(x) not in _divisors_cache(e) for x in sub.elements):
+        if any(S.element_order(x) not in divisors for x in sub.elements):
             continue
         if max(S.element_order(x) for x in sub.elements) != e:
             continue
@@ -515,10 +516,6 @@ def homocyclic_rank2(S: SGroup, subgroups: list[Subgroup]) -> list[Subgroup]:
             continue
         out.append(Subgroup(sub.elements, pair))
     return out
-
-
-def _divisors_cache(e: int) -> frozenset:
-    return frozenset(d for d in range(1, e + 1) if e % d == 0)
 
 
 def _splitting_pair(S: FiniteGroup, sub: Subgroup, e: int) -> Optional[tuple[int, int]]:

@@ -41,10 +41,6 @@ class WreathElement:
             if self.base.size and (self.base.min() < 0 or self.base.max() >= group.order):
                 raise ValueError("base entry out of range")
 
-    @classmethod
-    def identity(cls, group: FiniteGroup, n: int) -> "WreathElement":
-        return cls(group, np.zeros(n, dtype=np.int32), np.arange(n, dtype=np.int32))
-
     @property
     def n(self) -> int:
         return len(self.top)

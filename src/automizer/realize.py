@@ -876,6 +876,7 @@ def _run_stages(A: InputGroupA, policy: VerificationPolicy, source):
     if not flags["orbit_predictions"]:
         return stop("biset", "orbit predictions fail")
     source.agree("biset", biset=biset)
+    del ctx  # the S x S class memo is not needed past the biset stage
 
     pe = decompose(system, X)
     emb_ok, emb_rep = verify_embedding(pe)

@@ -110,6 +110,10 @@ def append_free_orbits(X: SemicharacteristicBiset, G_order: int, count: int = 1)
 # -- wreath elements as permutations, witnesses by a reference closure -------------
 
 
+def wreath_identity(group: FiniteGroup, n: int) -> WreathElement:
+    return WreathElement(group, np.zeros(n, dtype=np.int32), np.arange(n, dtype=np.int32))
+
+
 def base_only(group: FiniteGroup, n: int, entries: dict[int, int]) -> WreathElement:
     base = np.zeros(n, dtype=np.int32)
     for slot, val in entries.items():

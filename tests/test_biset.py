@@ -23,6 +23,7 @@ from automizer.biset import (
     _foreign_twist,
     build_semicharacteristic,
     check_orbit_predictions,
+    diagonal_orbit,
     injective_diagonal_classes,
     orbit_from_payload,
     orbit_payload,
@@ -643,3 +644,155 @@ class TestConjugacyInvariance:
         x = data.draw(st.integers(0, 31))
         y = data.draw(st.integers(0, 31))
         assert ctx.mark_biset(X, d) == ctx.mark_biset(X, move_diagonal(S, d, x, y))
+
+
+# -- one helper per class concept, against the code it replaced --------------------
+
+
+def reference_outer_class_representatives(system):
+    """Aut_F(S) modulo inner automorphisms, each class sorted, the classes
+    ordered by least member with the identity's class first; one member per
+    class, the identity for its own class and the least member otherwise."""
+    full = tuple(range(system.ambient.order))
+    inner_images = [m.images for m in system.aut_S(full)]
+    classes, assigned = [], set()
+    for m in system.aut(full):
+        if m.images in assigned:
+            continue
+        cls = []
+        for inner in inner_images:
+            images = tuple(inner[x] for x in m.images)
+            if images not in assigned:
+                assigned.add(images)
+                cls.append(Morphism(full, images))
+        classes.append(sorted(cls, key=lambda x: x.images))
+    ident = Morphism(full, full)
+    classes.sort(key=lambda c: (ident not in c, c[0].images))
+    return [ident if ident in cls else cls[0] for cls in classes]
+
+
+class ReferenceSxS:
+    """The S x S classes as sorted BFS orbits, one walk per class, each member
+    mapped to (least member, class size)."""
+
+    def __init__(self, G):
+        self.G = G
+        gens = G.minimal_generators()
+        self.moves = [(g, 0) for g in gens] + [(0, g) for g in gens]
+        self.known = {}
+
+    def sxs_class(self, d):
+        if d not in self.known:
+            orbit = sorted(diagonal_orbit(self.G, d, self.moves))
+            self.known.update(dict.fromkeys(orbit, (orbit[0], len(orbit))))
+        return self.known[d]
+
+    def representatives(self, members):
+        """The least member of each class, in the order the classes are met."""
+        reps, seen = [], set()
+        for member in members:
+            rep = self.sxs_class(member)[0]
+            if rep not in seen:
+                seen.add(rep)
+                reps.append(rep)
+        return reps
+
+
+def reference_check_orbit_predictions(system, X):
+    """The prediction check with its core as a loop over orbits, S and the
+    orbit source."""
+    G = system.ambient
+    ref = ReferenceSxS(G)
+    orbit_canon = {ref.sxs_class(Diagonal(rec.source, rec.images))[0] for rec in X.orbits}
+    missing = [
+        (skey, m.images)
+        for skey in system.lattice.keys
+        for m in system.hom_set(skey)
+        if system.is_nonextendable(m) and ref.sxs_class(m)[0] not in orbit_canon
+    ]
+    core = set(range(G.order))
+    for rec in X.orbits:
+        conj_int = set(rec.source)
+        for s in range(G.order):
+            conj_int &= {G.conj(s, q) for q in rec.source}
+        core &= conj_int
+    qf = set(system.core_intersection())
+    report = {
+        "missing_conjugates": missing,
+        "orbit_core": tuple(sorted(core)),
+        "nonextendable_core": tuple(sorted(qf)),
+    }
+    return not missing and core <= qf, report
+
+
+class TestOneHelperPerClassConcept:
+    def test_outer_representatives_on_klein3_and_ambient(self, klein3, ambient_c2):
+        for _, system, _, _ in (klein3, ambient_c2):
+            expect = reference_outer_class_representatives(system)
+            assert outer_class_representatives(system) == expect
+
+    @pytest.mark.parametrize("pair", corpus(), ids=lambda p: p.name)
+    def test_outer_representatives_on_corpus(self, pair):
+        system = brute_fusion(pair.group(), pair.subgroup_generators())
+        expect = reference_outer_class_representatives(system)
+        assert outer_class_representatives(system) == expect
+
+    def test_sxs_class_on_every_stored_morphism(self, ambient_c2):
+        S, system, _, _ = ambient_c2
+        ctx, ref = DiagonalContext(system), ReferenceSxS(S)
+        stored = [m for skey in system.lattice.keys for m in system.hom_set(skey)]
+        assert len(stored) == 1036
+        for m in stored:
+            assert ctx.sxs_class(m) == ref.sxs_class(m)
+
+    def test_representatives_keep_the_first_met_order(self, klein3, ambient_c2):
+        for G, system, ctx, _ in (klein3, ambient_c2):
+            ref = ReferenceSxS(G)
+            for _, members in ctx.classes(system.hom_set):
+                assert ctx.sxs_representatives(members) == ref.representatives(members)
+
+    def test_predictions_match_the_orbit_loop(self, klein3, ambient_c2):
+        G, system, ctx, X = klein3
+        for Y in klein3_variants(G, X):
+            assert check_orbit_predictions(system, Y, context=ctx) == (
+                reference_check_orbit_predictions(system, Y)
+            )
+        _, system, ctx, X = ambient_c2
+        stripped = SemicharacteristicBiset([X.orbits[0]], X.m, X.orbits[0].multiplicity)
+        for Y in (X, stripped):
+            assert check_orbit_predictions(system, Y, context=ctx) == (
+                reference_check_orbit_predictions(system, Y)
+            )
+
+    def test_orbit_core_is_the_normal_core_on_d8(self):
+        """Beside the identity orbit, one orbit on each subgroup Q of D8: the
+        orbit core is the largest normal subgroup inside Q."""
+        G = catalog_group("D8")
+        system = generate(G, G.all_subgroups(), [])
+        ctx = DiagonalContext(system)
+        full = tuple(range(G.order))
+        cores = set()
+        for q in system.lattice.keys:
+            Y = SemicharacteristicBiset([OrbitRecord(full, full, 1), OrbitRecord(q, q, 1)], 1, 0)
+            ok, rep = check_orbit_predictions(system, Y, context=ctx)
+            assert (ok, rep) == reference_check_orbit_predictions(system, Y)
+            cores.add(rep["orbit_core"] == q)
+        assert cores == {True, False}
+
+    def test_one_bfs_per_sxs_class(self, ambient_c2, monkeypatch):
+        """The builder, the stability check and the predictions, run in one
+        context, walk each S x S class of diagonals once between them."""
+        S, system, _, _ = ambient_c2
+        walked = []
+
+        def counting_orbit(G, d, moves):
+            walked.append(d)
+            return diagonal_orbit(G, d, moves)
+
+        monkeypatch.setattr("automizer.biset.diagonal_orbit", counting_orbit)
+        ctx = DiagonalContext(system)
+        X = build_semicharacteristic(system, context=ctx)
+        assert verify_stability(system, X, context=ctx)[0]
+        assert check_orbit_predictions(system, X, context=ctx)[0]
+        classes = {ctx.sxs_class(d)[0] for d in walked}
+        assert len(walked) == len(classes) == 239

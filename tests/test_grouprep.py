@@ -164,6 +164,12 @@ class TestSubgroups:
             norm = {g for g in range(8) if {G.conj(g, x) for x in H.elements} == set(H.elements)}
             assert set(G.normalizer(H).elements) == norm
 
+    @pytest.mark.parametrize("name", ["1", "C2", "C6", "D8", "S3", "S4", "Q8", "C2xC2", "C3xC3", "S(C2)"])
+    def test_np_conj_matches_conj(self, name):
+        G = build_S(InputGroupA.from_name("C2")) if name == "S(C2)" else catalog_group(name)
+        expect = [[G.conj(y, t) for t in range(G.order)] for y in range(G.order)]
+        assert G.np_conj.tolist() == expect
+
     def test_center_and_derived(self):
         assert len(center(catalog_group("D8"))) == 2
         assert len(center(catalog_group("Q8"))) == 2

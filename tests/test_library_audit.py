@@ -1,8 +1,11 @@
 """The library defines only what the pipeline reaches: every function, class
-and method of the library modules (testkit excluded) is named on some line of
-those modules or of the scripts outside its own definition.  Test-only helpers
-belong in testkit.  Every attribute the library stores on self is read on
-some line of the library, the scripts, testkit or the tests."""
+and method of the library modules (testkit excluded) is named in the code of
+those modules or of the scripts outside its own definition, or is a name the
+benchmark's tracer wraps.  A name counts only where the code reads it: as a
+name, as an attribute or in an import, never in a comment or a docstring.
+Test-only helpers belong in testkit.  Every attribute the library stores on
+self is read on some line of the library, the scripts, testkit or the
+tests."""
 
 import ast
 import importlib
@@ -17,22 +20,45 @@ READERS = LIBRARY + SCRIPTS + [ROOT / "src" / "automizer" / "testkit.py"]
 READERS += sorted((ROOT / "tests").glob("*.py"))
 
 
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
+def code_names(tree: ast.AST) -> list[tuple[str, int]]:
+    """Each name the code reads, with its line: names, attributes and the
+    names an import binds or fetches."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+        elif isinstance(node, ast.alias):
+            out += [(part, node.lineno) for part in node.name.split(".")]
+    return out
+
+
 def unused_definitions() -> list[str]:
-    lines = {path: path.read_text().splitlines() for path in LIBRARY + SCRIPTS}
+    trees = {path: ast.parse(path.read_text()) for path in LIBRARY + SCRIPTS}
+    names = {path: code_names(tree) for path, tree in trees.items()}
+    tracing = load_tracing()
+    wrapped = {name for _, name, _ in tracing.FUNCTION_PATCH_POINTS}
+    wrapped |= {name for _, cls, attr, _ in tracing.METHOD_PATCH_POINTS for name in (cls, attr)}
     unused = []
     for path in LIBRARY:
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(trees[path]):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             if node.name.startswith("__") and node.name.endswith("__"):
                 continue
-            word = re.compile(r"\b%s\b" % re.escape(node.name))
             body = range(node.lineno, node.end_lineno + 1)
-            if not any(
-                word.search(line)
-                for other, text in lines.items()
-                for number, line in enumerate(text, 1)
-                if not (other == path and number in body)
+            if node.name not in wrapped and not any(
+                name == node.name and not (other == path and number in body)
+                for other, found in names.items()
+                for name, number in found
             ):
                 unused.append("%s:%d %s" % (path.name, node.lineno, node.name))
     return unused
@@ -87,9 +113,7 @@ def test_every_stored_attribute_is_read():
 def test_benchmark_patch_points_resolve():
     """Every name the benchmark's tracer wraps still exists: a renamed
     function or method would otherwise leave its span silently empty."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_tracing()
     missing = [
         "%s.%s" % (module, name)
         for module, name, _ in tracing.FUNCTION_PATCH_POINTS

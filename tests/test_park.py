@@ -46,6 +46,7 @@ from automizer.testkit import (
     to_permutation,
     top_only,
     verify_all_witnesses,
+    wreath_identity,
 )
 
 
@@ -167,7 +168,7 @@ class TestArithmetic:
     def test_identity_and_inverse(self):
         G = catalog_group("S3")
         rng = np.random.default_rng(7)
-        e = WreathElement.identity(G, 6)
+        e = wreath_identity(G, 6)
         for _ in range(50):
             a = random_element(rng, G, 6)
             assert a * a.inverse() == e
@@ -203,7 +204,7 @@ class TestArithmetic:
     def test_degree_mismatch_rejected(self):
         G = catalog_group("S3")
         with pytest.raises(ValueError):
-            wreath_multiply(WreathElement.identity(G, 3), WreathElement.identity(G, 4))
+            wreath_multiply(wreath_identity(G, 3), wreath_identity(G, 4))
 
     def test_validation(self):
         G = catalog_group("S3")
@@ -219,12 +220,12 @@ class TestArithmetic:
             a = random_element(rng, G, 5)
             b = random_element(rng, G, 5)
             assert to_permutation(a * b) == to_permutation(a) * to_permutation(b)
-        assert to_permutation(WreathElement.identity(G, 5)).is_identity()
+        assert to_permutation(wreath_identity(G, 5)).is_identity()
 
     def test_permutation_realization_degree_guard(self):
         G = catalog_group("S3")
         with pytest.raises(ScaleError):
-            to_permutation(WreathElement.identity(G, 5), max_degree=12)
+            to_permutation(wreath_identity(G, 5), max_degree=12)
 
     def test_slotwise_commutator_identity(self):
         # [e_j(s)e_i(s)^-1, e_k(t^-1)e_j(t^-1)^-1] = e_j([s,t]) for i,j,k consecutive
@@ -311,13 +312,13 @@ class TestDerivedSubgroupOracle:
     def test_membership_requires_n_at_least_5(self):
         G = catalog_group("S3")
         with pytest.raises(ValueError):
-            gamma_prime_member(WreathElement.identity(G, 4), G.commutator_subgroup())
+            gamma_prime_member(wreath_identity(G, 4), G.commutator_subgroup())
 
     def test_odd_top_rejected(self, gamma):
         G, n, gens, group = gamma
         swap = top_only(G, Permutation((1, 0, 2, 3, 4)))
         assert not gamma_prime_member(swap, G.commutator_subgroup())
-        assert gamma_prime_member(WreathElement.identity(G, n), G.commutator_subgroup())
+        assert gamma_prime_member(wreath_identity(G, n), G.commutator_subgroup())
 
 
 class TestSmallEmbedding:
@@ -549,4 +550,4 @@ class TestProperties:
         rng = np.random.default_rng(seed)
         a = random_element(rng, G, 4)
         assert wreath_inverse(wreath_inverse(a)) == a
-        assert a * wreath_inverse(a) == WreathElement.identity(G, 4)
+        assert a * wreath_inverse(a) == wreath_identity(G, 4)
