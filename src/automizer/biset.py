@@ -23,7 +23,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from functools import cached_property
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -35,8 +36,7 @@ from .permcore import merge_labels
 Diagonal = Morphism  # a twisted diagonal is stored exactly like a morphism
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(NamedTuple):
     """One transitive summand (S x S)/Delta(source, images), with multiplicity."""
 
     source: tuple[int, ...]
@@ -75,6 +75,31 @@ def diagonal_orbit(
     return conj
 
 
+class DiagonalClasses(dict):
+    """The classes of diagonals under the pairs a move list generates, one
+    diagonal_orbit BFS per class from the first member asked for.  Each member
+    maps to the least member of its class, a pair (x, y) moving the member
+    onto it, and the class size."""
+
+    def __init__(self, G: FiniteGroup, moves: Sequence[tuple[int, int]]):
+        super().__init__()
+        self.G, self.moves = G, moves
+
+    def __missing__(self, d: Diagonal) -> tuple[Diagonal, tuple[int, int], int]:
+        G = self.G
+        orbit = diagonal_orbit(G, d, self.moves)
+        rep = min(orbit)
+        p_r, s_r = orbit[rep]
+        for member, (p_m, s_m) in orbit.items():
+            self[member] = (rep, (G.mul(p_r, G.inv(p_m)), G.mul(s_r, G.inv(s_m))), len(orbit))
+        return self[d]
+
+
+def by_decreasing_order(keys: Sequence[tuple]) -> list[tuple]:
+    """Subgroup keys, largest first, equal orders by key."""
+    return sorted(keys, key=lambda k: (-len(k), k))
+
+
 class DiagonalContext:
     """Shared caches for diagonal classification and mark computation."""
 
@@ -83,57 +108,41 @@ class DiagonalContext:
         self.G = system.ambient
         self.lattice = system.lattice
         gens = self.G.minimal_generators()
-        self._move_gens = [(g, 0) for g in gens] + [(0, g) for g in gens]
+        self.sxs = DiagonalClasses(self.G, [(g, 0) for g in gens] + [(0, g) for g in gens])
         self._gammas: dict[tuple, np.ndarray] = {}
-        self._sxs: dict[Diagonal, tuple[Diagonal, int]] = {}
 
     # -- conjugacy ------------------------------------------------------------
-
-    def sxs_class(self, d: Diagonal) -> tuple[Diagonal, int]:
-        """The least member of the S x S class of the diagonal and the class
-        size, from one BFS per class kept for every member."""
-        hit = self._sxs.get(d)
-        if hit is None:
-            orbit = diagonal_orbit(self.G, d, self._move_gens)
-            hit = (min(orbit), len(orbit))
-            self._sxs.update(dict.fromkeys(orbit, hit))
-        return hit
 
     def fprime_orbit(self, d: Diagonal) -> list[Diagonal]:
         """The orbit of the diagonal under the product action: fusion morphisms
         on the source, inner maps on the target.  One pass suffices because the
         moves compose back into the same shape."""
-        G = self.G
-        sys = self.system
         out = set()
-        for psi in sys.hom_set(d.source):
-            new_source = tuple(sorted(psi.images))
-            inv_pos = {img: i for i, img in enumerate(psi.images)}
-            base = tuple(d.images[inv_pos[q]] for q in new_source)
-            for s in range(G.order):
-                out.add(Diagonal(new_source, tuple(G.conj(s, b) for b in base)))
+        for psi in self.system.hom_set(d.source):
+            pairs = sorted(zip(psi.images, d.images))
+            new_source = tuple(q for q, _ in pairs)
+            rows = self.G.np_conj[:, [b for _, b in pairs]].tolist()
+            out.update(Diagonal(new_source, tuple(row)) for row in rows)
         return sorted(out)
 
-    def classes(
-        self, homs: Callable[[tuple], Sequence[Morphism]]
-    ) -> Iterator[tuple[Diagonal, list[Diagonal]]]:
-        """The classes of the diagonals homs(P) under the product action, as
-        (first diagonal met, members), sources in decreasing order."""
-        assigned: set[Diagonal] = set()
-        for skey in sorted(self.lattice.keys, key=lambda k: (-len(k), k)):
-            for d in homs(skey):
+    @cached_property
+    def fusion_classes(self) -> list[tuple[Diagonal, list[Diagonal]]]:
+        """The classes of the stored fusion morphisms under the product
+        action, walked once, sources in decreasing order: per class, the first
+        diagonal met and the sorted least members of the S x S classes it
+        meets."""
+        out, assigned = [], set()
+        for skey in by_decreasing_order(self.lattice.keys):
+            for d in self.system.hom_set(skey):
                 if d not in assigned:
                     members = self.fprime_orbit(d)
                     assigned.update(members)
-                    yield d, members
-
-    def sxs_representatives(self, members: Sequence[Diagonal]) -> list[Diagonal]:
-        """The least member of each S x S class met by the members, sorted."""
-        return sorted({self.sxs_class(member)[0] for member in members})
+                    out.append((d, sorted({self.sxs[m][0] for m in members})))
+        return out
 
     def normalizer_index(self, d: Diagonal) -> int:
         """|N_{SxS}(Delta)/Delta|, by orbit-stabilizer: |S|^2 / (|class| |P|)."""
-        return self.G.order ** 2 // (self.sxs_class(d)[1] * len(d.source))
+        return self.G.order ** 2 // (self.sxs[d][2] * len(d.source))
 
     # -- marks ------------------------------------------------------------------
 
@@ -171,14 +180,11 @@ class DiagonalContext:
         assert not (total % qorder).any(), "mark formula must divide by |Q|"
         return total // qorder
 
-    def mark_terms(self, terms: Sequence[tuple[tuple, tuple, Fraction]], d: Diagonal) -> Fraction:
+    def mark(self, terms: Sequence[tuple], d: Diagonal):
+        """The mark at d of the sum of the orbits (source, images) with the
+        given weights; a biset's orbit records are such triples."""
         marks = self.orbit_marks([(source, images) for source, images, _ in terms], d)
-        pairs = zip((coeff for _, _, coeff in terms), marks.tolist())
-        return sum((coeff * mark for coeff, mark in pairs if mark), Fraction(0))
-
-    def mark_biset(self, X: SemicharacteristicBiset, d: Diagonal) -> int:
-        marks = self.orbit_marks([(r.source, r.images) for r in X.orbits], d)
-        return sum(mark * r.multiplicity for mark, r in zip(marks.tolist(), X.orbits))
+        return sum(weight * mark for (_, _, weight), mark in zip(terms, marks.tolist()) if mark)
 
 
 def outer_class_representatives(system: FusionSystem) -> list[Morphism]:
@@ -211,11 +217,10 @@ def build_semicharacteristic(
     for rep in outer_class_representatives(system):
         terms.append((full, rep.images, Fraction(1)))
 
-    for d, members in ctx.classes(system.hom_set):
+    for d, reps in ctx.fusion_classes:
         if d.source == full:
             continue
-        reps = ctx.sxs_representatives(members)
-        marks = {rep: ctx.mark_terms(terms, rep) for rep in reps}
+        marks = {rep: ctx.mark(terms, rep) for rep in reps}
         peak = max(marks.values())
         for rep in reps:
             gap = peak - marks[rep]
@@ -289,7 +294,7 @@ def injective_diagonal_classes(system: FusionSystem) -> Iterator[tuple[tuple, np
     lat = system.lattice
     conj_moves = G.np_conj[G.minimal_generators()]
     met: set[tuple] = set()
-    for skey in sorted(lat.keys, key=lambda k: (-len(k), k)):
+    for skey in by_decreasing_order(lat.keys):
         if skey in met:
             continue
         met.update(tuple(sorted(psi.images)) for psi in system.hom_set(skey))
@@ -330,8 +335,8 @@ def verify_stability(
     Delta(P, phi) only if phi = c_y . gamma . c_{x^-1} on P, a map in F when
     gamma is; and a class whose twist is outside F has no member in F.  So
     every orbit has mark 0 on such a class.  Every class is still counted, by
-    orbit labels; the fusion classes are walked in the builder's order, and a
-    failure reports how many classes that order met before it."""
+    orbit labels; marks are compared on the context's one fusion-class walk,
+    and a failure reports how many classes that walk's order met before it."""
     foreign = _foreign_twist(system, X)
     if foreign:
         return False, {"failure": foreign, "checked_classes": 0}
@@ -342,9 +347,8 @@ def verify_stability(
         roots = np.flatnonzero(label == np.arange(len(label)))
         earlier[skey] = (checked_classes, roots)
         checked_classes += len(roots)
-    for d, members in ctx.classes(system.hom_set):
-        reps = ctx.sxs_representatives(members)
-        marks = [ctx.mark_biset(X, rep) for rep in reps]
+    for d, reps in ctx.fusion_classes:
+        marks = [ctx.mark(X.orbits, rep) for rep in reps]
         if len(set(marks)) > 1:
             # d is the least row of its class, and the labels of Inj(R, S)
             # are met in increasing order; the rows are made again here
@@ -371,11 +375,11 @@ def check_orbit_predictions(
     intersection of all nonextendable sources."""
     ctx = context or DiagonalContext(system)
     G = system.ambient
-    orbit_canon = {ctx.sxs_class(Diagonal(rec.source, rec.images))[0] for rec in X.orbits}
+    orbit_canon = {ctx.sxs[Diagonal(rec.source, rec.images)][0] for rec in X.orbits}
     missing = []
     for skey in system.lattice.keys:
         for m in system.hom_set(skey):
-            if system.is_nonextendable(m) and ctx.sxs_class(m)[0] not in orbit_canon:
+            if system.is_nonextendable(m) and ctx.sxs[m][0] not in orbit_canon:
                 missing.append((skey, m.images))
     # t lies in every y Q y^-1 exactly when y t y^-1 lies in Q for every y
     inside = np.ones(G.order, dtype=bool)

@@ -33,12 +33,8 @@ def _load_input(spec: str) -> InputGroupA:
 
 
 def _policy(args) -> VerificationPolicy:
-    kwargs = {}
-    if args.max_n is not None:
-        kwargs["max_n"] = args.max_n
-    if args.max_subgroups is not None:
-        kwargs["max_subgroups"] = args.max_subgroups
-    return VerificationPolicy(**kwargs)
+    bounds = {"max_n": args.max_n, "max_subgroups": args.max_subgroups}
+    return VerificationPolicy(**{k: v for k, v in bounds.items() if v is not None})
 
 
 def _print_summary(cert: Certificate, out) -> None:
@@ -80,6 +76,11 @@ def cmd_realize(args, out) -> int:
         print("bad input group: %s" % exc, file=out)
         return EXIT_FAILED
     try:
+        policy = _policy(args)
+    except ValueError as exc:
+        print("bad policy: %s" % exc, file=out)
+        return EXIT_FAILED
+    try:
         fh, made = _open_out(args.out)
     except OSError as exc:
         print("cannot write certificate: %s" % exc, file=out)
@@ -88,7 +89,7 @@ def cmd_realize(args, out) -> int:
     try:
         with fh:
             try:
-                cert = run_pipeline(A, _policy(args))
+                cert = run_pipeline(A, policy)
             except ScaleError as exc:
                 print("scale rejection: %s" % exc, file=out)
                 return EXIT_SCALE

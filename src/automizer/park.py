@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .biset import SemicharacteristicBiset, diagonal_orbit
+from .biset import DiagonalClasses, SemicharacteristicBiset
 from .fusion import FusionSystem, Morphism
 from .grouprep import FiniteGroup, Subgroup
 from .permcore import Permutation, word_parity
@@ -153,7 +153,7 @@ class ParkEmbedding:
                 self.tops[:, offset : offset + tab.n_slots] = tab.sig + offset
                 self.bases[:, offset : offset + tab.n_slots] = tab.kap
                 offset += tab.n_slots
-        self._canon: dict[tuple, dict] = {}
+        self._pxs: dict[tuple, DiagonalClasses] = {}
         self._last_diagonals: tuple = (None, None)
         self._last_plain: tuple = (None, None)
         self._s_moves = [(0, g) for g in G.minimal_generators()]
@@ -248,19 +248,11 @@ class ParkEmbedding:
     def _canonical(self, skey: tuple, d: Morphism) -> tuple[Morphism, tuple[int, int]]:
         """The least P x S conjugate of the stabilizer diagonal d, plus a pair
         (p, s) conjugating d onto it."""
-        cache = self._canon.setdefault(skey, {})
-        hit = cache.get(d)
-        if hit is not None:
-            return hit
-        G = self.G
-        sub = self.system.lattice.by_key[skey]
-        moves = [(g, 0) for g in sub.generators] + self._s_moves
-        conj = diagonal_orbit(G, d, moves)
-        rep = min(conj)
-        p_r, s_r = conj[rep]
-        for member, (p_m, s_m) in conj.items():
-            cache[member] = (rep, (G.mul(p_r, G.inv(p_m)), G.mul(s_r, G.inv(s_m))))
-        return cache[d]
+        classes = self._pxs.get(skey)
+        if classes is None:
+            gens = self.system.lattice.by_key[skey].generators
+            classes = self._pxs[skey] = DiagonalClasses(self.G, [(g, 0) for g in gens] + self._s_moves)
+        return classes[d][:2]
 
     def witness(self, phi: Morphism) -> WreathElement:
         """A wreath element conjugating iota(u) to iota(phi(u)) for all u in

@@ -10,11 +10,11 @@ free-orbit padding that only the tests and scripts build on live here too."""
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .biset import Diagonal, DiagonalContext, OrbitRecord, SemicharacteristicBiset
+from .biset import Diagonal, DiagonalContext, OrbitRecord, SemicharacteristicBiset, by_decreasing_order
 from .fusion import (
     FusionSystem,
     Morphism,
@@ -379,6 +379,25 @@ def all_injective_homs(
     return [Morphism(source_key, tuple(row)) for row in rows.tolist()]
 
 
+def injective_class_walk(ctx: DiagonalContext) -> Iterator[tuple[Diagonal, list[Diagonal]]]:
+    """Every class of injective twisted diagonals under the product action,
+    fusion twist or not, as (first diagonal met, members), sources in
+    decreasing order; the walk the library makes over stored morphisms only."""
+    system = ctx.system
+    assigned: set[Diagonal] = set()
+    for skey in by_decreasing_order(system.lattice.keys):
+        for d in all_injective_homs(system.ambient, system.lattice, skey):
+            if d not in assigned:
+                members = ctx.fprime_orbit(d)
+                assigned.update(members)
+                yield d, members
+
+
+def sxs_representatives(ctx: DiagonalContext, members) -> list[Diagonal]:
+    """The least member of each S x S class met by the members, sorted."""
+    return sorted({ctx.sxs[m][0] for m in members})
+
+
 def exhaustive_class_marks(
     system: FusionSystem, X: SemicharacteristicBiset, context: Optional[DiagonalContext] = None
 ) -> list[tuple[Diagonal, list[int]]]:
@@ -387,12 +406,11 @@ def exhaustive_class_marks(
     representative, its first diagonal and the marks on the representatives.
     The biset is stable iff every mark list is constant."""
     ctx = context or DiagonalContext(system)
-    G = system.ambient
     out = []
-    for d, members in ctx.classes(lambda skey: all_injective_homs(G, system.lattice, skey)):
-        reps = ctx.sxs_representatives(members)
+    for d, members in injective_class_walk(ctx):
+        reps = sxs_representatives(ctx, members)
         if len(reps) > 1:
-            out.append((d, [ctx.mark_biset(X, rep) for rep in reps]))
+            out.append((d, [ctx.mark(X.orbits, rep) for rep in reps]))
     return out
 
 

@@ -49,6 +49,8 @@ from automizer.testkit import (
     center,
     corpus,
     exhaustive_class_marks,
+    injective_class_walk,
+    sxs_representatives,
 )
 
 
@@ -268,11 +270,7 @@ class TestMarksAgainstTransporterLoop:
         _, system, ctx, X = ambient_c2
         ref = ReferenceMarks(system)
         twists = [(rec.source, rec.images) for rec in X.orbits]
-        reps = [
-            rep
-            for _, members in ctx.classes(system.hom_set)
-            for rep in ctx.sxs_representatives(members)
-        ]
+        reps = [rep for _, class_reps in ctx.fusion_classes for rep in class_reps]
         assert (len(twists), len(reps)) == (172, 239)
         for rep in reps:
             assert ctx.orbit_marks(twists, rep).tolist() == [ref.mark(q, g, rep) for q, g in twists]
@@ -457,7 +455,7 @@ class TestExhaustiveOracle:
         ]
         assert outside
         for Y in klein3_variants(G, X):
-            assert all(ctx.mark_biset(Y, d) == 0 for d in outside)
+            assert all(ctx.mark(Y.orbits, d) == 0 for d in outside)
 
     def test_ambient_verdict_agrees_and_marks_vanish_outside_f(self, ambient_c2):
         _, system, ctx, X = ambient_c2
@@ -475,12 +473,11 @@ def reference_verify_stability(system, X, ctx):
     foreign = _foreign_twist(system, X)
     if foreign:
         return False, {"failure": foreign, "checked_classes": 0}
-    G = system.ambient
     checked_classes = 0
-    for d, members in ctx.classes(lambda skey: all_injective_homs(G, system.lattice, skey)):
+    for d, members in injective_class_walk(ctx):
         if system.contains(d):
-            reps = ctx.sxs_representatives(members)
-            marks = [ctx.mark_biset(X, rep) for rep in reps]
+            reps = sxs_representatives(ctx, members)
+            marks = [ctx.mark(X.orbits, rep) for rep in reps]
             if len(set(marks)) > 1:
                 return False, {
                     "failure": "marks differ on one diagonal class",
@@ -499,14 +496,13 @@ class TestClassLabels:
 
     @staticmethod
     def assert_labels_match_walk(system):
-        G = system.ambient
         ctx = DiagonalContext(system)
         labelled = {
             skey: (rows.tolist(), label.tolist())
             for skey, rows, label in injective_diagonal_classes(system)
         }
         walked = 0
-        for d, members in ctx.classes(lambda k: all_injective_homs(G, system.lattice, k)):
+        for d, members in injective_class_walk(ctx):
             rows, label = labelled[d.source]
             first = rows.index(list(d.images))
             assert label[first] == first
@@ -631,7 +627,7 @@ class TestConjugacyInvariance:
         d = Diagonal(skey, phi.images)
         x = data.draw(st.integers(0, G.order - 1))
         y = data.draw(st.integers(0, G.order - 1))
-        assert ctx.mark_biset(X, d) == ctx.mark_biset(X, move_diagonal(G, d, x, y))
+        assert ctx.mark(X.orbits, d) == ctx.mark(X.orbits, move_diagonal(G, d, x, y))
 
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)
@@ -643,7 +639,7 @@ class TestConjugacyInvariance:
         d = Diagonal(skey, phi.images)
         x = data.draw(st.integers(0, 31))
         y = data.draw(st.integers(0, 31))
-        assert ctx.mark_biset(X, d) == ctx.mark_biset(X, move_diagonal(S, d, x, y))
+        assert ctx.mark(X.orbits, d) == ctx.mark(X.orbits, move_diagonal(S, d, x, y))
 
 
 # -- one helper per class concept, against the code it replaced --------------------
@@ -725,6 +721,18 @@ def reference_check_orbit_predictions(system, X):
     return not missing and core <= qf, report
 
 
+def reference_fprime_orbit(system, d):
+    """The product-action orbit with one conj call per image and element of S."""
+    G = system.ambient
+    out = set()
+    for psi in system.hom_set(d.source):
+        pos = {img: i for i, img in enumerate(psi.images)}
+        source = tuple(sorted(psi.images))
+        base = [d.images[pos[q]] for q in source]
+        out.update(Diagonal(source, tuple(G.conj(s, b) for b in base)) for s in range(G.order))
+    return sorted(out)
+
+
 class TestOneHelperPerClassConcept:
     def test_outer_representatives_on_klein3_and_ambient(self, klein3, ambient_c2):
         for _, system, _, _ in (klein3, ambient_c2):
@@ -743,13 +751,20 @@ class TestOneHelperPerClassConcept:
         stored = [m for skey in system.lattice.keys for m in system.hom_set(skey)]
         assert len(stored) == 1036
         for m in stored:
-            assert ctx.sxs_class(m) == ref.sxs_class(m)
+            rep, pair, size = ctx.sxs[m]
+            assert (rep, size) == ref.sxs_class(m)
+            assert move_diagonal(S, m, *pair) == rep
 
     def test_representatives_keep_the_first_met_order(self, klein3, ambient_c2):
         for G, system, ctx, _ in (klein3, ambient_c2):
             ref = ReferenceSxS(G)
-            for _, members in ctx.classes(system.hom_set):
-                assert ctx.sxs_representatives(members) == ref.representatives(members)
+            for d, reps in ctx.fusion_classes:
+                assert reps == ref.representatives(ctx.fprime_orbit(d))
+
+    def test_fprime_orbit_matches_the_conj_loop(self, klein3, ambient_c2):
+        for _, system, ctx, _ in (klein3, ambient_c2):
+            for d, _ in ctx.fusion_classes:
+                assert ctx.fprime_orbit(d) == reference_fprime_orbit(system, d)
 
     def test_predictions_match_the_orbit_loop(self, klein3, ambient_c2):
         G, system, ctx, X = klein3
@@ -779,6 +794,25 @@ class TestOneHelperPerClassConcept:
             cores.add(rep["orbit_core"] == q)
         assert cores == {True, False}
 
+    def test_one_fusion_walk_per_context(self, ambient_c2, monkeypatch):
+        """The builder, the stability check and the predictions, run in one
+        context, walk the 65 fusion classes once between them."""
+        _, system, _, _ = ambient_c2
+        walked = []
+        fprime_orbit = DiagonalContext.fprime_orbit
+
+        def counting_orbit(self, d):
+            walked.append(d)
+            return fprime_orbit(self, d)
+
+        monkeypatch.setattr(DiagonalContext, "fprime_orbit", counting_orbit)
+        ctx = DiagonalContext(system)
+        X = build_semicharacteristic(system, context=ctx)
+        assert verify_stability(system, X, context=ctx)[0]
+        assert check_orbit_predictions(system, X, context=ctx)[0]
+        assert walked == [d for d, _ in ctx.fusion_classes]
+        assert len(walked) == len(set(walked)) == 65
+
     def test_one_bfs_per_sxs_class(self, ambient_c2, monkeypatch):
         """The builder, the stability check and the predictions, run in one
         context, walk each S x S class of diagonals once between them."""
@@ -794,5 +828,5 @@ class TestOneHelperPerClassConcept:
         X = build_semicharacteristic(system, context=ctx)
         assert verify_stability(system, X, context=ctx)[0]
         assert check_orbit_predictions(system, X, context=ctx)[0]
-        classes = {ctx.sxs_class(d)[0] for d in walked}
+        classes = {ctx.sxs[d][0] for d in walked}
         assert len(walked) == len(classes) == 239

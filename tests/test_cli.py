@@ -106,6 +106,22 @@ def test_realize_unwritable_out(tmp_path, capsys, monkeypatch):
     assert "No such file or directory" in out
 
 
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [("--max-n", "0", "max_n"), ("--max-subgroups", "-5", "max_subgroups")],
+)
+def test_realize_bad_policy(tmp_path, capsys, monkeypatch, flag, value, name):
+    def no_pipeline(*args):
+        raise AssertionError("the pipeline ran with a bad policy")
+
+    monkeypatch.setattr(cli, "run_pipeline", no_pipeline)
+    path = tmp_path / "trivial.json"
+    code, out = run_cli(["realize", "--group", "1", flag, value, "--out", str(path)], capsys)
+    assert code == 1
+    assert out == "bad policy: %s must be a positive integer\n" % name
+    assert not path.exists()
+
+
 def test_verify_round_trip(tmp_path, capsys):
     out_path = str(tmp_path / "trivial.json")
     assert main(["realize", "--group", "1", "--out", out_path]) == 0

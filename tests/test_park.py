@@ -17,6 +17,7 @@ from automizer.biset import (
     OrbitRecord,
     SemicharacteristicBiset,
     build_semicharacteristic,
+    diagonal_orbit,
 )
 from automizer.fusion import Morphism, generate
 from automizer.grouprep import (
@@ -451,6 +452,79 @@ class TestWitnessMemo:
         for gen in round_robin:
             w = interleaved.witness(gen)
             assert (w.top.tobytes(), w.base.tobytes()) == (want[gen].top.tobytes(), want[gen].base.tobytes())
+
+
+class ReferenceCanonical:
+    """The P x S class memo written out, as the embedding kept it before the
+    shared DiagonalClasses: one BFS per class from the first diagonal asked
+    for, each member mapped to the least member and (p_r p_m^-1, s_r s_m^-1),
+    where (p_m, s_m) is the BFS's pair moving the first diagonal onto m."""
+
+    def __init__(self, pe):
+        self.pe = pe
+        self.cache = {}
+
+    def __call__(self, skey, d):
+        cache = self.cache.setdefault(skey, {})
+        if d not in cache:
+            G = self.pe.G
+            gens = self.pe.system.lattice.by_key[skey].generators
+            moves = [(g, 0) for g in gens] + [(0, g) for g in G.minimal_generators()]
+            conj = diagonal_orbit(G, d, moves)
+            rep = min(conj)
+            p_r, s_r = conj[rep]
+            for member, (p_m, s_m) in conj.items():
+                cache[member] = (rep, (G.mul(p_r, G.inv(p_m)), G.mul(s_r, G.inv(s_m))))
+        return cache[d]
+
+
+class TestPxSClassMemo:
+    def test_one_bfs_per_pxs_class(self, ambient_pe, monkeypatch):
+        """Every generator witness on a fresh embedding, as realize builds
+        them, runs one BFS per (source, P x S class of stabilizer diagonals)."""
+        S, system, X, _ = ambient_pe
+        walked = []
+
+        def counting_orbit(G, d, moves):
+            orbit = diagonal_orbit(G, d, moves)
+            walked.append((tuple(moves), min(orbit)))
+            return orbit
+
+        monkeypatch.setattr("automizer.biset.diagonal_orbit", counting_orbit)
+        pe = decompose(system, X)
+        for gen in system.generators:
+            pe.witness(gen)
+        assert len(walked) == len(set(walked)) == 1481
+        met = {(skey, rep) for skey, classes in pe._pxs.items() for rep, _, _ in classes.values()}
+        assert len(met) == 1481
+
+    def test_pairs_match_the_written_out_memo_on_a6_d8(self, a6_d8_system, monkeypatch):
+        """On A6/D8 the pairs depend on which diagonal of a class is asked
+        for first; every pair the witnesses use equals the written-out memo's,
+        asked in the same order."""
+        system, X = a6_d8_system
+        asked = []
+        canonical = ParkEmbedding._canonical
+
+        def recording(self, skey, d):
+            hit = canonical(self, skey, d)
+            asked.append((skey, d, hit))
+            return hit
+
+        monkeypatch.setattr(ParkEmbedding, "_canonical", recording)
+        pe = decompose(system, X)
+        for key in sorted(system.store):
+            for images in system.store[key]:
+                pe.witness(Morphism(key, images))
+        ref = ReferenceCanonical(pe)
+        assert asked and all(ref(skey, d) == hit for skey, d, hit in asked)
+        # a BFS from each class's least member would give other pairs
+        from_least = ReferenceCanonical(pe)
+        moved = 0
+        for skey, d, (rep, pair) in asked:
+            from_least(skey, rep)
+            moved += from_least(skey, d)[1] != pair
+        assert moved
 
 
 class TestAmbientEmbedding:
