@@ -28,8 +28,8 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .grouprep import FiniteGroup, ScaleError
-from .fusion import FusionSystem, Morphism, injective_images
+from .grouprep import FiniteGroup, ScaleError, injective_images
+from .fusion import FusionSystem, Morphism
 from .permcore import merge_labels
 
 
@@ -95,6 +95,13 @@ class DiagonalClasses(dict):
         return self[d]
 
 
+def twist_row(G: FiniteGroup, source: Sequence[int], images: Sequence[int]) -> np.ndarray:
+    """A morphism as a row over G: its images on the source, -1 elsewhere."""
+    row = np.full(G.order, -1, dtype=np.int32)
+    row[list(source)] = images
+    return row
+
+
 def by_decreasing_order(keys: Sequence[tuple]) -> list[tuple]:
     """Subgroup keys, largest first, equal orders by key."""
     return sorted(keys, key=lambda k: (-len(k), k))
@@ -147,13 +154,10 @@ class DiagonalContext:
     # -- marks ------------------------------------------------------------------
 
     def _gamma(self, source: tuple, images: tuple) -> np.ndarray:
-        """The twist of an orbit as a row over S: its images on the source,
-        -1 elsewhere."""
+        """The twist row of an orbit, made once per orbit."""
         row = self._gammas.get((source, images))
         if row is None:
-            row = np.full(self.G.order, -1, dtype=np.int32)
-            row[list(source)] = images
-            self._gammas[(source, images)] = row
+            row = self._gammas[(source, images)] = twist_row(self.G, source, images)
         return row
 
     def orbit_marks(self, orbits: Sequence[tuple[tuple, tuple]], d: Diagonal) -> np.ndarray:
@@ -163,9 +167,8 @@ class DiagonalContext:
         cj = self.G.np_conj
         gamma = np.array([self._gamma(q, g) for q, g in orbits], dtype=np.int32)
         gamma = gamma.reshape(len(orbits), self.G.order)
-        gens = np.array(self.lattice.by_key[d.source].generators, dtype=np.intp)
-        ppos = self.lattice.posmap[d.source]
-        phi = [d.images[ppos[g]] for g in gens.tolist()]
+        gens, phi = self.lattice.on_generators(d)
+        gens = np.array(gens, dtype=np.intp)
         # theta[o, x, i] = gamma_o(x^-1 g_i x), -1 unless x^-1 g_i x lies in Q_o
         _, inv = self.G.np_tables
         theta = gamma[:, cj[inv[:, np.newaxis], gens]]
@@ -199,9 +202,7 @@ def outer_class_representatives(system: FusionSystem) -> list[Morphism]:
 
 
 def build_semicharacteristic(
-    system: FusionSystem,
-    max_n: int = 10 ** 6,
-    context: Optional[DiagonalContext] = None,
+    system: FusionSystem, context: DiagonalContext, max_n: int = 10 ** 6
 ) -> SemicharacteristicBiset:
     """Mark equalization over the diagonal classes, in decreasing source order.
 
@@ -209,7 +210,6 @@ def build_semicharacteristic(
     is maximal among the remaining ones because equal-order sources cannot
     contain each other, and correcting it only adds orbits whose marks vanish
     on every other same-size class and on all smaller ones."""
-    ctx = context or DiagonalContext(system)
     G = system.ambient
     full = tuple(range(G.order))
 
@@ -217,16 +217,16 @@ def build_semicharacteristic(
     for rep in outer_class_representatives(system):
         terms.append((full, rep.images, Fraction(1)))
 
-    for d, reps in ctx.fusion_classes:
+    for d, reps in context.fusion_classes:
         if d.source == full:
             continue
-        marks = {rep: ctx.mark(terms, rep) for rep in reps}
+        marks = {rep: context.mark(terms, rep) for rep in reps}
         peak = max(marks.values())
         for rep in reps:
             gap = peak - marks[rep]
             assert gap >= 0
             if gap:
-                coeff = gap / ctx.normalizer_index(rep)
+                coeff = gap / context.normalizer_index(rep)
                 terms.append((rep.source, rep.images, coeff))
 
     m = 1
@@ -298,10 +298,11 @@ def injective_diagonal_classes(system: FusionSystem) -> Iterator[tuple[tuple, np
         if skey in met:
             continue
         met.update(tuple(sorted(psi.images)) for psi in system.hom_set(skey))
-        rows = injective_images(G, lat, skey)
+        sub = lat.by_key[skey]
+        rows = injective_images(G, sub, range(G.order))
         label = np.arange(len(rows))
         pos = lat.posmap[skey]
-        gcols = [pos[g] for g in lat.by_key[skey].generators]
+        gcols = [pos[g] for g in sub.generators]
         # a homomorphism is fixed by its generator images, so a moved row is
         # found by sorting on those columns; the trivial source has one row
         if gcols:
@@ -321,9 +322,7 @@ def injective_diagonal_classes(system: FusionSystem) -> Iterator[tuple[tuple, np
 
 
 def verify_stability(
-    system: FusionSystem,
-    X: SemicharacteristicBiset,
-    context: Optional[DiagonalContext] = None,
+    system: FusionSystem, X: SemicharacteristicBiset, context: DiagonalContext
 ) -> tuple[bool, dict]:
     """Marks must be constant on every class of injective twisted diagonals
     under the product action (fusion morphisms on the source, inner maps on
@@ -340,20 +339,20 @@ def verify_stability(
     foreign = _foreign_twist(system, X)
     if foreign:
         return False, {"failure": foreign, "checked_classes": 0}
-    ctx = context or DiagonalContext(system)
     earlier: dict[tuple, tuple[int, np.ndarray]] = {}
     checked_classes = 0
     for skey, _, label in injective_diagonal_classes(system):
         roots = np.flatnonzero(label == np.arange(len(label)))
         earlier[skey] = (checked_classes, roots)
         checked_classes += len(roots)
-    for d, reps in ctx.fusion_classes:
-        marks = [ctx.mark(X.orbits, rep) for rep in reps]
+    for d, reps in context.fusion_classes:
+        marks = [context.mark(X.orbits, rep) for rep in reps]
         if len(set(marks)) > 1:
             # d is the least row of its class, and the labels of Inj(R, S)
             # are met in increasing order; the rows are made again here
             before, roots = earlier[d.source]
-            rows = injective_images(system.ambient, system.lattice, d.source)
+            G = system.ambient
+            rows = injective_images(G, system.lattice.by_key[d.source], range(G.order))
             row = np.flatnonzero((rows == d.images).all(axis=1))[0]
             return False, {
                 "failure": "marks differ on one diagonal class",
@@ -365,21 +364,18 @@ def verify_stability(
 
 
 def check_orbit_predictions(
-    system: FusionSystem,
-    X: SemicharacteristicBiset,
-    context: Optional[DiagonalContext] = None,
+    system: FusionSystem, X: SemicharacteristicBiset, context: DiagonalContext
 ) -> tuple[bool, dict]:
     """Two consequences of stability that the verifier recomputes directly:
     every nonextendable morphism is conjugate to some orbit twist, and the
     conjugation-closed intersection of the orbit sources lands inside the
     intersection of all nonextendable sources."""
-    ctx = context or DiagonalContext(system)
     G = system.ambient
-    orbit_canon = {ctx.sxs[Diagonal(rec.source, rec.images)][0] for rec in X.orbits}
+    orbit_canon = {context.sxs[Diagonal(rec.source, rec.images)][0] for rec in X.orbits}
     missing = []
     for skey in system.lattice.keys:
         for m in system.hom_set(skey):
-            if system.is_nonextendable(m) and ctx.sxs[m][0] not in orbit_canon:
+            if system.is_nonextendable(m) and context.sxs[m][0] not in orbit_canon:
                 missing.append((skey, m.images))
     # t lies in every y Q y^-1 exactly when y t y^-1 lies in Q for every y
     inside = np.ones(G.order, dtype=bool)

@@ -72,6 +72,9 @@ def _open_out(path: str):
 def cmd_realize(args, out) -> int:
     try:
         A = _load_input(args.group)
+    except ScaleError as exc:
+        print("scale rejection: %s" % exc, file=out)
+        return EXIT_SCALE
     except (ValueError, OSError) as exc:
         print("bad input group: %s" % exc, file=out)
         return EXIT_FAILED

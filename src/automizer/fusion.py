@@ -17,9 +17,7 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
-from .grouprep import FiniteGroup, Subgroup, _word_map, injective_homs
+from .grouprep import FiniteGroup, Subgroup, _word_map
 
 
 class Morphism(NamedTuple):
@@ -73,6 +71,12 @@ class SubgroupLattice:
             ]
             self._covers[key] = cached
         return cached
+
+    def on_generators(self, m: Morphism) -> tuple[tuple[int, ...], list[int]]:
+        """The generators of the morphism's source and their images."""
+        gens = self.by_key[m.source].generators
+        pos = self.posmap[m.source]
+        return gens, [m.images[pos[g]] for g in gens]
 
 
 class FusionSystem:
@@ -289,13 +293,8 @@ class FusionSystem:
     # -- serialization -----------------------------------------------------------------
 
     def morphism_payload(self, m: Morphism) -> dict:
-        sub = self.lattice.by_key[m.source]
-        gens = sub.generators if sub.generators else ()
-        pos = self.lattice.posmap[m.source]
-        return {
-            "source_generators": list(gens),
-            "generator_images": [m.images[pos[g]] for g in gens],
-        }
+        gens, images = self.lattice.on_generators(m)
+        return {"source_generators": list(gens), "generator_images": images}
 
     def morphism_from_payload(self, payload: dict) -> Morphism:
         G = self.ambient
@@ -327,16 +326,3 @@ def generate(
     lattice = SubgroupLattice(ambient, subgroups)
     return FusionSystem(lattice, generators)
 
-
-def injective_images(
-    G: FiniteGroup,
-    lattice: SubgroupLattice,
-    source_key: tuple[int, ...],
-) -> np.ndarray:
-    """Every injective homomorphism from the subgroup into the ambient group,
-    as one row of images aligned with the source, rows sorted by images."""
-    gens = list(lattice.by_key[source_key].generators)
-    if G.closure(gens) != source_key:
-        raise ValueError("subgroup record lacks a generating set")
-    rows = injective_homs(G, gens, G, range(G.order))
-    return rows[np.lexsort(rows.T[::-1])]

@@ -18,7 +18,7 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -33,8 +33,26 @@ class ScaleError(RuntimeError):
         self.bound_value = bound_value
         self.actual = actual
         super().__init__(
-            "scale bound %s=%s exceeded (needed %s)" % (bound_name, bound_value, actual)
+            "scale bound %s=%s exceeded (needed %s)" % (bound_name, bound_value, _short(actual))
         )
+
+
+def _short(value) -> str:
+    """The value as text, but an integer of more than 30 digits as its digit
+    count: the text of a huge one is long, and past 4300 digits str refuses."""
+    if not isinstance(value, int) or value < 10 ** 30:
+        return str(value)
+    digits = int((value.bit_length() - 1) * math.log10(2))  # at most log10(value)
+    while 10 ** digits <= value:
+        digits += 1
+    return "a %d-digit number" % digits
+
+
+def _check_table_order(n: int) -> None:
+    """Tables are checked (associativity is cubic) and catalog groups built
+    up to 512 elements."""
+    if n > 512:
+        raise ScaleError("table_validation_order", 512, n)
 
 
 @dataclass(frozen=True)
@@ -97,8 +115,7 @@ class FiniteGroup:
         for col in cols:
             if sorted(col) != list(range(n)):
                 raise ValueError("table column is not a permutation of the elements")
-        if n > 512:
-            raise ScaleError("table_validation_order", 512, n)
+        _check_table_order(n)
         t = self.table
         for a in range(n):
             ta = t[a]
@@ -238,23 +255,10 @@ class FiniteGroup:
     @classmethod
     def from_permutations(cls, perms: Sequence[Permutation], name: str = "") -> tuple["FiniteGroup", list[Permutation]]:
         """Table group of the permutation group generated by perms, elements
-        listed BFS from the identity; returns (group, element list)."""
-        degree = max(p.degree for p in perms)
-        perms = [p.extended(degree) if p.degree < degree else p for p in perms]
-        ident = tuple(range(degree))
-        index = {ident: 0}
-        elems = [ident]
-        for cur in elems:
-            for p in perms:
-                nxt = tuple(cur[j] for j in p.images)
-                if nxt not in index:
-                    index[nxt] = len(elems)
-                    elems.append(nxt)
-        n = len(elems)
-        table = [[0] * n for _ in range(n)]
-        for i, a in enumerate(elems):
-            for j, b in enumerate(elems):
-                table[i][j] = index[tuple(a[x] for x in b)]
+        in permutation_closure order; returns (group, element list)."""
+        elems = list(permutation_closure(perms, max(p.degree for p in perms)))
+        index = {e: i for i, e in enumerate(elems)}
+        table = [[index[tuple(a[x] for x in b)] for b in elems] for a in elems]
         return cls(table, name=name), [Permutation(e) for e in elems]
 
     def direct_product(self, other: "FiniteGroup") -> "FiniteGroup":
@@ -273,6 +277,23 @@ class FiniteGroup:
                         row[base + b2] = tab1 + tb[b2]
         name = "%sx%s" % (self.name, other.name) if self.name and other.name else ""
         return FiniteGroup(table, name=name)
+
+
+def permutation_closure(perms: Sequence[Permutation], degree: int) -> Iterator[tuple[int, ...]]:
+    """The image tuples of the permutation group the perms generate, each
+    perm read in Sym([0, degree)), breadth first from the identity: each
+    element is an earlier one followed by one generator."""
+    gens = [p.extended(degree).images for p in perms]
+    ident = tuple(range(degree))
+    seen = {ident}
+    queue = [ident]
+    for cur in queue:
+        yield cur
+        for p in gens:
+            nxt = tuple(cur[j] for j in p)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
 
 
 # -- the small-group catalog --------------------------------------------------
@@ -325,13 +346,16 @@ _Q8_TABLE = [
 
 def catalog_group(name: str) -> FiniteGroup:
     """Catalog lookup: "1", "C<n>", "D<2n>", "S<n>" (n <= 4), "Q8", and
-    "x"-separated direct products such as "C2xC2"."""
+    "x"-separated direct products such as "C2xC2".  An order past the table
+    bound is refused before any table is built."""
     name = name.strip()
     if "x" in name:
         parts = name.split("x")
         group = catalog_group(parts[0])
         for part in parts[1:]:
-            group = group.direct_product(catalog_group(part))
+            factor = catalog_group(part)
+            _check_table_order(group.order * factor.order)
+            group = group.direct_product(factor)
         group.name = name
         return group
     if name == "1":
@@ -342,8 +366,10 @@ def catalog_group(name: str) -> FiniteGroup:
         n = int(name[1:])
         if n < 1:
             raise ValueError("bad cyclic order in %r" % name)
+        _check_table_order(n)
         return _cyclic(n)
     if name.startswith("D") and name[1:].isdigit():
+        _check_table_order(int(name[1:]))
         return _dihedral(int(name[1:]))
     if name.startswith("S") and name[1:].isdigit():
         return _symmetric(int(name[1:]))
@@ -533,14 +559,19 @@ def _splitting_pair(S: FiniteGroup, sub: Subgroup, e: int) -> Optional[tuple[int
 
 
 def automorphisms_of(G: FiniteGroup, V: Subgroup) -> list[dict[int, int]]:
-    """Aut(V) as maps on element indices, sorted by their images of V's
-    elements, by the generator-image search inside V."""
-    gens = list(V.generators)
-    if G.closure(gens) != V.elements:
+    """Aut(V) as maps on element indices, sorted by their images of V's elements."""
+    return [dict(zip(V.elements, row)) for row in injective_images(G, V, V.elements).tolist()]
+
+
+def injective_images(G: FiniteGroup, sub: Subgroup, targets: Iterable[int]) -> np.ndarray:
+    """Every injective homomorphism from the subgroup into G that sends its
+    generators into targets, as one row of images aligned with the
+    subgroup's elements, rows sorted by images."""
+    gens = list(sub.generators)
+    if G.closure(gens) != sub.elements:
         raise ValueError("subgroup record lacks a generating set")
-    rows = injective_homs(G, gens, G, V.elements)
-    rows = rows[np.lexsort(rows.T[::-1])]
-    return [dict(zip(V.elements, row)) for row in rows.tolist()]
+    rows = injective_homs(G, gens, G, targets)
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 def _word_map(G: FiniteGroup, gens: Sequence[int]) -> dict[int, tuple[int, ...]]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .biset import DiagonalClasses, SemicharacteristicBiset
+from .biset import DiagonalClasses, SemicharacteristicBiset, twist_row
 from .fusion import FusionSystem, Morphism
 from .grouprep import FiniteGroup, Subgroup
 from .permcore import Permutation, word_parity
@@ -104,12 +104,10 @@ class _RecordTables:
     __slots__ = ("reps", "n_slots", "sig", "kap")
 
     def __init__(self, G: FiniteGroup, source: tuple, images: tuple):
-        order = G.order
-        phi = np.full(order, -1, dtype=np.int32)
-        phi[list(source)] = images
-        coset_of = np.full(order, -1, dtype=np.int32)
+        phi = twist_row(G, source, images)
+        coset_of = np.full(G.order, -1, dtype=np.int32)
         reps = []
-        for s in range(order):
+        for s in range(G.order):
             if coset_of[s] < 0:
                 coset_of[[G.mul(s, q) for q in source]] = len(reps)
                 reps.append(s)
@@ -260,8 +258,8 @@ class ParkEmbedding:
         k-th twisted orbit of that class."""
         mul, inv = self.G.np_tables
         skey = phi.source
-        phi_map = np.zeros(self.G.order, dtype=np.int32)
-        phi_map[list(skey)] = phi.images
+        # every index phi_map is read at is a product of elements of P
+        phi_map = twist_row(self.G, skey, phi.images)
         o, p_k, kap_k, cls1, conj1, ids = self._plain_side(skey)
         _, starts2, cls2, conj2 = self._classes(skey, phi.images, ids)
         if not np.array_equal(np.sort(cls1), np.sort(cls2)):
@@ -302,11 +300,7 @@ class ParkEmbedding:
         over the slots so does that slot."""
         order = self.G.order
         mul = self.G.np_tables[0].ravel()
-        lattice = self.system.lattice
-        pos = lattice.posmap[phi.source]
-        gens = lattice.by_key[phi.source].generators
-        src = np.array(gens, dtype=np.intp)
-        img = np.array([phi.images[pos[u]] for u in gens], dtype=np.intp)
+        src, img = (np.array(x, dtype=np.intp) for x in self.system.lattice.on_generators(phi))
         sigma = g.top
         t = self.tops[src]
         if not np.array_equal(sigma.take(t), self.tops[img].take(sigma, axis=1)):

@@ -11,7 +11,7 @@ Orbits of maps on [0, n) are class labels, merged by ``merge_labels``.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -296,22 +296,6 @@ class PermGroup:
         for lv in self._chain():
             n *= len(lv.orbit)
         return n
-
-    def elements(self) -> Iterator[Permutation]:
-        """All elements by transversal products (use only on small groups)."""
-        levels = self._chain()
-
-        def rec(k: int, acc: Permutation) -> Iterator[Permutation]:
-            if k < 0:
-                yield acc
-                return
-            for pt in sorted(levels[k].transversal):
-                yield from rec(k - 1, compose(levels[k].transversal[pt], acc))
-
-        if not levels:
-            yield identity_perm(self.degree)
-            return
-        yield from rec(len(levels) - 1, identity_perm(self.degree))
 
     def normal_closure(self, seeds: Iterable[Permutation]) -> "PermGroup":
         """Smallest subgroup containing the seeds and closed under conjugation

@@ -44,6 +44,7 @@ from .grouprep import (
     build_S,
     enumerate_subgroups,
     homocyclic_rank2,
+    permutation_closure,
 )
 from .park import ParkEmbedding, WreathElement, decompose, gamma_prime_member, verify_embedding
 from .permcore import PermGroup, Permutation, merge_labels, word_parity
@@ -250,11 +251,12 @@ def automizer_oracle(
         raise ScaleError("max_oracle_elements", max_elements, order)
     if not U0_gens:
         raise ValueError("need at least one subgroup generator")
-    u_sorted = sorted(PermGroup(U0_gens).elements(), key=lambda p: p.images)
+    u_degree = max(p.degree for p in U0_gens)
+    u_sorted = sorted(map(Permutation, permutation_closure(U0_gens, u_degree)), key=lambda p: p.images)
     u_index = {p: i for i, p in enumerate(u_sorted)}
 
     induced = set()
-    for g in G0.elements():
+    for g in map(Permutation, permutation_closure(G0.generators, G0.degree)):
         gi = g.inverse()
         images = []
         for u in u_sorted:
@@ -738,7 +740,7 @@ class _Built:
     """The supplied data built fresh; every recomputed section is accepted."""
 
     def biset(self, system, policy, ctx):
-        return build_semicharacteristic(system, max_n=policy.max_n, context=ctx)
+        return build_semicharacteristic(system, ctx, max_n=policy.max_n)
 
     def witnesses(self, pe, generators):
         elements = [pe.witness(g) for g in generators]
@@ -864,10 +866,10 @@ def _run_stages(A: InputGroupA, policy: VerificationPolicy, source):
     flags["biset_generated"], biset["generated"] = verify_generated(system, X)
     if not flags["biset_generated"]:
         return stop("biset", "orbit data rejected: %s" % biset["generated"]["failure"])
-    flags["biset_stable"], biset["stability"] = verify_stability(system, X, context=ctx)
+    flags["biset_stable"], biset["stability"] = verify_stability(system, X, ctx)
     if not flags["biset_stable"]:
         return stop("biset", "orbits are not stable: %s" % biset["stability"]["failure"])
-    flags["orbit_predictions"], pred = check_orbit_predictions(system, X, context=ctx)
+    flags["orbit_predictions"], pred = check_orbit_predictions(system, X, ctx)
     biset["predictions"] = {
         "missing_conjugates": [list(map(list, pair)) for pair in pred["missing_conjugates"]],
         "orbit_core": list(pred["orbit_core"]),

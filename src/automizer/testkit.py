@@ -15,15 +15,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .biset import Diagonal, DiagonalContext, OrbitRecord, SemicharacteristicBiset, by_decreasing_order
-from .fusion import (
-    FusionSystem,
-    Morphism,
-    SubgroupLattice,
-    _invert,
-    generate,
-    injective_images,
-)
-from .grouprep import FiniteGroup, ScaleError, SGroup, Subgroup
+from .fusion import FusionSystem, Morphism, SubgroupLattice, _invert, generate
+from .grouprep import FiniteGroup, ScaleError, SGroup, Subgroup, injective_images, permutation_closure
 from .park import ParkEmbedding, WreathElement
 from .permcore import PermGroup, Permutation, parse_cycles
 from .realize import Certificate, verify_certificate
@@ -284,7 +277,7 @@ def _conjugation_images(G0: PermGroup, elems: list[Permutation]):
     """For every ambient element, the partial map on subgroup indices induced
     by conjugation, as a list (None where the image leaves the subgroup)."""
     index = {p: i for i, p in enumerate(elems)}
-    for g in G0.elements():
+    for g in map(Permutation, permutation_closure(G0.generators, G0.degree)):
         gi = g.inverse()
         yield [index.get(g * p * gi) for p in elems]
 
@@ -375,7 +368,7 @@ def all_injective_homs(
 ) -> list[Morphism]:
     """Every injective homomorphism from the subgroup into the ambient group,
     as morphisms sorted by images."""
-    rows = injective_images(G, lattice, source_key)
+    rows = injective_images(G, lattice.by_key[source_key], range(G.order))
     return [Morphism(source_key, tuple(row)) for row in rows.tolist()]
 
 

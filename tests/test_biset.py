@@ -367,9 +367,9 @@ class TestBuilder:
             )
 
     def test_scale_guard(self, ambient_c2):
-        _, system, _, _ = ambient_c2
+        _, system, ctx, _ = ambient_c2
         with pytest.raises(ScaleError) as exc:
-            build_semicharacteristic(system, max_n=16)
+            build_semicharacteristic(system, ctx, max_n=16)
         assert exc.value.bound_name == "max_n"
 
 

@@ -279,6 +279,25 @@ def test_realize_custom_table_file(tmp_path, capsys):
     assert code == 0
 
 
+def test_realize_oversized_table_file_is_a_scale_rejection(tmp_path, capsys):
+    n = 513
+    tfile = tmp_path / "c513.txt"
+    tfile.write_text("%d\n%s\n" % (n, " ".join(str((i + j) % n) for i in range(n) for j in range(n))))
+    out_path = tmp_path / "cert.json"
+    code, out = run_cli(["realize", "--group", str(tfile), "--out", str(out_path)], capsys)
+    assert code == 2
+    assert out == "scale rejection: scale bound table_validation_order=512 exceeded (needed 513)\n"
+    assert not out_path.exists()
+
+
+def test_realize_oversized_catalog_name_is_a_scale_rejection(tmp_path, capsys):
+    out_path = tmp_path / "cert.json"
+    code, out = run_cli(["realize", "--group", "C1000", "--out", str(out_path)], capsys)
+    assert code == 2
+    assert out == "scale rejection: scale bound table_validation_order=512 exceeded (needed 1000)\n"
+    assert not out_path.exists()
+
+
 @pytest.fixture(scope="module")
 def trivial_payload():
     return json.loads(run_pipeline(InputGroupA.from_name("1")).to_json_bytes())

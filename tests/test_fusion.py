@@ -25,6 +25,7 @@ from automizer.grouprep import (
     enumerate_subgroups,
     find_isomorphism,
     injective_homs,
+    permutation_closure,
 )
 from automizer.permcore import PermGroup, Permutation, compose, parse_cycles
 from automizer.testkit import all_injective_homs, corpus, is_member
@@ -46,7 +47,7 @@ def build_surrogate(g0_gens, s0_gens, degree):
 
     atoms = []
     seen = set()
-    for g in g0.elements():
+    for g in map(Permutation, permutation_closure(g0.generators, degree)):
         ginv = g.inverse()
         conj = {}
         for i, p in enumerate(s0_perms):

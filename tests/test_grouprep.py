@@ -116,6 +116,15 @@ class TestCatalog:
         with pytest.raises(ValueError):
             catalog_group("D7")
 
+    @pytest.mark.parametrize("name, order", [("C600", 600), ("D600", 600), ("C2xC300", 600), ("C3xC3xC60", 540)])
+    def test_refuses_orders_past_the_table_bound(self, name, order):
+        with pytest.raises(ScaleError) as exc:
+            catalog_group(name)
+        assert (exc.value.bound_name, exc.value.bound_value, exc.value.actual) == ("table_validation_order", 512, order)
+
+    def test_largest_catalog_order_within_the_table_bound(self):
+        assert catalog_group("C2xC256").order == 512
+
     def test_validation_passes_catalog(self):
         for name in ["S3", "D8", "Q8", "C2xC2"]:
             G = catalog_group(name)
@@ -304,6 +313,22 @@ class TestSGroup:
             build_S(InputGroupA.from_name("S3"))
         assert exc.value.bound_name == "max_subgroup_order"
         assert exc.value.actual == 6 ** 12 * 6
+
+    def test_huge_needed_value_prints_as_a_digit_count(self):
+        with pytest.raises(ScaleError) as exc:
+            build_S(InputGroupA.from_name("C200"))
+        assert exc.value.actual == 200 ** 400 * 200
+        assert str(exc.value) == "scale bound max_subgroup_order=4096 exceeded (needed a 923-digit number)"
+
+    @pytest.mark.parametrize(
+        "actual, text",
+        [(10 ** 30 - 1, str(10 ** 30 - 1)), (10 ** 30, "a 31-digit number"), (10 ** 6003, "a 6004-digit number")],
+        ids=["30 digits", "31 digits", "6004 digits"],
+    )
+    def test_needed_value_text(self, actual, text):
+        exc = ScaleError("bound", 1, actual)
+        assert exc.actual == actual
+        assert str(exc) == "scale bound bound=1 exceeded (needed %s)" % text
 
     def test_codec_round_trip(self):
         S = build_S(InputGroupA.from_name("C2"))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from automizer.grouprep import permutation_closure
 from automizer.permcore import (
     PermGroup,
     Permutation,
@@ -17,7 +18,7 @@ from automizer.permcore import (
     parse_cycles,
     word_parity,
 )
-from automizer.testkit import alternating_gens, is_member, symmetric_gens
+from automizer.testkit import alternating_gens, corpus, is_member, symmetric_gens
 
 
 def brute_elements(gens, degree):
@@ -53,6 +54,15 @@ def brute_normal_closure(seeds, gens, degree):
                 work.append(conj)
         core.add(h)
     return brute_elements([Permutation(h) for h in core], degree)
+
+
+def chain_elements(group):
+    """Oracle: every element as a product of one transversal element per
+    level of the stabilizer chain, the deepest level applied first."""
+    elems = [identity_perm(group.degree)]
+    for level in reversed(group._chain()):
+        elems = [compose(t, e) for t in level.transversal.values() for e in elems]
+    return elems
 
 
 def labels(group):
@@ -210,14 +220,14 @@ class TestChain:
     def test_trivial_group(self):
         g = PermGroup([], degree=4)
         assert g.order() == 1
-        assert list(g.elements()) == [identity_perm(4)]
+        assert list(permutation_closure(g.generators, 4)) == [identity_perm(4).images]
 
     def test_elements_enumeration(self):
         group = PermGroup(symmetric_gens(4))
-        elems = list(group.elements())
+        elems = list(permutation_closure(group.generators, group.degree))
         assert len(elems) == 24
         assert len(set(elems)) == 24
-        assert set(e.images for e in elems) == brute_elements(symmetric_gens(4), 4)
+        assert set(elems) == brute_elements(symmetric_gens(4), 4)
 
     def test_orbit_and_transitivity(self):
         g = PermGroup([parse_cycles("(0 1)(2 3)", degree=4)])
@@ -234,6 +244,24 @@ class TestChain:
         assert pts_a == pts_b
 
 
+class TestOneEnumeration:
+    """permutation_closure is the one enumeration of a permutation group; the
+    stabilizer chain's transversal products give the same element set."""
+
+    @pytest.mark.parametrize("pair", corpus(), ids=lambda p: p.name)
+    def test_closure_matches_chain_on_corpus(self, pair):
+        for group in (pair.group(), PermGroup(pair.subgroup_generators(), degree=pair.degree)):
+            listed = list(permutation_closure(group.generators, group.degree))
+            chain = {p.images for p in chain_elements(group)}
+            assert len(listed) == len(set(listed)) == group.order() == len(chain)
+            assert set(listed) == chain
+
+    def test_breadth_first_from_the_identity(self):
+        listed = list(permutation_closure(symmetric_gens(3), 3))
+        assert listed[0] == (0, 1, 2)
+        assert listed[1:3] == [g.images for g in symmetric_gens(3)]
+
+
 class TestNormalClosure:
     def test_three_cycle_in_sym5(self):
         seeds = [parse_cycles("(0 1 2)", degree=5)]
@@ -242,7 +270,7 @@ class TestNormalClosure:
         assert len(expect) == 60
         nc = PermGroup(gens).normal_closure(seeds)
         assert nc.order() == 60
-        assert set(e.images for e in nc.elements()) == expect
+        assert set(permutation_closure(nc.generators, 5)) == expect
 
     def test_double_transposition_in_sym4(self):
         seeds = [parse_cycles("(0 1)(2 3)", degree=4)]
