@@ -159,12 +159,18 @@ def build_fusion_for(
     A: InputGroupA, policy: Optional[VerificationPolicy] = None
 ) -> tuple[SGroup, FusionSystem, Subgroup]:
     """S, the fusion system generated by all automorphisms of all rank-2
-    homocyclic subgroups of exponent e, and the designated subgroup U."""
+    homocyclic subgroups of exponent e, and the designated subgroup U.
+
+    Both scale bounds are checked before the table of S is built, the order
+    first: the subgroup count bound costs about rank^4 at rank 2|A|."""
     policy = policy or VerificationPolicy()
-    S = build_S(A, max_order=policy.max_subgroup_order)
-    bound = subgroup_count_lower_bound(S.e, S.rank)
+    s_order = A.e ** (2 * A.order) * A.order
+    if s_order > policy.max_subgroup_order:
+        raise ScaleError("max_subgroup_order", policy.max_subgroup_order, s_order)
+    bound = subgroup_count_lower_bound(A.e, 2 * A.order)
     if bound > policy.max_subgroups:
         raise ScaleError("max_subgroups", policy.max_subgroups, bound)
+    S = build_S(A, max_order=policy.max_subgroup_order)
     subs = enumerate_subgroups(
         S, max_order=policy.max_subgroup_order, max_count=policy.max_subgroups
     )
@@ -281,7 +287,12 @@ def _closure_transitive(
     """One-sided transitivity certificate for the normal closure of the seed
     permutations under the conjugators: a True verdict is sound because every
     merged generator is an explicit conjugate of a seed.  There is one class
-    exactly when every label is 0."""
+    exactly when every label is 0.
+
+    The conjugate tau = c sig c^-1 crosses two classes exactly when some
+    label[tau(x)] != label[x].  With x = c(y) that reads lc[sig(y)] != lc[y]
+    for the relabelling lc = label o c, so each pair is tested on lc, and tau
+    is built only for the pairs that merge; lc is read again after a merge."""
     label = np.arange(n)
     for s in seeds:
         label = merge_labels(label, s)
@@ -291,14 +302,16 @@ def _closure_transitive(
         rounds += 1
         fresh = []
         for c in conjugators:
+            lc = label.take(c)
             for sig in frontier:
-                tau = np.empty_like(c)
-                tau[c] = c[sig]
-                if (label[tau] != label).any():
+                if (lc.take(sig) != lc).any():
+                    tau = np.empty_like(c)
+                    tau[c] = c.take(sig)
                     label = merge_labels(label, tau)
                     fresh.append(tau)
                     if not label.any():
                         return True, {"rounds": rounds, "classes": 1}
+                    lc = label.take(c)
         frontier = fresh
     classes = int(np.count_nonzero(label == np.arange(n)))
     return classes == 1, {"rounds": rounds, "classes": classes}
@@ -645,25 +658,59 @@ class _Witness(Mapping):
         return len(_WREATH_FIELDS)
 
 
-# a witness object whose arrays hold only digits, commas and brackets; the
-# round trip through _wreath_text decides whether it is in canonical text
+# a witness object whose arrays hold only digits, commas and brackets;
+# _witness_arrays decides from the match and the arrays it parses whether it
+# is in canonical text, the text _wreath_text writes
 _WITNESS_TEXT = re.compile(rb'\{"base_runs":\[([0-9,\[\]]*)\],"top":\[([0-9,]*)\]\}')
+
+def _decimal_length(values: np.ndarray, bound: int) -> int:
+    """sum(len(str(v)) for v in values), for integers 0 <= v <= bound."""
+    return values.size + sum(int(np.count_nonzero(values >= 10 ** j)) for j in range(1, len(str(bound))))
 
 
 def _witness_arrays(match: re.Match) -> Optional[_Witness]:
-    """The arrays of a matched witness, or None unless its run counts sum to
-    the length n of its top and no number in it exceeds n.  The bound keeps
-    the digit table of the round trip within the size of the text."""
-    try:
-        top = np.fromstring(match[2], dtype=np.int64, sep=",")
-        runs = np.fromstring(match[1].translate(None, b"[]"), dtype=np.int64, sep=",")
-    except ValueError:
+    """The arrays of a matched witness, or None unless the match is in
+    canonical text: the text _wreath_text writes for arrays whose run counts
+    sum to the length n of the top, with no number above n.
+
+    That text is [v,c],[v,c],... for the runs and v,v,... for the top, each
+    number in decimal with no leading zero, each count at least 1 and
+    adjacent run values unequal (the runs are maximal).  The checks accept
+    exactly it, without writing it back:
+    - The separators are exact.  The run text has the digit-free skeleton
+      [,],[,],... of k runs, starts with [ and ends with ], holds ],[ k-1
+      times (no digit between a ] and a , or a , and a [) and holds no [, or
+      ,] (no empty number); the top text has no leading or trailing comma
+      and no ,, .  So np.fromstring reads exactly the digit strings between
+      the separators.
+    - Every value is at most n.  A number has at least as many digits as
+      its value's decimal form, and as many exactly when it has no leading
+      zero: a number too long for int64 saturates, and has more digits than
+      any value up to n.  So the digit count of the text is the sum of the
+      values' decimal lengths exactly when every number is canonical.
+    - The counts are at least 1 and sum to n, and adjacent values differ.
+    The digit count is bounded before the parse, by len(str(n)) digits per
+    number, which no canonical text exceeds."""
+    runs_text, top_text = match[1], match[2]
+    skeleton = runs_text.translate(None, b"0123456789")
+    k = skeleton.count(b"[")
+    if runs_text and not (
+        runs_text[:1] == b"[" and runs_text[-1:] == b"]" and skeleton == b",".join([b"[,]"] * k)
+        and runs_text.count(b"],[") == k - 1 and b"[," not in runs_text and b",]" not in runs_text
+    ):
         return None
-    n = top.size
-    if runs.size % 2 or max(top.max(initial=0), runs.max(initial=0)) > n or n >= 2 ** 31:
+    if top_text[:1] == b"," or top_text[-1:] == b"," or b",," in top_text:
         return None
+    n = top_text.count(b",") + 1 if top_text else 0
+    digits = len(runs_text) - len(skeleton) + len(top_text) - max(n - 1, 0)
+    if n >= 2 ** 31 or digits > (2 * k + n) * len(str(n)):
+        return None
+    top = np.fromstring(top_text, dtype=np.int64, sep=",")
+    runs = np.fromstring(runs_text.translate(None, b"[]"), dtype=np.int64, sep=",")
     values, counts = runs[0::2], runs[1::2]
-    if counts.sum() != n:
+    if max(top.max(initial=0), runs.max(initial=0)) > n or counts.min(initial=1) < 1 or counts.sum() != n:
+        return None
+    if (values[1:] == values[:-1]).any() or _decimal_length(top, n) + _decimal_length(runs, n) != digits:
         return None
     return _Witness(np.repeat(values, counts).astype(np.int32), top.astype(np.int32))
 
@@ -675,11 +722,12 @@ def _read_witness_text(data: bytes) -> Optional[dict]:
     parsed by json.loads.  None where the text must be parsed plainly
     instead.
 
-    Each match of _WITNESS_TEXT that reads back through _wreath_text to the
-    same characters is taken out, and a numbered marker string goes in its
-    place.  The result is accepted only if the text held no \\u0000 escape
-    (so only markers hold NUL), the reduced text parses, and the markers are
-    found, each as a whole item and in order, in embedding.witnesses.
+    Each match of _WITNESS_TEXT that _witness_arrays finds in canonical text
+    (the text _wreath_text writes for the arrays it reads) is taken out, and
+    a numbered marker string goes in its place.  The result is accepted only
+    if the text held no \\u0000 escape (so only markers hold NUL), the
+    reduced text parses, and the markers are found, each as a whole item and
+    in order, in embedding.witnesses.
 
     This accepts a document only if json.loads accepts it, and yields equal
     values.  A match whose { is structural is a whole JSON object in a value
@@ -692,17 +740,10 @@ def _read_witness_text(data: bytes) -> Optional[dict]:
     json.loads drops is not found either."""
     if b"\\u0000" in data:
         return None
-    found = []
+    pieces, held, end = [], [], 0
     for match in _WITNESS_TEXT.finditer(data):
         w = _witness_arrays(match)
         if w is not None:
-            found.append((match, w))
-    if not found:
-        return None
-    digits = _digits(max(w.top.size for _, w in found))
-    pieces, held, end = [], [], 0
-    for match, w in found:
-        if _wreath_text(w, digits).encode("ascii") == match[0]:
             pieces += [data[end:match.start()], json.dumps(_HOLE + str(len(held))).encode("ascii")]
             held.append(w)
             end = match.end()

@@ -17,7 +17,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from automizer.grouprep import FiniteGroup, InputGroupA, ScaleError, are_isomorphic, catalog_group
+from automizer.grouprep import (
+    FiniteGroup,
+    InputGroupA,
+    ScaleError,
+    SGroup,
+    are_isomorphic,
+    build_S,
+    catalog_group,
+)
 from automizer.permcore import PermGroup, parse_cycles
 from automizer.realize import (
     FLAG_NAMES,
@@ -153,6 +161,34 @@ def _symmetric_tops(n):
     return [np.roll(np.arange(n, dtype=np.int32), -1), _cycle(n, (0, 1))]
 
 
+def _shuffled_subset(rng, n):
+    """A permutation of [0, n) that shuffles a random subset of 2 to n points."""
+    p = np.arange(n, dtype=np.int32)
+    subset = rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False)
+    p[subset] = rng.permutation(subset)
+    return p
+
+
+def _imprimitive_tops(rng, n, count):
+    """Tops that keep the blocks [i b, (i + 1) b) of [0, n): each block goes
+    to a block of its own colour, and the n % b points after the last block
+    are permuted among themselves.  A conjugate of a seed moves it only
+    within the colours it meets, so runs end with several classes."""
+    b = int(rng.integers(2, 9))
+    m = n // b
+    colour = rng.integers(0, int(rng.integers(1, 4)), size=m)
+    tops = []
+    for _ in range(count):
+        blocks = np.arange(m)
+        for c in np.unique(colour):
+            members = np.flatnonzero(colour == c)
+            blocks[members] = rng.permutation(members)
+        inside = np.argsort(rng.random((m, b)), axis=1)
+        rest = m * b + rng.permutation(n - m * b)
+        tops.append(np.concatenate([(blocks[:, None] * b + inside).ravel(), rest]).astype(np.int32))
+    return tops
+
+
 class TestTopClosure:
     @given(data=st.data())
     @settings(max_examples=400, deadline=None)
@@ -161,6 +197,16 @@ class TestTopClosure:
         seeds = data.draw(st.lists(_perms(n), max_size=3))
         conjugators = data.draw(st.lists(_perms(n), max_size=3))
         max_rounds = data.draw(st.sampled_from([1, 2, 3, 32]))
+        assert realize._closure_transitive(n, seeds, conjugators, max_rounds) == (
+            _union_find_closure(n, seeds, conjugators, max_rounds)
+        )
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(151, 300), max_rounds=st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_labels_agree_above_the_schreier_sims_bound(self, seed, n, max_rounds):
+        rng = np.random.default_rng(seed)
+        seeds = [_shuffled_subset(rng, n) for _ in range(int(rng.integers(1, 3)))]
+        conjugators = _imprimitive_tops(rng, n, int(rng.integers(1, 4)))
         assert realize._closure_transitive(n, seeds, conjugators, max_rounds) == (
             _union_find_closure(n, seeds, conjugators, max_rounds)
         )
@@ -257,6 +303,31 @@ class TestBuildFusion:
         with pytest.raises(ScaleError) as exc:
             build_fusion_for(InputGroupA.from_name("C3"))
         assert exc.value.bound_name == "max_subgroups"
+
+    def test_c3_is_refused_before_the_ambient_table(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("the table of S was built")
+
+        monkeypatch.setattr(SGroup, "_build_table", no_table)
+        with pytest.raises(ScaleError) as exc:
+            build_fusion_for(InputGroupA.from_name("C3"))
+        assert str(exc.value) == "scale bound max_subgroups=20000 exceeded (needed 56632)"
+
+    def test_a_512_element_input_names_the_order_bound_first(self, monkeypatch):
+        # the count bound costs about rank^4: minutes at rank 1024
+        A = InputGroupA.from_name("x".join(["C2"] * 9))
+        with pytest.raises(ScaleError) as from_s:
+            build_S(A)
+
+        def no_count(*args):
+            raise AssertionError("the subgroup count bound was computed")
+
+        monkeypatch.setattr(realize, "subgroup_count_lower_bound", no_count)
+        with pytest.raises(ScaleError) as exc:
+            build_fusion_for(A)
+        assert exc.value.bound_name == "max_subgroup_order"
+        assert exc.value.actual == 2 ** 1024 * 512
+        assert str(exc.value) == str(from_s.value)
 
     def test_thm31_passes(self, c2_parts):
         A, S, system, U = c2_parts
@@ -613,6 +684,132 @@ class TestReaderEquivalence:
         assert isinstance(cert.embedding["witnesses"][0], realize._Witness) is held
         assert cert.to_payload() == ref.to_payload()
         assert cert.to_json_bytes() == ref.to_json_bytes()
+
+
+def round_trip_arrays(text: bytes):
+    """The arrays of a witness in canonical text, or None, decided the way the
+    reader once did: parse the numbers, then write the arrays back with
+    _wreath_text and compare the characters."""
+    match = realize._WITNESS_TEXT.fullmatch(text)
+    if match is None:
+        return None
+    try:
+        top = np.fromstring(match[2], dtype=np.int64, sep=",")
+        runs = np.fromstring(match[1].translate(None, b"[]"), dtype=np.int64, sep=",")
+    except ValueError:
+        return None
+    n = top.size
+    if runs.size % 2 or max(top.max(initial=0), runs.max(initial=0)) > n:
+        return None
+    values, counts = runs[0::2], runs[1::2]
+    if counts.sum() != n:
+        return None
+    w = realize._Witness(np.repeat(values, counts), top)
+    return w if realize._wreath_text(w, digit_table(n + 1)).encode("ascii") == text else None
+
+
+def read_arrays(text: bytes):
+    match = realize._WITNESS_TEXT.fullmatch(text)
+    return None if match is None else realize._witness_arrays(match)
+
+
+def _witness_text(runs, top):
+    return '{"base_runs":[%s],"top":[%s]}' % (runs, ",".join(map(str, top)))
+
+
+@st.composite
+def edited_witness_text(draw):
+    """Canonical witness text with one small edit in its arrays: a digit
+    changed, a leading zero, a comma, bracket or digit put in or taken out, a
+    digit after a ], two runs merged by taking out their ],[ , or a run split
+    in two.  Numbers run past the degree n now and then."""
+    n = draw(st.integers(0, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    top = rng.integers(0, n + 2, size=n).tolist()
+    runs = realize._run_length(np.repeat(rng.integers(0, n + 2, size=n), rng.integers(1, 5, size=n))[:n])
+    kind = draw(st.sampled_from(["digit", "zero", "insert", "delete", "after_bracket", "merge", "split"]))
+    if kind == "split":
+        at = [i for i, (_, count) in enumerate(runs) if count > 1]
+        if at:
+            i = draw(st.sampled_from(at))
+            cut = draw(st.integers(1, runs[i][1] - 1))
+            runs[i:i + 1] = [[runs[i][0], cut], [runs[i][0], runs[i][1] - cut]]
+        return canonical_json({"base_runs": runs, "top": top}).encode("ascii")
+    text = canonical_json({"base_runs": runs, "top": top})
+    start, end = len('{"base_runs":['), len(text) - len("]}")
+    places = {
+        "digit": [i for i in range(start, end) if text[i].isdigit()],
+        "zero": [i for i in range(start, end) if text[i].isdigit() and text[i - 1] in "[,"],
+        "insert": range(start, end + 1),
+        "delete": range(start, end),
+        "after_bracket": [i + 1 for i in range(start, end) if text[i] == "]"],
+        "merge": [i for i in range(start, end) if text.startswith("],[", i)],
+    }[kind]
+    if not places:
+        return text.encode("ascii")
+    i = draw(st.sampled_from(places))
+    if kind == "digit":
+        text = text[:i] + draw(st.sampled_from("0123456789")) + text[i + 1:]
+    elif kind == "zero":
+        text = text[:i] + "0" + text[i:]
+    elif kind in ("insert", "after_bracket"):
+        text = text[:i] + draw(st.sampled_from(",[]0123456789" if kind == "insert" else "0123456789")) + text[i:]
+    else:
+        text = text[:i] + text[i + (3 if kind == "merge" else 1):]
+    return text.encode("ascii")
+
+
+class TestCanonicalWitnessText:
+    """_witness_arrays accepts a witness's text from checks on the text and
+    on the arrays it parses.  It must accept exactly the texts that read back
+    through _wreath_text to the same characters, with the same arrays."""
+
+    @given(edited_witness_text())
+    @settings(max_examples=300, deadline=None)
+    def test_same_verdict_as_the_round_trip(self, text):
+        self.check(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # digit-free skeleton [,],[,] and digit total as in canonical
+            # text, but the 3 lies between ] and ,
+            _witness_text("[1,2]3,[4,5]", range(28)),
+            _witness_text("[1,2],3[4,5]", range(7)),
+            _witness_text("[[1,2]]", range(2)),
+            _witness_text("[1,2,3,14]", range(16)),
+            # the stray digit joins a number that passes every other check
+            _witness_text("1[0,12]", range(12)),
+            _witness_text("[1,1]2", range(12)),
+            _witness_text("[,2]", range(2)),
+            _witness_text("[2,]", range(2)),
+            _witness_text("[1,02]", range(2)),
+            '{"base_runs":[[0,2]],"top":[0,]}',
+            '{"base_runs":[[0,2]],"top":[,0]}',
+            _witness_text("[1,1],[1,1]", range(2)),
+            _witness_text("[1,0],[0,2]", range(2)),
+            _witness_text("[0,1],[1,2]", [3, 1, 0]),
+            _witness_text("", []),
+            _witness_text("[0,3]", [0, 1]),
+        ],
+    )
+    def test_hand_made_cases(self, text):
+        self.check(text.encode("ascii"))
+
+    def check(self, text):
+        expected, got = round_trip_arrays(text), read_arrays(text)
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert got.base.tolist() == expected.base.tolist()
+            assert got.top.tolist() == expected.top.tolist()
+
+    def test_the_c2_load_writes_no_witness_text(self, c2_cert, monkeypatch):
+        data = c2_cert.to_json_bytes()
+        calls = []
+        monkeypatch.setattr(realize, "_wreath_text", lambda *args: calls.append(args))
+        cert = Certificate.from_json_bytes(data)
+        assert calls == []
+        assert all(isinstance(w, realize._Witness) for w in cert.embedding["witnesses"])
 
 
 def traced(call):
