@@ -51,10 +51,11 @@ class SemicharacteristicBiset:
     n: int          # total number of right cosets = slots of the embedding
 
 
-def move_diagonal(G: FiniteGroup, d: Diagonal, x: int, y: int) -> Diagonal:
-    """The diagonal conjugated by (x, y): source x P x^-1, map c_y phi c_x^-1."""
-    pairs = sorted((G.conj(x, p), G.conj(y, q)) for p, q in zip(d.source, d.images))
-    return Diagonal(tuple(p for p, _ in pairs), tuple(q for _, q in pairs))
+def _conjugated(d: Diagonal, cx: list[int], cy: list[int]) -> Diagonal:
+    """The diagonal conjugated by a pair (x, y), given the rows cx and cy of
+    np_conj at x and y: source x P x^-1, map c_y phi c_x^-1."""
+    source, images = zip(*sorted(zip([cx[p] for p in d.source], [cy[q] for q in d.images])))
+    return Diagonal(source, images)
 
 
 def diagonal_orbit(
@@ -62,13 +63,14 @@ def diagonal_orbit(
 ) -> dict[Diagonal, tuple[int, int]]:
     """Every conjugate of the diagonal under the pairs the moves generate, by
     BFS in move order, each with a pair (x, y) that moves d onto it."""
+    rows = [(x, y, G.np_conj[x].tolist(), G.np_conj[y].tolist()) for x, y in moves]
     conj = {d: (0, 0)}
     queue = deque([d])
     while queue:
         cur = queue.popleft()
         px, sx = conj[cur]
-        for x, y in moves:
-            nxt = move_diagonal(G, cur, x, y)
+        for x, y, cx, cy in rows:
+            nxt = _conjugated(cur, cx, cy)
             if nxt not in conj:
                 conj[nxt] = (G.mul(x, px), G.mul(y, sx))
                 queue.append(nxt)
@@ -116,7 +118,7 @@ class DiagonalContext:
         self.lattice = system.lattice
         gens = self.G.minimal_generators()
         self.sxs = DiagonalClasses(self.G, [(g, 0) for g in gens] + [(0, g) for g in gens])
-        self._gammas: dict[tuple, np.ndarray] = {}
+        self._gammas: tuple[list, np.ndarray] = ([], np.empty((0, self.G.order), dtype=np.int32))
 
     # -- conjugacy ------------------------------------------------------------
 
@@ -153,20 +155,25 @@ class DiagonalContext:
 
     # -- marks ------------------------------------------------------------------
 
-    def _gamma(self, source: tuple, images: tuple) -> np.ndarray:
-        """The twist row of an orbit, made once per orbit."""
-        row = self._gammas.get((source, images))
-        if row is None:
-            row = self._gammas[(source, images)] = twist_row(self.G, source, images)
-        return row
+    def _gamma(self, orbits: Sequence[tuple[tuple, tuple]]) -> np.ndarray:
+        """The twist rows of the orbits as one matrix.  The matrix of the last
+        orbit list is kept, and grown when a list extends it, as the
+        builder's terms do."""
+        known, gamma = self._gammas
+        if list(orbits[: len(known)]) != known:
+            known, gamma = [], gamma[:0]
+        if len(orbits) != len(known):
+            new = [twist_row(self.G, q, g) for q, g in orbits[len(known):]]
+            gamma = np.concatenate([gamma, np.reshape(new, (len(new), self.G.order))])
+        self._gammas = (list(orbits), gamma)
+        return gamma
 
     def orbit_marks(self, orbits: Sequence[tuple[tuple, tuple]], d: Diagonal) -> np.ndarray:
         """Fixed points of Delta(P, phi) on each (S x S)/Delta(Q, gamma), for
         the (Q, gamma) in orbits: the number of pairs (x, y) with x^-1 P x <= Q
         and c_y . gamma . c_{x^-1} = phi on the generators of P, over |Q|."""
         cj = self.G.np_conj
-        gamma = np.array([self._gamma(q, g) for q, g in orbits], dtype=np.int32)
-        gamma = gamma.reshape(len(orbits), self.G.order)
+        gamma = self._gamma(orbits)
         gens, phi = self.lattice.on_generators(d)
         gens = np.array(gens, dtype=np.intp)
         # theta[o, x, i] = gamma_o(x^-1 g_i x), -1 unless x^-1 g_i x lies in Q_o
@@ -282,6 +289,50 @@ def verify_generated(system: FusionSystem, X: SemicharacteristicBiset) -> tuple[
     return True, report
 
 
+class RowIndex:
+    """Distinct rows of integers in [0, radix), given as columns, each found
+    again by one integer key: the row's entries folded in base radix, column
+    by column.  A fold that could pass int64 first replaces the key so far by
+    its rank among the indexed rows' keys at that column, which keeps every
+    key exact however many columns there are."""
+
+    def __init__(self, columns: np.ndarray, radix: int):
+        self.radix = radix
+        self.levels: list[np.ndarray] = []
+        key = self._keys(columns)
+        self.order = np.argsort(key)
+        self.sorted = key.take(self.order)
+
+    def _keys(self, columns: np.ndarray) -> Optional[np.ndarray]:
+        """The key per row, or None when some row's prefix before a rank
+        step is no indexed row's prefix.  Indexing learns the rank steps."""
+        key = np.zeros(columns.shape[1], dtype=np.int64)
+        span, level = 1, 0
+        for col in columns:
+            if span * self.radix > 2 ** 63:
+                if level == len(self.levels):
+                    self.levels.append(np.unique(key))
+                known = self.levels[level]
+                rank = np.searchsorted(known, key)
+                if not np.array_equal(known.take(rank, mode="clip"), key):
+                    return None
+                key, span, level = rank, len(known), level + 1
+            key = key * self.radix + col
+            span *= self.radix
+        return key
+
+    def find(self, columns: np.ndarray) -> Optional[np.ndarray]:
+        """Per row of the columns, the index of the equal indexed row; None
+        if some row is not indexed."""
+        key = self._keys(columns)
+        if key is None:
+            return None
+        at = np.searchsorted(self.sorted, key)
+        if not np.array_equal(self.sorted.take(at, mode="clip"), key):
+            return None
+        return self.order.take(at)
+
+
 def injective_diagonal_classes(system: FusionSystem) -> Iterator[tuple[tuple, np.ndarray, np.ndarray]]:
     """The classes of injective twisted diagonals under the product action,
     as orbit labels.  Per F-class of subgroups, in decreasing order: its first
@@ -304,19 +355,17 @@ def injective_diagonal_classes(system: FusionSystem) -> Iterator[tuple[tuple, np
         pos = lat.posmap[skey]
         gcols = [pos[g] for g in sub.generators]
         # a homomorphism is fixed by its generator images, so a moved row is
-        # found by sorting on those columns; the trivial source has one row
+        # found by the key of those columns alone; the trivial source has one row
         if gcols:
-            order = np.lexsort(rows[:, gcols].T)
-            ref = rows[order][:, gcols]
+            cols = rows.T[gcols]
+            index = RowIndex(cols, G.order)
             moved = itertools.chain(
-                (conj[rows] for conj in conj_moves),
-                (rows[:, [pos[a] for a in alpha.images]] for alpha in system.aut(skey)),
+                (conj.take(cols) for conj in conj_moves),
+                (rows.T[[pos[alpha.images[c]] for c in gcols]] for alpha in system.aut(skey)),
             )
             for M in moved:
-                found = np.lexsort(M[:, gcols].T)
-                assert np.array_equal(M[found][:, gcols], ref), "a moved row left Inj(R, S)"
-                perm = np.empty_like(order)
-                perm[found] = order
+                perm = index.find(M)
+                assert perm is not None, "a moved row left Inj(R, S)"
                 label = merge_labels(label, perm)
         yield skey, rows, label
 

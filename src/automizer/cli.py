@@ -25,6 +25,10 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_SCALE = 2
 
+# the oracle writes out every permutation at the file's degree, so a degree
+# past this bound is refused before any permutation is parsed
+ORACLE_MAX_DEGREE = 1000
+
 
 def _load_input(spec: str) -> InputGroupA:
     if os.path.exists(spec):
@@ -142,6 +146,8 @@ def _read_perm_group(path: str) -> tuple[PermGroup, int]:
     if not lines:
         raise ValueError("empty group file")
     degree = int(lines[0])
+    if degree > ORACLE_MAX_DEGREE:
+        raise ScaleError("max_oracle_degree", ORACLE_MAX_DEGREE, degree)
     return PermGroup([parse_cycles(ln, degree) for ln in lines[1:]]), degree
 
 
@@ -155,6 +161,9 @@ def cmd_oracle(args, out) -> int:
         ]
         if not sub_gens:
             raise ValueError("no subgroup generators given")
+    except ScaleError as exc:
+        print("scale rejection: %s" % exc, file=out)
+        return EXIT_SCALE
     except (ValueError, OSError) as exc:
         print("bad oracle input: %s" % exc, file=out)
         return EXIT_FAILED

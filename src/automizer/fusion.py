@@ -116,11 +116,11 @@ class FusionSystem:
                 if self._add(pkey, images):
                     queue.append(Morphism(pkey, images))
 
-        # closure: left-compose with full atoms
-        gen_atoms = [
-            (atom, self.lattice._fsets[atom.source]) for atom in list(atoms)[len(inner):]
-        ]
-        max_gen_source = max((len(a.source) for a, _ in gen_atoms), default=0)
+        # closure: left-compose with full atoms; the generator atoms that
+        # apply depend only on the image set, so they are listed once per set
+        gen_atoms = list(atoms)[len(inner):]
+        max_gen_source = max((len(a.source) for a in gen_atoms), default=0)
+        fitting: dict[frozenset, list[tuple[Morphism, dict]]] = {}
         while queue:
             m = queue.popleft()
             skey = m.source
@@ -130,12 +130,17 @@ class FusionSystem:
                     queue.append(Morphism(skey, images))
             if len(m.source) <= max_gen_source:
                 iset = frozenset(m.images)
-                for atom, src_set in gen_atoms:
-                    if len(iset) <= len(src_set) and iset <= src_set:
-                        amap = self.lattice.posmap[atom.source]
-                        images = tuple(atom.images[amap[x]] for x in m.images)
-                        if self._add(skey, images):
-                            queue.append(Morphism(skey, images))
+                fits = fitting.get(iset)
+                if fits is None:
+                    fits = fitting[iset] = [
+                        (atom, self.lattice.posmap[atom.source])
+                        for atom in gen_atoms
+                        if iset <= self.lattice._fsets[atom.source]
+                    ]
+                for atom, amap in fits:
+                    images = tuple(atom.images[amap[x]] for x in m.images)
+                    if self._add(skey, images):
+                        queue.append(Morphism(skey, images))
 
     def _add(self, source_key, images) -> bool:
         bucket = self.store.setdefault(source_key, set())

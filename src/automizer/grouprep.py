@@ -618,26 +618,33 @@ def injective_homs(
         for gi, g in enumerate(gens)
         if (pos[x], gi) not in built
     ]
-    ht = H.np_tables[0]
+    # the work is column-major, one contiguous int32 row per generator and per
+    # element, and a product is one take from the raveled table at a |H| + b,
+    # an int32 index below the table's size
+    ht = H.np_tables[0].ravel()
     horder = np.array([H.element_order(y) for y in range(H.order)])
     targets = np.fromiter(targets, dtype=np.int32)
-    images = np.zeros((1, 0), dtype=np.int32)
+
+    def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return ht.take(a * H.order + b)
+
+    images = np.zeros((0, 1), dtype=np.int32)
     for k, g in enumerate(gens):
         cands = targets[horder[targets] == G.element_order(g)]
-        images = np.column_stack(
-            (np.repeat(images, len(cands), axis=0), np.tile(cands, len(images)))
+        images = np.vstack(
+            (np.repeat(images, len(cands), axis=1), np.tile(cands, images.shape[1]))
         )
-        keep = np.ones(len(images), dtype=bool)
+        keep = np.ones(images.shape[1], dtype=bool)
         for i in range(k):
-            keep &= horder[ht[images[:, i], images[:, k]]] == G.element_order(G.mul(gens[i], g))
-        images = images[keep]
-    table = np.zeros((len(images), len(pos)), dtype=np.int32)
+            keep &= horder.take(product(images[i], images[k])) == G.element_order(G.mul(gens[i], g))
+        images = images[:, keep]
+    table = np.zeros((len(pos), images.shape[1]), dtype=np.int32)
     for x, prefix, gi in steps:
-        table[:, x] = ht[table[:, prefix], images[:, gi]]
-    keep = (table[:, 1:] != 0).all(axis=1)
+        table[x] = product(table[prefix], images[gi])
+    keep = (table[1:] != 0).all(axis=0)
     for x, xg, gi in checks:
-        keep &= table[:, xg] == ht[table[:, x], images[:, gi]]
-    return table[keep]
+        keep &= table[xg] == product(table[x], images[gi])
+    return table.T[keep]
 
 
 def find_isomorphism(G1: FiniteGroup, G2: FiniteGroup) -> Optional[dict[int, int]]:

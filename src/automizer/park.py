@@ -36,7 +36,12 @@ class WreathElement:
             if self.base.shape != self.top.shape or self.base.ndim != 1:
                 raise ValueError("base and top must be equal-length vectors")
             n = len(self.top)
-            if not np.array_equal(np.sort(self.top), np.arange(n)):
+            # n entries in [0, n) form a permutation when none is repeated
+            if n and (
+                self.top.min() < 0
+                or self.top.max() >= n
+                or np.bincount(self.top, minlength=n).max() > 1
+            ):
                 raise ValueError("top is not a permutation word")
             if self.base.size and (self.base.min() < 0 or self.base.max() >= group.order):
                 raise ValueError("base entry out of range")
@@ -152,8 +157,10 @@ class ParkEmbedding:
                 self.bases[:, offset : offset + tab.n_slots] = tab.kap
                 offset += tab.n_slots
         self._pxs: dict[tuple, DiagonalClasses] = {}
+        self._last_rows: tuple = (None, None)
         self._last_diagonals: tuple = (None, None)
         self._last_plain: tuple = (None, None)
+        self._last_source: tuple = (None, None)
         self._s_moves = [(0, g) for g in G.minimal_generators()]
 
     # -- the embedding ----------------------------------------------------------
@@ -215,33 +222,44 @@ class ParkEmbedding:
         j0, starts, label, rows = self._diagonals(qkey)
         rows = rows[:, np.searchsorted(qkey, acts)]
         source = np.asarray(skey)
-        cls = np.empty(len(rows), dtype=np.intp)
-        conj = np.empty((len(rows), 2), dtype=np.intp)
         # first-met order: the cache keeps the conjugators of the first
-        # diagonal queried in each class, and those fix the witness bases
-        for c, row in enumerate(rows):
-            keep = row >= 0
-            d = Morphism(tuple(source[keep].tolist()), tuple(row[keep].tolist()))
-            rep, conj[c] = self._canonical(skey, d)
-            cls[c] = ids.setdefault(rep, len(ids))
-        return j0, starts, cls[label], conj[label]
+        # diagonal queried in each class, and those fix the witness bases.
+        # A row met before for this source is answered from its bytes; only
+        # the last source's rows are kept
+        if self._last_rows[0] != skey:
+            self._last_rows = (skey, {})
+        seen = self._last_rows[1]
+        hits = []
+        for row in rows:
+            key = row.tobytes()
+            hit = seen.get(key)
+            if hit is None:
+                keep = row >= 0
+                d = Morphism(tuple(source[keep].tolist()), tuple(row[keep].tolist()))
+                hit = seen[key] = self._canonical(skey, d)
+            hits.append(hit)
+        cls = np.array([ids.setdefault(rep, len(ids)) for rep, _ in hits], dtype=np.intp)
+        conj = np.array([pair for _, pair in hits], dtype=np.intp).reshape(len(hits), 2)
+        return j0, starts, cls.take(label), conj.take(label, axis=0)
 
     def _plain_side(self, skey: tuple) -> tuple:
         """The plain restriction to P = skey.  Per slot k: its orbit o, the
         transversal p_k, the least element of P moving the orbit's least
-        point onto k, and kappa_k, the base of iota(p_k) at k.  Per orbit:
-        its class id and conjugating pair, as in _classes.  And a copy of the
-        class ids met so far.  Only the last source's are kept."""
+        point onto k, as the flat table index p_k |S|, and the inverse of
+        kappa_k, the base of iota(p_k) at k.  Per orbit: its class id and
+        conjugating pair, as in _classes.  And a copy of the class ids met
+        so far.  Only the last source's are kept."""
         if self._last_plain[0] != skey:
             ids: dict[Morphism, int] = {}
             j0, starts, cls, conj = self._classes(skey, skey, ids)
             slots = np.arange(self.n)
             trans = (self.tops[list(skey)][:, j0] == slots).argmax(axis=0)
-            p_k = np.asarray(skey)[trans]
+            p_k = np.asarray(skey, dtype=np.intp)[trans]
             o = np.searchsorted(starts, j0)
-            self._last_plain = (skey, (o, p_k, self.bases[p_k, slots], cls, conj, ids))
-        o, p_k, kap_k, cls, conj, ids = self._last_plain[1]
-        return o, p_k, kap_k, cls, conj, dict(ids)
+            inv_kap = self.G.np_tables[1].take(self.bases.ravel().take(p_k * self.n + slots))
+            self._last_plain = (skey, (o, p_k * self.G.order, inv_kap, cls, conj, ids))
+        o, p_row, inv_kap, cls, conj, ids = self._last_plain[1]
+        return o, p_row, inv_kap, cls, conj, dict(ids)
 
     def _canonical(self, skey: tuple, d: Morphism) -> tuple[Morphism, tuple[int, int]]:
         """The least P x S conjugate of the stabilizer diagonal d, plus a pair
@@ -256,11 +274,12 @@ class ParkEmbedding:
         """A wreath element conjugating iota(u) to iota(phi(u)) for all u in
         the source: the k-th plain orbit of each stabilizer class goes to the
         k-th twisted orbit of that class."""
-        mul, inv = self.G.np_tables
+        order = self.G.order
+        mul, inv = (table.ravel() for table in self.G.np_tables)
         skey = phi.source
         # every index phi_map is read at is a product of elements of P
         phi_map = twist_row(self.G, skey, phi.images)
-        o, p_k, kap_k, cls1, conj1, ids = self._plain_side(skey)
+        o, p_row, inv_kap, cls1, conj1, ids = self._plain_side(skey)
         _, starts2, cls2, conj2 = self._classes(skey, phi.images, ids)
         if not np.array_equal(np.sort(cls1), np.sort(cls2)):
             raise RuntimeError(
@@ -269,18 +288,31 @@ class ParkEmbedding:
             )
         partner = np.empty_like(cls1)
         partner[np.argsort(cls1, kind="stable")] = np.argsort(cls2, kind="stable")
-        (p1, s1), (p2, s2) = conj1.T, conj2[partner].T
-        p0, s0 = mul[inv[p1], p2], mul[inv[s1], s2]
-        w = phi_map[mul[p_k, p0[o]]]
-        j_t = self.tops[w, starts2[partner][o]]
+        (p1, s1), (p2, s2) = conj1.T, conj2.take(partner, axis=0).T
+        # products by take on the raveled tables: a b is mul[a |S| + b]
+        p0 = mul.take(inv.take(p1) * order + p2)
+        inv_s0 = inv.take(mul.take(inv.take(s1) * order + s2))
+        w = phi_map.take(mul.take(p_row + p0.take(o)))
+        row = w * np.intp(self.n)
+        j_t = self.tops.ravel().take(row + starts2.take(partner).take(o))
+        b = self.bases.ravel().take(row + j_t)
         base = np.zeros(self.n, dtype=np.int32)
-        base[j_t] = mul[mul[self.bases[w, j_t], inv[s0[o]]], inv[kap_k]]
+        base[j_t] = mul.take(mul.take(b * order + inv_s0.take(o)) * order + inv_kap)
         return WreathElement(self.G, base, j_t, validate=True)
 
     def _factors(self, elements: np.ndarray) -> np.ndarray:
         """Row per element u: the factor iota(u) applies to the point in each
         slot j, bases[u, tops[u, j]]."""
         return self.bases.ravel().take(self.tops[elements] + elements[:, np.newaxis] * self.n)
+
+    def _source_side(self, skey: tuple) -> tuple:
+        """The tops of iota on the generators of P = skey, and their factors.
+        Only the last source's are kept: the generators of one source come in
+        a row."""
+        if self._last_source[0] != skey:
+            src = np.array(self.system.lattice.by_key[skey].generators, dtype=np.intp)
+            self._last_source = (skey, (self.tops[src], self._factors(src)))
+        return self._last_source[1]
 
     def check_witness(self, phi: Morphism, g: WreathElement) -> bool:
         """The conjugation identity g iota(u) g^-1 = iota(phi(u)) on every
@@ -300,13 +332,13 @@ class ParkEmbedding:
         over the slots so does that slot."""
         order = self.G.order
         mul = self.G.np_tables[0].ravel()
-        src, img = (np.array(x, dtype=np.intp) for x in self.system.lattice.on_generators(phi))
+        t, factors = self._source_side(phi.source)
+        img = np.array(self.system.lattice.on_generators(phi)[1], dtype=np.intp)
         sigma = g.top
-        t = self.tops[src]
         if not np.array_equal(sigma.take(t), self.tops[img].take(sigma, axis=1)):
             return False
         bs = g.base.take(sigma)
-        left = mul.take(bs.take(t) * order + self._factors(src))
+        left = mul.take(bs.take(t) * order + factors)
         right = mul.take(self._factors(img).take(sigma, axis=1) * order + bs)
         return np.array_equal(left, right)
 

@@ -363,6 +363,13 @@ def brute_marks_table(
     return table
 
 
+def move_diagonal(G: FiniteGroup, d: Diagonal, x: int, y: int) -> Diagonal:
+    """The diagonal conjugated by (x, y): source x P x^-1, map c_y phi c_x^-1,
+    one conj at a time."""
+    pairs = sorted((G.conj(x, p), G.conj(y, q)) for p, q in zip(d.source, d.images))
+    return Diagonal(tuple(p for p, _ in pairs), tuple(q for _, q in pairs))
+
+
 def all_injective_homs(
     G: FiniteGroup, lattice: SubgroupLattice, source_key: tuple[int, ...]
 ) -> list[Morphism]:

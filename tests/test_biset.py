@@ -12,6 +12,7 @@ on both components, so Delta(P, phi)-fixed cosets are exactly the mark."""
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +20,7 @@ from automizer.biset import (
     Diagonal,
     DiagonalContext,
     OrbitRecord,
+    RowIndex,
     SemicharacteristicBiset,
     _foreign_twist,
     build_semicharacteristic,
@@ -29,7 +31,6 @@ from automizer.biset import (
     orbit_payload,
     outer_class_representatives,
     verify_generated,
-    move_diagonal,
     verify_stability,
 )
 from automizer.fusion import Morphism, generate
@@ -50,6 +51,7 @@ from automizer.testkit import (
     corpus,
     exhaustive_class_marks,
     injective_class_walk,
+    move_diagonal,
     sxs_representatives,
 )
 
@@ -283,6 +285,22 @@ class TestMarksAgainstTransporterLoop:
             twists = [(rec.source, rec.images) for rec in Y.orbits]
             for d in diags:
                 assert ctx.orbit_marks(twists, d).tolist() == [ref.mark(q, g, d) for q, g in twists]
+
+
+    def test_kept_twist_rows_follow_the_orbit_list(self, ambient_c2):
+        """The context keeps the last orbit list's twist rows and grows them
+        when a list extends it; lists that shrink, reorder, restart or
+        change one orbit must still give each orbit its own mark."""
+        _, system, ctx, X = ambient_c2
+        ref = ReferenceMarks(system)
+        twists = [(rec.source, rec.images) for rec in X.orbits]
+        changed = twists[:6] + [twists[0]] + twists[7:12]
+        lists = [twists[:3], twists[:10], twists[:10], twists[:4], twists[::-1][:7], [], changed, twists]
+        reps = [rep for _, class_reps in ctx.fusion_classes for rep in class_reps][::40]
+        shared = DiagonalContext(system)
+        for orbits in lists:
+            for rep in reps:
+                assert shared.orbit_marks(orbits, rep).tolist() == [ref.mark(q, g, rep) for q, g in orbits]
 
 
 class TestIdentityOrbitMark:
@@ -521,6 +539,93 @@ class TestClassLabels:
     @pytest.mark.parametrize("pair", corpus(), ids=lambda p: p.name)
     def test_corpus(self, pair):
         self.assert_labels_match_walk(brute_fusion(pair.group(), pair.subgroup_generators()))
+
+
+def lexsort_move(rows, moved):
+    """The move permutation as injective_diagonal_classes found it by sorting
+    both row lists: per moved row, the index of the equal row; None if the
+    sorted lists differ."""
+    order = np.lexsort(rows.T)
+    found = np.lexsort(moved.T)
+    if not np.array_equal(moved[found], rows[order]):
+        return None
+    perm = np.empty_like(order)
+    perm[found] = order
+    return perm
+
+
+@st.composite
+def wide_rows(draw):
+    """Distinct rows over [0, radix) with radix ** width >= 2 ** 63, values
+    drawn from a few per column so that long prefixes repeat, a shuffled
+    copy, and a row outside the list when one is found."""
+    radix = draw(st.sampled_from([2, 3, 7, 32, 4096, 2 ** 21 + 1, 2 ** 31 - 1, 2 ** 40]))
+    width = 1
+    while radix ** width < 2 ** 63:
+        width += 1
+    width += draw(st.integers(0, 3))
+    pool = sorted({0, 1 % radix, radix // 2, radix - 1})
+    cells = st.lists(st.sampled_from(pool), min_size=width, max_size=width)
+    rows = np.unique(np.array(draw(st.lists(cells, min_size=1, max_size=40)), dtype=np.int64), axis=0)
+    shuffle = draw(st.permutations(range(len(rows))))
+    outside = None
+    for value in range(min(radix, 5)):
+        row = rows[0].copy()
+        row[-1] = value
+        if not (rows == row).all(axis=1).any():
+            outside = row
+            break
+    return radix, rows, rows[list(shuffle)], outside
+
+
+class TestRowIndex:
+    """injective_diagonal_classes finds each moved row by an integer key on
+    the generator columns; the key must stay exact where radix ** width
+    passes int64, and give the permutation that sorting both lists gave."""
+
+    @given(wide_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_same_move_as_lexsort_past_int64(self, case):
+        radix, rows, moved, outside = case
+        index = RowIndex(rows.T, radix)
+        assert radix ** rows.shape[1] == 2 ** 63 or index.levels
+        perm = index.find(moved.T)
+        assert perm is not None and np.array_equal(perm, lexsort_move(rows, moved))
+        if outside is not None:
+            moved = moved.copy()
+            moved[len(moved) // 2] = outside
+            assert lexsort_move(rows, moved) is None
+            assert index.find(moved.T) is None
+
+    def test_a_prefix_outside_the_index_is_not_found(self):
+        rows = np.array([[1, 0, 0], [5, 0, 1]], dtype=np.int64)
+        index = RowIndex(rows.T, 2 ** 40)
+        assert len(index.levels) == 2
+        assert np.array_equal(index.find(rows[::-1].T), [1, 0])
+        # the prefix 3 would take the rank of 5, and the rest matches row 1
+        assert index.find(np.array([[3, 0, 1]]).T) is None
+
+    def test_ambient_c2_labels_match_the_lexsort_moves(self, ambient_c2):
+        """The labels of every F-class of C2 equal those made with the
+        lexsort move, and count the 16,019 classes."""
+        from automizer.permcore import merge_labels
+
+        _, system, _, _ = ambient_c2
+        G, lat = system.ambient, system.lattice
+        conj_moves = G.np_conj[G.minimal_generators()]
+        roots = 0
+        for skey, rows, label in injective_diagonal_classes(system):
+            want = np.arange(len(rows))
+            pos = lat.posmap[skey]
+            gcols = [pos[g] for g in lat.by_key[skey].generators]
+            if gcols:
+                moved = [conj[rows] for conj in conj_moves]
+                moved += [rows[:, [pos[a] for a in alpha.images]] for alpha in system.aut(skey)]
+                for M in moved:
+                    want = merge_labels(want, lexsort_move(rows[:, gcols], M[:, gcols]))
+            assert np.array_equal(label, want)
+            roots += int(np.count_nonzero(label == np.arange(len(label))))
+        assert roots == 16019
 
 
 class TestFailureReport:

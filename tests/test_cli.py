@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import os
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -267,6 +268,39 @@ def test_oracle_bad_input(tmp_path, capsys):
     )
     assert code == 1
     assert "bad oracle input" in out
+
+
+def test_oracle_refuses_a_huge_degree_before_parsing(tmp_path, capsys, monkeypatch):
+    """A degree past the bound is refused from the file's first line: no
+    permutation is parsed, so nothing of the degree's size is allocated."""
+    def no_parse(*args, **kwargs):
+        raise AssertionError("a permutation was parsed")
+
+    monkeypatch.setattr(cli, "parse_cycles", no_parse)
+    gfile = tmp_path / "huge.txt"
+    gfile.write_text("100000000\n(0 1)\n")
+    tracemalloc.start()
+    try:
+        code, out = run_cli(["oracle", "--group-file", str(gfile), "--subgroup", "(0 1)"], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == (
+        "scale rejection: scale bound max_oracle_degree=%d exceeded (needed 100000000)\n"
+        % cli.ORACLE_MAX_DEGREE
+    )
+    assert peak < 1 << 20
+
+
+def test_oracle_degree_bound_is_inclusive(tmp_path, capsys):
+    gfile = tmp_path / "c2.txt"
+    argv = ["oracle", "--group-file", str(gfile), "--subgroup", "(0 1)"]
+    gfile.write_text("%d\n(0 1)\n" % cli.ORACLE_MAX_DEGREE)
+    assert run_cli(argv, capsys) == (0, "automizer order 1\n0\n")
+    gfile.write_text("%d\n(0 1)\n" % (cli.ORACLE_MAX_DEGREE + 1))
+    code, out = run_cli(argv, capsys)
+    assert code == 2 and out.startswith("scale rejection: scale bound max_oracle_degree=")
 
 
 def test_realize_custom_table_file(tmp_path, capsys):

@@ -4,6 +4,7 @@ inline, and a join-closure completeness certificate for subgroup enumeration."""
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,10 +21,13 @@ from automizer.grouprep import (
     enumerate_subgroups,
     find_isomorphism,
     homocyclic_rank2,
+    injective_homs,
+    injective_images,
     load_table_file,
+    _word_map,
 )
 from automizer.permcore import parse_cycles
-from automizer.testkit import Z_subgroup, center, decode, fixed_subgroup
+from automizer.testkit import Z_subgroup, center, corpus, decode, fixed_subgroup
 
 
 # -- independent oracles -------------------------------------------------------
@@ -471,3 +475,76 @@ class TestProperties:
         c1 = G.closure(seed)
         assert G.closure(c1) == c1
         assert c1 == oracle_closure(G.table, seed)
+
+
+def row_major_injective_homs(G, gens, H, targets):
+    """The generator-image search as it was written on row-major tables, one
+    row per map and one 2-D fancy index per product."""
+    words = _word_map(G, gens)
+    pos = {x: i for i, x in enumerate(sorted(words))}
+    steps = [
+        (pos[x], pos[G.product(gens[gi] for gi in w[:-1])], w[-1]) for x, w in words.items() if w
+    ]
+    built = {(prefix, gi) for _, prefix, gi in steps}
+    checks = [
+        (pos[x], pos[G.mul(x, g)], gi)
+        for x in words
+        for gi, g in enumerate(gens)
+        if (pos[x], gi) not in built
+    ]
+    ht = H.np_tables[0]
+    horder = np.array([H.element_order(y) for y in range(H.order)])
+    targets = np.fromiter(targets, dtype=np.int32)
+    images = np.zeros((1, 0), dtype=np.int32)
+    for k, g in enumerate(gens):
+        cands = targets[horder[targets] == G.element_order(g)]
+        images = np.column_stack(
+            (np.repeat(images, len(cands), axis=0), np.tile(cands, len(images)))
+        )
+        keep = np.ones(len(images), dtype=bool)
+        for i in range(k):
+            keep &= horder[ht[images[:, i], images[:, k]]] == G.element_order(G.mul(gens[i], g))
+        images = images[keep]
+    table = np.zeros((len(images), len(pos)), dtype=np.int32)
+    for x, prefix, gi in steps:
+        table[:, x] = ht[table[:, prefix], images[:, gi]]
+    keep = (table[:, 1:] != 0).all(axis=1)
+    for x, xg, gi in checks:
+        keep &= table[:, xg] == ht[table[:, x], images[:, gi]]
+    return table[keep]
+
+
+class TestColumnMajorKernel:
+    """injective_homs works column-major with flat takes; it must give the
+    row-major loop's rows, in the same order, as C-contiguous int32 rows (an
+    intp table would grow the C2 verify peak by several megabytes)."""
+
+    @staticmethod
+    def assert_same_rows(G, subgroups):
+        for sub in subgroups:
+            gens = list(sub.generators)
+            for targets in (range(G.order), sub.elements):
+                got = injective_homs(G, gens, G, targets)
+                want = row_major_injective_homs(G, gens, G, targets)
+                assert got.dtype == np.int32 and got.flags["C_CONTIGUOUS"]
+                assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("pair", corpus(), ids=lambda p: p.name)
+    def test_corpus_subgroups(self, pair):
+        S0, _ = FiniteGroup.from_permutations(pair.subgroup_generators())
+        self.assert_same_rows(S0, S0.all_subgroups())
+
+    def test_c2_ambient_subgroups(self):
+        S = build_S(InputGroupA.from_name("C2"))
+        subs = enumerate_subgroups(S)
+        assert len(subs) == 106
+        self.assert_same_rows(S, subs)
+        rows = injective_images(S, subs[-1], range(S.order))
+        assert rows.dtype == np.int32 and rows.flags["C_CONTIGUOUS"] and len(rows) > 1
+
+    def test_no_target_of_the_right_order(self):
+        G = catalog_group("C4")
+        gens = list(G.minimal_generators())
+        got = injective_homs(G, gens, G, [0, 2])
+        assert got.shape == (0, 4) and got.dtype == np.int32
+        assert got.shape == row_major_injective_homs(G, gens, G, [0, 2]).shape

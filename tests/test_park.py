@@ -39,6 +39,7 @@ from automizer.park import (
     wreath_multiply,
 )
 from automizer.permcore import PermGroup, Permutation, identity_perm
+from automizer.realize import run_pipeline
 from automizer.testkit import (
     base_only,
     brute_fusion,
@@ -525,6 +526,40 @@ class TestPxSClassMemo:
             from_least(skey, rep)
             moved += from_least(skey, d)[1] != pair
         assert moved
+
+
+class TestWitnessStageCounts:
+    def test_c2_pipeline_counts(self, monkeypatch):
+        """The C2 realize asks _canonical once per stabilizer-diagonal row
+        first met for a source (2,396 times, not once per row: 13,069), runs
+        one BFS per P x S class (1,481) and per S x S class (239), and calls
+        ParkEmbedding.witness, a benchmark patch point, once per generator."""
+        counts = dict.fromkeys(["witness", "canonical", "pxs_bfs", "sxs_bfs"], 0)
+        inside = []
+        witness, canonical = ParkEmbedding.witness, ParkEmbedding._canonical
+
+        def counting_witness(self, phi):
+            counts["witness"] += 1
+            inside.append(phi)
+            try:
+                return witness(self, phi)
+            finally:
+                inside.pop()
+
+        def counting_canonical(self, skey, d):
+            counts["canonical"] += 1
+            return canonical(self, skey, d)
+
+        def counting_orbit(G, d, moves):
+            counts["pxs_bfs" if inside else "sxs_bfs"] += 1
+            return diagonal_orbit(G, d, moves)
+
+        monkeypatch.setattr(ParkEmbedding, "witness", counting_witness)
+        monkeypatch.setattr(ParkEmbedding, "_canonical", counting_canonical)
+        monkeypatch.setattr("automizer.biset.diagonal_orbit", counting_orbit)
+        cert = run_pipeline(InputGroupA.from_name("C2"))
+        assert cert.accepted
+        assert counts == {"witness": 246, "canonical": 2396, "pxs_bfs": 1481, "sxs_bfs": 239}
 
 
 class TestAmbientEmbedding:

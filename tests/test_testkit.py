@@ -16,7 +16,6 @@ from automizer.biset import (
     OrbitRecord,
     SemicharacteristicBiset,
     build_semicharacteristic,
-    move_diagonal,
 )
 from automizer.fusion import Morphism, generate
 from automizer.grouprep import FiniteGroup, ScaleError, are_isomorphic, catalog_group, permutation_closure
@@ -29,6 +28,7 @@ from automizer.testkit import (
     brute_marks_table,
     conjugation_generators,
     corpus,
+    move_diagonal,
     mutation_suite,
     regular_representation,
 )
