@@ -18,7 +18,6 @@ checks suffice since both sides are homomorphisms on P.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -30,7 +29,6 @@ import numpy as np
 
 from .grouprep import FiniteGroup, ScaleError, injective_images
 from .fusion import FusionSystem, Morphism
-from .permcore import merge_labels
 
 
 Diagonal = Morphism  # a twisted diagonal is stored exactly like a morphism
@@ -201,9 +199,8 @@ def outer_class_representatives(system: FusionSystem) -> list[Morphism]:
     """The least member of each coset Inn(S) alpha in Aut_F(S), sorted; the
     identity is the least automorphism, so it comes first."""
     full = tuple(range(system.ambient.order))
-    inner = [c.images for c in system.aut_S(full)]
     return sorted({
-        min(Morphism(full, tuple(c[x] for x in alpha.images)) for c in inner)
+        min(Morphism(full, tuple(c[x] for x in alpha.images)) for c in system.inner)
         for alpha in system.aut(full)
     })
 
@@ -289,61 +286,30 @@ def verify_generated(system: FusionSystem, X: SemicharacteristicBiset) -> tuple[
     return True, report
 
 
-class RowIndex:
-    """Distinct rows of integers in [0, radix), given as columns, each found
-    again by one integer key: the row's entries folded in base radix, column
-    by column.  A fold that could pass int64 first replaces the key so far by
-    its rank among the indexed rows' keys at that column, which keeps every
-    key exact however many columns there are."""
-
-    def __init__(self, columns: np.ndarray, radix: int):
-        self.radix = radix
-        self.levels: list[np.ndarray] = []
-        key = self._keys(columns)
-        self.order = np.argsort(key)
-        self.sorted = key.take(self.order)
-
-    def _keys(self, columns: np.ndarray) -> Optional[np.ndarray]:
-        """The key per row, or None when some row's prefix before a rank
-        step is no indexed row's prefix.  Indexing learns the rank steps."""
-        key = np.zeros(columns.shape[1], dtype=np.int64)
-        span, level = 1, 0
-        for col in columns:
-            if span * self.radix > 2 ** 63:
-                if level == len(self.levels):
-                    self.levels.append(np.unique(key))
-                known = self.levels[level]
-                rank = np.searchsorted(known, key)
-                if not np.array_equal(known.take(rank, mode="clip"), key):
-                    return None
-                key, span, level = rank, len(known), level + 1
-            key = key * self.radix + col
-            span *= self.radix
-        return key
-
-    def find(self, columns: np.ndarray) -> Optional[np.ndarray]:
-        """Per row of the columns, the index of the equal indexed row; None
-        if some row is not indexed."""
-        key = self._keys(columns)
-        if key is None:
-            return None
-        at = np.searchsorted(self.sorted, key)
-        if not np.array_equal(self.sorted.take(at, mode="clip"), key):
-            return None
-        return self.order.take(at)
+def _moved_rows(
+    system: FusionSystem, skey: tuple, rows: np.ndarray, cols: Sequence[int]
+) -> Iterator[np.ndarray]:
+    """Per element (alpha, c) of Aut_F(R) x Inn(S), for R the source of the
+    rows of Inj(R, S): the rows moved by phi -> c . phi . alpha, read at the
+    columns, one array row per column."""
+    pos = system.lattice.posmap[skey]
+    inner = np.array(system.inner)
+    for alpha in system.aut(skey):
+        at = rows.T[[pos[alpha.images[c]] for c in cols]]
+        for conj in inner:
+            yield conj.take(at)
 
 
-def injective_diagonal_classes(system: FusionSystem) -> Iterator[tuple[tuple, np.ndarray, np.ndarray]]:
-    """The classes of injective twisted diagonals under the product action,
-    as orbit labels.  Per F-class of subgroups, in decreasing order: its first
-    subgroup R, the rows of Inj(R, S) as full images sorted by images, and
-    each row's label, the least row of its orbit under Aut_F(R) x Inn(S).
-    Every class with a source F-conjugate to R meets Inj(R, S) in exactly one
-    such orbit, so the classes and the labels correspond one to one.  One
-    F-class is made at a time, each moved copy of its rows one at a time."""
+def injective_class_counts(system: FusionSystem) -> Iterator[tuple[tuple, int]]:
+    """The number of classes of injective twisted diagonals under the product
+    action, per F-class of subgroups in decreasing order, with its first
+    subgroup R.  Every class with a source F-conjugate to R meets Inj(R, S)
+    in exactly one orbit of Aut_F(R) x Inn(S), so by Burnside's lemma the
+    count is the mean number of rows an element of that group fixes.  A
+    homomorphism is fixed by its generator images, so only those columns are
+    compared."""
     G = system.ambient
     lat = system.lattice
-    conj_moves = G.np_conj[G.minimal_generators()]
     met: set[tuple] = set()
     for skey in by_decreasing_order(lat.keys):
         if skey in met:
@@ -351,23 +317,29 @@ def injective_diagonal_classes(system: FusionSystem) -> Iterator[tuple[tuple, np
         met.update(tuple(sorted(psi.images)) for psi in system.hom_set(skey))
         sub = lat.by_key[skey]
         rows = injective_images(G, sub, range(G.order))
-        label = np.arange(len(rows))
-        pos = lat.posmap[skey]
-        gcols = [pos[g] for g in sub.generators]
-        # a homomorphism is fixed by its generator images, so a moved row is
-        # found by the key of those columns alone; the trivial source has one row
-        if gcols:
-            cols = rows.T[gcols]
-            index = RowIndex(cols, G.order)
-            moved = itertools.chain(
-                (conj.take(cols) for conj in conj_moves),
-                (rows.T[[pos[alpha.images[c]] for c in gcols]] for alpha in system.aut(skey)),
-            )
-            for M in moved:
-                perm = index.find(M)
-                assert perm is not None, "a moved row left Inj(R, S)"
-                label = merge_labels(label, perm)
-        yield skey, rows, label
+        gcols = [lat.posmap[skey][g] for g in sub.generators]
+        fixed = rows.T[gcols]
+        fixes = [
+            int(np.count_nonzero((moved == fixed).all(axis=0)))
+            for moved in _moved_rows(system, skey, rows, gcols)
+        ]
+        assert sum(fixes) % len(fixes) == 0, "Burnside's count must divide by the group order"
+        yield skey, sum(fixes) // len(fixes)
+
+
+def classes_before(system: FusionSystem, d: Diagonal) -> int:
+    """The classes met on Inj(R, S), R the source of d, before the row of d:
+    the rows before it that no element of Aut_F(R) x Inn(S) moves to a
+    smaller row.  Rows are sorted by images, so smaller is lexicographic."""
+    G = system.ambient
+    rows = injective_images(G, system.lattice.by_key[d.source], range(G.order))
+    head = rows[: np.flatnonzero((rows == d.images).all(axis=1))[0]]
+    least = np.ones(len(head), dtype=bool)
+    at = np.arange(len(head))
+    for moved in _moved_rows(system, d.source, head, range(len(d.source))):
+        first = (moved != head.T).argmax(axis=0)
+        least &= moved[first, at] >= head[at, first]
+    return int(np.count_nonzero(least))
 
 
 def verify_stability(
@@ -382,32 +354,28 @@ def verify_stability(
     transporter formula, (S x S)/Delta(Q, gamma) has a point fixed by
     Delta(P, phi) only if phi = c_y . gamma . c_{x^-1} on P, a map in F when
     gamma is; and a class whose twist is outside F has no member in F.  So
-    every orbit has mark 0 on such a class.  Every class is still counted, by
-    orbit labels; marks are compared on the context's one fusion-class walk,
-    and a failure reports how many classes that walk's order met before it."""
+    every orbit has mark 0 on such a class.  Every class is still counted,
+    by Burnside's lemma; marks are compared on the context's one fusion-class
+    walk, and a failure reports how many classes that walk's order met before
+    it."""
     foreign = _foreign_twist(system, X)
     if foreign:
         return False, {"failure": foreign, "checked_classes": 0}
-    earlier: dict[tuple, tuple[int, np.ndarray]] = {}
+    earlier: dict[tuple, int] = {}
     checked_classes = 0
-    for skey, _, label in injective_diagonal_classes(system):
-        roots = np.flatnonzero(label == np.arange(len(label)))
-        earlier[skey] = (checked_classes, roots)
-        checked_classes += len(roots)
+    for skey, count in injective_class_counts(system):
+        earlier[skey] = checked_classes
+        checked_classes += count
     for d, reps in context.fusion_classes:
         marks = [context.mark(X.orbits, rep) for rep in reps]
         if len(set(marks)) > 1:
-            # d is the least row of its class, and the labels of Inj(R, S)
-            # are met in increasing order; the rows are made again here
-            before, roots = earlier[d.source]
-            G = system.ambient
-            rows = injective_images(G, system.lattice.by_key[d.source], range(G.order))
-            row = np.flatnonzero((rows == d.images).all(axis=1))[0]
+            # d is the least row of its class, and its source is the first
+            # subgroup of its F-class
             return False, {
                 "failure": "marks differ on one diagonal class",
                 "class_source": d.source,
                 "witness": [(r.source, r.images, mk) for r, mk in zip(reps, marks)],
-                "checked_classes": before + int(np.count_nonzero(roots < row)),
+                "checked_classes": earlier[d.source] + classes_before(system, d),
             }
     return True, {"checked_classes": checked_classes, "level": "full"}
 

@@ -142,7 +142,7 @@ def cmd_verify(args, out) -> int:
 
 def _read_perm_group(path: str) -> tuple[PermGroup, int]:
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+        lines = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty group file")
     degree = int(lines[0])

@@ -99,7 +99,8 @@ class FusionSystem:
         if full not in self.lattice.by_key:
             raise ValueError("lattice must contain the full group")
 
-        inner = [m.images for m in self.aut_S(full)]
+        # Inn(S), one image tuple per inner automorphism
+        self.inner = inner = [m.images for m in self.aut_S(full)]
         # the atoms, deduplicated in order: inner maps, then each generator
         # and its inverse
         atoms = dict.fromkeys(Morphism(full, images) for images in inner)

@@ -12,7 +12,6 @@ on both components, so Delta(P, phi)-fixed cosets are exactly the mark."""
 
 import itertools
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,13 +19,13 @@ from automizer.biset import (
     Diagonal,
     DiagonalContext,
     OrbitRecord,
-    RowIndex,
     SemicharacteristicBiset,
     _foreign_twist,
     build_semicharacteristic,
     check_orbit_predictions,
+    classes_before,
     diagonal_orbit,
-    injective_diagonal_classes,
+    injective_class_counts,
     orbit_from_payload,
     orbit_payload,
     outer_class_representatives,
@@ -42,6 +41,7 @@ from automizer.grouprep import (
     catalog_group,
     enumerate_subgroups,
     homocyclic_rank2,
+    injective_images,
 )
 from automizer.testkit import (
     all_injective_homs,
@@ -508,124 +508,63 @@ def reference_verify_stability(system, X, ctx):
 
 
 class TestClassLabels:
-    """The orbit labels on Inj(R, S) against the class walk that builds every
-    class of injective diagonals: per class, its members with source R are
-    exactly the rows labelled with the class's first row."""
+    """The Burnside class counts against the class walk that builds every
+    class of injective diagonals: per F-class of subgroups, in the walk's
+    order, as many classes as the walk meets with that source."""
 
     @staticmethod
-    def assert_labels_match_walk(system):
-        ctx = DiagonalContext(system)
-        labelled = {
-            skey: (rows.tolist(), label.tolist())
-            for skey, rows, label in injective_diagonal_classes(system)
-        }
-        walked = 0
-        for d, members in injective_class_walk(ctx):
-            rows, label = labelled[d.source]
-            first = rows.index(list(d.images))
-            assert label[first] == first
-            in_class = {tuple(rows[i]) for i, lab in enumerate(label) if lab == first}
-            assert in_class == {m.images for m in members if m.source == d.source}
-            walked += 1
-        roots = sum(
-            sum(lab == i for i, lab in enumerate(label)) for _, label in labelled.values()
-        )
-        assert roots == walked
+    def assert_counts_match_walk(system):
+        sources = [d.source for d, _ in injective_class_walk(DiagonalContext(system))]
+        counts = list(injective_class_counts(system))
+        assert counts == [(s, sources.count(s)) for s in dict.fromkeys(sources)]
+        assert all(type(count) is int for _, count in counts)
 
     def test_klein3(self, klein3):
         _, system, _, _ = klein3
-        self.assert_labels_match_walk(system)
+        self.assert_counts_match_walk(system)
 
     @pytest.mark.parametrize("pair", corpus(), ids=lambda p: p.name)
     def test_corpus(self, pair):
-        self.assert_labels_match_walk(brute_fusion(pair.group(), pair.subgroup_generators()))
+        self.assert_counts_match_walk(brute_fusion(pair.group(), pair.subgroup_generators()))
 
 
-def lexsort_move(rows, moved):
-    """The move permutation as injective_diagonal_classes found it by sorting
-    both row lists: per moved row, the index of the equal row; None if the
-    sorted lists differ."""
-    order = np.lexsort(rows.T)
-    found = np.lexsort(moved.T)
-    if not np.array_equal(moved[found], rows[order]):
-        return None
-    perm = np.empty_like(order)
-    perm[found] = order
-    return perm
+class TestClassesBefore:
+    """The failure position against the same walk."""
 
-
-@st.composite
-def wide_rows(draw):
-    """Distinct rows over [0, radix) with radix ** width >= 2 ** 63, values
-    drawn from a few per column so that long prefixes repeat, a shuffled
-    copy, and a row outside the list when one is found."""
-    radix = draw(st.sampled_from([2, 3, 7, 32, 4096, 2 ** 21 + 1, 2 ** 31 - 1, 2 ** 40]))
-    width = 1
-    while radix ** width < 2 ** 63:
-        width += 1
-    width += draw(st.integers(0, 3))
-    pool = sorted({0, 1 % radix, radix // 2, radix - 1})
-    cells = st.lists(st.sampled_from(pool), min_size=width, max_size=width)
-    rows = np.unique(np.array(draw(st.lists(cells, min_size=1, max_size=40)), dtype=np.int64), axis=0)
-    shuffle = draw(st.permutations(range(len(rows))))
-    outside = None
-    for value in range(min(radix, 5)):
-        row = rows[0].copy()
-        row[-1] = value
-        if not (rows == row).all(axis=1).any():
-            outside = row
-            break
-    return radix, rows, rows[list(shuffle)], outside
-
-
-class TestRowIndex:
-    """injective_diagonal_classes finds each moved row by an integer key on
-    the generator columns; the key must stay exact where radix ** width
-    passes int64, and give the permutation that sorting both lists gave."""
-
-    @given(wide_rows())
-    @settings(max_examples=150, deadline=None)
-    def test_same_move_as_lexsort_past_int64(self, case):
-        radix, rows, moved, outside = case
-        index = RowIndex(rows.T, radix)
-        assert radix ** rows.shape[1] == 2 ** 63 or index.levels
-        perm = index.find(moved.T)
-        assert perm is not None and np.array_equal(perm, lexsort_move(rows, moved))
-        if outside is not None:
-            moved = moved.copy()
-            moved[len(moved) // 2] = outside
-            assert lexsort_move(rows, moved) is None
-            assert index.find(moved.T) is None
-
-    def test_a_prefix_outside_the_index_is_not_found(self):
-        rows = np.array([[1, 0, 0], [5, 0, 1]], dtype=np.int64)
-        index = RowIndex(rows.T, 2 ** 40)
-        assert len(index.levels) == 2
-        assert np.array_equal(index.find(rows[::-1].T), [1, 0])
-        # the prefix 3 would take the rank of 5, and the rest matches row 1
-        assert index.find(np.array([[3, 0, 1]]).T) is None
-
-    def test_ambient_c2_labels_match_the_lexsort_moves(self, ambient_c2):
-        """The labels of every F-class of C2 equal those made with the
-        lexsort move, and count the 16,019 classes."""
-        from automizer.permcore import merge_labels
-
-        _, system, _, _ = ambient_c2
+    @staticmethod
+    def assert_positions_match_walk(system):
+        """At each class's first row, the classes the walk met before it with
+        the same source; at the row after it, one more."""
         G, lat = system.ambient, system.lattice
-        conj_moves = G.np_conj[G.minimal_generators()]
-        roots = 0
-        for skey, rows, label in injective_diagonal_classes(system):
-            want = np.arange(len(rows))
-            pos = lat.posmap[skey]
-            gcols = [pos[g] for g in lat.by_key[skey].generators]
-            if gcols:
-                moved = [conj[rows] for conj in conj_moves]
-                moved += [rows[:, [pos[a] for a in alpha.images]] for alpha in system.aut(skey)]
-                for M in moved:
-                    want = merge_labels(want, lexsort_move(rows[:, gcols], M[:, gcols]))
-            assert np.array_equal(label, want)
-            roots += int(np.count_nonzero(label == np.arange(len(label))))
-        assert roots == 16019
+        met = {}
+        for d, _ in injective_class_walk(DiagonalContext(system)):
+            before = met.setdefault(d.source, 0)
+            assert classes_before(system, d) == before
+            rows = all_injective_homs(G, lat, d.source)
+            at = rows.index(d)
+            if at + 1 < len(rows):
+                assert classes_before(system, rows[at + 1]) == before + 1
+            met[d.source] += 1
+
+    def test_klein3(self, klein3):
+        _, system, _, _ = klein3
+        self.assert_positions_match_walk(system)
+
+    @pytest.mark.parametrize("pair", corpus(), ids=lambda p: p.name)
+    def test_corpus(self, pair):
+        self.assert_positions_match_walk(brute_fusion(pair.group(), pair.subgroup_generators()))
+
+    def test_ambient_failure_past_an_f_class_start(self, ambient_c2):
+        """A bumped orbit that breaks a class which is not the first of its
+        F-class: the report counts the classes before it in that F-class."""
+        _, system, ctx, X = ambient_c2
+        rec = X.orbits[10]
+        bumped = list(X.orbits)
+        bumped[10] = OrbitRecord(rec.source, rec.images, rec.multiplicity + 1)
+        broken = SemicharacteristicBiset(bumped, X.m, X.n)
+        expect = reference_verify_stability(system, broken, DiagonalContext(system))
+        assert expect[1]["checked_classes"] == 15548
+        assert verify_stability(system, broken, context=ctx) == expect
 
 
 class TestFailureReport:
@@ -935,3 +874,19 @@ class TestOneHelperPerClassConcept:
         assert check_orbit_predictions(system, X, context=ctx)[0]
         classes = {ctx.sxs[d][0] for d in walked}
         assert len(walked) == len(classes) == 239
+
+    def test_one_injective_table_per_f_class(self, ambient_c2, monkeypatch):
+        """With a fresh context, the stability check of C2 makes Inj(R, S)
+        once per F-class of subgroups."""
+        _, system, _, X = ambient_c2
+        firsts = [skey for skey, _ in injective_class_counts(system)]
+        made = []
+
+        def counting_images(G, sub, targets):
+            made.append(sub.elements)
+            return injective_images(G, sub, targets)
+
+        monkeypatch.setattr("automizer.biset.injective_images", counting_images)
+        ok, rep = verify_stability(system, X, context=DiagonalContext(system))
+        assert ok and rep["checked_classes"] == 16019
+        assert made == firsts and len(set(made)) == 56

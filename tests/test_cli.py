@@ -260,6 +260,16 @@ def test_oracle(tmp_path, capsys):
     assert len(rows) == 6
 
 
+def test_oracle_skips_indented_comments(tmp_path, capsys):
+    argv = ["oracle", "--subgroup", "(0 1)(2 3); (0 2)(1 3)", "--group-file"]
+    gfile = tmp_path / "s4.txt"
+    gfile.write_text("4\n(0 1)\n(0 1 2 3)\n")
+    plain = run_cli(argv + [str(gfile)], capsys)
+    gfile.write_text("# degree\n4\n  # the symmetric group S4\n(0 1)\n\t# a 4-cycle\n(0 1 2 3)\n")
+    assert run_cli(argv + [str(gfile)], capsys) == plain
+    assert plain[0] == 0 and plain[1].startswith("automizer order 6\n")
+
+
 def test_oracle_bad_input(tmp_path, capsys):
     gfile = tmp_path / "bad.txt"
     gfile.write_text("4\n(0 1\n")
