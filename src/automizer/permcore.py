@@ -313,11 +313,3 @@ class PermGroup:
                     work.append(compose(g, compose(h, g.inverse())))
         closure.generators = added
         return closure
-
-    def derived_subgroup(self) -> "PermGroup":
-        """Commutator subgroup: normal closure of the generator commutators."""
-        comms = []
-        for a in self.generators:
-            for b in self.generators:
-                comms.append(compose(compose(a, b), compose(a.inverse(), b.inverse())))
-        return self.normal_closure(comms)

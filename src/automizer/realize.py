@@ -343,16 +343,17 @@ def verify_main(
     S: SGroup,
     U: Subgroup,
     pe: ParkEmbedding,
-    witness_elements: Sequence[WreathElement],
+    witness_tops: Sequence[np.ndarray],
     p: int,
     a_order: int,
 ) -> tuple[bool, dict]:
     """The final battery: (a) images of the ambient generators land in the
     derived subgroup of the wreath product, (b) the normal closure of the
-    embedded U-tops under the generated group covers the alternating group
-    (or certifies transitivity when the degree is too large to build a
-    stabilizer chain), (c) the chosen prime divides the alternating order but
-    not |S|, (d) the degree is large enough."""
+    embedded U-tops under the group they generate with the iota tops and
+    the witness tops covers the alternating group (or certifies
+    transitivity when the degree is too large to build a stabilizer chain),
+    (c) the chosen prime divides the alternating order but not |S|, (d) the
+    degree is large enough."""
     n = pe.n
     sprime = S.commutator_subgroup()
     s_gens = S.minimal_generators()
@@ -361,7 +362,7 @@ def verify_main(
 
     seed_tops = [pe.iota(u).top for u in U.generators]
     conj_tops = [pe.iota(s).top for s in s_gens]
-    conj_tops += [w.top for w in witness_elements]
+    conj_tops += witness_tops
     top_closure = _top_closure(n, seed_tops, conj_tops)
 
     prime_ok = _is_prime(p) and S.order % p != 0 and p <= n
@@ -420,37 +421,36 @@ def _in_range(values: Optional[np.ndarray], bound: int, what: str) -> np.ndarray
     return values
 
 
-_COUNTS = "base run counts must be positive integers summing to %d"
-
-
-def _wreath_from_arrays(group: FiniteGroup, top: np.ndarray, base: np.ndarray) -> WreathElement:
-    """A witness held as arrays, checked in place with the checks, in the
-    order and with the messages of _wreath_from_payload.  The base is its
-    runs expanded: the run values are in range exactly when the base
-    entries are, and the counts are positive and sum to the degree exactly
-    when the base has one entry per slot."""
-    n = len(top)
-    _in_range(top, n, "top")
-    _in_range(base, group.order, "base run values")
-    if base.size != n:
-        raise ValueError(_COUNTS % n)
-    return WreathElement(group, base, top, validate=True)
-
-
-def _wreath_from_payload(group: FiniteGroup, payload: dict) -> WreathElement:
-    """A witness read as JSON lists, checked in the order the fields are
-    read: the top before the runs are read, and the counts, which must be
-    positive and sum to the degree, before anything is expanded."""
-    n = len(payload["top"])
-    top = _in_range(_json_ints(payload["top"]), n, "top")
-    runs = payload["base_runs"]
+def _json_runs(runs) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """The run values and the run counts of [value, count] pairs read as JSON
+    lists, each as _json_ints makes it."""
     if not isinstance(runs, list) or set(map(type, runs)) - {list} or set(map(len, runs)) - {2}:
         raise ValueError("base runs must be [value, count] pairs")
-    values = _in_range(_json_ints(list(map(itemgetter(0), runs))), group.order, "base run values")
-    counts = _json_ints(list(map(itemgetter(1), runs)))
+    return _json_ints(list(map(itemgetter(0), runs))), _json_ints(list(map(itemgetter(1), runs)))
+
+
+def _checked_witness(group: FiniteGroup, witness) -> "_Witness":
+    """A stored witness as its runs and top, checked without expanding its
+    base.  It is a _Witness read from canonical text, or JSON lists that are
+    made into the same int32 arrays.  Both kinds get the same checks, in the
+    order the fields are read and with the same messages: the top holds
+    integers in [0, n), read before the runs; the run values are integers in
+    the group's range; the run counts are positive and sum to n; and the top
+    is a permutation."""
+    held = isinstance(witness, _Witness)
+    n = len(witness.top if held else witness["top"])
+    top = witness.top if held else _json_ints(witness["top"])
+    _in_range(top, n, "top")
+    values, counts = (witness.values, witness.counts) if held else _json_runs(witness["base_runs"])
+    _in_range(values, group.order, "base run values")
     if counts is None or counts.size and not 1 <= counts.min() <= counts.max() <= n or counts.sum() != n:
-        raise ValueError(_COUNTS % n)
-    return WreathElement(group, np.repeat(values, counts), top, validate=True)
+        raise ValueError("base run counts must be positive integers summing to %d" % n)
+    # n entries in [0, n) form a permutation when none is repeated
+    if n and np.bincount(top, minlength=n).max() > 1:
+        raise ValueError("top is not a permutation word")
+    if held:
+        return witness
+    return _Witness(values.astype(np.int32), counts.astype(np.int32), top.astype(np.int32))
 
 
 def _not_a_number(name: str):
@@ -537,7 +537,8 @@ class Certificate:
             # another string of the payload reads like a hole
             pieces, held = [_canonical_text(payload, dict)], []
         if held:
-            digits = _digits(max(max(w.top.size, int(w.base.max(initial=0))) for w in held))
+            # the run counts are at most the degree
+            digits = _digits(max(max(w.top.size, int(w.values.max(initial=0))) for w in held))
         for piece, w in zip(pieces, held):
             yield piece
             yield _wreath_text(w, digits).encode("ascii")
@@ -600,62 +601,80 @@ def _ambient_payload(S: SGroup) -> dict:
     }
 
 
-# each payload field of a wreath element, made from its arrays
-_WREATH_FIELDS = {
-    "top": lambda el: el.top.tolist(),
-    "base_runs": lambda el: _run_length(el.base),
-}
-
-
 def _wreath_payload(el: WreathElement) -> dict:
-    return {name: make(el) for name, make in _WREATH_FIELDS.items()}
+    """The payload of a wreath element: its top, and its base as runs."""
+    return {"top": el.top.tolist(), "base_runs": _run_length(el.base)}
 
 
-def _digits(bound: int) -> np.ndarray:
-    """str(i) for every i in [0, bound]."""
-    return np.array([str(i) for i in range(bound + 1)], dtype=object)
+def _digits(bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For every i in [0, bound]: str(i), "[i," and "i],"."""
+    plain = [str(i) for i in range(bound + 1)]
+    opens = ["[%s," % s for s in plain]
+    closes = ["%s]," % s for s in plain]
+    return tuple(np.array(table, dtype=object) for table in (plain, opens, closes))
 
 
-def _wreath_text(el: WreathElement, digits: np.ndarray) -> str:
-    """json.dumps(_wreath_payload(el), sort_keys=True, separators=(",", ":")),
-    joined straight from the arrays: digits is _digits of at least the degree
-    and every base entry."""
-    values, counts = _runs(el.base)
-    runs = "],[".join(map(",".join, zip(digits[values].tolist(), digits[counts].tolist())))
-    return '{"base_runs":[%s],"top":[%s]}' % (
-        "[%s]" % runs if values.size else "",
-        ",".join(digits[el.top].tolist()),
-    )
+def _wreath_text(w: "_Witness", digits: tuple) -> str:
+    """json.dumps(dict(w), sort_keys=True, separators=(",", ":")), joined
+    straight from the runs and the top: digits is _digits of at least the
+    degree and every run value.  The runs are one join of "[v," and "c],"
+    in turn, with the last comma cut."""
+    plain, opens, closes = digits
+    runs = [None] * (2 * w.values.size)
+    runs[0::2] = opens[w.values].tolist()
+    runs[1::2] = closes[w.counts].tolist()
+    return '{"base_runs":[%s],"top":[%s]}' % ("".join(runs)[:-1], ",".join(plain[w.top].tolist()))
 
 
 # json.dumps writes this string where a witness held as arrays goes; the
 # reader puts it, numbered, where it took one out
 _HOLE = "\0"
 
+# each payload field of a witness, made from its runs and top
+_WITNESS_FIELDS = {
+    "top": lambda w: w.top.tolist(),
+    "base_runs": lambda w: np.column_stack((w.values, w.counts)).tolist(),
+}
+
 
 class _Witness(Mapping):
-    """A witness held as its base and top arrays, read as its payload: the
-    lists are made only when asked for, and Certificate.json_chunks writes
-    its text from the arrays.  The pipeline's witnesses are held this way, and
-    so are the witnesses a certificate gives in canonical text.  The arrays
-    are made read-only, so that no wreath element sharing them can change the
-    certificate."""
+    """A witness held as the int32 arrays of its base runs, values and
+    counts, and of its top, read as its payload: the lists are made only when
+    asked for, and Certificate.json_chunks writes its text from the arrays.
+    The pipeline's witnesses are held this way, and so are the witnesses a
+    certificate gives, in canonical text or as lists.  No n-entry base is
+    held: the base property expands one each time a base is read.  The
+    arrays are made read-only, so that no wreath element sharing them can
+    change the certificate."""
 
-    __slots__ = ("base", "top")
+    __slots__ = ("values", "counts", "top")
 
-    def __init__(self, base: np.ndarray, top: np.ndarray):
-        base.flags.writeable = top.flags.writeable = False
-        self.base = base
+    def __init__(self, values: np.ndarray, counts: np.ndarray, top: np.ndarray):
+        values.flags.writeable = counts.flags.writeable = top.flags.writeable = False
+        self.values = values
+        self.counts = counts
         self.top = top
 
+    @classmethod
+    def of(cls, el: WreathElement) -> "_Witness":
+        values, counts = _runs(el.base)
+        return cls(values, counts.astype(np.int32), el.top)
+
+    @property
+    def base(self) -> np.ndarray:
+        """The base, expanded from the runs, read-only."""
+        base = np.repeat(self.values, self.counts)
+        base.flags.writeable = False
+        return base
+
     def __getitem__(self, key):
-        return _WREATH_FIELDS[key](self)
+        return _WITNESS_FIELDS[key](self)
 
     def __iter__(self):
-        return iter(_WREATH_FIELDS)
+        return iter(_WITNESS_FIELDS)
 
     def __len__(self) -> int:
-        return len(_WREATH_FIELDS)
+        return len(_WITNESS_FIELDS)
 
 
 # a witness object whose arrays hold only digits, commas and brackets;
@@ -712,7 +731,7 @@ def _witness_arrays(match: re.Match) -> Optional[_Witness]:
         return None
     if (values[1:] == values[:-1]).any() or _decimal_length(top, n) + _decimal_length(runs, n) != digits:
         return None
-    return _Witness(np.repeat(values, counts).astype(np.int32), top.astype(np.int32))
+    return _Witness(values.astype(np.int32), counts.astype(np.int32), top.astype(np.int32))
 
 
 def _read_witness_text(data: bytes) -> Optional[dict]:
@@ -784,8 +803,8 @@ class _Built:
         return build_semicharacteristic(system, ctx, max_n=policy.max_n)
 
     def witnesses(self, pe, generators):
-        elements = [pe.witness(g) for g in generators]
-        return elements, [_Witness(el.base, el.top) for el in elements]
+        held = [_Witness.of(pe.witness(g)) for g in generators]
+        return held, held
 
     def prime(self, a_order):
         return bertrand_prime(a_order)
@@ -821,17 +840,12 @@ class _Stored:
         if not isinstance(payloads, list) or len(payloads) != len(generators):
             raise _Rejected("embedding", "witness count mismatch")
         try:
-            elements = [
-                _wreath_from_arrays(pe.G, p.top, p.base)
-                if isinstance(p, _Witness)
-                else _wreath_from_payload(pe.G, p)
-                for p in payloads
-            ]
+            held = [_checked_witness(pe.G, p) for p in payloads]
         except (KeyError, TypeError, ValueError) as exc:
             raise _Rejected("embedding", "malformed witness: %s" % exc) from None
-        if any(w.n != pe.n for w in elements):
+        if any(w.top.size != pe.n for w in held):
             raise _Rejected("embedding", "witness degree differs from the embedding")
-        return elements, payloads
+        return held, payloads
 
     def prime(self, a_order):
         if self.cert.prime is None:
@@ -939,15 +953,16 @@ def _run_stages(A: InputGroupA, policy: VerificationPolicy, source):
         failed = ", ".join(k for k, v in emb_rep.items() if v is False) or "iota_base_trivial"
         return stop("embedding", "embedding checks fail: %s" % failed)
     source.agree("embedding", embedding=embedding)
-    witness_elements, embedding["witnesses"] = source.witnesses(pe, system.generators)
+    held, embedding["witnesses"] = source.witnesses(pe, system.generators)
+    # each base is expanded from its runs only here, one witness at a time
     flags["witnesses_ok"] = all(
-        pe.check_witness(g, w) for g, w in zip(system.generators, witness_elements)
+        pe.check_witness(g, WreathElement(pe.G, w.base, w.top)) for g, w in zip(system.generators, held)
     )
     if not flags["witnesses_ok"]:
         return stop("embedding", "a witness fails its conjugation identity")
 
     p = sections["prime"] = source.prime(A.order)
-    _, main_rep = verify_main(S, U, pe, witness_elements, p, A.order)
+    _, main_rep = verify_main(S, U, pe, [w.top for w in held], p, A.order)
     sections["main_checks"] = main_rep
     flags["witnesses_ok"] = flags["witnesses_ok"] and main_rep["generator_membership"]["ok"]
     flags["top_closure_is_An"] = main_rep["top_closure"]["ok"] and main_rep["degree_conditions"]["ok"]

@@ -4,8 +4,9 @@ Everything here exists to check the main modules against independent
 computations: ambient-conjugation fusion by direct enumeration, fixed-point
 tables by materializing coset spaces, and a structured corruption suite that
 an accepted certificate must survive in full.  The standard generators,
-distinguished subgroups, the codec inverse, the center, chain membership and
-free-orbit padding that only the tests and scripts build on live here too."""
+distinguished subgroups, the codec inverse, the center, chain membership, the
+derived subgroup and free-orbit padding that only the tests and scripts build
+on live here too."""
 
 import json
 from collections import deque
@@ -18,7 +19,7 @@ from .biset import Diagonal, DiagonalContext, OrbitRecord, SemicharacteristicBis
 from .fusion import FusionSystem, Morphism, SubgroupLattice, _invert, generate
 from .grouprep import FiniteGroup, ScaleError, SGroup, Subgroup, injective_images, permutation_closure
 from .park import ParkEmbedding, WreathElement
-from .permcore import PermGroup, Permutation, parse_cycles
+from .permcore import PermGroup, Permutation, compose, parse_cycles
 from .realize import Certificate, verify_certificate
 
 
@@ -203,6 +204,15 @@ def is_member(group: PermGroup, p: Permutation) -> bool:
     group._chain()
     residue, _ = group._strip(p)
     return residue.is_identity()
+
+
+def derived_subgroup(group: PermGroup) -> PermGroup:
+    """The commutator subgroup: the normal closure of the commutators of the
+    group's generators."""
+    gens = group.generators
+    return group.normal_closure(
+        compose(compose(a, b), compose(a.inverse(), b.inverse())) for a in gens for b in gens
+    )
 
 
 # -- surrogate corpus --------------------------------------------------------------

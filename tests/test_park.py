@@ -44,6 +44,7 @@ from automizer.testkit import (
     base_only,
     brute_fusion,
     corpus,
+    derived_subgroup,
     is_member,
     to_permutation,
     top_only,
@@ -269,13 +270,13 @@ class TestDerivedSubgroupOracle:
 
     def test_derived_subgroup_order_and_perfection(self, gamma):
         G, n, gens, group = gamma
-        derived = group.derived_subgroup()
+        derived = derived_subgroup(group)
         assert derived.order() == 233280  # (6^4 * 3) * 60
-        assert derived.derived_subgroup().order() == 233280
+        assert derived_subgroup(derived).order() == 233280
 
     def test_membership_formula_matches_chain(self, gamma):
         G, n, gens, group = gamma
-        derived = group.derived_subgroup()
+        derived = derived_subgroup(group)
         sprime = G.commutator_subgroup()
         rng = np.random.default_rng(17)
         agree = 0

@@ -41,7 +41,7 @@ from automizer.realize import (
 )
 from automizer.biset import orbit_from_payload
 from automizer.fusion import generate
-from automizer.park import WreathElement
+from automizer.park import ParkEmbedding, WreathElement
 from automizer import realize
 
 
@@ -434,6 +434,67 @@ class TestSharedStages:
         assert "family_joins" in rep["reason"]
 
 
+# the flags of the embedding stage and of every stage before it
+FLAGS_TO_WITNESSES = FLAG_NAMES[: FLAG_NAMES.index("witnesses_ok") + 1]
+
+
+class TestWitnessesOkRows:
+    """The witnesses_ok rows of the flag matrix: a witness that fails its
+    conjugation identity fails witnesses_ok alone, at the embedding stage,
+    in realize and in verify; a stored witness whose runs or top are
+    malformed is refused at that stage before any identity is checked."""
+
+    @pytest.mark.parametrize("which", [0, -1], ids=["first", "last"])
+    def test_a_rejected_witness_fails_witnesses_ok_alone(self, c2_cert, monkeypatch, which):
+        real = ParkEmbedding.check_witness
+        rejected = []
+
+        def rejecting(pe, phi, g):
+            if phi is pe.system.generators[which]:
+                rejected.append(phi)
+                return False
+            return real(pe, phi, g)
+
+        monkeypatch.setattr(ParkEmbedding, "check_witness", rejecting)
+        cert = run_pipeline(InputGroupA.from_name("C2"))
+        ok, rep = verify_certificate(c2_cert)
+        assert len(rejected) == 2
+        assert not cert.accepted and not ok
+        assert cert.failed_stage == rep["failed_stage"] == "embedding"
+        assert rep["reason"] == "a witness fails its conjugation identity"
+        for flags in (cert.flags, rep["flags"]):
+            assert [name for name in FLAGS_TO_WITNESSES if not flags[name]] == ["witnesses_ok"]
+
+    @pytest.mark.parametrize("kind", ["lists", "runs"])
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            ("counts", "base run counts must be positive integers summing to 7792"),
+            ("top", "top is not a permutation word"),
+        ],
+    )
+    def test_a_malformed_stored_witness_fails_before_any_check(self, c2_cert, monkeypatch, kind, edit, reason):
+        """The last witness with one run count raised by 1, or with its first
+        top entry repeated, held as runs or given as lists."""
+        calls = []
+        monkeypatch.setattr(ParkEmbedding, "check_witness", lambda *args: calls.append(args) or True)
+        *kept, last = c2_cert.embedding["witnesses"]
+        counts, top = last.counts.copy(), last.top.copy()
+        if edit == "counts":
+            counts[-1] += 1
+        else:
+            top[1] = top[0]
+        if kind == "runs":
+            bad = realize._Witness(last.values, counts, top)
+        else:
+            bad = {"base_runs": np.column_stack((last.values, counts)).tolist(), "top": top.tolist()}
+        cert = dataclasses.replace(c2_cert, embedding=dict(c2_cert.embedding, witnesses=kept + [bad]))
+        ok, rep = verify_certificate(cert)
+        assert (ok, rep["failed_stage"]) == (False, "embedding")
+        assert rep["reason"] == "malformed witness: " + reason
+        assert calls == []
+
+
 class TestVerifyCertificate:
     def test_clean_full(self, c2_cert):
         ok, rep = verify_certificate(c2_cert)
@@ -508,10 +569,6 @@ def canonical_json(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-def digit_table(bound):
-    return np.array([str(i) for i in range(bound)], dtype=object)
-
-
 class TestWitnessText:
     """The certificate writer joins each built witness's text from its arrays
     and writes it between the chunks of the rest; the text must be exactly what
@@ -522,7 +579,7 @@ class TestWitnessText:
     def test_every_c2_witness(self, c2_cert):
         built = c2_cert.embedding["witnesses"]
         assert len(built) == 246
-        digits = digit_table(7793)
+        digits = realize._digits(7792)
         for w in built:
             assert isinstance(w, realize._Witness)
             assert realize._wreath_text(w, digits) == canonical_json(realize._wreath_payload(w))
@@ -541,8 +598,8 @@ class TestWitnessText:
         if rng is not None:
             rng.shuffle(top)
         el = WreathElement(self.S3, base, top, validate=True)
-        digits = digit_table(max(el.n, self.S3.order) + 1)
-        assert realize._wreath_text(el, digits) == canonical_json(realize._wreath_payload(el))
+        digits = realize._digits(max(el.n, self.S3.order))
+        assert realize._wreath_text(realize._Witness.of(el), digits) == canonical_json(realize._wreath_payload(el))
 
     def test_same_verdict_in_memory_and_loaded(self, c2_cert):
         loaded = Certificate.from_json_bytes(c2_cert.to_json_bytes())
@@ -704,8 +761,8 @@ def round_trip_arrays(text: bytes):
     values, counts = runs[0::2], runs[1::2]
     if counts.sum() != n:
         return None
-    w = realize._Witness(np.repeat(values, counts), top)
-    return w if realize._wreath_text(w, digit_table(n + 1)).encode("ascii") == text else None
+    w = realize._Witness(*realize._runs(np.repeat(values, counts)), top)
+    return w if realize._wreath_text(w, realize._digits(n)).encode("ascii") == text else None
 
 
 def read_arrays(text: bytes):
@@ -862,9 +919,27 @@ class TestStreamedCertificate:
     def test_witness_arrays_are_read_only(self, c2_cert):
         read = Certificate.from_json_bytes(c2_cert.to_json_bytes())
         for w in (c2_cert.embedding["witnesses"][0], read.embedding["witnesses"][0]):
-            for array in (w.base, w.top):
+            for array in (w.values, w.counts, w.base, w.top):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 1
+
+    def test_a_witness_holds_its_top_and_runs_alone(self, c2_cert):
+        """Each C2 witness, built or read, holds its top and its two run
+        arrays, int32 and owning their data: 4 (n + 2 runs) bytes, and no
+        n-entry base."""
+        read = Certificate.from_json_bytes(c2_cert.to_json_bytes())
+        for cert in (c2_cert, read):
+            held = cert.embedding["witnesses"]
+            assert len(held) == 246
+            runs = 0
+            for w in held:
+                assert type(w).__slots__ == ("values", "counts", "top") and not hasattr(w, "__dict__")
+                arrays = (w.values, w.counts, w.top)
+                assert all(a.dtype == np.int32 and a.ndim == 1 and a.base is None for a in arrays)
+                assert w.values.size == w.counts.size < w.top.size == 7792
+                assert sum(a.nbytes for a in arrays) == 4 * (7792 + 2 * w.values.size)
+                runs += w.values.size
+            assert runs == 423044
 
 
 class TestMalformedPayloads:
@@ -874,7 +949,7 @@ class TestMalformedPayloads:
     C4 = catalog_group("C4")
 
     def witness(self, top, runs):
-        return realize._wreath_from_payload(self.C4, {"top": top, "base_runs": runs})
+        return realize._checked_witness(self.C4, {"top": top, "base_runs": runs})
 
     @given(st.lists(st.integers(0, 3), max_size=60))
     @settings(max_examples=100, deadline=None)
