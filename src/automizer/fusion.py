@@ -28,10 +28,6 @@ class Morphism(NamedTuple):
     def image_set(self) -> frozenset:
         return frozenset(self.images)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.source == self.images
-
 
 class SubgroupLattice:
     """Sorted subgroup list with containment, covers, and position maps."""

@@ -15,82 +15,34 @@ in, so an element acts by <t_j, y> -> <t_top[j], base[top[j]] y>.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .biset import DiagonalClasses, SemicharacteristicBiset, twist_row
 from .fusion import FusionSystem, Morphism
 from .grouprep import FiniteGroup, Subgroup
-from .permcore import Permutation, word_parity
+from .permcore import word_parity
 
 
 class WreathElement:
-    """An element (base; top) of S wr Sigma_n, base entries indexing into S."""
+    """An element (base; top) of S wr Sigma_n, base entries indexing into S.
+    The library reads its arrays alone; the group arithmetic on them is the
+    tests' reference (testkit.Wreath)."""
 
     __slots__ = ("group", "base", "top")
 
-    def __init__(self, group: FiniteGroup, base, top, validate: bool = False):
+    def __init__(self, group: FiniteGroup, base, top):
         self.group = group
         self.base = np.ascontiguousarray(base, dtype=np.int32)
         self.top = np.ascontiguousarray(top, dtype=np.int32)
-        if validate:
-            if self.base.shape != self.top.shape or self.base.ndim != 1:
-                raise ValueError("base and top must be equal-length vectors")
-            n = len(self.top)
-            # n entries in [0, n) form a permutation when none is repeated
-            if n and (
-                self.top.min() < 0
-                or self.top.max() >= n
-                or np.bincount(self.top, minlength=n).max() > 1
-            ):
-                raise ValueError("top is not a permutation word")
-            if self.base.size and (self.base.min() < 0 or self.base.max() >= group.order):
-                raise ValueError("base entry out of range")
 
     @property
     def n(self) -> int:
         return len(self.top)
 
-    def top_perm(self) -> Permutation:
-        return Permutation(tuple(int(i) for i in self.top))
-
-    def is_identity(self) -> bool:
-        return not self.base.any() and np.array_equal(self.top, np.arange(self.n))
-
-    def __mul__(self, other: "WreathElement") -> "WreathElement":
-        return wreath_multiply(self, other)
-
-    def inverse(self) -> "WreathElement":
-        return wreath_inverse(self)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WreathElement)
-            and self.group is other.group
-            and np.array_equal(self.top, other.top)
-            and np.array_equal(self.base, other.base)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.base.tobytes(), self.top.tobytes()))
-
     def __repr__(self) -> str:
-        return "WreathElement(n=%d, top=%s)" % (self.n, self.top_perm())
-
-
-def wreath_multiply(a: WreathElement, b: WreathElement) -> WreathElement:
-    if a.group is not b.group or a.n != b.n:
-        raise ValueError("wreath elements live over different products")
-    mul, _ = a.group.np_tables
-    inv_top = np.empty_like(a.top)
-    inv_top[a.top] = np.arange(a.n, dtype=np.int32)
-    return WreathElement(a.group, mul[a.base, b.base[inv_top]], a.top[b.top])
-
-
-def wreath_inverse(a: WreathElement) -> WreathElement:
-    _, inv = a.group.np_tables
-    inv_top = np.empty_like(a.top)
-    inv_top[a.top] = np.arange(a.n, dtype=np.int32)
-    return WreathElement(a.group, inv[a.base[a.top]], inv_top)
+        return "WreathElement(n=%d, top=%s)" % (self.n, self.top)
 
 
 def gamma_prime_member(a: WreathElement, sprime: Subgroup) -> bool:
@@ -298,7 +250,7 @@ class ParkEmbedding:
         b = self.bases.ravel().take(row + j_t)
         base = np.zeros(self.n, dtype=np.int32)
         base[j_t] = mul.take(mul.take(b * order + inv_s0.take(o)) * order + inv_kap)
-        return WreathElement(self.G, base, j_t, validate=True)
+        return WreathElement(self.G, base, j_t)
 
     def _factors(self, elements: np.ndarray) -> np.ndarray:
         """Row per element u: the factor iota(u) applies to the point in each
@@ -314,9 +266,10 @@ class ParkEmbedding:
             self._last_source = (skey, (self.tops[src], self._factors(src)))
         return self._last_source[1]
 
-    def check_witness(self, phi: Morphism, g: WreathElement) -> bool:
+    def check_witness(self, phi: Morphism, g) -> bool:
         """The conjugation identity g iota(u) g^-1 = iota(phi(u)) on every
-        element u of the source P, checked on the generators of P alone.
+        element u of the source P, checked on the generators of P alone.  Of
+        g it reads the arrays top and base, once each.
 
         Both sides are homomorphisms on P: iota is one (verify_embedding
         proves it before any witness is checked), and so is phi
@@ -348,20 +301,38 @@ def decompose(system: FusionSystem, X: SemicharacteristicBiset) -> ParkEmbedding
 
 
 def verify_embedding(pe: ParkEmbedding) -> tuple[bool, dict]:
-    """Injective homomorphism check plus the base-intersection containment.
+    """Injective homomorphism check plus the base-intersection containment,
+    on the rows of tops and bases, one row at a time.
 
     The homomorphism check is exact at every order: iota(1) is the identity
     and iota(g u) = iota(g) iota(u) for every generator g and every u, which
-    gives iota(a u) = iota(a) iota(u) by induction on the word length of a."""
+    gives iota(a u) = iota(a) iota(u) by induction on the word length of a.
+    With iota(g) = (a; alpha) and iota(u) = (b; beta), the product is
+    (a . alpha(b); alpha beta); read at the slot alpha(j), its base is
+    a[alpha(j)] b[j].  Injective means the rows (top, base) are distinct."""
     G = pe.G
     order = G.order
-    ok_hom = pe.iota(0).is_identity() and all(
-        pe.iota(g) * pe.iota(u) == pe.iota(G.mul(g, u))
-        for g in G.minimal_generators()
-        for u in range(order)
+    mul = G.np_tables[0].ravel()
+    tops, bases = pe.tops, pe.bases
+
+    def product_is_row(g: int, u: int) -> bool:
+        alpha, gu = tops[g], G.mul(g, u)
+        return np.array_equal(alpha.take(tops[u]), tops[gu]) and np.array_equal(
+            mul.take(bases[g].take(alpha) * order + bases[u]), bases[gu].take(alpha)
+        )
+
+    ok_hom = np.array_equal(tops[0], np.arange(pe.n)) and not bases[0].any() and all(
+        product_is_row(g, u) for g in G.minimal_generators() for u in range(order)
     )
-    seen = {pe.iota(u) for u in range(order)}
-    ok_inj = len(seen) == order
+    # rows are compared whole only where the hashes of their bytes agree
+    by_hash: dict[int, list[int]] = {}
+    for u in range(order):
+        by_hash.setdefault(hash((tops[u].tobytes(), bases[u].tobytes())), []).append(u)
+    ok_inj = not any(
+        np.array_equal(tops[u], tops[v]) and np.array_equal(bases[u], bases[v])
+        for rows in by_hash.values()
+        for u, v in itertools.combinations(rows, 2)
+    )
     trivial_top = pe.top_trivial_set()
     core = set(pe.system.core_intersection())
     ok_base = set(trivial_top) <= core

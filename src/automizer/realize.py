@@ -17,7 +17,7 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -397,11 +397,6 @@ def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values[starts], np.diff(np.r_[starts, values.size])
 
 
-def _run_length(values: np.ndarray) -> list[list[int]]:
-    """[value, count] for each maximal run of equal entries, in order."""
-    return np.column_stack(_runs(values)).tolist()
-
-
 def _json_ints(values) -> Optional[np.ndarray]:
     """The values as an int64 array if they are a list of JSON integers that
     fit one, else None."""
@@ -430,9 +425,9 @@ def _json_runs(runs) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
 
 
 def _checked_witness(group: FiniteGroup, witness) -> "_Witness":
-    """A stored witness as its runs and top, checked without expanding its
-    base.  It is a _Witness read from canonical text, or JSON lists that are
-    made into the same int32 arrays.  Both kinds get the same checks, in the
+    """A witness as its runs and top, checked without expanding its base.
+    It is a _Witness, built or read from canonical text, or JSON lists that
+    are made into the same int32 arrays.  All get the same checks, in the
     order the fields are read and with the same messages: the top holds
     integers in [0, n), read before the runs; the run values are integers in
     the group's range; the run counts are positive and sum to n; and the top
@@ -537,8 +532,8 @@ class Certificate:
             # another string of the payload reads like a hole
             pieces, held = [_canonical_text(payload, dict)], []
         if held:
-            # the run counts are at most the degree
-            digits = _digits(max(max(w.top.size, int(w.values.max(initial=0))) for w in held))
+            # the top entries and the run counts are at most the degree
+            digits = _digits(max(w.top.size for w in held), max(int(w.values.max(initial=0)) for w in held))
         for piece, w in zip(pieces, held):
             yield piece
             yield _wreath_text(w, digits).encode("ascii")
@@ -601,15 +596,11 @@ def _ambient_payload(S: SGroup) -> dict:
     }
 
 
-def _wreath_payload(el: WreathElement) -> dict:
-    """The payload of a wreath element: its top, and its base as runs."""
-    return {"top": el.top.tolist(), "base_runs": _run_length(el.base)}
-
-
-def _digits(bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For every i in [0, bound]: str(i), "[i," and "i],"."""
-    plain = [str(i) for i in range(bound + 1)]
-    opens = ["[%s," % s for s in plain]
+def _digits(degree: int, value_bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For every i in [0, degree]: str(i) and "i],"; for every i in [0,
+    value_bound]: "[i,"."""
+    plain = [str(i) for i in range(degree + 1)]
+    opens = ["[%d," % i for i in range(value_bound + 1)]
     closes = ["%s]," % s for s in plain]
     return tuple(np.array(table, dtype=object) for table in (plain, opens, closes))
 
@@ -617,8 +608,8 @@ def _digits(bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _wreath_text(w: "_Witness", digits: tuple) -> str:
     """json.dumps(dict(w), sort_keys=True, separators=(",", ":")), joined
     straight from the runs and the top: digits is _digits of at least the
-    degree and every run value.  The runs are one join of "[v," and "c],"
-    in turn, with the last comma cut."""
+    degree and at least every run value.  The runs are one join of "[v,"
+    and "c]," in turn, with the last comma cut."""
     plain, opens, closes = digits
     runs = [None] * (2 * w.values.size)
     runs[0::2] = opens[w.values].tolist()
@@ -803,7 +794,7 @@ class _Built:
         return build_semicharacteristic(system, ctx, max_n=policy.max_n)
 
     def witnesses(self, pe, generators):
-        held = [_Witness.of(pe.witness(g)) for g in generators]
+        held = [_checked_witness(pe.G, _Witness.of(pe.witness(g))) for g in generators]
         return held, held
 
     def prime(self, a_order):
@@ -944,9 +935,7 @@ def _run_stages(A: InputGroupA, policy: VerificationPolicy, source):
         "base_index_convention": "target",
         "slot_tables": pe.slot_tables(),
         "verification": {k: list(v) if isinstance(v, tuple) else v for k, v in emb_rep.items()},
-        "iota_generators": [
-            {"element": int(s), **_wreath_payload(pe.iota(s))} for s in S.minimal_generators()
-        ],
+        "iota_generators": [{"element": int(s), **_Witness.of(pe.iota(s))} for s in S.minimal_generators()],
         "top_closure_mode": _closure_mode(pe.n),
     }
     if not (emb_ok and flags["iota_injective_hom"] and flags["iota_base_trivial"]):
@@ -954,10 +943,8 @@ def _run_stages(A: InputGroupA, policy: VerificationPolicy, source):
         return stop("embedding", "embedding checks fail: %s" % failed)
     source.agree("embedding", embedding=embedding)
     held, embedding["witnesses"] = source.witnesses(pe, system.generators)
-    # each base is expanded from its runs only here, one witness at a time
-    flags["witnesses_ok"] = all(
-        pe.check_witness(g, WreathElement(pe.G, w.base, w.top)) for g, w in zip(system.generators, held)
-    )
+    # check_witness reads each base once, expanded from its runs, one witness at a time
+    flags["witnesses_ok"] = all(pe.check_witness(g, w) for g, w in zip(system.generators, held))
     if not flags["witnesses_ok"]:
         return stop("embedding", "a witness fails its conjugation identity")
 
@@ -993,12 +980,10 @@ def run_pipeline(A: InputGroupA, policy: Optional[VerificationPolicy] = None) ->
 # -- re-verification from the file alone -----------------------------------------------
 
 
-def verify_certificate(cert: Union[Certificate, str]) -> tuple[bool, dict]:
+def verify_certificate(cert: Certificate) -> tuple[bool, dict]:
     """Replay the stage list on the certificate's own data.  The file supplies
     the input table, the policy, the orbit list with m and n, the witnesses and
     the prime; every other section must equal the one recomputed from these."""
-    if isinstance(cert, str):
-        cert = Certificate.load(cert)
     report: dict = {"tool_version": cert.tool_version}
 
     if not cert.accepted:

@@ -5,8 +5,8 @@ computations: ambient-conjugation fusion by direct enumeration, fixed-point
 tables by materializing coset spaces, and a structured corruption suite that
 an accepted certificate must survive in full.  The standard generators,
 distinguished subgroups, the codec inverse, the center, chain membership, the
-derived subgroup and free-orbit padding that only the tests and scripts build
-on live here too."""
+derived subgroup, the wreath arithmetic and free-orbit padding that only the
+tests and scripts build on live here too."""
 
 import json
 from collections import deque
@@ -101,22 +101,73 @@ def append_free_orbits(X: SemicharacteristicBiset, G_order: int, count: int = 1)
     return SemicharacteristicBiset(orbits, X.m, X.n + count * G_order)
 
 
-# -- wreath elements as permutations, witnesses by a reference closure -------------
+# -- wreath arithmetic, wreath elements as permutations, witnesses by a closure ------
 
 
-def wreath_identity(group: FiniteGroup, n: int) -> WreathElement:
-    return WreathElement(group, np.zeros(n, dtype=np.int32), np.arange(n, dtype=np.int32))
+class Wreath(WreathElement):
+    """A wreath element with the group arithmetic of S wr Sigma_n, the
+    reference the library's array checks are tested against.  Products
+    follow the module convention of park: base arrays are target indexed."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, el: WreathElement) -> "Wreath":
+        return cls(el.group, el.base, el.top)
+
+    def top_perm(self) -> Permutation:
+        return Permutation(tuple(int(i) for i in self.top))
+
+    def is_identity(self) -> bool:
+        return not self.base.any() and np.array_equal(self.top, np.arange(self.n))
+
+    def __mul__(self, other: WreathElement) -> "Wreath":
+        return wreath_multiply(self, other)
+
+    def inverse(self) -> "Wreath":
+        return wreath_inverse(self)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, WreathElement)
+            and self.group is other.group
+            and np.array_equal(self.top, other.top)
+            and np.array_equal(self.base, other.base)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.base.tobytes(), self.top.tobytes()))
 
 
-def base_only(group: FiniteGroup, n: int, entries: dict[int, int]) -> WreathElement:
+def wreath_multiply(a: WreathElement, b: WreathElement) -> Wreath:
+    if a.group is not b.group or a.n != b.n:
+        raise ValueError("wreath elements live over different products")
+    mul, _ = a.group.np_tables
+    inv_top = np.empty_like(a.top)
+    inv_top[a.top] = np.arange(a.n, dtype=np.int32)
+    return Wreath(a.group, mul[a.base, b.base[inv_top]], a.top[b.top])
+
+
+def wreath_inverse(a: WreathElement) -> Wreath:
+    _, inv = a.group.np_tables
+    inv_top = np.empty_like(a.top)
+    inv_top[a.top] = np.arange(a.n, dtype=np.int32)
+    return Wreath(a.group, inv[a.base[a.top]], inv_top)
+
+
+def wreath_identity(group: FiniteGroup, n: int) -> Wreath:
+    return Wreath(group, np.zeros(n, dtype=np.int32), np.arange(n, dtype=np.int32))
+
+
+def base_only(group: FiniteGroup, n: int, entries: dict[int, int]) -> Wreath:
     base = np.zeros(n, dtype=np.int32)
     for slot, val in entries.items():
         base[slot] = val
-    return WreathElement(group, base, np.arange(n, dtype=np.int32))
+    return Wreath(group, base, np.arange(n, dtype=np.int32))
 
 
-def top_only(group: FiniteGroup, perm: Permutation) -> WreathElement:
-    return WreathElement(
+def top_only(group: FiniteGroup, perm: Permutation) -> Wreath:
+    return Wreath(
         group, np.zeros(perm.degree, dtype=np.int32), np.asarray(perm.images, dtype=np.int32)
     )
 
@@ -149,13 +200,13 @@ def witnessed_closure(pe: ParkEmbedding) -> dict:
     full = tuple(range(G.order))
     make: dict = {}
     for s in range(G.order):
-        make.setdefault(Morphism(full, tuple(G.conj(s, x) for x in full)), lambda s=s: pe.iota(s))
+        make.setdefault(Morphism(full, tuple(G.conj(s, x) for x in full)), lambda s=s: Wreath.of(pe.iota(s)))
     for gen in system.generators:
-        make.setdefault(gen, lambda gen=gen: pe.witness(gen))
+        make.setdefault(gen, lambda gen=gen: Wreath.of(pe.witness(gen)))
         make.setdefault(_invert(gen), lambda gen=gen: atom_witness(gen).inverse())
     built: dict = {}
 
-    def atom_witness(atom: Morphism) -> WreathElement:
+    def atom_witness(atom: Morphism) -> Wreath:
         if atom not in built:
             built[atom] = make[atom]()
         return built[atom]

@@ -316,7 +316,7 @@ class TestIdentityOrbitMark:
         G, system, ctx, _ = klein3
         full = (0, 1, 2, 3)
         for alpha in system.aut(full):
-            expected = 4 if alpha.is_identity else 0
+            expected = 4 if alpha.source == alpha.images else 0
             assert ctx.orbit_marks([(full, full)], Diagonal(full, alpha.images))[0] == expected
 
     def test_normalizer_index_of_identity_diagonal(self, klein3, ambient_c2):
@@ -342,7 +342,7 @@ class TestBuilder:
     def test_klein3_shape(self, klein3):
         G, system, ctx, X = klein3
         reps = outer_class_representatives(system)
-        assert len(reps) == 3 and reps[0].is_identity
+        assert len(reps) == 3 and reps[0].source == reps[0].images
         assert {r.images for r in reps} == {(0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2)}
         # marks already balance below the top, so no corrections and no scaling
         assert len(X.orbits) == 3

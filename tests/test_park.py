@@ -5,12 +5,13 @@ acts on slot-times-group points, so wreath arithmetic, the embedding, witness
 conjugation, and the derived-subgroup membership formula can all be checked
 against plain permutation groups at small degree."""
 
+import copy
 import itertools
 from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from automizer.biset import (
     DiagonalContext,
@@ -35,12 +36,11 @@ from automizer.park import (
     decompose,
     gamma_prime_member,
     verify_embedding,
-    wreath_inverse,
-    wreath_multiply,
 )
 from automizer.permcore import PermGroup, Permutation, identity_perm
 from automizer.realize import run_pipeline
 from automizer.testkit import (
+    Wreath,
     base_only,
     brute_fusion,
     corpus,
@@ -50,6 +50,8 @@ from automizer.testkit import (
     top_only,
     verify_all_witnesses,
     wreath_identity,
+    wreath_inverse,
+    wreath_multiply,
 )
 
 
@@ -151,12 +153,13 @@ def reference_witness(pe, phi):
                 val = G.mul(G.mul(int(tab2.kap[w][j_t]), G.inv(s0)), G.inv(kap_k))
                 top[off1 + k] = off2 + j_t
                 base[off2 + j_t] = val
-    return WreathElement(G, base, top, validate=True)
+    return WreathElement(G, base, top)
 
 
 def product_check(pe, phi, g):
     """g iota(u) g^-1 = iota(phi(u)) by wreath products, for every u in the
     source of phi."""
+    g = Wreath.of(g)
     gi = g.inverse()
     return all(g * pe.iota(u) * gi == pe.iota(fu) for u, fu in zip(phi.source, phi.images))
 
@@ -164,7 +167,7 @@ def product_check(pe, phi, g):
 def random_element(rng, G, n):
     base = rng.integers(0, G.order, size=n)
     top = rng.permutation(n)
-    return WreathElement(G, base, top)
+    return Wreath(G, base, top)
 
 
 class TestArithmetic:
@@ -191,8 +194,8 @@ class TestArithmetic:
         for _ in range(30):
             x = rng.integers(0, 6, size=4)
             y = rng.integers(0, 6, size=4)
-            a = WreathElement(G, x, np.arange(4))
-            b = WreathElement(G, y, np.arange(4))
+            a = Wreath(G, x, np.arange(4))
+            b = Wreath(G, y, np.arange(4))
             prod = a * b
             assert list(prod.top) == [0, 1, 2, 3]
             assert [G.mul(int(p), int(q)) for p, q in zip(x, y)] == list(prod.base)
@@ -208,13 +211,6 @@ class TestArithmetic:
         G = catalog_group("S3")
         with pytest.raises(ValueError):
             wreath_multiply(wreath_identity(G, 3), wreath_identity(G, 4))
-
-    def test_validation(self):
-        G = catalog_group("S3")
-        with pytest.raises(ValueError):
-            WreathElement(G, [0, 0], [1, 1], validate=True)
-        with pytest.raises(ValueError):
-            WreathElement(G, [0, 9], [1, 0], validate=True)
 
     def test_permutation_realization_is_a_homomorphism(self):
         G = catalog_group("S3")
@@ -360,7 +356,7 @@ class TestSmallEmbedding:
         G, system, X, pe = klein3_pe
         for skey in system.lattice.keys:
             g = pe.witness(Morphism(skey, skey))
-            assert g.is_identity()
+            assert Wreath.of(g).is_identity()
 
     def test_membership_guard_below_degree_5(self, klein3_pe):
         G, system, X, pe = klein3_pe
@@ -597,7 +593,7 @@ class TestAmbientEmbedding:
         witness by the product check g iota(u) g^-1 = iota(phi(u)), and the
         array check rejects it too."""
         S, system, X, pe = ambient_pe
-        for gen in [gen for gen in system.generators if not gen.is_identity][:6]:
+        for gen in [gen for gen in system.generators if gen.source != gen.images][:6]:
             g = pe.witness(gen)
             # the first slot that iota(phi(u)) moves, for the last u
             k = int(np.flatnonzero(pe.tops[gen.images[-1]] != np.arange(pe.n))[0])
@@ -649,7 +645,7 @@ class TestProperties:
         G, system, X, pe = klein3_pe
         u = data.draw(st.integers(0, 3))
         v = data.draw(st.integers(0, 3))
-        lhs = pe.iota(u) * pe.iota(v) * pe.iota(u).inverse()
+        lhs = Wreath.of(pe.iota(u)) * pe.iota(v) * Wreath.of(pe.iota(u)).inverse()
         assert lhs == pe.iota(G.conj(u, v))
 
     @given(data=st.data())
@@ -661,3 +657,69 @@ class TestProperties:
         a = random_element(rng, G, 4)
         assert wreath_inverse(wreath_inverse(a)) == a
         assert a * wreath_inverse(a) == wreath_identity(G, 4)
+
+
+def reference_embedding_report(pe):
+    """verify_embedding's verdict and report, from the wreath products of
+    testkit: iota(1) is the identity, iota(g) iota(u) = iota(g u) for every
+    generator g and every u, and the |S| elements iota(u) are distinct."""
+    G = pe.G
+    iota = [Wreath.of(pe.iota(u)) for u in range(G.order)]
+    hom = iota[0].is_identity() and all(
+        iota[g] * iota[u] == iota[G.mul(g, u)] for g in G.minimal_generators() for u in range(G.order)
+    )
+    injective = len(set(iota)) == G.order
+    trivial = tuple(u for u in range(G.order) if iota[u].top.tolist() == list(range(pe.n)))
+    core = set(pe.system.core_intersection())
+    report = {
+        "homomorphism": hom,
+        "exhaustive": True,
+        "injective": injective,
+        "top_trivial_elements": trivial,
+        "core": tuple(sorted(core)),
+        "base_intersection_in_core": set(trivial) <= core,
+    }
+    return hom and injective and set(trivial) <= core, report
+
+
+def corrupted_embedding(pe, kind, seed):
+    """A copy of the embedding with its arrays copied and, by kind, one base
+    entry changed, one pair of top entries swapped in a row, or one row (top
+    and base) copied over another; the rows and slots are drawn from seed."""
+    rng = np.random.default_rng(seed)
+    bad = copy.copy(pe)
+    bad.tops, bad.bases = pe.tops.copy(), pe.bases.copy()
+    order, n = pe.G.order, pe.n
+    u, k = int(rng.integers(order)), int(rng.integers(n))
+    if kind == "base":
+        bad.bases[u, k] = (bad.bases[u, k] + rng.integers(1, order)) % order
+    elif kind == "top":
+        j = (k + 1 + int(rng.integers(n - 1))) % n
+        bad.tops[u, [k, j]] = bad.tops[u, [j, k]]
+    elif kind == "row":
+        v = (u + 1 + int(rng.integers(order - 1))) % order
+        bad.tops[v], bad.bases[v] = bad.tops[u], bad.bases[u]
+    return bad
+
+
+class TestEmbeddingReference:
+    """verify_embedding reads the rows of tops and bases; its verdict and
+    whole report must equal those of the wreath products, on the klein3 and
+    C2 embeddings and on copies with one base entry, one pair of top entries
+    or one whole row corrupted."""
+
+    @given(
+        name=st.sampled_from(["klein3", "c2"]),
+        kind=st.sampled_from(["none", "base", "top", "row"]),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    @example(name="klein3", kind="row", seed=0)
+    @example(name="c2", kind="base", seed=1)
+    @example(name="c2", kind="top", seed=2)
+    @example(name="c2", kind="row", seed=3)
+    @settings(max_examples=60, deadline=None)
+    def test_same_report_as_the_wreath_products(self, klein3_pe, ambient_pe, name, kind, seed):
+        pe = {"klein3": klein3_pe, "c2": ambient_pe}[name][-1]
+        if kind != "none":
+            pe = corrupted_embedding(pe, kind, seed)
+        assert verify_embedding(pe) == reference_embedding_report(pe)

@@ -495,6 +495,58 @@ class TestWitnessesOkRows:
         assert calls == []
 
 
+def patched_verify_embedding(edit):
+    """realize.verify_embedding with its report edited, and its verdict
+    taken from the edited report as the real one takes it."""
+    real = realize.verify_embedding
+
+    def patched(pe):
+        _, rep = real(pe)
+        rep = dict(rep, **edit)
+        return rep["homomorphism"] and rep["injective"] and rep["base_intersection_in_core"], rep
+
+    return patched
+
+
+# one row per patched check: the name realize reads, its stand-in, the flag
+# it fails, the stage it stops, the reason, and the last flag its stage checks
+# (the embedding stage stops before witnesses_ok, which keeps its default)
+CHECK_ROWS = [
+    ("homomorphism", "verify_embedding", patched_verify_embedding({"homomorphism": False}),
+     "iota_injective_hom", "embedding", "embedding checks fail: homomorphism", "iota_base_trivial"),
+    ("injective", "verify_embedding", patched_verify_embedding({"injective": False}),
+     "iota_injective_hom", "embedding", "embedding checks fail: injective", "iota_base_trivial"),
+    ("top_trivial_elements", "verify_embedding", patched_verify_embedding({"top_trivial_elements": (0, 1)}),
+     "iota_base_trivial", "embedding", "embedding checks fail: iota_base_trivial", "iota_base_trivial"),
+    ("generator_membership", "gamma_prime_member", lambda a, sprime: False,
+     "witnesses_ok", "main_checks", "final battery fails: witnesses_ok", "bertrand_prime"),
+]
+
+
+class TestCheckRows:
+    """The flag-matrix rows of the embedding checks and of the generator
+    membership conjunct of witnesses_ok.  Each patched check fails its flag
+    alone among the flags its stage and the stages before it check, at the
+    same stage in realize and in verify, for a reason that names the flag or
+    its report key; and the patched realize writes a certificate that is not
+    accepted.  generator_membership fails witnesses_ok, at main_checks."""
+
+    @pytest.mark.parametrize(
+        "name, patched, flag, stage, reason, last", [row[1:] for row in CHECK_ROWS], ids=[row[0] for row in CHECK_ROWS]
+    )
+    def test_a_failed_check_fails_its_flag_alone(self, c2_cert, monkeypatch, name, patched, flag, stage, reason, last):
+        monkeypatch.setattr(realize, name, patched)
+        cert = run_pipeline(InputGroupA.from_name("C2"))
+        ok, rep = verify_certificate(c2_cert)
+        assert not ok and cert.failed_stage == rep["failed_stage"] == stage
+        assert rep["reason"] == reason
+        checked = FLAG_NAMES[: FLAG_NAMES.index(last) + 1]
+        for flags in (cert.flags, rep["flags"]):
+            assert [name for name in checked if not flags[name]] == [flag]
+        assert not cert.accepted
+        assert verify_certificate(Certificate.from_json_bytes(cert.to_json_bytes()))[0] is False
+
+
 class TestVerifyCertificate:
     def test_clean_full(self, c2_cert):
         ok, rep = verify_certificate(c2_cert)
@@ -569,6 +621,11 @@ def canonical_json(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
+def run_length(values) -> list[list[int]]:
+    """[value, count] for each maximal run of equal entries, in order."""
+    return [[v, len(list(group))] for v, group in itertools.groupby(np.asarray(values).tolist())]
+
+
 class TestWitnessText:
     """The certificate writer joins each built witness's text from its arrays
     and writes it between the chunks of the rest; the text must be exactly what
@@ -579,10 +636,11 @@ class TestWitnessText:
     def test_every_c2_witness(self, c2_cert):
         built = c2_cert.embedding["witnesses"]
         assert len(built) == 246
-        digits = realize._digits(7792)
+        digits = realize._digits(7792, 31)
         for w in built:
             assert isinstance(w, realize._Witness)
-            assert realize._wreath_text(w, digits) == canonical_json(realize._wreath_payload(w))
+            expected = {"top": w.top.tolist(), "base_runs": run_length(w.base)}
+            assert realize._wreath_text(w, digits) == canonical_json(expected)
 
     @given(
         st.lists(st.tuples(st.integers(0, 5), st.integers(1, 14)), max_size=6),
@@ -597,9 +655,10 @@ class TestWitnessText:
         top = list(range(len(base)))
         if rng is not None:
             rng.shuffle(top)
-        el = WreathElement(self.S3, base, top, validate=True)
-        digits = realize._digits(max(el.n, self.S3.order))
-        assert realize._wreath_text(realize._Witness.of(el), digits) == canonical_json(realize._wreath_payload(el))
+        digits = realize._digits(len(base), 5)
+        expected = {"top": top, "base_runs": run_length(base)}
+        w = realize._Witness.of(WreathElement(self.S3, base, top))
+        assert realize._wreath_text(w, digits) == canonical_json(expected)
 
     def test_same_verdict_in_memory_and_loaded(self, c2_cert):
         loaded = Certificate.from_json_bytes(c2_cert.to_json_bytes())
@@ -762,7 +821,7 @@ def round_trip_arrays(text: bytes):
     if counts.sum() != n:
         return None
     w = realize._Witness(*realize._runs(np.repeat(values, counts)), top)
-    return w if realize._wreath_text(w, realize._digits(n)).encode("ascii") == text else None
+    return w if realize._wreath_text(w, realize._digits(n, n)).encode("ascii") == text else None
 
 
 def read_arrays(text: bytes):
@@ -783,7 +842,7 @@ def edited_witness_text(draw):
     n = draw(st.integers(0, 120))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     top = rng.integers(0, n + 2, size=n).tolist()
-    runs = realize._run_length(np.repeat(rng.integers(0, n + 2, size=n), rng.integers(1, 5, size=n))[:n])
+    runs = run_length(np.repeat(rng.integers(0, n + 2, size=n), rng.integers(1, 5, size=n))[:n])
     kind = draw(st.sampled_from(["digit", "zero", "insert", "delete", "after_bracket", "merge", "split"]))
     if kind == "split":
         at = [i for i, (_, count) in enumerate(runs) if count > 1]
@@ -892,6 +951,14 @@ class TestStreamedCertificate:
         assert len(chunks) == 2 * 246 + 1
         assert max(map(len, chunks)) < 2 ** 20
 
+    def test_the_digit_tables_are_sized_by_the_degree_and_the_run_values(self, c2_cert, monkeypatch):
+        """The "[v," table is read only at run values, below |S| = 32."""
+        bounds = []
+        digits = realize._digits
+        monkeypatch.setattr(realize, "_digits", lambda *args: bounds.append(args) or digits(*args))
+        list(c2_cert.json_chunks())
+        assert bounds == [(7792, 31)]
+
     def test_a_foreign_object_fails_before_the_first_chunk(self, c2_cert):
         cert = dataclasses.replace(c2_cert, main_checks={"a": object()})
         with pytest.raises(TypeError, match="object is not JSON serializable"):
@@ -955,7 +1022,7 @@ class TestMalformedPayloads:
     @settings(max_examples=100, deadline=None)
     def test_run_length_round_trip(self, values):
         base = np.asarray(values, dtype=np.int32)
-        runs = realize._run_length(base)
+        runs = np.column_stack(realize._runs(base)).tolist()
         assert runs == [[v, len(list(group))] for v, group in itertools.groupby(values)]
         assert self.witness(list(range(len(values))), runs).base.tolist() == values
 
