@@ -1,8 +1,9 @@
 """Run the full realization pipeline for a small input group, save the
 certificate, and re-verify it from the file alone.  Prints wall and CPU
 seconds for both passes, the CPU seconds of the certificate write and of
-its read, the certificate's size and SHA-256, and the peak RSS of the
-process after the write and at the end.
+its read, the certificate's size and SHA-256, the bytes the held
+witnesses take, and the peak RSS of the process after the write and at the
+end.
 
 The default input C2 is the smallest nontrivial case and the one whose
 numbers are pinned throughout the test suite: ambient order 32, 172 biset
@@ -65,6 +66,8 @@ def main() -> int:
     print("accepted: %s" % cert.accepted)
     print("certificate: %s (%d bytes, sha256 %s)"
           % (args.out, size, digest.hexdigest()))
+    held = cert.embedding.get("witnesses", [])
+    print("held witnesses: %d bytes" % sum(a.nbytes for w in held for a in (w.values, w.counts, w.top)))
     print("peak RSS after write: %.1f MB" % _peak_rss_mb())
 
     if not args.skip_verify:

@@ -51,7 +51,8 @@ class SemicharacteristicBiset:
 
 def _conjugated(d: Diagonal, cx: list[int], cy: list[int]) -> Diagonal:
     """The diagonal conjugated by a pair (x, y), given the rows cx and cy of
-    np_conj at x and y: source x P x^-1, map c_y phi c_x^-1."""
+    np_conj at x and y (FiniteGroup.conj_row): source x P x^-1, map
+    c_y phi c_x^-1."""
     source, images = zip(*sorted(zip([cx[p] for p in d.source], [cy[q] for q in d.images])))
     return Diagonal(source, images)
 
@@ -61,7 +62,7 @@ def diagonal_orbit(
 ) -> dict[Diagonal, tuple[int, int]]:
     """Every conjugate of the diagonal under the pairs the moves generate, by
     BFS in move order, each with a pair (x, y) that moves d onto it."""
-    rows = [(x, y, G.np_conj[x].tolist(), G.np_conj[y].tolist()) for x, y in moves]
+    rows = [(x, y, G.conj_row(x), G.conj_row(y)) for x, y in moves]
     conj = {d: (0, 0)}
     queue = deque([d])
     while queue:

@@ -246,6 +246,18 @@ class FiniteGroup:
         mul, inv = self.np_tables
         return mul[mul, inv[:, np.newaxis]]
 
+    @functools.cached_property
+    def _conj_rows(self) -> dict[int, list[int]]:
+        return {}
+
+    def conj_row(self, y: int) -> list[int]:
+        """Row y of np_conj as a list, for lookups in Python loops; made
+        once per element asked for, and kept."""
+        row = self._conj_rows.get(y)
+        if row is None:
+            row = self._conj_rows[y] = self.np_conj[y].tolist()
+        return row
+
     def table_hash(self) -> str:
         payload = repr(self.table).encode()
         return hashlib.sha256(payload).hexdigest()

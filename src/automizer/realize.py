@@ -427,7 +427,7 @@ def _json_runs(runs) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
 def _checked_witness(group: FiniteGroup, witness) -> "_Witness":
     """A witness as its runs and top, checked without expanding its base.
     It is a _Witness, built or read from canonical text, or JSON lists that
-    are made into the same int32 arrays.  All get the same checks, in the
+    are made into the same arrays.  All get the same checks, in the
     order the fields are read and with the same messages: the top holds
     integers in [0, n), read before the runs; the run values are integers in
     the group's range; the run counts are positive and sum to n; and the top
@@ -445,7 +445,7 @@ def _checked_witness(group: FiniteGroup, witness) -> "_Witness":
         raise ValueError("top is not a permutation word")
     if held:
         return witness
-    return _Witness(values.astype(np.int32), counts.astype(np.int32), top.astype(np.int32))
+    return _Witness(values, counts, top)
 
 
 def _not_a_number(name: str):
@@ -513,11 +513,11 @@ class Certificate:
     def json_chunks(self) -> Iterator[bytes]:
         """The canonical text in pieces, as ASCII bytes: sorted keys, no
         spaces, one closing newline.  The document is written with a hole
-        for each witness held as arrays, and the witness text, joined from
-        its arrays, fills it as a chunk of its own, so no whole copy of the
-        document is held.  Everything that can fail runs before the first
-        chunk.  to_json_bytes joins the chunks, for a caller that wants the
-        whole text at once."""
+        for each witness and each iota_generators entry held as arrays, and
+        its text, joined from its arrays, fills the hole as a chunk of its
+        own, so no whole copy of the document is held.  Everything that can
+        fail runs before the first chunk.  to_json_bytes joins the chunks,
+        for a caller that wants the whole text at once."""
         payload = self.to_payload()
         held: list[_Witness] = []
 
@@ -609,12 +609,14 @@ def _wreath_text(w: "_Witness", digits: tuple) -> str:
     """json.dumps(dict(w), sort_keys=True, separators=(",", ":")), joined
     straight from the runs and the top: digits is _digits of at least the
     degree and at least every run value.  The runs are one join of "[v,"
-    and "c]," in turn, with the last comma cut."""
+    and "c]," in turn, with the last comma cut; an _IotaImage's element goes
+    between the runs and the top, as its key sorts."""
     plain, opens, closes = digits
     runs = [None] * (2 * w.values.size)
     runs[0::2] = opens[w.values].tolist()
     runs[1::2] = closes[w.counts].tolist()
-    return '{"base_runs":[%s],"top":[%s]}' % ("".join(runs)[:-1], ",".join(plain[w.top].tolist()))
+    element = '"element":%d,' % w.element if isinstance(w, _IotaImage) else ""
+    return '{"base_runs":[%s],%s"top":[%s]}' % ("".join(runs)[:-1], element, ",".join(plain[w.top].tolist()))
 
 
 # json.dumps writes this string where a witness held as arrays goes; the
@@ -628,44 +630,69 @@ _WITNESS_FIELDS = {
 }
 
 
+def _narrowest(values: np.ndarray, bound: int) -> np.ndarray:
+    """A copy of the nonnegative values as int8 or int16 where that type
+    holds the bound and every value, else as int32."""
+    largest = int(values.max(initial=bound))
+    return values.astype(np.int8 if largest < 2 ** 7 else np.int16 if largest < 2 ** 15 else np.int32)
+
+
 class _Witness(Mapping):
-    """A witness held as the int32 arrays of its base runs, values and
-    counts, and of its top, read as its payload: the lists are made only when
-    asked for, and Certificate.json_chunks writes its text from the arrays.
-    The pipeline's witnesses are held this way, and so are the witnesses a
+    """A witness held as the arrays of its base runs, values and counts, and
+    of its top, read as its payload: the lists are made only when asked for,
+    and Certificate.json_chunks writes its text from the arrays.  The
+    pipeline's witnesses are held this way, and so are the witnesses a
     certificate gives, in canonical text or as lists.  No n-entry base is
-    held: the base property expands one each time a base is read.  The
-    arrays are made read-only, so that no wreath element sharing them can
-    change the certificate."""
+    held: the base property expands one each time a base is read.
+
+    Each array is held at the narrowest width that holds what it can take:
+    the top and the counts by the degree n (entries below n, counts at most
+    n), so int16 while n < 2^15; the run values by their own largest, so
+    int8 below 128.  The arrays are made read-only copies, so that no wreath
+    element sharing them can change the certificate."""
 
     __slots__ = ("values", "counts", "top")
+    _fields = _WITNESS_FIELDS
 
     def __init__(self, values: np.ndarray, counts: np.ndarray, top: np.ndarray):
-        values.flags.writeable = counts.flags.writeable = top.flags.writeable = False
-        self.values = values
-        self.counts = counts
-        self.top = top
+        n = top.size
+        self.values = _narrowest(values, 0)
+        self.counts = _narrowest(counts, n)
+        self.top = _narrowest(top, n)
+        self.values.flags.writeable = self.counts.flags.writeable = self.top.flags.writeable = False
 
     @classmethod
     def of(cls, el: WreathElement) -> "_Witness":
-        values, counts = _runs(el.base)
-        return cls(values, counts.astype(np.int32), el.top)
+        return cls(*_runs(el.base), el.top)
 
     @property
     def base(self) -> np.ndarray:
-        """The base, expanded from the runs, read-only."""
-        base = np.repeat(self.values, self.counts)
+        """The base, expanded from the runs, read-only and int32 whatever the
+        runs' width: check_witness multiplies its entries by |S|."""
+        base = self.values.astype(np.int32).repeat(self.counts)
         base.flags.writeable = False
         return base
 
     def __getitem__(self, key):
-        return _WITNESS_FIELDS[key](self)
+        return self._fields[key](self)
 
     def __iter__(self):
-        return iter(_WITNESS_FIELDS)
+        return iter(self._fields)
 
     def __len__(self) -> int:
-        return len(_WITNESS_FIELDS)
+        return len(self._fields)
+
+
+class _IotaImage(_Witness):
+    """An iota_generators entry: a generator of S and its image under iota,
+    held as a witness is, with the element as a third payload field."""
+
+    __slots__ = ("element",)
+    _fields = {**_WITNESS_FIELDS, "element": lambda w: w.element}
+
+    def __init__(self, element: int, el: WreathElement):
+        super().__init__(*_runs(el.base), el.top)
+        self.element = element
 
 
 # a witness object whose arrays hold only digits, commas and brackets;
@@ -705,7 +732,7 @@ def _witness_arrays(match: re.Match) -> Optional[_Witness]:
     skeleton = runs_text.translate(None, b"0123456789")
     k = skeleton.count(b"[")
     if runs_text and not (
-        runs_text[:1] == b"[" and runs_text[-1:] == b"]" and skeleton == b",".join([b"[,]"] * k)
+        runs_text[:1] == b"[" and runs_text[-1:] == b"]" and skeleton == b"[,]," * (k - 1) + b"[,]"
         and runs_text.count(b"],[") == k - 1 and b"[," not in runs_text and b",]" not in runs_text
     ):
         return None
@@ -722,7 +749,7 @@ def _witness_arrays(match: re.Match) -> Optional[_Witness]:
         return None
     if (values[1:] == values[:-1]).any() or _decimal_length(top, n) + _decimal_length(runs, n) != digits:
         return None
-    return _Witness(values.astype(np.int32), counts.astype(np.int32), top.astype(np.int32))
+    return _Witness(values, counts, top)
 
 
 def _read_witness_text(data: bytes) -> Optional[dict]:
@@ -850,7 +877,8 @@ class _Stored:
             if skip:
                 stored = {k: v for k, v in stored.items() if k != skip}
                 section = {k: v for k, v in section.items() if k != skip}
-            if json.dumps(stored, sort_keys=True) != json.dumps(section, sort_keys=True):
+            # a section's held arrays are compared by their payload lists
+            if json.dumps(stored, sort_keys=True, default=dict) != json.dumps(section, sort_keys=True, default=dict):
                 raise _Rejected(stage, "stored %s differs from the recomputed section" % name)
 
 
@@ -935,7 +963,7 @@ def _run_stages(A: InputGroupA, policy: VerificationPolicy, source):
         "base_index_convention": "target",
         "slot_tables": pe.slot_tables(),
         "verification": {k: list(v) if isinstance(v, tuple) else v for k, v in emb_rep.items()},
-        "iota_generators": [{"element": int(s), **_Witness.of(pe.iota(s))} for s in S.minimal_generators()],
+        "iota_generators": [_IotaImage(int(s), pe.iota(s)) for s in S.minimal_generators()],
         "top_closure_mode": _closure_mode(pe.n),
     }
     if not (emb_ok and flags["iota_injective_hom"] and flags["iota_base_trivial"]):

@@ -508,10 +508,29 @@ def patched_verify_embedding(edit):
     return patched
 
 
+def failing(name, **edit):
+    """realize.<name> with its verdict false and its report edited."""
+    real = getattr(realize, name)
+
+    def patched(*args):
+        _, rep = real(*args)
+        return False, dict(rep, **edit)
+
+    return patched
+
+
 # one row per patched check: the name realize reads, its stand-in, the flag
 # it fails, the stage it stops, the reason, and the last flag its stage checks
-# (the embedding stage stops before witnesses_ok, which keeps its default)
+# (a stage stops at its first false flag, and the flags after it keep their
+# default: the embedding stage stops before witnesses_ok).  The biset reasons
+# quote the failure text of the check's report.
 CHECK_ROWS = [
+    ("generated", "verify_generated", failing("verify_generated", failure="multiplier disagrees with the leading orbit"),
+     "biset_generated", "biset", "orbit data rejected: multiplier disagrees with the leading orbit", "biset_generated"),
+    ("stability", "verify_stability", failing("verify_stability", failure="marks differ on one diagonal class"),
+     "biset_stable", "biset", "orbits are not stable: marks differ on one diagonal class", "biset_stable"),
+    ("predictions", "check_orbit_predictions", failing("check_orbit_predictions"),
+     "orbit_predictions", "biset", "orbit predictions fail", "orbit_predictions"),
     ("homomorphism", "verify_embedding", patched_verify_embedding({"homomorphism": False}),
      "iota_injective_hom", "embedding", "embedding checks fail: homomorphism", "iota_base_trivial"),
     ("injective", "verify_embedding", patched_verify_embedding({"injective": False}),
@@ -524,11 +543,12 @@ CHECK_ROWS = [
 
 
 class TestCheckRows:
-    """The flag-matrix rows of the embedding checks and of the generator
-    membership conjunct of witnesses_ok.  Each patched check fails its flag
-    alone among the flags its stage and the stages before it check, at the
-    same stage in realize and in verify, for a reason that names the flag or
-    its report key; and the patched realize writes a certificate that is not
+    """The flag-matrix rows of the biset checks, of the embedding checks and
+    of the generator membership conjunct of witnesses_ok.  Each patched
+    check fails its flag alone among the flags its stage and the stages
+    before it check, at the same stage in realize and in verify, for a
+    reason that names the flag, its report key or its report's failure
+    text; and the patched realize writes a certificate that is not
     accepted.  generator_membership fails witnesses_ok, at main_checks."""
 
     @pytest.mark.parametrize(
@@ -947,8 +967,10 @@ class TestStreamedCertificate:
     are far below that."""
 
     def test_one_chunk_per_witness(self, c2_cert):
+        """One chunk per witness and per iota_generators entry, each held as
+        arrays, and one per piece of the rest between them."""
         chunks = list(c2_cert.json_chunks())
-        assert len(chunks) == 2 * 246 + 1
+        assert len(chunks) == 2 * (246 + 3) + 1
         assert max(map(len, chunks)) < 2 ** 20
 
     def test_the_digit_tables_are_sized_by_the_degree_and_the_run_values(self, c2_cert, monkeypatch):
@@ -992,8 +1014,9 @@ class TestStreamedCertificate:
 
     def test_a_witness_holds_its_top_and_runs_alone(self, c2_cert):
         """Each C2 witness, built or read, holds its top and its two run
-        arrays, int32 and owning their data: 4 (n + 2 runs) bytes, and no
-        n-entry base."""
+        arrays, one-dimensional and owning their data, and no n-entry base:
+        the top and the counts int16 (n = 7792 < 2^15), the run values int8
+        (below |S| = 32), so 2n + 3 runs bytes."""
         read = Certificate.from_json_bytes(c2_cert.to_json_bytes())
         for cert in (c2_cert, read):
             held = cert.embedding["witnesses"]
@@ -1002,11 +1025,49 @@ class TestStreamedCertificate:
             for w in held:
                 assert type(w).__slots__ == ("values", "counts", "top") and not hasattr(w, "__dict__")
                 arrays = (w.values, w.counts, w.top)
-                assert all(a.dtype == np.int32 and a.ndim == 1 and a.base is None for a in arrays)
+                assert all(a.ndim == 1 and a.base is None for a in arrays)
+                assert [a.dtype for a in arrays] == [np.int8, np.int16, np.int16]
                 assert w.values.size == w.counts.size < w.top.size == 7792
-                assert sum(a.nbytes for a in arrays) == 4 * (7792 + 2 * w.values.size)
+                assert sum(a.nbytes for a in arrays) == 2 * 7792 + 3 * w.values.size
                 runs += w.values.size
             assert runs == 423044
+
+
+class TestWitnessWidths:
+    """A held witness's arrays are as narrow as the values they can take:
+    the top and the counts by the degree n, the run values by their own
+    largest.  No workload reaches n >= 2^15, so the wide path is tested on
+    a witness made here."""
+
+    C4 = catalog_group("C4")
+
+    def test_a_narrow_witness_expands_an_int32_base(self, c2_cert):
+        for w in c2_cert.embedding["witnesses"][:3] + c2_cert.embedding["iota_generators"]:
+            assert (w.values.dtype, w.counts.dtype, w.top.dtype) == (np.int8, np.int16, np.int16)
+            assert w.base.dtype == np.int32
+            assert w.base.tolist() == [v for v, c in zip(w.values.tolist(), w.counts.tolist()) for _ in range(c)]
+
+    def test_a_witness_past_2_15_slots_keeps_int32(self):
+        """n = 40,000, with one run of 39,000 slots: built from arrays,
+        written by json_chunks, read back by from_json_bytes and given as
+        JSON lists, the top and the counts stay int32, with the same text
+        and the same base."""
+        n = 40000
+        top = np.random.default_rng(5).permutation(n)
+        base = np.repeat([3, 0, 2, 3], [1, 39000, 998, 1])
+        built = realize._Witness.of(WreathElement(self.C4, base, top))
+        text = canonical_json({"base_runs": run_length(base), "top": top.tolist()})
+        cert = dataclasses.replace(run_pipeline(InputGroupA.from_name("1")), embedding={"witnesses": [built]})
+        data = cert.to_json_bytes()
+        assert text.encode("ascii") in data
+        read = Certificate.from_json_bytes(data).embedding["witnesses"][0]
+        listed = realize._checked_witness(self.C4, json.loads(text))
+        for w in (built, read, listed):
+            assert isinstance(w, realize._Witness)
+            assert (w.values.dtype, w.counts.dtype, w.top.dtype) == (np.int8, np.int32, np.int32)
+            assert realize._wreath_text(w, realize._digits(n, 3)) == text
+            assert w.base.dtype == np.int32 and np.array_equal(w.base, base)
+            assert np.array_equal(w.top, top)
 
 
 class TestMalformedPayloads:
