@@ -50,7 +50,7 @@ def main() -> int:
             size += len(chunk)
     c_write = time.process_time() - c0
 
-    print("pipeline: %.1fs wall, %.1fs CPU" % (t_run, c_run))
+    print("pipeline: %.3fs wall, %.3fs CPU" % (t_run, c_run))
     print("certificate write: %.2fs CPU" % c_write)
     print("ambient order %d, exponent %d, rank %d" % (
         cert.ambient["order"], cert.ambient["exponent"], cert.ambient["rank"]))
@@ -76,7 +76,7 @@ def main() -> int:
         print("certificate read: %.2fs CPU" % (time.process_time() - c0))
         ok, report = verify_certificate(loaded)
         t_ver, c_ver = time.perf_counter() - t0, time.process_time() - c0
-        print("independent verification: %s in %.1fs wall, %.1fs CPU"
+        print("independent verification: %s in %.3fs wall, %.3fs CPU"
               % ("ok" if ok else "REJECTED", t_ver, c_ver))
         if not ok:
             print("  failed stage: %s; reason: %s" % (report.get("failed_stage"), report.get("reason")))

@@ -27,7 +27,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .grouprep import FiniteGroup, ScaleError, injective_images
+from .grouprep import FiniteGroup, ScaleError, injective_homs, injective_images
 from .fusion import FusionSystem, Morphism
 
 
@@ -49,28 +49,36 @@ class SemicharacteristicBiset:
     n: int          # total number of right cosets = slots of the embedding
 
 
-def _conjugated(d: Diagonal, cx: list[int], cy: list[int]) -> Diagonal:
-    """The diagonal conjugated by a pair (x, y), given the rows cx and cy of
-    np_conj at x and y (FiniteGroup.conj_row): source x P x^-1, map
-    c_y phi c_x^-1."""
-    source, images = zip(*sorted(zip([cx[p] for p in d.source], [cy[q] for q in d.images])))
-    return Diagonal(source, images)
-
-
 def diagonal_orbit(
     G: FiniteGroup, d: Diagonal, moves: Sequence[tuple[int, int]]
 ) -> dict[Diagonal, tuple[int, int]]:
     """Every conjugate of the diagonal under the pairs the moves generate, by
-    BFS in move order, each with a pair (x, y) that moves d onto it."""
+    BFS in move order, each with a pair (x, y) that moves d onto it.  A move
+    sends (P, phi) to (x P x^-1, c_y phi c_x^-1), read on the rows cx and cy
+    of np_conj (FiniteGroup.conj_row).  With x = 0 the source stays as it is;
+    otherwise the moved source is sorted once per (x, source), and the images
+    are read in that order."""
     rows = [(x, y, G.conj_row(x), G.conj_row(y)) for x, y in moves]
+    sorts: dict[tuple, tuple] = {}
     conj = {d: (0, 0)}
     queue = deque([d])
     while queue:
         cur = queue.popleft()
         px, sx = conj[cur]
+        source, images = cur
         for x, y, cx, cy in rows:
-            nxt = _conjugated(cur, cx, cy)
+            if x:
+                moved = sorts.get((x, source))
+                if moved is None:
+                    at = [cx[p] for p in source]
+                    order = sorted(range(len(at)), key=at.__getitem__)
+                    moved = sorts[x, source] = (tuple([at[i] for i in order]), order)
+                nxt = (moved[0], tuple([cy[images[i]] for i in moved[1]]))
+            else:
+                nxt = (source, tuple([cy[q] for q in images]))
+            # a plain pair hashes and compares like the Diagonal it names
             if nxt not in conj:
+                nxt = Diagonal(*nxt)
                 conj[nxt] = (G.mul(x, px), G.mul(y, sx))
                 queue.append(nxt)
     return conj
@@ -167,33 +175,44 @@ class DiagonalContext:
         self._gammas = (list(orbits), gamma)
         return gamma
 
-    def orbit_marks(self, orbits: Sequence[tuple[tuple, tuple]], d: Diagonal) -> np.ndarray:
-        """Fixed points of Delta(P, phi) on each (S x S)/Delta(Q, gamma), for
-        the (Q, gamma) in orbits: the number of pairs (x, y) with x^-1 P x <= Q
-        and c_y . gamma . c_{x^-1} = phi on the generators of P, over |Q|."""
+    def orbit_marks(
+        self, orbits: Sequence[tuple[tuple, tuple]], ds: Sequence[Diagonal]
+    ) -> np.ndarray:
+        """Fixed points of each Delta(P, phi) in ds on each (S x S)/Delta(Q,
+        gamma), for the (Q, gamma) in orbits, one row per diagonal: the number
+        of pairs (x, y) with x^-1 P x <= Q and c_y . gamma . c_{x^-1} = phi on
+        the generators of P, over |Q|.  All but phi depends on P alone, so the
+        diagonals are taken source by source, with one gather per source."""
         cj = self.G.np_conj
-        gamma = self._gamma(orbits)
-        gens, phi = self.lattice.on_generators(d)
-        gens = np.array(gens, dtype=np.intp)
-        # theta[o, x, i] = gamma_o(x^-1 g_i x), -1 unless x^-1 g_i x lies in Q_o
         _, inv = self.G.np_tables
-        theta = gamma[:, cj[inv[:, np.newaxis], gens]]
-        orbit, x = np.nonzero((theta >= 0).all(axis=2))
-        theta = theta[orbit, x]
-        # hit[y, j]: c_y sends the j-th theta onto phi, column by column
-        hit = np.ones((self.G.order, len(orbit)), dtype=bool)
-        for i, p in enumerate(phi):
-            hit &= cj[:, theta[:, i]] == p
-        total = np.bincount(orbit[np.nonzero(hit)[1]], minlength=len(orbits))
+        gamma = self._gamma(orbits)
+        by_source: dict[tuple, list[int]] = {}
+        for k, d in enumerate(ds):
+            by_source.setdefault(d.source, []).append(k)
+        total = np.empty((len(ds), len(orbits)), dtype=np.int64)
+        for source, at in by_source.items():
+            gens = np.array(self.lattice.by_key[source].generators, dtype=np.intp)
+            # theta[o, x, i] = gamma_o(x^-1 g_i x), -1 unless x^-1 g_i x lies in Q_o
+            theta = gamma[:, cj[inv[:, np.newaxis], gens]]
+            orbit, x = np.nonzero((theta >= 0).all(axis=2))
+            # moved[i][y, j]: c_y of the j-th theta at generator i
+            moved = [cj[:, col] for col in theta[orbit, x].T]
+            for k in at:
+                hit = np.ones((self.G.order, len(orbit)), dtype=bool)
+                for col, p in zip(moved, self.lattice.on_generators(ds[k])[1]):
+                    hit &= col == p
+                total[k] = np.bincount(orbit[np.nonzero(hit)[1]], minlength=len(orbits))
         qorder = np.array([len(q) for q, _ in orbits])
         assert not (total % qorder).any(), "mark formula must divide by |Q|"
         return total // qorder
 
-    def mark(self, terms: Sequence[tuple], d: Diagonal):
-        """The mark at d of the sum of the orbits (source, images) with the
-        given weights; a biset's orbit records are such triples."""
-        marks = self.orbit_marks([(source, images) for source, images, _ in terms], d)
-        return sum(weight * mark for (_, _, weight), mark in zip(terms, marks.tolist()) if mark)
+    def marks(self, terms: Sequence[tuple], ds: Sequence[Diagonal]) -> list:
+        """The mark at each diagonal of ds of the sum of the orbits (source,
+        images) with the given weights; a biset's orbit records are such
+        triples."""
+        table = self.orbit_marks([(source, images) for source, images, _ in terms], ds)
+        weights = [weight for _, _, weight in terms]
+        return [sum(w * mark for w, mark in zip(weights, row) if mark) for row in table.tolist()]
 
 
 def outer_class_representatives(system: FusionSystem) -> list[Morphism]:
@@ -225,7 +244,7 @@ def build_semicharacteristic(
     for d, reps in context.fusion_classes:
         if d.source == full:
             continue
-        marks = {rep: context.mark(terms, rep) for rep in reps}
+        marks = dict(zip(reps, context.marks(terms, reps)))
         peak = max(marks.values())
         for rep in reps:
             gap = peak - marks[rep]
@@ -308,7 +327,7 @@ def injective_class_counts(system: FusionSystem) -> Iterator[tuple[tuple, int]]:
     in exactly one orbit of Aut_F(R) x Inn(S), so by Burnside's lemma the
     count is the mean number of rows an element of that group fixes.  A
     homomorphism is fixed by its generator images, so only those columns are
-    compared."""
+    compared.  A count needs no row order, so Inj(R, S) is taken unsorted."""
     G = system.ambient
     lat = system.lattice
     met: set[tuple] = set()
@@ -317,7 +336,7 @@ def injective_class_counts(system: FusionSystem) -> Iterator[tuple[tuple, int]]:
             continue
         met.update(tuple(sorted(psi.images)) for psi in system.hom_set(skey))
         sub = lat.by_key[skey]
-        rows = injective_images(G, sub, range(G.order))
+        rows = injective_homs(G, sub.generators, G, range(G.order))
         gcols = [lat.posmap[skey][g] for g in sub.generators]
         fixed = rows.T[gcols]
         fixes = [
@@ -367,8 +386,10 @@ def verify_stability(
     for skey, count in injective_class_counts(system):
         earlier[skey] = checked_classes
         checked_classes += count
-    for d, reps in context.fusion_classes:
-        marks = [context.mark(X.orbits, rep) for rep in reps]
+    walk = context.fusion_classes
+    all_marks = iter(context.marks(X.orbits, [rep for _, reps in walk for rep in reps]))
+    for d, reps in walk:
+        marks = [next(all_marks) for _ in reps]
         if len(set(marks)) > 1:
             # d is the least row of its class, and its source is the first
             # subgroup of its F-class

@@ -199,8 +199,9 @@ class ParkEmbedding:
         transversal p_k, the least element of P moving the orbit's least
         point onto k, as the flat table index p_k |S|, and the inverse of
         kappa_k, the base of iota(p_k) at k.  Per orbit: its class id and
-        conjugating pair, as in _classes.  And a copy of the class ids met
-        so far.  Only the last source's are kept."""
+        conjugating pair, as in _classes, and the orbits in the stable order
+        of their class ids, with the ids in that order.  And a copy of the
+        class ids met so far.  Only the last source's are kept."""
         if self._last_plain[0] != skey:
             ids: dict[Morphism, int] = {}
             j0, starts, cls, conj = self._classes(skey, skey, ids)
@@ -209,9 +210,11 @@ class ParkEmbedding:
             p_k = np.asarray(skey, dtype=np.intp)[trans]
             o = np.searchsorted(starts, j0)
             inv_kap = self.G.np_tables[1].take(self.bases.ravel().take(p_k * self.n + slots))
-            self._last_plain = (skey, (o, p_k * self.G.order, inv_kap, cls, conj, ids))
-        o, p_row, inv_kap, cls, conj, ids = self._last_plain[1]
-        return o, p_row, inv_kap, cls, conj, dict(ids)
+            by_cls = np.argsort(cls, kind="stable")
+            plain = (o, p_k * self.G.order, inv_kap, conj, by_cls, cls.take(by_cls), ids)
+            self._last_plain = (skey, plain)
+        *plain, ids = self._last_plain[1]
+        return (*plain, dict(ids))
 
     def _canonical(self, skey: tuple, d: Morphism) -> tuple[Morphism, tuple[int, int]]:
         """The least P x S conjugate of the stabilizer diagonal d, plus a pair
@@ -231,15 +234,16 @@ class ParkEmbedding:
         skey = phi.source
         # every index phi_map is read at is a product of elements of P
         phi_map = twist_row(self.G, skey, phi.images)
-        o, p_row, inv_kap, cls1, conj1, ids = self._plain_side(skey)
+        o, p_row, inv_kap, conj1, by_cls1, sorted1, ids = self._plain_side(skey)
         _, starts2, cls2, conj2 = self._classes(skey, phi.images, ids)
-        if not np.array_equal(np.sort(cls1), np.sort(cls2)):
+        by_cls2 = np.argsort(cls2, kind="stable")
+        if not np.array_equal(sorted1, cls2.take(by_cls2)):
             raise RuntimeError(
                 "stabilizer classes of the plain and twisted restrictions differ; "
                 "the biset is not stable for %r" % (phi,)
             )
-        partner = np.empty_like(cls1)
-        partner[np.argsort(cls1, kind="stable")] = np.argsort(cls2, kind="stable")
+        partner = np.empty_like(by_cls1)
+        partner[by_cls1] = by_cls2
         (p1, s1), (p2, s2) = conj1.T, conj2.take(partner, axis=0).T
         # products by take on the raveled tables: a b is mul[a |S| + b]
         p0 = mul.take(inv.take(p1) * order + p2)

@@ -471,7 +471,7 @@ def exhaustive_class_marks(
     for d, members in injective_class_walk(ctx):
         reps = sxs_representatives(ctx, members)
         if len(reps) > 1:
-            out.append((d, [ctx.mark(X.orbits, rep) for rep in reps]))
+            out.append((d, ctx.marks(X.orbits, reps)))
     return out
 
 

@@ -148,7 +148,7 @@ def test_criterion_3_identity_orbit_marks(c2_reconstruction):
         auts = system.aut(full)
         assert len(auts) == 8
         for beta in auts:
-            mark = ctx.orbit_marks([(full, full)], Diagonal(full, beta.images))[0]
+            mark = ctx.orbit_marks([(full, full)], [Diagonal(full, beta.images)])[0][0]
             assert mark == len(center)
 
 

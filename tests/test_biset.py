@@ -11,9 +11,11 @@ the coset {(x u, y gamma(u))}, and (q, s) in Q x S acts by left multiplication
 on both components, so Delta(P, phi)-fixed cosets are exactly the mark."""
 
 import itertools
+from collections import deque
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from automizer.biset import (
     Diagonal,
@@ -21,6 +23,7 @@ from automizer.biset import (
     OrbitRecord,
     SemicharacteristicBiset,
     _foreign_twist,
+    _moved_rows,
     build_semicharacteristic,
     check_orbit_predictions,
     classes_before,
@@ -41,6 +44,7 @@ from automizer.grouprep import (
     catalog_group,
     enumerate_subgroups,
     homocyclic_rank2,
+    injective_homs,
     injective_images,
 )
 from automizer.testkit import (
@@ -85,6 +89,17 @@ def ambient_c2():
     ctx = DiagonalContext(system)
     X = build_semicharacteristic(system, context=ctx)
     return S, system, ctx, X
+
+
+@pytest.fixture(scope="module")
+def a6_d8():
+    """D8 as the Sylow 2-subgroup of A6: a nonabelian ambient group with
+    subgroups that are not normal, so conjugation moves sources."""
+    pair = next(p for p in corpus() if p.name == "A6/D8")
+    system = brute_fusion(pair.group(), pair.subgroup_generators())
+    ctx = DiagonalContext(system)
+    X = build_semicharacteristic(system, context=ctx)
+    return system.ambient, system, ctx, X
 
 
 # -- literal oracles ------------------------------------------------------------
@@ -186,7 +201,7 @@ class TestMarksAgainstLiteral:
         ]
         twists = [(rec.source, rec.images) for rec in X.orbits]
         for d in diags:
-            assert ctx.orbit_marks(twists, d).tolist() == [
+            assert ctx.orbit_marks(twists, [d])[0].tolist() == [
                 literal_mark(G, source, images, d.source, d.images) for source, images in twists
             ]
 
@@ -198,7 +213,7 @@ class TestMarksAgainstLiteral:
         for skey in system.lattice.keys:
             for m in system.hom_set(skey)[:3]:
                 d = Diagonal(skey, m.images)
-                assert ctx.orbit_marks([(full, full)], d)[0] == literal_mark(
+                assert ctx.orbit_marks([(full, full)], [d])[0][0] == literal_mark(
                     G, full, full, skey, m.images
                 )
 
@@ -210,7 +225,7 @@ class TestMarksAgainstLiteral:
         samples += [Diagonal(klein, m.images) for m in system.hom_set(klein)[:2]]
         twists = [(rec.source, rec.images) for rec in X.orbits[:3] + X.orbits[-2:]]
         for d in samples:
-            assert ctx.orbit_marks(twists, d).tolist() == [
+            assert ctx.orbit_marks(twists, [d])[0].tolist() == [
                 literal_mark(S, source, images, d.source, d.images) for source, images in twists
             ]
 
@@ -274,8 +289,33 @@ class TestMarksAgainstTransporterLoop:
         twists = [(rec.source, rec.images) for rec in X.orbits]
         reps = [rep for _, class_reps in ctx.fusion_classes for rep in class_reps]
         assert (len(twists), len(reps)) == (172, 239)
-        for rep in reps:
-            assert ctx.orbit_marks(twists, rep).tolist() == [ref.mark(q, g, rep) for q, g in twists]
+        for rep, marks in zip(reps, ctx.orbit_marks(twists, reps).tolist()):
+            assert marks == [ref.mark(q, g, rep) for q, g in twists]
+
+    @pytest.mark.parametrize("name", ["klein3", "c2", "a6_d8"])
+    def test_one_call_equals_one_call_per_diagonal(self, name, klein3, ambient_c2, a6_d8):
+        """The marks of many diagonals in one call, their sources met in two
+        separate runs, equal the marks taken one diagonal at a time, row by
+        row in the order asked; the weighted marks are the rows' sums.  On
+        klein3 and A6/D8 every row also equals the transporter loop."""
+        G, system, ctx, X = {"klein3": klein3, "c2": ambient_c2, "a6_d8": a6_d8}[name]
+        twists = [(rec.source, rec.images) for rec in X.orbits]
+        if name == "klein3":
+            diags = [d for skey in system.lattice.keys for d in all_injective_homs(G, system.lattice, skey)]
+        else:
+            diags = [rep for _, reps in ctx.fusion_classes for rep in reps]
+        diags = diags[1::2] + diags[::2]
+        assert len({d.source for d in diags}) > 2
+        table = ctx.orbit_marks(twists, diags)
+        assert table.shape == (len(diags), len(twists))
+        for d, row in zip(diags, table.tolist()):
+            assert row == ctx.orbit_marks(twists, [d])[0].tolist()
+        if name != "c2":
+            ref = ReferenceMarks(system)
+            assert table.tolist() == [[ref.mark(q, g, d) for q, g in twists] for d in diags]
+        weights = [rec.multiplicity for rec in X.orbits]
+        assert ctx.marks(X.orbits, diags) == [sum(w * m for w, m in zip(weights, row)) for row in table.tolist()]
+        assert ctx.orbit_marks(twists, []).shape == (0, len(twists))
 
     def test_klein3_variants_at_every_diagonal(self, klein3):
         G, system, ctx, X = klein3
@@ -284,7 +324,7 @@ class TestMarksAgainstTransporterLoop:
         for Y in klein3_variants(G, X):
             twists = [(rec.source, rec.images) for rec in Y.orbits]
             for d in diags:
-                assert ctx.orbit_marks(twists, d).tolist() == [ref.mark(q, g, d) for q, g in twists]
+                assert ctx.orbit_marks(twists, [d])[0].tolist() == [ref.mark(q, g, d) for q, g in twists]
 
 
     def test_kept_twist_rows_follow_the_orbit_list(self, ambient_c2):
@@ -300,7 +340,7 @@ class TestMarksAgainstTransporterLoop:
         shared = DiagonalContext(system)
         for orbits in lists:
             for rep in reps:
-                assert shared.orbit_marks(orbits, rep).tolist() == [ref.mark(q, g, rep) for q, g in orbits]
+                assert shared.orbit_marks(orbits, [rep])[0].tolist() == [ref.mark(q, g, rep) for q, g in orbits]
 
 
 class TestIdentityOrbitMark:
@@ -310,14 +350,14 @@ class TestIdentityOrbitMark:
         z = len(center(S))
         # every fusion automorphism of this S is inner, so the mark is |Z(S)|
         for alpha in system.aut(full):
-            assert ctx.orbit_marks([(full, full)], Diagonal(full, alpha.images))[0] == z
+            assert ctx.orbit_marks([(full, full)], [Diagonal(full, alpha.images)])[0][0] == z
 
     def test_outer_twists_get_mark_zero(self, klein3):
         G, system, ctx, _ = klein3
         full = (0, 1, 2, 3)
         for alpha in system.aut(full):
             expected = 4 if alpha.source == alpha.images else 0
-            assert ctx.orbit_marks([(full, full)], Diagonal(full, alpha.images))[0] == expected
+            assert ctx.orbit_marks([(full, full)], [Diagonal(full, alpha.images)])[0][0] == expected
 
     def test_normalizer_index_of_identity_diagonal(self, klein3, ambient_c2):
         _, _, ctx_small, _ = klein3
@@ -473,7 +513,7 @@ class TestExhaustiveOracle:
         ]
         assert outside
         for Y in klein3_variants(G, X):
-            assert all(ctx.mark(Y.orbits, d) == 0 for d in outside)
+            assert all(ctx.marks(Y.orbits, [d])[0] == 0 for d in outside)
 
     def test_ambient_verdict_agrees_and_marks_vanish_outside_f(self, ambient_c2):
         _, system, ctx, X = ambient_c2
@@ -495,7 +535,7 @@ def reference_verify_stability(system, X, ctx):
     for d, members in injective_class_walk(ctx):
         if system.contains(d):
             reps = sxs_representatives(ctx, members)
-            marks = [ctx.mark(X.orbits, rep) for rep in reps]
+            marks = ctx.marks(X.orbits, reps)
             if len(set(marks)) > 1:
                 return False, {
                     "failure": "marks differ on one diagonal class",
@@ -565,6 +605,63 @@ class TestClassesBefore:
         expect = reference_verify_stability(system, broken, DiagonalContext(system))
         assert expect[1]["checked_classes"] == 15548
         assert verify_stability(system, broken, context=ctx) == expect
+
+
+    def test_ambient_failure_marks_match_the_transporter_loop(self, ambient_c2):
+        """The same destabilized biset: the reported marks of the class's
+        representatives are the transporter loop's weighted sums, and they
+        differ."""
+        _, system, ctx, X = ambient_c2
+        rec = X.orbits[10]
+        bumped = list(X.orbits)
+        bumped[10] = OrbitRecord(rec.source, rec.images, rec.multiplicity + 1)
+        ok, rep = verify_stability(system, SemicharacteristicBiset(bumped, X.m, X.n), context=ctx)
+        assert not ok and rep["checked_classes"] == 15548
+        assert rep["class_source"] in system.lattice.keys
+        ref = ReferenceMarks(system)
+        marks = [mk for _, _, mk in rep["witness"]]
+        assert len(set(marks)) > 1
+        assert marks == [
+            sum(r.multiplicity * ref.mark(r.source, r.images, Diagonal(source, images)) for r in bumped)
+            for source, images, _ in rep["witness"]
+        ]
+
+
+def reference_class_counts(system):
+    """The Burnside count over the sorted Inj(R, S) rows of injective_images,
+    as it was taken before the count read the unsorted table."""
+    G, lat = system.ambient, system.lattice
+    met = set()
+    for skey in sorted(lat.keys, key=lambda k: (-len(k), k)):
+        if skey in met:
+            continue
+        met.update(tuple(sorted(psi.images)) for psi in system.hom_set(skey))
+        sub = lat.by_key[skey]
+        rows = injective_images(G, sub, range(G.order))
+        gcols = [lat.posmap[skey][g] for g in sub.generators]
+        fixes = [
+            int(np.count_nonzero((moved == rows.T[gcols]).all(axis=0)))
+            for moved in _moved_rows(system, skey, rows, gcols)
+        ]
+        yield skey, sum(fixes) // len(fixes)
+
+
+class TestClassCountReference:
+    """injective_class_counts, on unsorted Inj(R, S) tables, against the
+    count over the sorted rows."""
+
+    @pytest.mark.parametrize("name", ["klein3", "c2", "a6_d8"])
+    def test_fixture_systems(self, name, klein3, ambient_c2, a6_d8):
+        system = {"klein3": klein3, "c2": ambient_c2, "a6_d8": a6_d8}[name][1]
+        counts = list(injective_class_counts(system))
+        assert counts == list(reference_class_counts(system))
+        if name == "c2":
+            assert sum(count for _, count in counts) == 16019
+
+    @pytest.mark.parametrize("pair", corpus(), ids=lambda p: p.name)
+    def test_corpus(self, pair):
+        system = brute_fusion(pair.group(), pair.subgroup_generators())
+        assert list(injective_class_counts(system)) == list(reference_class_counts(system))
 
 
 class TestFailureReport:
@@ -671,7 +768,7 @@ class TestConjugacyInvariance:
         d = Diagonal(skey, phi.images)
         x = data.draw(st.integers(0, G.order - 1))
         y = data.draw(st.integers(0, G.order - 1))
-        assert ctx.mark(X.orbits, d) == ctx.mark(X.orbits, move_diagonal(G, d, x, y))
+        assert ctx.marks(X.orbits, [d])[0] == ctx.marks(X.orbits, [move_diagonal(G, d, x, y)])[0]
 
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)
@@ -683,7 +780,71 @@ class TestConjugacyInvariance:
         d = Diagonal(skey, phi.images)
         x = data.draw(st.integers(0, 31))
         y = data.draw(st.integers(0, 31))
-        assert ctx.mark(X.orbits, d) == ctx.mark(X.orbits, move_diagonal(S, d, x, y))
+        assert ctx.marks(X.orbits, [d])[0] == ctx.marks(X.orbits, [move_diagonal(S, d, x, y)])[0]
+
+
+def reference_diagonal_orbit(G, d, moves):
+    """The BFS written out: each member moved by move_diagonal, one conj at a
+    time, members and their pairs kept in the order they are met."""
+    conj = {d: (0, 0)}
+    queue = deque([d])
+    while queue:
+        cur = queue.popleft()
+        px, sx = conj[cur]
+        for x, y in moves:
+            nxt = move_diagonal(G, cur, x, y)
+            if nxt not in conj:
+                conj[nxt] = (G.mul(x, px), G.mul(y, sx))
+                queue.append(nxt)
+    return conj
+
+
+class TestDiagonalOrbitReference:
+    """diagonal_orbit against the literal BFS, as ordered lists of (member,
+    pair) items: the same members, the same pairs and the same insertion
+    order, under pure, mixed, identity and repeated moves, from the trivial
+    source to the full group.  Sources, morphisms and move elements are drawn
+    as integers and reduced modulo the system's sizes."""
+
+    @given(
+        name=st.sampled_from(["klein3", "c2", "a6_d8"]),
+        source_at=st.integers(0, 2 ** 16),
+        hom_at=st.integers(0, 2 ** 16),
+        moves=st.lists(st.tuples(st.integers(0, 2 ** 16), st.integers(0, 2 ** 16)), max_size=6),
+    )
+    @example(name="c2", source_at=0, hom_at=0, moves=[(0, 0), (3, 5), (3, 5), (1, 0), (0, 2)])
+    @example(name="c2", source_at=-1, hom_at=7, moves=[(5, 0), (0, 9), (5, 9), (0, 0), (5, 0)])
+    @example(name="a6_d8", source_at=1, hom_at=0, moves=[(1, 0), (1, 0), (0, 3), (2, 5)])
+    @example(name="a6_d8", source_at=-1, hom_at=3, moves=[(1, 2), (2, 0), (0, 3), (2, 0)])
+    @example(name="klein3", source_at=2, hom_at=1, moves=[])
+    @settings(max_examples=60, deadline=None)
+    def test_same_ordered_orbit_as_the_literal_bfs(
+        self, klein3, ambient_c2, a6_d8, name, source_at, hom_at, moves
+    ):
+        G, system, _, _ = {"klein3": klein3, "c2": ambient_c2, "a6_d8": a6_d8}[name]
+        keys = system.lattice.keys
+        skey = keys[source_at % len(keys)]
+        homs = system.hom_set(skey)
+        d = Diagonal(skey, homs[hom_at % len(homs)].images)
+        moves = [(x % G.order, y % G.order) for x, y in moves]
+        got = diagonal_orbit(G, d, moves)
+        assert list(got.items()) == list(reference_diagonal_orbit(G, d, moves).items())
+        assert all(type(member) is Diagonal for member in got)
+
+    @pytest.mark.parametrize("name", ["klein3", "c2", "a6_d8"])
+    def test_library_move_lists(self, name, klein3, ambient_c2, a6_d8):
+        """The S x S moves and the P x S moves of each source, from stored
+        morphism."""
+        G, system, _, _ = {"klein3": klein3, "c2": ambient_c2, "a6_d8": a6_d8}[name]
+        gens = G.minimal_generators()
+        sxs = [(g, 0) for g in gens] + [(0, g) for g in gens]
+        stored = [m for skey in system.lattice.keys for m in system.hom_set(skey)]
+        for m in stored:
+            pxs = [(g, 0) for g in system.lattice.by_key[m.source].generators] + sxs[len(gens):]
+            for moves in (sxs, pxs):
+                assert list(diagonal_orbit(G, m, moves).items()) == list(
+                    reference_diagonal_orbit(G, m, moves).items()
+                )
 
 
 # -- one helper per class concept, against the code it replaced --------------------
@@ -882,11 +1043,11 @@ class TestOneHelperPerClassConcept:
         firsts = [skey for skey, _ in injective_class_counts(system)]
         made = []
 
-        def counting_images(G, sub, targets):
-            made.append(sub.elements)
-            return injective_images(G, sub, targets)
+        def counting_homs(G, gens, H, targets):
+            made.append(G.closure(gens))
+            return injective_homs(G, gens, H, targets)
 
-        monkeypatch.setattr("automizer.biset.injective_images", counting_images)
+        monkeypatch.setattr("automizer.biset.injective_homs", counting_homs)
         ok, rep = verify_stability(system, X, context=DiagonalContext(system))
         assert ok and rep["checked_classes"] == 16019
         assert made == firsts and len(set(made)) == 56

@@ -519,12 +519,21 @@ def failing(name, **edit):
     return patched
 
 
-# one row per patched check: the name realize reads, its stand-in, the flag
-# it fails, the stage it stops, the reason, and the last flag its stage checks
-# (a stage stops at its first false flag, and the flags after it keep their
-# default: the embedding stage stops before witnesses_ok).  The biset reasons
-# quote the failure text of the check's report.
+# one row per patched check: the name realize reads (a dotted name patches a
+# method of the class realize reads), its stand-in, the flag it fails, the
+# stage it stops, the reason, and the last flag its stage checks (a stage
+# stops at its first false flag, and the flags after it keep their default:
+# the embedding stage stops before witnesses_ok).  The biset reasons quote
+# the failure text of the check's report.
 CHECK_ROWS = [
+    ("aut_U_isomorphic", "are_isomorphic", lambda G1, G2: False,
+     "autF_U_iso_A", "construction_checks", "construction checks fail: aut_U_isomorphic_to_input", "index_gt_2A"),
+    ("focal", "FusionSystem.focal_subgroup", lambda self: self.ambient.subgroup(set()),
+     "focal_is_S", "construction_checks", "construction checks fail: focal_full", "index_gt_2A"),
+    ("extension_core", "FusionSystem.extension_core", lambda self: tuple(range(self.ambient.order)),
+     "QF_trivial", "construction_checks", "construction checks fail: extension_core_trivial", "index_gt_2A"),
+    ("large_index", "FusionSystem.nonextendable_sources", lambda self: {},
+     "index_gt_2A", "construction_checks", "construction checks fail: large_index_source", "index_gt_2A"),
     ("generated", "verify_generated", failing("verify_generated", failure="multiplier disagrees with the leading orbit"),
      "biset_generated", "biset", "orbit data rejected: multiplier disagrees with the leading orbit", "biset_generated"),
     ("stability", "verify_stability", failing("verify_stability", failure="marks differ on one diagonal class"),
@@ -543,8 +552,9 @@ CHECK_ROWS = [
 
 
 class TestCheckRows:
-    """The flag-matrix rows of the biset checks, of the embedding checks and
-    of the generator membership conjunct of witnesses_ok.  Each patched
+    """The flag-matrix rows of the construction checks, of the biset checks,
+    of the embedding checks and of the generator membership conjunct of
+    witnesses_ok.  Each patched
     check fails its flag alone among the flags its stage and the stages
     before it check, at the same stage in realize and in verify, for a
     reason that names the flag, its report key or its report's failure
@@ -555,7 +565,7 @@ class TestCheckRows:
         "name, patched, flag, stage, reason, last", [row[1:] for row in CHECK_ROWS], ids=[row[0] for row in CHECK_ROWS]
     )
     def test_a_failed_check_fails_its_flag_alone(self, c2_cert, monkeypatch, name, patched, flag, stage, reason, last):
-        monkeypatch.setattr(realize, name, patched)
+        monkeypatch.setattr("automizer.realize." + name, patched)
         cert = run_pipeline(InputGroupA.from_name("C2"))
         ok, rep = verify_certificate(c2_cert)
         assert not ok and cert.failed_stage == rep["failed_stage"] == stage

@@ -174,13 +174,13 @@ class TestBruteMarks:
         table = brute_marks_table(system, X)
         assert table
         for (skey, images), count in table.items():
-            assert count == ctx.mark(X.orbits, Morphism(skey, images))
+            assert count == ctx.marks(X.orbits, [Morphism(skey, images)])[0]
 
     def test_agrees_on_nonabelian_ambient(self, d8_inner):
         system, ctx, X = d8_inner
         table = brute_marks_table(system, X)
         for (skey, images), count in table.items():
-            assert count == ctx.mark(X.orbits, Morphism(skey, images))
+            assert count == ctx.marks(X.orbits, [Morphism(skey, images)])[0]
 
     def test_constant_on_moved_diagonals(self, d8_inner):
         system, ctx, X = d8_inner
