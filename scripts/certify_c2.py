@@ -51,7 +51,7 @@ def main() -> int:
     c_write = time.process_time() - c0
 
     print("pipeline: %.3fs wall, %.3fs CPU" % (t_run, c_run))
-    print("certificate write: %.2fs CPU" % c_write)
+    print("certificate write: %.3fs CPU" % c_write)
     print("ambient order %d, exponent %d, rank %d" % (
         cert.ambient["order"], cert.ambient["exponent"], cert.ambient["rank"]))
     print("fusion generators: %d" % len(cert.fusion_generators))
@@ -73,7 +73,7 @@ def main() -> int:
     if not args.skip_verify:
         t0, c0 = time.perf_counter(), time.process_time()
         loaded = Certificate.load(args.out)
-        print("certificate read: %.2fs CPU" % (time.process_time() - c0))
+        print("certificate read: %.3fs CPU" % (time.process_time() - c0))
         ok, report = verify_certificate(loaded)
         t_ver, c_ver = time.perf_counter() - t0, time.process_time() - c0
         print("independent verification: %s in %.3fs wall, %.3fs CPU"

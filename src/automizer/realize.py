@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import re
+import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import itemgetter
@@ -514,7 +514,7 @@ class Certificate:
         """The canonical text in pieces, as ASCII bytes: sorted keys, no
         spaces, one closing newline.  The document is written with a hole
         for each witness and each iota_generators entry held as arrays, and
-        its text, joined from its arrays, fills the hole as a chunk of its
+        its text, taken from its arrays, fills the hole as a chunk of its
         own, so no whole copy of the document is held.  Everything that can
         fail runs before the first chunk.  to_json_bytes joins the chunks,
         for a caller that wants the whole text at once."""
@@ -536,7 +536,7 @@ class Certificate:
             digits = _digits(max(w.top.size for w in held), max(int(w.values.max(initial=0)) for w in held))
         for piece, w in zip(pieces, held):
             yield piece
-            yield _wreath_text(w, digits).encode("ascii")
+            yield _wreath_text(w, digits)
         yield pieces[-1] + b"\n"
 
     def to_json_bytes(self) -> bytes:
@@ -544,9 +544,9 @@ class Certificate:
 
     @classmethod
     def from_json_bytes(cls, data: bytes) -> "Certificate":
-        """Parse the text; each witness written in canonical text is read
-        straight from the bytes into arrays (see _read_witness_text), the
-        rest by json.loads."""
+        """Parse the text; each witness and each iota_generators entry
+        written in canonical text is read straight from the bytes into
+        arrays (see _read_witness_text), the rest by json.loads."""
         if not data.isascii():
             data.decode("ascii")  # raises the decoder's own error
         try:
@@ -597,30 +597,38 @@ def _ambient_payload(S: SGroup) -> dict:
 
 
 def _digits(degree: int, value_bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For every i in [0, degree]: str(i) and "i],"; for every i in [0,
-    value_bound]: "[i,"."""
-    plain = [str(i) for i in range(degree + 1)]
-    opens = ["[%d," % i for i in range(value_bound + 1)]
-    closes = ["%s]," % s for s in plain]
-    return tuple(np.array(table, dtype=object) for table in (plain, opens, closes))
+    """Fixed-width byte tables, each entry padded with NUL bytes: b"i," and
+    b"i]," for every i in [0, degree], and b"[i," for every i in [0,
+    value_bound]."""
+    plain = np.array([b"%d," % i for i in range(degree + 1)])
+    opens = np.array([b"[%d," % i for i in range(value_bound + 1)])
+    closes = np.array([b"%d]," % i for i in range(degree + 1)])
+    return plain, opens, closes
 
 
-def _wreath_text(w: "_Witness", digits: tuple) -> str:
-    """json.dumps(dict(w), sort_keys=True, separators=(",", ":")), joined
-    straight from the runs and the top: digits is _digits of at least the
-    degree and at least every run value.  The runs are one join of "[v,"
-    and "c]," in turn, with the last comma cut; an _IotaImage's element goes
+def _wreath_text(w: "_Witness", digits: tuple) -> bytes:
+    """json.dumps(dict(w), sort_keys=True, separators=(",", ":")) as ASCII
+    bytes, taken straight from the runs and the top: digits is _digits of
+    at least the degree and at least every run value.  Each array is one
+    take from its table; the runs are the records (b"[v,", b"c],") in turn.
+    The padding is cut, then the last comma; an _IotaImage's element goes
     between the runs and the top, as its key sorts."""
     plain, opens, closes = digits
-    runs = [None] * (2 * w.values.size)
-    runs[0::2] = opens[w.values].tolist()
-    runs[1::2] = closes[w.counts].tolist()
-    element = '"element":%d,' % w.element if isinstance(w, _IotaImage) else ""
-    return '{"base_runs":[%s],%s"top":[%s]}' % ("".join(runs)[:-1], element, ",".join(plain[w.top].tolist()))
+    runs = np.empty(w.values.size, dtype=[("open", opens.dtype), ("close", closes.dtype)])
+    runs["open"] = opens.take(w.values)
+    runs["close"] = closes.take(w.counts)
+    element = b'"element":%d,' % w.element if isinstance(w, _IotaImage) else b""
+    # a run record is mostly padding, a top entry seldom: translate cuts many
+    # NUL bytes faster, replace a few
+    return b'{"base_runs":[%s],%s"top":[%s]}' % (
+        runs.tobytes().translate(None, b"\0")[:-1],
+        element,
+        plain.take(w.top).tobytes().replace(b"\0", b"")[:-1],
+    )
 
 
-# json.dumps writes this string where a witness held as arrays goes; the
-# reader puts it, numbered, where it took one out
+# json.dumps writes this string where a witness held as arrays goes, in the
+# writer and in _same_json; the reader puts it, numbered, where it took one out
 _HOLE = "\0"
 
 # each payload field of a witness, made from its runs and top
@@ -662,8 +670,8 @@ class _Witness(Mapping):
         self.values.flags.writeable = self.counts.flags.writeable = self.top.flags.writeable = False
 
     @classmethod
-    def of(cls, el: WreathElement) -> "_Witness":
-        return cls(*_runs(el.base), el.top)
+    def of(cls, el: WreathElement, *fields) -> "_Witness":
+        return cls(*_runs(el.base), el.top, *fields)
 
     @property
     def base(self) -> np.ndarray:
@@ -690,36 +698,49 @@ class _IotaImage(_Witness):
     __slots__ = ("element",)
     _fields = {**_WITNESS_FIELDS, "element": lambda w: w.element}
 
-    def __init__(self, element: int, el: WreathElement):
-        super().__init__(*_runs(el.base), el.top)
+    def __init__(self, values: np.ndarray, counts: np.ndarray, top: np.ndarray, element: int):
+        super().__init__(values, counts, top)
         self.element = element
 
 
-# a witness object whose arrays hold only digits, commas and brackets;
-# _witness_arrays decides from the match and the arrays it parses whether it
-# is in canonical text, the text _wreath_text writes
-_WITNESS_TEXT = re.compile(rb'\{"base_runs":\[([0-9,\[\]]*)\],"top":\[([0-9,]*)\]\}')
+# the writer's text of a witness, and of an iota_generators entry, whose
+# element goes between its runs and its top:
+#   {"base_runs":[[v,c],...],"top":[v,...]}
+#   {"base_runs":[[v,c],...],"element":k,"top":[v,...]}
+_OPEN, _TOP, _ELEMENT, _ELEMENT_END = b'{"base_runs":[', b'],"top":[', b'],"element":', b',"top":['
+_DIGITS = b"0123456789"
+
 
 def _decimal_length(values: np.ndarray, bound: int) -> int:
     """sum(len(str(v)) for v in values), for integers 0 <= v <= bound."""
     return values.size + sum(int(np.count_nonzero(values >= 10 ** j)) for j in range(1, len(str(bound))))
 
 
-def _witness_arrays(match: re.Match) -> Optional[_Witness]:
-    """The arrays of a matched witness, or None unless the match is in
-    canonical text: the text _wreath_text writes for arrays whose run counts
-    sum to the length n of the top, with no number above n.
+def _entry_at(data: bytes, at: int) -> Optional[tuple[_Witness, int]]:
+    """The entry whose text opens with _OPEN at data[at], held as a _Witness
+    or an _IotaImage, and the end of its text; None unless that text is
+    canonical: the text _wreath_text writes for arrays whose run counts sum
+    to the length n of the top, with no number above n and an element below
+    10^18 (so that it fits an int64).
+
+    The runs, the element and the top hold no quote, so the runs end two
+    bytes before the next quote, the key that follows them, the element one
+    byte before the quote after that, and the top at the next ] before a
+    quote.  Only the text between these is read.
 
     That text is [v,c],[v,c],... for the runs and v,v,... for the top, each
     number in decimal with no leading zero, each count at least 1 and
     adjacent run values unequal (the runs are maximal).  The checks accept
     exactly it, without writing it back:
     - The separators are exact.  The run text has the digit-free skeleton
-      [,],[,],... of k runs, starts with [ and ends with ], holds ],[ k-1
-      times (no digit between a ] and a , or a , and a [) and holds no [, or
-      ,] (no empty number); the top text has no leading or trailing comma
-      and no ,, .  So np.fromstring reads exactly the digit strings between
-      the separators.
+      [,],[,],... of k runs and starts with [ and ends with ]; what is left
+      of the top text without its digits is all commas.  np.fromstring
+      reads the run text inside its outer brackets with each ],[ made a
+      comma, and the top text.  It stops at a bracket left over (a digit
+      between a ] and a , or a , and a [) and at an empty number, which is
+      a rejection here; an empty last number only shortens what it reads,
+      so the run text must give 2k numbers and the top text one more than
+      its commas.
     - Every value is at most n.  A number has at least as many digits as
       its value's decimal form, and as many exactly when it has no leading
       zero: a number too long for int64 saturates, and has more digits than
@@ -728,77 +749,115 @@ def _witness_arrays(match: re.Match) -> Optional[_Witness]:
     - The counts are at least 1 and sum to n, and adjacent values differ.
     The digit count is bounded before the parse, by len(str(n)) digits per
     number, which no canonical text exceeds."""
-    runs_text, top_text = match[1], match[2]
-    skeleton = runs_text.translate(None, b"0123456789")
-    k = skeleton.count(b"[")
-    if runs_text and not (
-        runs_text[:1] == b"[" and runs_text[-1:] == b"]" and skeleton == b"[,]," * (k - 1) + b"[,]"
-        and runs_text.count(b"],[") == k - 1 and b"[," not in runs_text and b",]" not in runs_text
-    ):
+    runs_at = at + len(_OPEN)
+    runs_end = data.find(b'"', runs_at) - 2
+    if runs_end < runs_at:
         return None
-    if top_text[:1] == b"," or top_text[-1:] == b"," or b",," in top_text:
+    element = None
+    if data.startswith(_TOP, runs_end):
+        top_at = runs_end + len(_TOP)
+    elif data.startswith(_ELEMENT, runs_end):
+        element_at = runs_end + len(_ELEMENT)
+        element_end = data.find(b'"', element_at) - 1
+        if not 0 < element_end - element_at <= 18 or not data.startswith(_ELEMENT_END, element_end):
+            return None
+        element = data[element_at:element_end]
+        if not element.isdigit() or element[:1] == b"0" and element != b"0":
+            return None
+        top_at = element_end + len(_ELEMENT_END)
+    else:
         return None
-    n = top_text.count(b",") + 1 if top_text else 0
-    digits = len(runs_text) - len(skeleton) + len(top_text) - max(n - 1, 0)
+    # no top holds a quote: stopping there keeps a text with no ] from being
+    # searched to its end once for each _OPEN in it
+    quote = data.find(b'"', top_at)
+    top_end = data.find(b"]", top_at, quote if quote >= 0 else len(data))
+    if top_end < 0 or data[top_end + 1:top_end + 2] != b"}":
+        return None
+    runs_text, top_text = data[runs_at:runs_end], data[top_at:top_end]
+    skeleton = runs_text.translate(None, _DIGITS)
+    k = (len(skeleton) + 1) // 4
+    if runs_text and not (runs_text[:1] == b"[" and runs_text[-1:] == b"]" and skeleton == b"[,]," * (k - 1) + b"[,]"):
+        return None
+    commas = top_text.translate(None, _DIGITS)
+    if commas.count(b",") != len(commas):
+        return None
+    n = len(commas) + 1 if top_text else 0
+    digits = len(runs_text) - len(skeleton) + len(top_text) - len(commas)
     if n >= 2 ** 31 or digits > (2 * k + n) * len(str(n)):
         return None
-    top = np.fromstring(top_text, dtype=np.int64, sep=",")
-    runs = np.fromstring(runs_text.translate(None, b"[]"), dtype=np.int64, sep=",")
+    try:
+        top = np.fromstring(top_text, dtype=np.int64, sep=",")
+        runs = np.fromstring(runs_text[1:-1].replace(b"],[", b","), dtype=np.int64, sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+    if top.size != n or runs.size != 2 * k:
+        return None
     values, counts = runs[0::2], runs[1::2]
     if max(top.max(initial=0), runs.max(initial=0)) > n or counts.min(initial=1) < 1 or counts.sum() != n:
         return None
     if (values[1:] == values[:-1]).any() or _decimal_length(top, n) + _decimal_length(runs, n) != digits:
         return None
-    return _Witness(values, counts, top)
+    entry = _Witness(values, counts, top) if element is None else _IotaImage(values, counts, top, int(element))
+    return entry, top_end + 2
 
 
 def _read_witness_text(data: bytes) -> Optional[dict]:
-    """json.loads of the ASCII text data, but with each witness written in
-    the writer's own canonical text held as a _Witness over int arrays, read
-    from the bytes themselves, and only the rest of the document decoded and
-    parsed by json.loads.  None where the text must be parsed plainly
-    instead.
+    """json.loads of the ASCII text data, but with each witness and each
+    iota_generators entry written in the writer's own canonical text held as
+    arrays, read from the bytes themselves, and only the rest of the
+    document decoded and parsed by json.loads.  None where the text must be
+    parsed plainly instead.
 
-    Each match of _WITNESS_TEXT that _witness_arrays finds in canonical text
-    (the text _wreath_text writes for the arrays it reads) is taken out, and
-    a numbered marker string goes in its place.  The result is accepted only
-    if the text held no \\u0000 escape (so only markers hold NUL), the
-    reduced text parses, and the markers are found, each as a whole item and
-    in order, in embedding.witnesses.
+    bytes.find goes from one _OPEN to the next, and each entry that _entry_at
+    finds in canonical text is taken out, with a numbered marker string in
+    its place.  The result is accepted only if the text held no \\u0000
+    escape (so only markers hold NUL; an entry holds no backslash, so only
+    the text left needs the look), the reduced text parses, and the markers
+    are found, each as a whole item and in order, in
+    embedding.iota_generators and then embedding.witnesses.
 
     This accepts a document only if json.loads accepts it, and yields equal
-    values.  A match whose { is structural is a whole JSON object in a value
-    position (its text is what the writer makes of its arrays), so putting a
-    string value in its place changes nothing else.  A match whose { lies
-    inside a JSON string gives a marker whose opening quote either ends that
-    string, leaving a bare \\u0000 token that fails the parse, or follows a
-    backslash and is read as part of a longer string; either way that marker
-    is not found as a whole item.  A marker under a duplicate key that
-    json.loads drops is not found either."""
-    if b"\\u0000" in data:
-        return None
+    values.  An entry whose { is structural is a whole JSON object in a
+    value position (its text is what the writer makes of its arrays), so
+    putting a string value in its place changes nothing else.  An entry
+    whose { lies inside a JSON string gives a marker whose opening quote
+    either ends that string, leaving a bare \\u0000 token that fails the
+    parse, or follows a backslash and is read as part of a longer string;
+    either way that marker is not found as a whole item.  A marker under a
+    duplicate key that json.loads drops is not found either."""
     pieces, held, end = [], [], 0
-    for match in _WITNESS_TEXT.finditer(data):
-        w = _witness_arrays(match)
-        if w is not None:
-            pieces += [data[end:match.start()], json.dumps(_HOLE + str(len(held))).encode("ascii")]
-            held.append(w)
-            end = match.end()
-    if not held:
-        return None
+    at = data.find(_OPEN)
+    with warnings.catch_warnings():
+        # a numpy that warns where np.fromstring stops short, rather than
+        # raising, has the warning raised: _entry_at rejects the text
+        warnings.simplefilter("error", DeprecationWarning)
+        while at >= 0:
+            found = _entry_at(data, at)
+            if found is None:
+                at = data.find(_OPEN, at + 1)
+                continue
+            pieces += [data[end:at], json.dumps(_HOLE + str(len(held))).encode("ascii")]
+            entry, end = found
+            held.append(entry)
+            at = data.find(_OPEN, end)
     pieces.append(data[end:])
+    if not held or any(b"\\u0000" in piece for piece in pieces[::2]):
+        return None
     try:
         payload = json.loads(b"".join(pieces).decode("ascii"), parse_constant=_not_a_number)
-        listed = payload["embedding"]["witnesses"]
+        embedding = payload["embedding"]
+        lists = [embedding[key] for key in ("iota_generators", "witnesses") if key in embedding]
     except (ValueError, RecursionError, KeyError, TypeError):
         return None
-    if not isinstance(listed, list):
+    places = [
+        (items, i)
+        for items in lists if isinstance(items, list)
+        for i, item in enumerate(items) if isinstance(item, str) and item[:1] == _HOLE
+    ]
+    if [items[i] for items, i in places] != [_HOLE + str(k) for k in range(len(held))]:
         return None
-    at = [i for i, item in enumerate(listed) if isinstance(item, str) and item[:1] == _HOLE]
-    if [listed[i] for i in at] != [_HOLE + str(k) for k in range(len(held))]:
-        return None
-    for i, w in zip(at, held):
-        listed[i] = w
+    for (items, i), entry in zip(places, held):
+        items[i] = entry
     return payload
 
 
@@ -877,9 +936,43 @@ class _Stored:
             if skip:
                 stored = {k: v for k, v in stored.items() if k != skip}
                 section = {k: v for k, v in section.items() if k != skip}
-            # a section's held arrays are compared by their payload lists
-            if json.dumps(stored, sort_keys=True, default=dict) != json.dumps(section, sort_keys=True, default=dict):
+            if not _same_json(stored, section):
                 raise _Rejected(stage, "stored %s differs from the recomputed section" % name)
+
+
+def _same_json(a, b) -> bool:
+    """json.dumps(a, sort_keys=True, default=dict) == json.dumps(b, ...),
+    with the entries held as arrays compared as arrays.  Each side is
+    written with a hole for each held entry; where the two texts are equal
+    and every hole in them is a held entry, the texts are equal exactly when
+    the entries at each hole are of one kind, with equal arrays and equal
+    elements.  Anywhere else (one side holds lists where the other holds
+    arrays) both sides are written whole."""
+    held_a, held_b = [], []
+    text_a, text_b = _text_with_holes(a, held_a), _text_with_holes(b, held_b)
+    if text_a == text_b and text_a.count(json.dumps(_HOLE)) == len(held_a) == len(held_b):
+        return all(map(_same_entry, held_a, held_b))
+    return json.dumps(a, sort_keys=True, default=dict) == json.dumps(b, sort_keys=True, default=dict)
+
+
+def _text_with_holes(value, held: list) -> str:
+    def hole(item):
+        if isinstance(item, _Witness):
+            held.append(item)
+            return _HOLE
+        return dict(item)
+
+    return json.dumps(value, sort_keys=True, default=hole)
+
+
+def _same_entry(a: _Witness, b: _Witness) -> bool:
+    return (
+        type(a) is type(b)
+        and np.array_equal(a.values, b.values)
+        and np.array_equal(a.counts, b.counts)
+        and np.array_equal(a.top, b.top)
+        and getattr(a, "element", None) == getattr(b, "element", None)
+    )
 
 
 def _run_stages(A: InputGroupA, policy: VerificationPolicy, source):
@@ -939,10 +1032,10 @@ def _run_stages(A: InputGroupA, policy: VerificationPolicy, source):
     }
     flags["biset_generated"], biset["generated"] = verify_generated(system, X)
     if not flags["biset_generated"]:
-        return stop("biset", "orbit data rejected: %s" % biset["generated"]["failure"])
+        return stop("biset", "orbit data rejected (biset_generated): %s" % biset["generated"]["failure"])
     flags["biset_stable"], biset["stability"] = verify_stability(system, X, ctx)
     if not flags["biset_stable"]:
-        return stop("biset", "orbits are not stable: %s" % biset["stability"]["failure"])
+        return stop("biset", "orbits are not stable (biset_stable): %s" % biset["stability"]["failure"])
     flags["orbit_predictions"], pred = check_orbit_predictions(system, X, ctx)
     biset["predictions"] = {
         "missing_conjugates": [list(map(list, pair)) for pair in pred["missing_conjugates"]],
@@ -963,7 +1056,7 @@ def _run_stages(A: InputGroupA, policy: VerificationPolicy, source):
         "base_index_convention": "target",
         "slot_tables": pe.slot_tables(),
         "verification": {k: list(v) if isinstance(v, tuple) else v for k, v in emb_rep.items()},
-        "iota_generators": [_IotaImage(int(s), pe.iota(s)) for s in S.minimal_generators()],
+        "iota_generators": [_IotaImage.of(pe.iota(s), int(s)) for s in S.minimal_generators()],
         "top_closure_mode": _closure_mode(pe.n),
     }
     if not (emb_ok and flags["iota_injective_hom"] and flags["iota_base_trivial"]):

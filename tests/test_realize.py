@@ -10,6 +10,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -519,12 +520,24 @@ def failing(name, **edit):
     return patched
 
 
+def failing_conjunct(key):
+    """realize.verify_main with its verdict false and its report's <key>
+    conjunct not ok."""
+    real = realize.verify_main
+
+    def patched(*args):
+        _, rep = real(*args)
+        return False, dict(rep, **{key: dict(rep[key], ok=False)})
+
+    return patched
+
+
 # one row per patched check: the name realize reads (a dotted name patches a
 # method of the class realize reads), its stand-in, the flag it fails, the
 # stage it stops, the reason, and the last flag its stage checks (a stage
 # stops at its first false flag, and the flags after it keep their default:
-# the embedding stage stops before witnesses_ok).  The biset reasons quote
-# the failure text of the check's report.
+# the embedding stage stops before witnesses_ok).  The biset reasons name
+# the flag and quote the failure text of the check's report.
 CHECK_ROWS = [
     ("aut_U_isomorphic", "are_isomorphic", lambda G1, G2: False,
      "autF_U_iso_A", "construction_checks", "construction checks fail: aut_U_isomorphic_to_input", "index_gt_2A"),
@@ -535,9 +548,10 @@ CHECK_ROWS = [
     ("large_index", "FusionSystem.nonextendable_sources", lambda self: {},
      "index_gt_2A", "construction_checks", "construction checks fail: large_index_source", "index_gt_2A"),
     ("generated", "verify_generated", failing("verify_generated", failure="multiplier disagrees with the leading orbit"),
-     "biset_generated", "biset", "orbit data rejected: multiplier disagrees with the leading orbit", "biset_generated"),
+     "biset_generated", "biset", "orbit data rejected (biset_generated): multiplier disagrees with the leading orbit",
+     "biset_generated"),
     ("stability", "verify_stability", failing("verify_stability", failure="marks differ on one diagonal class"),
-     "biset_stable", "biset", "orbits are not stable: marks differ on one diagonal class", "biset_stable"),
+     "biset_stable", "biset", "orbits are not stable (biset_stable): marks differ on one diagonal class", "biset_stable"),
     ("predictions", "check_orbit_predictions", failing("check_orbit_predictions"),
      "orbit_predictions", "biset", "orbit predictions fail", "orbit_predictions"),
     ("homomorphism", "verify_embedding", patched_verify_embedding({"homomorphism": False}),
@@ -548,18 +562,28 @@ CHECK_ROWS = [
      "iota_base_trivial", "embedding", "embedding checks fail: iota_base_trivial", "iota_base_trivial"),
     ("generator_membership", "gamma_prime_member", lambda a, sprime: False,
      "witnesses_ok", "main_checks", "final battery fails: witnesses_ok", "bertrand_prime"),
+    # top_closure_is_An ANDs the top closure (at C2 its transitivity check)
+    # with verify_main's degree_conditions; each conjunct fails that flag
+    ("closure_transitive", "_closure_transitive", failing("_closure_transitive"),
+     "top_closure_is_An", "main_checks", "final battery fails: top_closure_is_An", "bertrand_prime"),
+    ("degree_conditions", "verify_main", failing_conjunct("degree_conditions"),
+     "top_closure_is_An", "main_checks", "final battery fails: top_closure_is_An", "bertrand_prime"),
+    # _is_prime is read by bertrand_prime() too, which realize would then
+    # find no prime with; the flag also reads verify_main's prime_conditions
+    ("prime_conditions", "verify_main", failing_conjunct("prime_conditions"),
+     "bertrand_prime", "main_checks", "final battery fails: bertrand_prime", "bertrand_prime"),
 ]
 
 
 class TestCheckRows:
     """The flag-matrix rows of the construction checks, of the biset checks,
-    of the embedding checks and of the generator membership conjunct of
-    witnesses_ok.  Each patched
-    check fails its flag alone among the flags its stage and the stages
-    before it check, at the same stage in realize and in verify, for a
-    reason that names the flag, its report key or its report's failure
-    text; and the patched realize writes a certificate that is not
-    accepted.  generator_membership fails witnesses_ok, at main_checks."""
+    of the embedding checks, of the generator membership conjunct of
+    witnesses_ok, of both conjuncts of top_closure_is_An and of the prime
+    conditions of bertrand_prime.  Each patched check fails its flag alone
+    among the flags its stage and the stages before it check, at the same
+    stage in realize and in verify, for a reason that names the flag or
+    its report key; and the patched realize writes a certificate that is
+    not accepted.  generator_membership fails witnesses_ok, at main_checks."""
 
     @pytest.mark.parametrize(
         "name, patched, flag, stage, reason, last", [row[1:] for row in CHECK_ROWS], ids=[row[0] for row in CHECK_ROWS]
@@ -670,7 +694,7 @@ class TestWitnessText:
         for w in built:
             assert isinstance(w, realize._Witness)
             expected = {"top": w.top.tolist(), "base_runs": run_length(w.base)}
-            assert realize._wreath_text(w, digits) == canonical_json(expected)
+            assert realize._wreath_text(w, digits) == canonical_json(expected).encode("ascii")
 
     @given(
         st.lists(st.tuples(st.integers(0, 5), st.integers(1, 14)), max_size=6),
@@ -688,7 +712,7 @@ class TestWitnessText:
         digits = realize._digits(len(base), 5)
         expected = {"top": top, "base_runs": run_length(base)}
         w = realize._Witness.of(WreathElement(self.S3, base, top))
-        assert realize._wreath_text(w, digits) == canonical_json(expected)
+        assert realize._wreath_text(w, digits) == canonical_json(expected).encode("ascii")
 
     def test_same_verdict_in_memory_and_loaded(self, c2_cert):
         loaded = Certificate.from_json_bytes(c2_cert.to_json_bytes())
@@ -832,15 +856,22 @@ class TestReaderEquivalence:
         assert cert.to_json_bytes() == ref.to_json_bytes()
 
 
+# the reader's reference: a witness, or an iota_generators entry with its
+# element between the runs and the top, whose arrays hold only digits,
+# commas and brackets and whose element only digits
+ENTRY_TEXT = re.compile(rb'\{"base_runs":\[([0-9,\[\]]*)\],(?:"element":([0-9]+),)?"top":\[([0-9,]*)\]\}')
+
+
 def round_trip_arrays(text: bytes):
-    """The arrays of a witness in canonical text, or None, decided the way the
-    reader once did: parse the numbers, then write the arrays back with
-    _wreath_text and compare the characters."""
-    match = realize._WITNESS_TEXT.fullmatch(text)
+    """The entry in canonical text, or None, decided the way the reader once
+    did: match ENTRY_TEXT, parse the numbers, then write the arrays back
+    with _wreath_text and compare the characters.  The reader holds an
+    element below 10^18, as an int64 holds it."""
+    match = ENTRY_TEXT.fullmatch(text)
     if match is None:
         return None
     try:
-        top = np.fromstring(match[2], dtype=np.int64, sep=",")
+        top = np.fromstring(match[3], dtype=np.int64, sep=",")
         runs = np.fromstring(match[1].translate(None, b"[]"), dtype=np.int64, sep=",")
     except ValueError:
         return None
@@ -850,42 +881,73 @@ def round_trip_arrays(text: bytes):
     values, counts = runs[0::2], runs[1::2]
     if counts.sum() != n:
         return None
-    w = realize._Witness(*realize._runs(np.repeat(values, counts)), top)
-    return w if realize._wreath_text(w, realize._digits(n, n)).encode("ascii") == text else None
+    arrays = (*realize._runs(np.repeat(values, counts)), top)
+    if match[2] is None:
+        w = realize._Witness(*arrays)
+    elif int(match[2]) < 10 ** 18:
+        w = realize._IotaImage(*arrays, int(match[2]))
+    else:
+        return None
+    return w if realize._wreath_text(w, realize._digits(n, n)) == text else None
 
 
 def read_arrays(text: bytes):
-    match = realize._WITNESS_TEXT.fullmatch(text)
-    return None if match is None else realize._witness_arrays(match)
+    """The reader's entry for the whole text, or None."""
+    found = realize._entry_at(text, 0) if text.startswith(realize._OPEN) else None
+    return found[0] if found is not None and found[1] == len(text) else None
 
 
 def _witness_text(runs, top):
     return '{"base_runs":[%s],"top":[%s]}' % (runs, ",".join(map(str, top)))
 
 
+def _iota_text(element, runs="[0,2]", top=(1, 0)):
+    return '{"base_runs":[%s],"element":%s,"top":[%s]}' % (runs, element, ",".join(map(str, top)))
+
+
 @st.composite
 def edited_witness_text(draw):
-    """Canonical witness text with one small edit in its arrays: a digit
-    changed, a leading zero, a comma, bracket or digit put in or taken out, a
-    digit after a ], two runs merged by taking out their ],[ , or a run split
-    in two.  Numbers run past the degree n now and then."""
+    """Canonical text of a witness, or of an iota_generators entry with an
+    element, with one small edit: in its arrays a digit changed, a leading
+    zero, a comma, bracket or digit put in or taken out, a digit after a ],
+    two runs merged by taking out their ],[ , or a run split in two; or its
+    element made bad, taken out, moved out of key order or given a stray
+    digit next to it.  Numbers run past the degree n now and then."""
     n = draw(st.integers(0, 120))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     top = rng.integers(0, n + 2, size=n).tolist()
     runs = run_length(np.repeat(rng.integers(0, n + 2, size=n), rng.integers(1, 5, size=n))[:n])
-    kind = draw(st.sampled_from(["digit", "zero", "insert", "delete", "after_bracket", "merge", "split"]))
+    element = draw(st.one_of(st.none(), st.integers(0, 40), st.just(10 ** 18 - 1)))
+    entry = {"base_runs": runs, "top": top} if element is None else {"base_runs": runs, "element": element, "top": top}
+    kinds = ["digit", "zero", "insert", "delete", "after_bracket", "merge", "split"]
+    kind = draw(st.sampled_from(kinds if element is None else kinds + ["element"] * 4))
     if kind == "split":
         at = [i for i, (_, count) in enumerate(runs) if count > 1]
         if at:
             i = draw(st.sampled_from(at))
             cut = draw(st.integers(1, runs[i][1] - 1))
             runs[i:i + 1] = [[runs[i][0], cut], [runs[i][0], runs[i][1] - cut]]
-        return canonical_json({"base_runs": runs, "top": top}).encode("ascii")
-    text = canonical_json({"base_runs": runs, "top": top})
+        return canonical_json(entry).encode("ascii")
+    text = canonical_json(entry)
+    if kind == "element":
+        key = '"element":%d,' % element
+        at = text.index(key)
+        edits = [
+            text.replace(key, '"element":%s,' % draw(st.sampled_from(
+                ["-1", "1.5", '"1"', "true", "null", "", "1e2", "01", "00", " 1", str(10 ** 18), "9" * 25]))),
+            text.replace(key, ""),
+            text.replace(key, "")[:-1] + ',"element":%d}' % element,
+            '{"element":%d,' % element + text.replace(key, "")[1:],
+            text[:at] + draw(st.sampled_from("0123456789")) + text[at:],
+            text[:at + len(key) - 1] + draw(st.sampled_from("0123456789")) + text[at + len(key) - 1:],
+            text[:at + len(key)] + draw(st.sampled_from("0123456789")) + text[at + len(key):],
+            text[:at + len('"element":')] + draw(st.sampled_from("0123456789")) + text[at + len('"element":'):],
+        ]
+        return draw(st.sampled_from(edits)).encode("ascii")
     start, end = len('{"base_runs":['), len(text) - len("]}")
     places = {
         "digit": [i for i in range(start, end) if text[i].isdigit()],
-        "zero": [i for i in range(start, end) if text[i].isdigit() and text[i - 1] in "[,"],
+        "zero": [i for i in range(start, end) if text[i].isdigit() and text[i - 1] in "[,:"],
         "insert": range(start, end + 1),
         "delete": range(start, end),
         "after_bracket": [i + 1 for i in range(start, end) if text[i] == "]"],
@@ -906,9 +968,12 @@ def edited_witness_text(draw):
 
 
 class TestCanonicalWitnessText:
-    """_witness_arrays accepts a witness's text from checks on the text and
-    on the arrays it parses.  It must accept exactly the texts that read back
-    through _wreath_text to the same characters, with the same arrays."""
+    """_entry_at accepts the text of a witness or of an iota_generators
+    entry from checks on the text and on the arrays it parses.  It must
+    accept exactly the texts that ENTRY_TEXT matches and that read back
+    through _wreath_text to the same characters, with the same arrays and
+    element; and the whole-document reader holds exactly those, with the
+    payload json.loads gives."""
 
     @given(edited_witness_text())
     @settings(max_examples=300, deadline=None)
@@ -932,11 +997,32 @@ class TestCanonicalWitnessText:
             _witness_text("[1,02]", range(2)),
             '{"base_runs":[[0,2]],"top":[0,]}',
             '{"base_runs":[[0,2]],"top":[,0]}',
+            '{"base_runs":[[0,2]],"top":[0,,1]}',
+            '{"base_runs":[[0,2]],"top":[0,1]]}',
             _witness_text("[1,1],[1,1]", range(2)),
             _witness_text("[1,0],[0,2]", range(2)),
             _witness_text("[0,1],[1,2]", [3, 1, 0]),
             _witness_text("", []),
             _witness_text("[0,3]", [0, 1]),
+            # iota_generators entries: canonical, a bad element, the element
+            # missing or out of key order, and a stray digit next to it
+            _iota_text(3),
+            _iota_text(0),
+            _iota_text(10 ** 18 - 1),
+            _iota_text(10 ** 18),
+            _iota_text("03"),
+            _iota_text("-1"),
+            _iota_text(""),
+            _iota_text('"3"'),
+            _iota_text("3.0"),
+            _iota_text(3, runs="", top=()),
+            '{"base_runs":[[0,2]],"top":[1,0],"element":3}',
+            '{"element":3,"base_runs":[[0,2]],"top":[1,0]}',
+            '{"base_runs":[[0,2]]4,"element":3,"top":[1,0]}',
+            '{"base_runs":[[0,2]],4"element":3,"top":[1,0]}',
+            '{"base_runs":[[0,2]],"element":3,4"top":[1,0]}',
+            '{"base_runs":[[0,2]],"element":3 ,"top":[1,0]}',
+            '{"base_runs":[[0,2]],"element":3,"top":[1,0],4}',
         ],
     )
     def test_hand_made_cases(self, text):
@@ -946,8 +1032,17 @@ class TestCanonicalWitnessText:
         expected, got = round_trip_arrays(text), read_arrays(text)
         assert (got is None) == (expected is None)
         if got is not None:
+            assert type(got) is type(expected)
             assert got.base.tolist() == expected.base.tolist()
             assert got.top.tolist() == expected.top.tolist()
+            assert getattr(got, "element", None) == getattr(expected, "element", None)
+        doc = b'{"embedding":{"iota_generators":[%s],"witnesses":[%s]}}' % (text, text)
+        read = realize._read_witness_text(doc)
+        assert (read is None) == (got is None)
+        if read is not None:
+            embedding = read["embedding"]
+            assert [type(w) for w in embedding["iota_generators"] + embedding["witnesses"]] == [type(got)] * 2
+            assert read == json.loads(doc)
 
     def test_the_c2_load_writes_no_witness_text(self, c2_cert, monkeypatch):
         data = c2_cert.to_json_bytes()
@@ -956,6 +1051,46 @@ class TestCanonicalWitnessText:
         cert = Certificate.from_json_bytes(data)
         assert calls == []
         assert all(isinstance(w, realize._Witness) for w in cert.embedding["witnesses"])
+        assert all(isinstance(w, realize._IotaImage) for w in cert.embedding["iota_generators"])
+
+
+class TestStoredIotaImages:
+    """_Stored.agree compares held entries as arrays, and any other entry by
+    its JSON text.  Either way it must reject an embedding whose only
+    difference is one iota top entry, and accept the same embedding."""
+
+    @pytest.mark.parametrize("form", ["held", "lists"])
+    def test_one_iota_top_entry_differs(self, c2_cert, form):
+        loaded = Certificate.from_json_bytes(c2_cert.to_json_bytes())
+        images = loaded.embedding["iota_generators"]
+        assert all(isinstance(w, realize._IotaImage) for w in images)
+        last = images[-1]
+        top = last.top.copy()
+        top[0], top[1] = top[1], top[0]
+        if form == "held":
+            kept, swapped = last, realize._IotaImage(last.values, last.counts, top, last.element)
+        else:
+            kept, swapped = (dict(last), dict(last, top=top.tolist()))
+        for image, agrees in ((kept, True), (swapped, False)):
+            embedding = dict(loaded.embedding, iota_generators=images[:-1] + [image])
+            stored = realize._Stored(dataclasses.replace(loaded, embedding=embedding))
+            if agrees:
+                stored.agree("embedding", embedding=c2_cert.embedding)
+            else:
+                with pytest.raises(realize._Rejected, match="stored embedding differs"):
+                    stored.agree("embedding", embedding=c2_cert.embedding)
+
+    def test_same_verdict_as_the_json_text(self, c2_cert):
+        """_same_json on held entries, on lists, and on the two mixed, equals
+        the comparison of the json.dumps texts."""
+        image = c2_cert.embedding["iota_generators"][0]
+        other = realize._IotaImage(image.values, image.counts, image.top, image.element + 1)
+        witness = realize._Witness(image.values, image.counts, image.top)
+        forms = [image, other, witness, dict(image), dict(other), dict(witness), "\0", {"a": "\0"}]
+        for a, b in itertools.product(forms, repeat=2):
+            for x, y in ((a, b), ([a, "\0"], ["\0", b]), ({"k": [a]}, {"k": [b]})):
+                expected = json.dumps(x, sort_keys=True, default=dict) == json.dumps(y, sort_keys=True, default=dict)
+                assert realize._same_json(x, y) is expected
 
 
 def traced(call):
@@ -1075,7 +1210,7 @@ class TestWitnessWidths:
         for w in (built, read, listed):
             assert isinstance(w, realize._Witness)
             assert (w.values.dtype, w.counts.dtype, w.top.dtype) == (np.int8, np.int32, np.int32)
-            assert realize._wreath_text(w, realize._digits(n, 3)) == text
+            assert realize._wreath_text(w, realize._digits(n, 3)) == text.encode("ascii")
             assert w.base.dtype == np.int32 and np.array_equal(w.base, base)
             assert np.array_equal(w.top, top)
 

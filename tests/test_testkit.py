@@ -206,19 +206,23 @@ class TestBruteMarks:
 
 
 class TestMutationHarness:
-    @pytest.mark.parametrize("name", ["corrupt_witness_base", "corrupt_witness_top"])
+    @pytest.mark.parametrize("name", ["corrupt_witness_base", "corrupt_witness_top", "corrupt_iota_image"])
     def test_witness_mutations_rejected_from_canonical_bytes(self, c2_cert, name):
         """mutation_suite goes through Certificate.from_payload; the same
         corruption written as canonical text goes through the reader that
-        holds witnesses as arrays, and must be rejected for the same reason."""
+        holds witnesses and iota_generators entries as arrays, and must be
+        rejected at the same stage for the same reason."""
         payload = json.loads(c2_cert.to_json_bytes())
         dict(STANDARD_MUTATIONS)[name](payload)
         data = (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
         read = Certificate.from_json_bytes(data)
-        assert all(isinstance(w, realize._Witness) for w in read.embedding["witnesses"])
+        assert all(type(w) is realize._Witness for w in read.embedding["witnesses"])
+        assert all(type(w) is realize._IotaImage for w in read.embedding["iota_generators"])
         ok, report = verify_certificate(read)
         assert not ok
-        assert (ok, report) == verify_certificate(Certificate.from_payload(payload))
+        listed_ok, listed = verify_certificate(Certificate.from_payload(payload))
+        assert (report["failed_stage"], report["reason"]) == (listed["failed_stage"], listed["reason"])
+        assert (ok, report) == (listed_ok, listed)
 
     def test_mutation_names_are_distinct(self):
         names = [n for n, _ in STANDARD_MUTATIONS]
