@@ -76,9 +76,6 @@ def _open_out(path: str):
 def cmd_realize(args, out) -> int:
     try:
         A = _load_input(args.group)
-    except ScaleError as exc:
-        print("scale rejection: %s" % exc, file=out)
-        return EXIT_SCALE
     except (ValueError, OSError) as exc:
         print("bad input group: %s" % exc, file=out)
         return EXIT_FAILED
@@ -95,11 +92,7 @@ def cmd_realize(args, out) -> int:
     written = False
     try:
         with fh:
-            try:
-                cert = run_pipeline(A, policy)
-            except ScaleError as exc:
-                print("scale rejection: %s" % exc, file=out)
-                return EXIT_SCALE
+            cert = run_pipeline(A, policy)
             # written in pieces; an existing file is truncated only once the
             # first piece, made after everything that can fail, is in hand
             chunks = cert.json_chunks()
@@ -126,11 +119,7 @@ def cmd_verify(args, out) -> int:
     except (ValueError, OSError) as exc:
         print("unreadable certificate: %s" % exc, file=out)
         return EXIT_FAILED
-    try:
-        ok, report = verify_certificate(cert)
-    except ScaleError as exc:
-        print("scale rejection during re-check: %s" % exc, file=out)
-        return EXIT_SCALE
+    ok, report = verify_certificate(cert)
     if ok:
         print("certificate verifies: all checks recomputed clean", file=out)
         return EXIT_OK
@@ -161,17 +150,10 @@ def cmd_oracle(args, out) -> int:
         ]
         if not sub_gens:
             raise ValueError("no subgroup generators given")
-    except ScaleError as exc:
-        print("scale rejection: %s" % exc, file=out)
-        return EXIT_SCALE
     except (ValueError, OSError) as exc:
         print("bad oracle input: %s" % exc, file=out)
         return EXIT_FAILED
-    try:
-        table = automizer_oracle(group, sub_gens)
-    except ScaleError as exc:
-        print("scale rejection: %s" % exc, file=out)
-        return EXIT_SCALE
+    table = automizer_oracle(group, sub_gens)
     print("automizer order %d" % table.order, file=out)
     for row in table.table:
         print(" ".join(str(x) for x in row), file=out)
@@ -217,7 +199,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args, sys.stdout)
+    try:
+        return args.func(args, sys.stdout)
+    except ScaleError as exc:
+        # a bound met in a stage of the pipeline names that stage
+        during = " during re-check" if args.command == "verify" else ""
+        print("scale rejection%s%s: %s" % (during, " at %s" % exc.stage if exc.stage else "", exc))
+        return EXIT_SCALE
 
 
 if __name__ == "__main__":

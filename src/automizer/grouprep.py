@@ -26,7 +26,10 @@ from .permcore import Permutation
 
 
 class ScaleError(RuntimeError):
-    """A configured desk-scale bound was exceeded; names the bound."""
+    """A configured desk-scale bound was exceeded; names the bound, and the
+    pipeline stage that met it once realize's stage loop has set it."""
+
+    stage: Optional[str] = None
 
     def __init__(self, bound_name: str, bound_value, actual):
         self.bound_name = bound_name

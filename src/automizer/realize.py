@@ -17,6 +17,7 @@ import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import itemgetter
+from types import SimpleNamespace
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -230,18 +231,8 @@ def verify_thm31(
         "family_meets_trivially": family_meets_trivially,
         "family_size": len(family),
     }
-    ok = all(
-        (
-            aut_match,
-            iso,
-            focal_full,
-            core_trivial,
-            has_large_index,
-            family_joins,
-            family_meets_trivially,
-        )
-    )
-    return ok, report
+    # the verdict fails exactly on the report entries the stage's reason names
+    return all(value is not False for value in report.values()), report
 
 
 # -- the brute-force automizer oracle -------------------------------------------------
@@ -866,11 +857,10 @@ def _read_witness_text(data: bytes) -> Optional[dict]:
 
 class _Rejected(Exception):
     """Certificate data that cannot be decoded, or a stored section that differs
-    from the recomputed one."""
+    from the recomputed one.  The stage loop names the stage that raised it;
+    a rejection before the first stage is the input's."""
 
-    def __init__(self, stage: str, reason: str):
-        super().__init__(reason)
-        self.stage = stage
+    stage = "input"
 
 
 class _Built:
@@ -886,7 +876,7 @@ class _Built:
     def prime(self, a_order):
         return bertrand_prime(a_order)
 
-    def agree(self, stage, **sections):
+    def agree(self, **sections):
         pass
 
 
@@ -907,7 +897,7 @@ class _Stored:
             if type(data["m"]) is not int or type(data["n"]) is not int:
                 raise ValueError("m and n must be integers")
         except (KeyError, TypeError, ValueError) as exc:
-            raise _Rejected("biset", "orbit payload rejected: %s" % exc) from None
+            raise _Rejected("orbit payload rejected: %s" % exc) from None
         if data["n"] > policy.max_n:
             raise ScaleError("max_n", policy.max_n, data["n"])
         return SemicharacteristicBiset(orbits, data["m"], data["n"])
@@ -915,21 +905,21 @@ class _Stored:
     def witnesses(self, pe, generators):
         payloads = self.cert.embedding.get("witnesses")
         if not isinstance(payloads, list) or len(payloads) != len(generators):
-            raise _Rejected("embedding", "witness count mismatch")
+            raise _Rejected("witness count mismatch")
         try:
             held = [_checked_witness(pe.G, p) for p in payloads]
         except (KeyError, TypeError, ValueError) as exc:
-            raise _Rejected("embedding", "malformed witness: %s" % exc) from None
+            raise _Rejected("malformed witness: %s" % exc) from None
         if any(w.top.size != pe.n for w in held):
-            raise _Rejected("embedding", "witness degree differs from the embedding")
+            raise _Rejected("witness degree differs from the embedding")
         return held, payloads
 
     def prime(self, a_order):
         if self.cert.prime is None:
-            raise _Rejected("main_checks", "missing prime")
+            raise _Rejected("missing prime")
         return self.cert.prime
 
-    def agree(self, stage, **sections):
+    def agree(self, **sections):
         for name, section in sections.items():
             stored = getattr(self.cert, name)
             skip = self.NOT_COMPARED.get(name)
@@ -937,7 +927,7 @@ class _Stored:
                 stored = {k: v for k, v in stored.items() if k != skip}
                 section = {k: v for k, v in section.items() if k != skip}
             if not _same_json(stored, section):
-                raise _Rejected(stage, "stored %s differs from the recomputed section" % name)
+                raise _Rejected("stored %s differs from the recomputed section" % name)
 
 
 def _same_json(a, b) -> bool:
@@ -975,113 +965,139 @@ def _same_entry(a: _Witness, b: _Witness) -> bool:
     )
 
 
-def _run_stages(A: InputGroupA, policy: VerificationPolicy, source):
-    """Run the checks in order and stop at the first failed stage.  The source
-    supplies the orbit list with m and n, the witnesses and the prime, and
-    sees each section once its stage has passed.
+def _trivial(run):
+    """The trivial group is realized by the trivial group: every section is
+    fixed, and every flag holds vacuously."""
+    run.flags = dict.fromkeys(FLAG_NAMES, True)
+    return {
+        "exponent": 1,
+        "ambient": {"name": "1", "order": 1, "u_order": 1, "rank": 2, "exponent": 1},
+        "fusion_generators": [],
+        "construction_checks": {"trivial": True},
+        "biset": {"m": 1, "n": 0, "orbits": []},
+        "embedding": {"n": 0, "mode": "trivial"},
+        "prime": None,
+        "main_checks": {"trivial": True},
+    }, None
 
-    Returns (flags, sections, failed_stage, reason): the sections are the
-    certificate fields the stages fill, and the reason names the failed check."""
-    # the trivial group is realized by the trivial group: every stage is
-    # skipped, and every flag holds vacuously
-    flags = dict.fromkeys(FLAG_NAMES, A.order == 1)
-    if A.order == 1:
-        sections = {
-            "exponent": 1,
-            "ambient": {"name": "1", "order": 1, "u_order": 1, "rank": 2, "exponent": 1},
-            "fusion_generators": [],
-            "construction_checks": {"trivial": True},
-            "biset": {"m": 1, "n": 0, "orbits": []},
-            "embedding": {"n": 0, "mode": "trivial"},
-            "prime": None,
-            "main_checks": {"trivial": True},
-        }
-        source.agree("ambient", flags=flags, failed_stage=None, **sections)
-        return flags, sections, None, None
 
-    S, system, U = build_fusion_for(A, policy)
-    sections = {
-        "exponent": A.e,
-        "ambient": _ambient_payload(S),
-        "fusion_generators": [system.morphism_payload(m) for m in system.generators],
-    }
-    source.agree("ambient", **sections)
-    sections.update(construction_checks={}, biset={}, embedding={}, prime=None, main_checks={})
+def _ambient(run):
+    run.S, run.system, run.U = build_fusion_for(run.A, run.policy)
+    generators = [run.system.morphism_payload(m) for m in run.system.generators]
+    return {"exponent": run.A.e, "ambient": _ambient_payload(run.S), "fusion_generators": generators}, None
 
-    def stop(stage, reason):
-        return flags, sections, stage, reason
 
-    ok, rep = verify_thm31(S, system, U, A)
-    sections["construction_checks"] = rep
-    flags["autF_U_iso_A"] = rep["aut_U_matches_inner"] and rep["aut_U_isomorphic_to_input"]
-    flags["focal_is_S"] = rep["focal_full"]
-    flags["QF_trivial"] = rep["extension_core_trivial"]
-    flags["index_gt_2A"] = rep["large_index_source"]
-    if not ok:
-        failed = ", ".join(k for k, v in rep.items() if v is False)
-        return stop("construction_checks", "construction checks fail: %s" % failed)
-    source.agree("construction_checks", construction_checks=rep)
+def _construction_checks(run):
+    ok, rep = verify_thm31(run.S, run.system, run.U, run.A)
+    run.flags["autF_U_iso_A"] = rep["aut_U_matches_inner"] and rep["aut_U_isomorphic_to_input"]
+    run.flags["focal_is_S"] = rep["focal_full"]
+    run.flags["QF_trivial"] = rep["extension_core_trivial"]
+    run.flags["index_gt_2A"] = rep["large_index_source"]
+    failed = ", ".join(k for k, v in rep.items() if v is False)
+    return {"construction_checks": rep}, None if ok else "construction checks fail: %s" % failed
 
-    ctx = DiagonalContext(system)
-    X = source.biset(system, policy, ctx)
-    biset = sections["biset"] = {
-        "m": X.m,
-        "n": X.n,
-        "orbit_count": len(X.orbits),
-        "orbits": [orbit_payload(system, rec) for rec in X.orbits],
-    }
+
+def _biset(run):
+    # the S x S class memo lives only as long as this stage
+    system, flags, ctx = run.system, run.flags, DiagonalContext(run.system)
+    X = run.X = run.source.biset(system, run.policy, ctx)
+    orbits = [orbit_payload(system, rec) for rec in X.orbits]
+    biset = {"m": X.m, "n": X.n, "orbit_count": len(X.orbits), "orbits": orbits}
     flags["biset_generated"], biset["generated"] = verify_generated(system, X)
     if not flags["biset_generated"]:
-        return stop("biset", "orbit data rejected (biset_generated): %s" % biset["generated"]["failure"])
+        return {"biset": biset}, "orbit data rejected (biset_generated): %s" % biset["generated"]["failure"]
     flags["biset_stable"], biset["stability"] = verify_stability(system, X, ctx)
     if not flags["biset_stable"]:
-        return stop("biset", "orbits are not stable (biset_stable): %s" % biset["stability"]["failure"])
+        return {"biset": biset}, "orbits are not stable (biset_stable): %s" % biset["stability"]["failure"]
     flags["orbit_predictions"], pred = check_orbit_predictions(system, X, ctx)
     biset["predictions"] = {
         "missing_conjugates": [list(map(list, pair)) for pair in pred["missing_conjugates"]],
         "orbit_core": list(pred["orbit_core"]),
         "nonextendable_core": list(pred["nonextendable_core"]),
     }
-    if not flags["orbit_predictions"]:
-        return stop("biset", "orbit predictions fail")
-    source.agree("biset", biset=biset)
-    del ctx  # the S x S class memo is not needed past the biset stage
+    return {"biset": biset}, None if flags["orbit_predictions"] else "orbit predictions fail"
 
-    pe = decompose(system, X)
+
+def _embedding(run):
+    pe = run.pe = decompose(run.system, run.X)
     emb_ok, emb_rep = verify_embedding(pe)
-    flags["iota_injective_hom"] = emb_rep["homomorphism"] and emb_rep["injective"]
-    flags["iota_base_trivial"] = emb_rep["top_trivial_elements"] == (0,)
-    embedding = sections["embedding"] = {
+    run.flags["iota_injective_hom"] = emb_rep["homomorphism"] and emb_rep["injective"]
+    run.flags["iota_base_trivial"] = emb_rep["top_trivial_elements"] == (0,)
+    run.embedding = {
         "n": pe.n,
         "base_index_convention": "target",
         "slot_tables": pe.slot_tables(),
         "verification": {k: list(v) if isinstance(v, tuple) else v for k, v in emb_rep.items()},
-        "iota_generators": [_IotaImage.of(pe.iota(s), int(s)) for s in S.minimal_generators()],
+        "iota_generators": [_IotaImage.of(pe.iota(s), int(s)) for s in run.S.minimal_generators()],
         "top_closure_mode": _closure_mode(pe.n),
     }
-    if not (emb_ok and flags["iota_injective_hom"] and flags["iota_base_trivial"]):
-        failed = ", ".join(k for k, v in emb_rep.items() if v is False) or "iota_base_trivial"
-        return stop("embedding", "embedding checks fail: %s" % failed)
-    source.agree("embedding", embedding=embedding)
-    held, embedding["witnesses"] = source.witnesses(pe, system.generators)
-    # check_witness reads each base once, expanded from its runs, one witness at a time
-    flags["witnesses_ok"] = all(pe.check_witness(g, w) for g, w in zip(system.generators, held))
-    if not flags["witnesses_ok"]:
-        return stop("embedding", "a witness fails its conjugation identity")
+    ok = emb_ok and run.flags["iota_injective_hom"] and run.flags["iota_base_trivial"]
+    failed = ", ".join(k for k, v in emb_rep.items() if v is False) or "iota_base_trivial"
+    return {"embedding": run.embedding}, None if ok else "embedding checks fail: %s" % failed
 
-    p = sections["prime"] = source.prime(A.order)
-    _, main_rep = verify_main(S, U, pe, [w.top for w in held], p, A.order)
-    sections["main_checks"] = main_rep
-    flags["witnesses_ok"] = flags["witnesses_ok"] and main_rep["generator_membership"]["ok"]
+
+def _witnesses(run):
+    # the witnesses join the embedding section, which has agreed without them
+    generators = run.system.generators
+    run.held, run.embedding["witnesses"] = run.source.witnesses(run.pe, generators)
+    # check_witness reads each base once, expanded from its runs, one witness at a time
+    run.flags["witnesses_ok"] = all(run.pe.check_witness(g, w) for g, w in zip(generators, run.held))
+    return {}, None if run.flags["witnesses_ok"] else "a witness fails its conjugation identity"
+
+
+def _main_checks(run):
+    A, flags = run.A, run.flags
+    p = run.source.prime(A.order)
+    _, main_rep = verify_main(run.S, run.U, run.pe, [w.top for w in run.held], p, A.order)
+    # reached only once every witness passed, so this is witnesses_ok AND
+    # generator membership: one flag holds both checks until it is split
+    flags["witnesses_ok"] = main_rep["generator_membership"]["ok"]
     flags["top_closure_is_An"] = main_rep["top_closure"]["ok"] and main_rep["degree_conditions"]["ok"]
-    flags["bertrand_prime"] = (
-        A.order < p < 2 * A.order and _is_prime(p) and main_rep["prime_conditions"]["ok"]
-    )
-    if not all(flags.values()):
-        failed = ", ".join(name for name in FLAG_NAMES if not flags[name])
-        return stop("main_checks", "final battery fails: %s" % failed)
-    source.agree("main_checks", main_checks=main_rep, flags=flags, failed_stage=None)
-    return flags, sections, None, None
+    flags["bertrand_prime"] = A.order < p < 2 * A.order and _is_prime(p) and main_rep["prime_conditions"]["ok"]
+    failed = ", ".join(name for name in FLAG_NAMES if not flags[name])
+    return {"prime": p, "main_checks": main_rep}, "final battery fails: %s" % failed if failed else None
+
+
+# The stages in order, by the name a failure reports.  Each takes the run's
+# state, sets the flags it owns, and returns the sections it fills and a
+# failure reason or None; it reads each check from this module when it runs.
+# The embedding section agrees before any witness is read.  The trivial group
+# runs its own list.
+STAGES = (
+    ("ambient", _ambient),
+    ("construction_checks", _construction_checks),
+    ("biset", _biset),
+    ("embedding", _embedding),
+    ("embedding", _witnesses),
+    ("main_checks", _main_checks),
+)
+TRIVIAL_STAGES = (("ambient", _trivial),)
+
+
+def _run_stages(A: InputGroupA, policy: VerificationPolicy, source):
+    """Run the stages in order and stop at the first failure.  The source
+    supplies the orbit list with m and n, the witnesses and the prime, sees
+    the sections of each stage once it has passed, and the flags once every
+    stage has.  A rejection or a scale bound raised in a stage is named by it.
+
+    Returns (flags, sections, failed_stage, reason): the sections are the
+    certificate fields the stages fill, empty for a stage that did not run,
+    and the reason names the failed check."""
+    run = SimpleNamespace(A=A, policy=policy, source=source, flags=dict.fromkeys(FLAG_NAMES, False))
+    sections = dict(exponent=None, ambient={}, fusion_generators=[], construction_checks={}, biset={})
+    sections.update(embedding={}, prime=None, main_checks={})
+    try:
+        for name, stage in STAGES if A.order > 1 else TRIVIAL_STAGES:
+            found, reason = stage(run)
+            sections.update(found)
+            if reason is not None:
+                return run.flags, sections, name, reason
+            source.agree(**found)
+        source.agree(flags=run.flags, failed_stage=None)
+    except (_Rejected, ScaleError) as exc:
+        exc.stage = name
+        raise
+    return run.flags, sections, None, None
 
 
 def run_pipeline(A: InputGroupA, policy: Optional[VerificationPolicy] = None) -> Certificate:
@@ -1117,9 +1133,9 @@ def verify_certificate(cert: Certificate) -> tuple[bool, dict]:
             A = InputGroupA(cert.input["name"], FiniteGroup(cert.input["table"], validate=True))
             policy = VerificationPolicy.from_payload(cert.policy)
         except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise _Rejected("input", "input table or policy invalid: %s" % exc) from None
+            raise _Rejected("input table or policy invalid: %s" % exc) from None
         if _input_payload(A) != cert.input:
-            raise _Rejected("input", "input name, order or table hash disagrees with the table")
+            raise _Rejected("input name, order or table hash disagrees with the table")
         flags, sections, failed_stage, reason = _run_stages(A, policy, _Stored(cert))
     except _Rejected as exc:
         report["failed_stage"] = exc.stage

@@ -213,6 +213,32 @@ def test_criterion_6_automizer_oracle():
         assert aut.order == 3 and are_isomorphic(aut, catalog_group("C3"))
 
 
+# the reason each standard corruption of the C2 certificate is rejected for:
+# a change that moves a rejection to another check or stage changes its text
+MUTATION_REASONS = {
+    "bump_multiplicity": "orbit data rejected (biset_generated): slot count mismatch: 7792 recorded, 7808 recomputed",
+    "bump_multiplicity_fix_n": "orbits are not stable (biset_stable): marks differ on one diagonal class",
+    "corrupt_generator_image": "stored fusion_generators differs from the recomputed section",
+    "corrupt_input_table": "input table or policy invalid: table column is not a permutation of the elements",
+    "corrupt_iota_image": "stored embedding differs from the recomputed section",
+    "corrupt_m": "orbit data rejected (biset_generated): multiplier disagrees with the leading orbit",
+    "corrupt_n": "orbit data rejected (biset_generated): slot count mismatch: 7824 recorded, 7792 recomputed",
+    "corrupt_prime": "final battery fails: bertrand_prime",
+    "corrupt_slot_table": "stored embedding differs from the recomputed section",
+    "corrupt_witness_base": "a witness fails its conjugation identity",
+    "corrupt_witness_top": "a witness fails its conjugation identity",
+    "drop_generator": "stored fusion_generators differs from the recomputed section",
+    "drop_orbit": "orbit data rejected (biset_generated): slot count mismatch: 7792 recorded, 7728 recomputed",
+    "drop_orbit_fix_n": "orbits are not stable (biset_stable): marks differ on one diagonal class",
+    "flip_flag": "certificate is not accepted",
+    "forge_closure_mode": "stored embedding differs from the recomputed section",
+    "forge_construction_report": "stored construction_checks differs from the recomputed section",
+    "forge_perm_degree": "input table or policy invalid: policy max_perm_degree 100 is not 150, the verifier's own",
+    "forge_stability_report": "stored biset differs from the recomputed section",
+    "inconsistent_flag": "payload rejected: stored acceptance bit disagrees with the flags",
+}
+
+
 def test_criterion_7_mutation_suite(c2_cert):
     with criterion(7, "every standard certificate corruption is rejected"):
         report = mutation_suite(c2_cert)
@@ -222,6 +248,7 @@ def test_criterion_7_mutation_suite(c2_cert):
             print("  %-26s %s" % (name, "rejected" if row["rejected"] else "MISSED"))
             assert row["rejected"], (name, row)
         assert report["all_rejected"]
+        assert {name: row["reason"] for name, row in report.items() if name != "all_rejected"} == MUTATION_REASONS
 
 
 def test_criterion_8_deterministic_output(c2_cert):

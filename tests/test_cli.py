@@ -41,6 +41,12 @@ def test_realize_scale_rejection(tmp_path, capsys):
     assert not (tmp_path / "c3.json").exists()
 
 
+def test_realize_scale_rejection_names_its_stage(tmp_path, capsys):
+    code, out = run_cli(["realize", "--group", "C3", "--out", str(tmp_path / "c3.json")], capsys)
+    assert code == 2
+    assert out == "scale rejection at ambient: scale bound max_subgroups=20000 exceeded (needed 56632)\n"
+
+
 def test_realize_scale_rejection_keeps_an_existing_file(tmp_path, capsys):
     path = tmp_path / "c3.json"
     path.write_bytes(b"an earlier certificate")
@@ -203,6 +209,17 @@ def test_verify_full_certificate(tmp_path, capsys, c2_cert):
     code, out = run_cli(["verify", "--cert", str(path)], capsys)
     assert code == 0
     assert "verifies" in out
+
+
+def test_verify_scale_rejection_names_its_stage(tmp_path, capsys, c2_cert):
+    """A certificate whose own policy bounds n below its n is refused by
+    scale when the biset stage reads the orbit list."""
+    cert = dataclasses.replace(c2_cert, policy=dict(c2_cert.policy, max_n=100))
+    path = tmp_path / "c2.json"
+    path.write_bytes(cert.to_json_bytes())
+    code, out = run_cli(["verify", "--cert", str(path)], capsys)
+    assert code == 2
+    assert out == "scale rejection during re-check at biset: scale bound max_n=100 exceeded (needed 7792)\n"
 
 
 @pytest.fixture(scope="module")

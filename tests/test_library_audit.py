@@ -126,3 +126,26 @@ def test_benchmark_patch_points_resolve():
     ]
     assert tracing.FUNCTION_PATCH_POINTS and tracing.METHOD_PATCH_POINTS
     assert missing == []
+
+
+def test_benchmark_patch_points_are_reached(tmp_path):
+    """Every name the benchmark's tracer wraps is called through the wrapper
+    on a C2 realize and verify by the command line and one to_json_bytes: a
+    caller that bound a function before the tracer wrapped it (a stage list
+    holding a check, say) would leave its span empty though the name
+    resolves."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer("audit")
+    restore, missing = tracing.install(tracer)
+    try:
+        cli = importlib.import_module("automizer.cli")
+        path = str(tmp_path / "c2.json")
+        with tracer.root():
+            assert cli.main(["realize", "--group", "C2", "--out", path]) == 0
+            assert cli.main(["verify", "--cert", path]) == 0
+            importlib.import_module("automizer.realize").Certificate.load(path).to_json_bytes()
+    finally:
+        restore()
+    calls = {name: row["calls"] for name, row in tracer.layer_table().items()}
+    assert missing == []
+    assert [name for name in tracing.SPAN_NAMES if not calls.get(name)] == []

@@ -415,6 +415,19 @@ class TestPipeline:
         assert cert.accepted
 
 
+# the sections the stages after the ambient one fill, in stage order
+STAGE_SECTIONS = ("construction_checks", "biset", "embedding", "prime", "main_checks")
+
+
+def assert_filled_through(sections, stage):
+    """The sections of the stages up to the failed one are filled, and the
+    rest keep the values of a stage that did not run: {}, or None for the
+    prime.  sections is a certificate's fields or a verify report."""
+    filled = STAGE_SECTIONS[: STAGE_SECTIONS.index(stage) + 1]
+    assert [name for name in STAGE_SECTIONS if sections[name] not in ({}, None)] == list(filled)
+    assert all(sections[name] == (None if name == "prime" else {}) for name in STAGE_SECTIONS if name not in filled)
+
+
 class TestSharedStages:
     def test_failed_stage_is_the_same_in_realize_and_verify(self, c2_cert, monkeypatch):
         real = realize.verify_thm31
@@ -433,6 +446,8 @@ class TestSharedStages:
         assert not ok
         assert rep["failed_stage"] == "construction_checks"
         assert "family_joins" in rep["reason"]
+        for sections in (vars(cert), rep):
+            assert_filled_through(sections, "construction_checks")
 
 
 # the flags of the embedding stage and of every stage before it
@@ -597,6 +612,8 @@ class TestCheckRows:
         checked = FLAG_NAMES[: FLAG_NAMES.index(last) + 1]
         for flags in (cert.flags, rep["flags"]):
             assert [name for name in checked if not flags[name]] == [flag]
+        for sections in (vars(cert), rep):
+            assert_filled_through(sections, stage)
         assert not cert.accepted
         assert verify_certificate(Certificate.from_json_bytes(cert.to_json_bytes()))[0] is False
 
@@ -1075,10 +1092,10 @@ class TestStoredIotaImages:
             embedding = dict(loaded.embedding, iota_generators=images[:-1] + [image])
             stored = realize._Stored(dataclasses.replace(loaded, embedding=embedding))
             if agrees:
-                stored.agree("embedding", embedding=c2_cert.embedding)
+                stored.agree(embedding=c2_cert.embedding)
             else:
                 with pytest.raises(realize._Rejected, match="stored embedding differs"):
-                    stored.agree("embedding", embedding=c2_cert.embedding)
+                    stored.agree(embedding=c2_cert.embedding)
 
     def test_same_verdict_as_the_json_text(self, c2_cert):
         """_same_json on held entries, on lists, and on the two mixed, equals
