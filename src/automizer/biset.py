@@ -125,6 +125,7 @@ class DiagonalContext:
         self.lattice = system.lattice
         gens = self.G.minimal_generators()
         self.sxs = DiagonalClasses(self.G, [(g, 0) for g in gens] + [(0, g) for g in gens])
+        self._inner = np.array(system.inner)
         self._gammas: tuple[list, np.ndarray] = ([], np.empty((0, self.G.order), dtype=np.int32))
 
     # -- conjugacy ------------------------------------------------------------
@@ -132,12 +133,13 @@ class DiagonalContext:
     def fprime_orbit(self, d: Diagonal) -> list[Diagonal]:
         """The orbit of the diagonal under the product action: fusion morphisms
         on the source, inner maps on the target.  One pass suffices because the
-        moves compose back into the same shape."""
+        moves compose back into the same shape.  Inn(S) is taken by its
+        distinct maps, not by the elements inducing them."""
         out = set()
         for psi in self.system.hom_set(d.source):
             pairs = sorted(zip(psi.images, d.images))
             new_source = tuple(q for q, _ in pairs)
-            rows = self.G.np_conj[:, [b for _, b in pairs]].tolist()
+            rows = self._inner[:, [b for _, b in pairs]].tolist()
             out.update(Diagonal(new_source, tuple(row)) for row in rows)
         return sorted(out)
 

@@ -113,11 +113,13 @@ class FusionSystem:
                 if self._add(pkey, images):
                     queue.append(Morphism(pkey, images))
 
-        # closure: left-compose with full atoms; the generator atoms that
-        # apply depend only on the image set, so they are listed once per set
+        # closure: left-compose with full atoms.  A composite reads a
+        # generator atom on the image set alone, so per image set the
+        # distinct restrictions of the atoms that apply are listed once, in
+        # first-met order: a repeated one would only make stored composites
         gen_atoms = list(atoms)[len(inner):]
         max_gen_source = max((len(a.source) for a in gen_atoms), default=0)
-        fitting: dict[frozenset, list[tuple[Morphism, dict]]] = {}
+        fitting: dict[frozenset, list[dict]] = {}
         while queue:
             m = queue.popleft()
             skey = m.source
@@ -129,13 +131,15 @@ class FusionSystem:
                 iset = frozenset(m.images)
                 fits = fitting.get(iset)
                 if fits is None:
-                    fits = fitting[iset] = [
-                        (atom, self.lattice.posmap[atom.source])
+                    keys = sorted(iset)
+                    restrictions = dict.fromkeys(
+                        tuple(atom.images[self.lattice.posmap[atom.source][x]] for x in keys)
                         for atom in gen_atoms
                         if iset <= self.lattice._fsets[atom.source]
-                    ]
-                for atom, amap in fits:
-                    images = tuple(atom.images[amap[x]] for x in m.images)
+                    )
+                    fits = fitting[iset] = [dict(zip(keys, r)) for r in restrictions]
+                for fit in fits:
+                    images = tuple(fit[x] for x in m.images)
                     if self._add(skey, images):
                         queue.append(Morphism(skey, images))
 

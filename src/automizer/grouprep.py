@@ -203,14 +203,19 @@ class FiniteGroup:
     def all_subgroups(self, max_count: Optional[int] = None) -> list[Subgroup]:
         """Every subgroup, found by closing each known subgroup with one more
         element; complete because any subgroup is reachable by adding
-        generators one at a time.  Sorted by (order, elements)."""
+        generators one at a time.  <H, g> = <H, h g> for every h in H, so
+        each right coset H g is closed once, from its least element.  Sorted
+        by (order, elements)."""
         found: dict[tuple[int, ...], tuple[int, ...]] = {(0,): ()}
         queue = [(0,)]
+        t = self.table
         for elems in queue:
             base_gens = found[elems]
+            tried = set(elems)
             for g in range(1, self.order):
-                if g in elems:
+                if g in tried:
                     continue
+                tried.update([t[h][g] for h in elems])
                 gens = tuple(sorted(set(base_gens) | {g}))
                 new = self.closure(gens)
                 if new not in found:

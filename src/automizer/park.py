@@ -62,22 +62,19 @@ class _RecordTables:
 
     def __init__(self, G: FiniteGroup, source: tuple, images: tuple):
         phi = twist_row(G, source, images)
-        coset_of = np.full(G.order, -1, dtype=np.int32)
-        reps = []
-        for s in range(G.order):
-            if coset_of[s] < 0:
-                coset_of[[G.mul(s, q) for q in source]] = len(reps)
-                reps.append(s)
-        # u t_j = t_k q with k = sig[u, j] and q in the source; kap[u, k] = phi(q)
         mul, inv = G.np_tables
-        t = np.array(reps)
+        # each left coset s Q is named by its least element, and the cosets
+        # are numbered in the order of those
+        t, coset_of = np.unique(mul[:, list(source)].min(axis=1), return_inverse=True)
+        coset_of = coset_of.astype(np.int32)
+        # u t_j = t_k q with k = sig[u, j] and q in the source; kap[u, k] = phi(q)
         ut = mul[:, t]
         sig = coset_of[ut]
         kap = np.full_like(sig, -1)
         np.put_along_axis(kap, sig, phi[mul[inv[t[sig]], ut]], axis=1)
         assert (kap >= 0).all(), "coset translation left the orbit source"
-        self.reps = tuple(reps)
-        self.n_slots = len(reps)
+        self.reps = tuple(t.tolist())
+        self.n_slots = len(t)
         self.sig = sig
         self.kap = kap
 
@@ -152,14 +149,16 @@ class ParkEmbedding:
             j0 = T.min(axis=0)
             starts = np.flatnonzero(j0 == slots)
             cols = np.where(T[:, starts] == starts, B[:, starts], -1).T
-            # equal rows by a stable lexsort: the first row of each run of
-            # equal rows is the least start with that diagonal
+            # equal rows by a stable lexsort: the head of each run of equal
+            # rows is the least start with that diagonal, and the classes
+            # are numbered in the order of their heads
             order = np.lexsort(cols.T)
             run = np.ones(len(order), dtype=bool)
             run[1:] = (cols[order[1:]] != cols[order[:-1]]).any(axis=1)
-            least = np.empty_like(order)
-            least[order] = order[run][np.cumsum(run) - 1]
-            met, label = np.unique(least, return_inverse=True)
+            heads = order[run]
+            met = np.sort(heads)
+            label = np.empty_like(order)
+            label[order] = np.searchsorted(met, heads)[np.cumsum(run) - 1]
             self._last_diagonals = (qkey, (j0, starts, label, cols[met]))
         return self._last_diagonals[1]
 
@@ -173,24 +172,24 @@ class ParkEmbedding:
         qkey = tuple(sorted(acts))
         j0, starts, label, rows = self._diagonals(qkey)
         rows = rows[:, np.searchsorted(qkey, acts)]
-        source = np.asarray(skey)
         # first-met order: the cache keeps the conjugators of the first
         # diagonal queried in each class, and those fix the witness bases.
-        # A row met before for this source is answered from its bytes; only
+        # A row met before for this source is answered from its tuple; only
         # the last source's rows are kept
         if self._last_rows[0] != skey:
             self._last_rows = (skey, {})
         seen = self._last_rows[1]
         hits = []
-        for row in rows:
-            key = row.tobytes()
-            hit = seen.get(key)
+        for row in map(tuple, rows.tolist()):
+            hit = seen.get(row)
             if hit is None:
-                keep = row >= 0
-                d = Morphism(tuple(source[keep].tolist()), tuple(row[keep].tolist()))
-                hit = seen[key] = self._canonical(skey, d)
+                d = Morphism(*zip(*[(p, q) for p, q in zip(skey, row) if q >= 0]))
+                hit = seen[row] = self._canonical(skey, d)
             hits.append(hit)
-        cls = np.array([ids.setdefault(rep, len(ids)) for rep, _ in hits], dtype=np.intp)
+        # ids in the narrowest type that holds them: a stable argsort of
+        # 16-bit or narrower ids is a radix sort
+        cls = np.array([ids.setdefault(rep, len(ids)) for rep, _ in hits])
+        cls = cls.astype(np.min_scalar_type(len(ids)))
         conj = np.array([pair for _, pair in hits], dtype=np.intp).reshape(len(hits), 2)
         return j0, starts, cls.take(label), conj.take(label, axis=0)
 
@@ -221,8 +220,11 @@ class ParkEmbedding:
         (p, s) conjugating d onto it."""
         classes = self._pxs.get(skey)
         if classes is None:
-            gens = self.system.lattice.by_key[skey].generators
-            classes = self._pxs[skey] = DiagonalClasses(self.G, [(g, 0) for g in gens] + self._s_moves)
+            # a generator central in P fixes every diagonal with source in
+            # P, so its move is left out
+            G, gens = self.G, self.system.lattice.by_key[skey].generators
+            moves = [(g, 0) for g in gens if any(G.mul(g, h) != G.mul(h, g) for h in gens)]
+            classes = self._pxs[skey] = DiagonalClasses(G, moves + self._s_moves)
         return classes[d][:2]
 
     def witness(self, phi: Morphism) -> WreathElement:

@@ -4,6 +4,7 @@ the set of restrictions of overgroup conjugations, so generating from the
 maximal-domain conjugation maps must reproduce it."""
 
 import itertools
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,11 +25,12 @@ from automizer.grouprep import (
     catalog_group,
     enumerate_subgroups,
     find_isomorphism,
+    homocyclic_rank2,
     injective_homs,
     permutation_closure,
 )
 from automizer.permcore import PermGroup, Permutation, compose, parse_cycles
-from automizer.testkit import all_injective_homs, corpus, is_member
+from automizer.testkit import all_injective_homs, brute_fusion, corpus, is_member
 
 
 # -- oracle machinery ----------------------------------------------------------
@@ -186,10 +188,80 @@ def s4_klein_c3():
     return G, generate(G, subs, [Morphism(klein.elements, (0, b, c, a))])
 
 
+def per_atom_store(system):
+    """FusionSystem._build's closure written out with every generator atom
+    whose source holds the image set composed in turn, repeated
+    restrictions and all.  Returns the store it reaches."""
+    lattice, inner = system.lattice, system.inner
+    full = tuple(range(system.ambient.order))
+    atoms = dict.fromkeys(Morphism(full, images) for images in inner)
+    for gen in system.generators:
+        atoms.update(dict.fromkeys((gen, invert(gen))))
+    store = {}
+    queue = deque()
+
+    def add(m):
+        bucket = store.setdefault(m.source, set())
+        if m.images not in bucket:
+            bucket.add(m.images)
+            queue.append(m)
+
+    for atom in atoms:
+        for pkey in lattice.subkeys_of(atom.source):
+            add(restrict(system, atom, pkey))
+    gen_atoms = list(atoms)[len(inner):]
+    while queue:
+        m = queue.popleft()
+        for conj in inner:
+            add(Morphism(m.source, tuple(conj[x] for x in m.images)))
+        for atom in gen_atoms:
+            if set(m.images) <= set(atom.source):
+                add(Morphism(m.source, tuple(apply(system, atom, x) for x in m.images)))
+    return store
+
+
+def c2_ambient_system():
+    S = build_S(InputGroupA.from_name("C2"))
+    subs = enumerate_subgroups(S)
+    gens = [
+        Morphism(v.elements, tuple(t[x] for x in v.elements))
+        for v in homocyclic_rank2(S, subs)
+        for t in automorphisms_of(S, v)
+    ]
+    return generate(S, subs, gens)
+
+
 @pytest.fixture(scope="module")
 def small_system():
     ambient, subs, atoms, _ = build_surrogate(*SURROGATES["a4_v4"])
     return generate(ambient, subs, atoms)
+
+
+class TestDistinctRestrictions:
+    """The closure composes each distinct restriction of the generator atoms
+    to an image set once; it must reach the store of the per-atom closure,
+    with the sources in the same order."""
+
+    @staticmethod
+    def assert_same_store(system):
+        ref = per_atom_store(system)
+        assert list(system.store) == list(ref) and system.store == ref
+
+    def test_c2_ambient(self):
+        system = c2_ambient_system()
+        assert sum(map(len, system.store.values())) == 1036
+        self.assert_same_store(system)
+
+    def test_klein3(self):
+        G = catalog_group("C2xC2")
+        self.assert_same_store(generate(G, G.all_subgroups(), [Morphism((0, 1, 2, 3), (0, 2, 3, 1))]))
+
+    def test_a6_d8(self):
+        pair = next(p for p in corpus() if p.name == "A6/D8")
+        self.assert_same_store(brute_fusion(pair.group(), pair.subgroup_generators()))
+
+    def test_s4_klein_c3(self, s4_klein_c3):
+        self.assert_same_store(s4_klein_c3[1])
 
 
 class TestStoreLaws:

@@ -67,6 +67,28 @@ def assert_subgroup_list_complete(G, subs):
             assert G.closure(s.elements + (g,)) in keys
 
 
+def per_element_subgroups(G, max_count=None):
+    """all_subgroups written out with one closure per element outside each
+    known subgroup, not one per right coset."""
+    found = {(0,): ()}
+    queue = [(0,)]
+    for elems in queue:
+        base_gens = found[elems]
+        for g in range(1, G.order):
+            if g in elems:
+                continue
+            gens = tuple(sorted(set(base_gens) | {g}))
+            new = G.closure(gens)
+            if new not in found:
+                found[new] = gens
+                if max_count is not None and len(found) > max_count:
+                    raise ScaleError("max_subgroups", max_count, len(found))
+                queue.append(new)
+    subs = [Subgroup(elems, gens) for elems, gens in found.items()]
+    subs.sort(key=lambda h: (h.order, h.elements))
+    return subs
+
+
 # hand-counted lattice sizes
 KNOWN_SUBGROUP_COUNTS = {
     "C2xC2": 5,
@@ -395,6 +417,56 @@ class TestSGroup:
         assert_subgroup_list_complete(S, subs)
         orders = {h.order for h in subs}
         assert orders == {1, 2, 4, 8, 16, 32}
+
+
+class TestCosetSearch:
+    """all_subgroups closes one element per right coset of each known
+    subgroup; it must find the per-element search's subgroups, with the same
+    recorded generators, and meet its scale bound at the same count."""
+
+    @staticmethod
+    def assert_same(G):
+        got = [(h.elements, h.generators) for h in G.all_subgroups()]
+        assert got == [(h.elements, h.generators) for h in per_element_subgroups(G)]
+
+    @pytest.mark.parametrize("pair", corpus(), ids=lambda p: p.name)
+    def test_corpus_subgroups(self, pair):
+        self.assert_same(FiniteGroup.from_permutations(pair.subgroup_generators())[0])
+
+    @pytest.mark.parametrize("name", sorted(KNOWN_SUBGROUP_COUNTS))
+    def test_catalog(self, name):
+        self.assert_same(catalog_group(name))
+
+    def test_a4_and_the_c2_ambient(self):
+        self.assert_same(
+            FiniteGroup.from_permutations([parse_cycles("(0 1 2)", 4), parse_cycles("(0 1)(2 3)", 4)])[0]
+        )
+        self.assert_same(build_S(InputGroupA.from_name("C2")))
+
+    @pytest.mark.parametrize("max_count", [1, 5, 29, 30])
+    def test_same_scale_error_as_per_element(self, max_count):
+        G = catalog_group("S4")
+        outcomes = []
+        for search in (G.all_subgroups, lambda max_count: per_element_subgroups(G, max_count)):
+            try:
+                outcomes.append(len(search(max_count=max_count)))
+            except ScaleError as exc:
+                outcomes.append((exc.bound_name, exc.bound_value, exc.actual))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == (30 if max_count == 30 else ("max_subgroups", max_count, max_count + 1))
+
+    def test_c2_ambient_closure_count(self, monkeypatch):
+        """745 closures on S(C2), not one per element outside each of the
+        106 subgroups (2,773)."""
+        S = build_S(InputGroupA.from_name("C2"))
+        calls = []
+        closure = S.closure
+        monkeypatch.setattr(S, "closure", lambda seed: calls.append(seed) or closure(seed))
+        assert len(S.all_subgroups()) == 106
+        assert len(calls) == 745
+        calls.clear()
+        per_element_subgroups(S)
+        assert len(calls) == 2773
 
 
 class TestHomocyclic:

@@ -19,6 +19,7 @@ from automizer.biset import (
     SemicharacteristicBiset,
     build_semicharacteristic,
     diagonal_orbit,
+    twist_row,
 )
 from automizer.fusion import Morphism, generate
 from automizer.grouprep import (
@@ -33,6 +34,7 @@ from automizer.grouprep import (
 from automizer.park import (
     ParkEmbedding,
     WreathElement,
+    _RecordTables,
     decompose,
     gamma_prime_member,
     verify_embedding,
@@ -431,6 +433,42 @@ class TestWitnessReference:
         assert pe.n > 1 and any(len(bucket) > 1 for bucket in system.store.values())
 
 
+def reference_record_tables(G, source, images):
+    """_RecordTables' reps, sig and kap, its cosets found by a loop over the
+    elements: each element in no coset yet starts the next one."""
+    phi = twist_row(G, source, images)
+    coset_of = np.full(G.order, -1, dtype=np.int32)
+    reps = []
+    for s in range(G.order):
+        if coset_of[s] < 0:
+            coset_of[[G.mul(s, q) for q in source]] = len(reps)
+            reps.append(s)
+    mul, inv = G.np_tables
+    t = np.array(reps)
+    ut = mul[:, t]
+    sig = coset_of[ut]
+    kap = np.full_like(sig, -1)
+    np.put_along_axis(kap, sig, phi[mul[inv[t[sig]], ut]], axis=1)
+    return tuple(reps), sig, kap
+
+
+class TestRecordTables:
+    @pytest.mark.parametrize("name, records", [("ambient", 172), ("a6_d8", 5)])
+    def test_cosets_by_least_element_match_the_loop(self, name, records, ambient_pe, a6_d8_system):
+        """Naming each coset by its least element gives the loop's
+        representatives, and the same tables at the same widths, on every
+        orbit record of the biset."""
+        system, X = {"ambient": ambient_pe[1:3], "a6_d8": a6_d8_system}[name]
+        G = system.ambient
+        assert len(X.orbits) == records
+        for rec in X.orbits:
+            tab = _RecordTables(G, rec.source, rec.images)
+            reps, sig, kap = reference_record_tables(G, rec.source, rec.images)
+            assert tab.reps == reps and tab.n_slots == len(reps)
+            for got, want in ((tab.sig, sig), (tab.kap, kap)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 class TestWitnessMemo:
     def test_round_robin_sources_give_pipeline_bytes(self, ambient_pe):
         """The embedding keeps only the last subgroup's slot orbits and the
@@ -455,7 +493,8 @@ class TestWitnessMemo:
 class ReferenceCanonical:
     """The P x S class memo written out, as the embedding kept it before the
     shared DiagonalClasses: one BFS per class from the first diagonal asked
-    for, each member mapped to the least member and (p_r p_m^-1, s_r s_m^-1),
+    for, over the moves of every generator of P and of S (central ones too),
+    each member mapped to the least member and (p_r p_m^-1, s_r s_m^-1),
     where (p_m, s_m) is the BFS's pair moving the first diagonal onto m."""
 
     def __init__(self, pe):
@@ -479,15 +518,23 @@ class ReferenceCanonical:
 class TestPxSClassMemo:
     def test_one_bfs_per_pxs_class(self, ambient_pe, monkeypatch):
         """Every generator witness on a fresh embedding, as realize builds
-        them, runs one BFS per (source, P x S class of stabilizer diagonals)."""
+        them, runs one BFS per (source, P x S class of stabilizer diagonals).
+        Each walk is keyed by the source _canonical was last asked for: the
+        move lists of sources whose generators are all central are equal."""
         S, system, X, _ = ambient_pe
-        walked = []
+        walked, sources = [], []
+        canonical = ParkEmbedding._canonical
+
+        def tracking(self, skey, d):
+            sources.append(skey)
+            return canonical(self, skey, d)
 
         def counting_orbit(G, d, moves):
             orbit = diagonal_orbit(G, d, moves)
-            walked.append((tuple(moves), min(orbit)))
+            walked.append((sources[-1], min(orbit)))
             return orbit
 
+        monkeypatch.setattr(ParkEmbedding, "_canonical", tracking)
         monkeypatch.setattr("automizer.biset.diagonal_orbit", counting_orbit)
         pe = decompose(system, X)
         for gen in system.generators:
@@ -496,11 +543,10 @@ class TestPxSClassMemo:
         met = {(skey, rep) for skey, classes in pe._pxs.items() for rep, _, _ in classes.values()}
         assert len(met) == 1481
 
-    def test_pairs_match_the_written_out_memo_on_a6_d8(self, a6_d8_system, monkeypatch):
-        """On A6/D8 the pairs depend on which diagonal of a class is asked
-        for first; every pair the witnesses use equals the written-out memo's,
-        asked in the same order."""
-        system, X = a6_d8_system
+    @staticmethod
+    def asked_pairs(system, X, monkeypatch):
+        """The witnesses of every stored morphism on a fresh embedding, and
+        what _canonical was asked and answered, in order."""
         asked = []
         canonical = ParkEmbedding._canonical
 
@@ -516,6 +562,23 @@ class TestPxSClassMemo:
                 pe.witness(Morphism(key, images))
         ref = ReferenceCanonical(pe)
         assert asked and all(ref(skey, d) == hit for skey, d, hit in asked)
+        return pe, asked
+
+    def test_pairs_match_the_written_out_memo_on_c2(self, ambient_pe, monkeypatch):
+        """The embedding leaves out the moves of generators central in P;
+        the pairs still equal those of the memo with every move.  On the C2
+        ambient many sources are abelian and keep the moves of S alone."""
+        S, system, X, _ = ambient_pe
+        pe, _ = self.asked_pairs(system, X, monkeypatch)
+        assert any(classes.moves == pe._s_moves for classes in pe._pxs.values())
+        assert any(classes.moves != pe._s_moves for classes in pe._pxs.values())
+
+    def test_pairs_match_the_written_out_memo_on_a6_d8(self, a6_d8_system, monkeypatch):
+        """On A6/D8 the pairs depend on which diagonal of a class is asked
+        for first; every pair the witnesses use equals the written-out memo's,
+        asked in the same order."""
+        system, X = a6_d8_system
+        pe, asked = self.asked_pairs(system, X, monkeypatch)
         # a BFS from each class's least member would give other pairs
         from_least = ReferenceCanonical(pe)
         moved = 0
