@@ -77,9 +77,6 @@ class Subgroup:
     def key(self) -> tuple[int, ...]:
         return self.elements
 
-    def __contains__(self, x: int) -> bool:
-        return x in self.element_set
-
     @functools.cached_property
     def element_set(self) -> frozenset:
         return frozenset(self.elements)
@@ -396,7 +393,7 @@ def catalog_group(name: str) -> FiniteGroup:
     raise ValueError("unknown catalog group %r" % name)
 
 
-def load_table_file(path: str, name: str = "custom") -> FiniteGroup:
+def load_table_file(path: str) -> FiniteGroup:
     """Read a group from a text file: first token is the order, then the
     row-major multiplication table.  The identity is relabeled to index 0."""
     with open(path) as fh:
@@ -424,7 +421,7 @@ def load_table_file(path: str, name: str = "custom") -> FiniteGroup:
             [relabel[table[relabel[a]][relabel[b]]] for b in range(n)]
             for a in range(n)
         ]
-    return FiniteGroup(table, name=name, validate=True)
+    return FiniteGroup(table, name="custom", validate=True)
 
 
 @dataclass

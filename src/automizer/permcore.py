@@ -58,7 +58,7 @@ class Permutation:
                 return i
         return None
 
-    def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
+    def cycles(self) -> list[tuple[int, ...]]:
         """Cycle decomposition, each cycle rotated to start at its least point."""
         seen = [False] * len(self.images)
         out = []
@@ -72,7 +72,7 @@ class Permutation:
                 seen[j] = True
                 cyc.append(j)
                 j = self.images[j]
-            if len(cyc) > 1 or include_fixed:
+            if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
 

@@ -10,7 +10,6 @@ that can be re-checked from the file alone."""
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import warnings
@@ -510,18 +509,11 @@ class Certificate:
         fail runs before the first chunk.  to_json_bytes joins the chunks,
         for a caller that wants the whole text at once."""
         payload = self.to_payload()
-        held: list[_Witness] = []
-
-        def hole(value):
-            if not isinstance(value, _Witness):
-                raise TypeError("%s is not JSON serializable" % type(value).__name__)
-            held.append(value)
-            return _HOLE
-
-        pieces = _canonical_text(payload, hole).split(json.dumps(_HOLE).encode("ascii"))
+        text, held = _text_with_holes(payload)
+        pieces = text.encode("ascii").split(json.dumps(_HOLE).encode("ascii"))
         if len(pieces) != len(held) + 1:
             # another string of the payload reads like a hole
-            pieces, held = [_canonical_text(payload, dict)], []
+            pieces, held = [_canonical(payload, dict).encode("ascii")], []
         if held:
             # the top entries and the run counts are at most the degree
             digits = _digits(max(w.top.size for w in held), max(int(w.values.max(initial=0)) for w in held))
@@ -538,8 +530,6 @@ class Certificate:
         """Parse the text; each witness and each iota_generators entry
         written in canonical text is read straight from the bytes into
         arrays (see _read_witness_text), the rest by json.loads."""
-        if not data.isascii():
-            data.decode("ascii")  # raises the decoder's own error
         try:
             payload = _read_witness_text(data)
             if payload is None:
@@ -554,17 +544,24 @@ class Certificate:
             return cls.from_json_bytes(fh.read())
 
 
-def _canonical_text(payload: dict, default) -> bytes:
-    """json.dumps(payload, sort_keys=True, separators=(",", ":"),
-    default=default) as ASCII bytes, made by the incremental encoder and
-    joined a batch of tokens at a time: json.dumps holds every small token
-    of the text at once, over ten times the text's size."""
-    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=default)
-    tokens = encoder.iterencode(payload)
-    batches = []
-    while batch := "".join(itertools.islice(tokens, 4096)):
-        batches.append(batch.encode("ascii"))
-    return b"".join(batches)
+def _canonical(value, default) -> str:
+    """The certificate's canonical JSON text of value: sorted keys, no
+    spaces, ASCII; default writes what JSON does not hold."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), default=default)
+
+
+def _text_with_holes(value) -> tuple[str, list]:
+    """_canonical(value) with _HOLE written for each entry held as arrays (a
+    _Witness or an _IotaImage), and those entries in the text's order."""
+    held = []
+
+    def hole(item):
+        if not isinstance(item, _Witness):
+            raise TypeError("%s is not JSON serializable" % type(item).__name__)
+        held.append(item)
+        return _HOLE
+
+    return _canonical(value, hole), held
 
 
 def _input_payload(A: InputGroupA) -> dict:
@@ -598,10 +595,10 @@ def _digits(degree: int, value_bound: int) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def _wreath_text(w: "_Witness", digits: tuple) -> bytes:
-    """json.dumps(dict(w), sort_keys=True, separators=(",", ":")) as ASCII
-    bytes, taken straight from the runs and the top: digits is _digits of
-    at least the degree and at least every run value.  Each array is one
-    take from its table; the runs are the records (b"[v,", b"c],") in turn.
+    """_canonical(dict(w), None) as ASCII bytes, taken straight from the runs
+    and the top: digits is _digits of at least the degree and at least every
+    run value.  Each array is one take from its table; the runs are the
+    records (b"[v,", b"c],") in turn.
     The padding is cut, then the last comma; an _IotaImage's element goes
     between the runs and the top, as its key sorts."""
     plain, opens, closes = digits
@@ -618,8 +615,9 @@ def _wreath_text(w: "_Witness", digits: tuple) -> bytes:
     )
 
 
-# json.dumps writes this string where a witness held as arrays goes, in the
-# writer and in _same_json; the reader puts it, numbered, where it took one out
+# _text_with_holes writes this string where an entry held as arrays goes, for
+# the writer and for _same_json; the reader puts it, numbered, where it took
+# one out
 _HOLE = "\0"
 
 # each payload field of a witness, made from its runs and top
@@ -931,28 +929,17 @@ class _Stored:
 
 
 def _same_json(a, b) -> bool:
-    """json.dumps(a, sort_keys=True, default=dict) == json.dumps(b, ...),
-    with the entries held as arrays compared as arrays.  Each side is
-    written with a hole for each held entry; where the two texts are equal
-    and every hole in them is a held entry, the texts are equal exactly when
-    the entries at each hole are of one kind, with equal arrays and equal
-    elements.  Anywhere else (one side holds lists where the other holds
-    arrays) both sides are written whole."""
-    held_a, held_b = [], []
-    text_a, text_b = _text_with_holes(a, held_a), _text_with_holes(b, held_b)
+    """_canonical(a, dict) == _canonical(b, dict), with the entries held as
+    arrays compared as arrays.  Each side is written with a hole for each
+    held entry; where the two texts are equal and every hole in them is a
+    held entry, the texts are equal exactly when the entries at each hole
+    are of one kind, with equal arrays and equal elements.  Anywhere else
+    (one side holds lists where the other holds arrays) both sides are
+    written whole."""
+    (text_a, held_a), (text_b, held_b) = _text_with_holes(a), _text_with_holes(b)
     if text_a == text_b and text_a.count(json.dumps(_HOLE)) == len(held_a) == len(held_b):
         return all(map(_same_entry, held_a, held_b))
-    return json.dumps(a, sort_keys=True, default=dict) == json.dumps(b, sort_keys=True, default=dict)
-
-
-def _text_with_holes(value, held: list) -> str:
-    def hole(item):
-        if isinstance(item, _Witness):
-            held.append(item)
-            return _HOLE
-        return dict(item)
-
-    return json.dumps(value, sort_keys=True, default=hole)
+    return _canonical(a, dict) == _canonical(b, dict)
 
 
 def _same_entry(a: _Witness, b: _Witness) -> bool:

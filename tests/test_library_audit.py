@@ -5,7 +5,7 @@ benchmark's tracer wraps.  A name counts only where the code reads it: as a
 name, as an attribute or in an import, never in a comment or a docstring.
 Test-only helpers belong in testkit.  Every attribute the library stores on
 self is read on some line of the library, the scripts, testkit or the
-tests."""
+tests, and every parameter with a default is passed by some call there."""
 
 import ast
 import importlib
@@ -149,3 +149,59 @@ def test_benchmark_patch_points_are_reached(tmp_path):
     calls = {name: row["calls"] for name, row in tracer.layer_table().items()}
     assert missing == []
     assert [name for name in tracing.SPAN_NAMES if not calls.get(name)] == []
+
+
+def call_name(call: ast.Call):
+    """The name a call reads its callee by: a plain name or an attribute."""
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+
+def passes(call: ast.Call, parameter: str, index) -> bool:
+    """Whether the call passes the parameter: by keyword, through ** or *,
+    or positionally at its index (None for a keyword-only parameter)."""
+    if any(k.arg in (parameter, None) for k in call.keywords):
+        return True
+    if index is None:
+        return False
+    return len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def unpassed_parameters() -> list[str]:
+    """Each parameter with a default of a library function or method that no
+    call in the library, the scripts, testkit or the tests passes.  A call
+    counts where its callee's name is the function's, or the class's for
+    __init__; a method's index skips self or cls."""
+    calls: dict[str, list[ast.Call]] = {}
+    for path in READERS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                calls.setdefault(call_name(node), []).append(node)
+    unpassed = []
+    for path in LIBRARY:
+        tree = ast.parse(path.read_text())
+        owner = {
+            id(f): cls.name
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for f in cls.body
+        }
+        for f in ast.walk(tree):
+            if not isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in f.decorator_list)
+            shift = 1 if id(f) in owner and not static else 0
+            name = owner[id(f)] if f.name == "__init__" else f.name
+            positional = f.args.posonlyargs + f.args.args
+            first = len(positional) - len(f.args.defaults)
+            params = [(p.arg, i - shift) for i, p in enumerate(positional) if i >= first]
+            params += [(p.arg, None) for p, d in zip(f.args.kwonlyargs, f.args.kw_defaults) if d is not None]
+            unpassed += [
+                "%s:%d %s(%s)" % (path.name, f.lineno, f.name, parameter)
+                for parameter, index in params
+                if not any(passes(call, parameter, index) for call in calls.get(name, []))
+            ]
+    return unpassed
+
+
+def test_every_library_parameter_is_passed():
+    assert unpassed_parameters() == []

@@ -4,9 +4,11 @@ The C2 run is the flagship: one module-scoped pipeline execution backs the
 flag, payload, and re-verification tests.  Tampering tests go through the
 JSON payload so they exercise exactly the surface an attacker would touch."""
 
+import contextlib
 import copy
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -43,7 +45,7 @@ from automizer.realize import (
 from automizer.biset import orbit_from_payload
 from automizer.fusion import generate
 from automizer.park import ParkEmbedding, WreathElement
-from automizer import realize
+from automizer import cli, realize
 
 
 @pytest.fixture(scope="module")
@@ -802,6 +804,12 @@ def _marker_lookalike(text):
     return canonical_json(payload) + "\n"
 
 
+def _non_ascii_in_top(w):
+    text = canonical_json(w)
+    at = text.index('"top":[') + len('"top":[') + 3
+    return text[:at] + "\u00e9" + text[at:]
+
+
 def _in_name(text, raw):
     """The text with raw put at the start of the input name string."""
     return text.replace('"input":{"name":"', '"input":{"name":"' + raw, 1)
@@ -833,6 +841,10 @@ READER_CASES = [
     ("base_value_outside_the_group", "c2", lambda t: _first_witness(t, lambda w: _set_base_value(w, 32)), True),
     ("top_not_a_permutation", "c2", lambda t: _first_witness(t, lambda w: _set_top(w, 1, w["top"][0])), True),
     ("top_entry_equal_to_n", "c2", lambda t: _first_witness(t, lambda w: _set_top(w, 0, len(w["top"]))), True),
+    # a byte that is not ASCII in an entry, and in the plain text after the
+    # entries: the ASCII decode fails the same way either way
+    ("non_ascii_in_a_witness_top", "c2", lambda t: _first_witness(t, _non_ascii_in_top), None),
+    ("non_ascii_after_the_witnesses", "c2", lambda t: _in_name(t, "\u00e9"), None),
 ]
 
 
@@ -1069,6 +1081,144 @@ class TestCanonicalWitnessText:
         assert calls == []
         assert all(isinstance(w, realize._Witness) for w in cert.embedding["witnesses"])
         assert all(isinstance(w, realize._IotaImage) for w in cert.embedding["iota_generators"])
+
+
+# the bytes a fuzz edit puts in: JSON's brackets, braces, separators, quote
+# and digits, a minus, a point, a space, and four bytes that are not ASCII
+EDIT_BYTES = b'[]{},:"0123456789-. \x80\xc3\xe9\xff'
+
+
+def text_parts(text: bytes) -> list[bytes]:
+    """The text split at each entry ENTRY_TEXT matches: plain text and
+    entries in turn, plain text first and last."""
+    parts, end = [], 0
+    for match in ENTRY_TEXT.finditer(text):
+        parts += [text[end:match.start()], match[0]]
+        end = match.end()
+    return parts + [text[end:]]
+
+
+def edit_places(part: bytes) -> list[int]:
+    """The offsets of a part where its arrays and objects start and end:
+    each brace and quote, each bracket next to a bracket, a brace, a colon
+    or a quote, and each digit next to such a bracket or after a colon (the
+    ends of the runs and the tops, and an element)."""
+    b = np.frombuffer(part, np.uint8)
+
+    def before(mask):
+        return np.r_[False, mask[:-1]]
+
+    def after(mask):
+        return np.r_[mask[1:], False]
+
+    punct = np.isin(b, list(b'[]{}:"'))
+    edges = np.isin(b, list(b"[]")) & (before(punct) | after(punct))
+    digits = (b >= ord("0")) & (b <= ord("9")) & (before(edges | (b == ord(":"))) | after(edges))
+    return np.flatnonzero(np.isin(b, list(b'{}"')) | edges | digits).tolist()
+
+
+# the kinds of edited_text, byte edits the most often
+EDIT_KINDS = ["insert", "delete", "replace"] * 3 + ["zero"] * 2 + ["swap", "copy", "marker", "truncate"]
+
+
+def edited_text(parts: list[bytes], rng: np.random.Generator) -> bytes:
+    """The joined parts after one edit drawn by rng, of one of EDIT_KINDS:
+    - insert, delete or replace a byte at a place of edit_places, the byte
+      a bracket, a comma or a 0 two times in three;
+    - zero: put a 0 before a number of an entry that starts at such a place;
+    - swap two entries;
+    - copy an entry's text over another entry or a number of the plain text;
+    - marker: move an entry's text over the first number of the plain text
+      after it, and leave the string of the reader's marker for it in its
+      place;
+    - truncate the text at such a place."""
+    parts = list(parts)
+    entries = range(1, len(parts), 2)
+
+    def pick(seq):
+        return seq[rng.integers(len(seq))]
+
+    def numbers(i):
+        return [m.span() for m in re.finditer(rb"[0-9]+", parts[i])] if i % 2 == 0 else [(0, len(parts[i]))]
+
+    kind = pick(EDIT_KINDS)
+    if kind == "swap":
+        i, j = pick(entries), pick(entries)
+        parts[i], parts[j] = parts[j], parts[i]
+    elif kind == "copy":
+        i = rng.integers(len(parts))
+        spans = numbers(i)
+        if spans:
+            start, end = pick(spans)
+            parts[i] = parts[i][:start] + parts[pick(entries)] + parts[i][end:]
+    elif kind == "marker":
+        i = pick(entries)
+        spans = numbers(i + 1)
+        if spans:
+            start, end = spans[0]
+            parts[i + 1] = parts[i + 1][:start] + parts[i] + parts[i + 1][end:]
+            parts[i] = b'"\\u0000%d"' % (i // 2)
+    else:
+        i = pick(entries) if kind == "zero" or rng.random() < 0.5 else rng.integers(len(parts))
+        places = edit_places(parts[i])
+        if kind == "zero":
+            places = [p for p in places if parts[i][p:p + 1].isdigit() and not parts[i][p - 1:p].isdigit()]
+        at = pick(places or [0])
+        if kind == "truncate":
+            return b"".join(parts[:i]) + parts[i][:at]
+        byte = b"0" if kind == "zero" else bytes([pick(b"[],0" if rng.random() < 2 / 3 else EDIT_BYTES)])
+        parts[i] = parts[i][:at] + (b"" if kind == "delete" else byte) + parts[i][at + (kind == "replace"):]
+    return b"".join(parts)
+
+
+def read_outcome(read, data):
+    """The payload of the certificate read, or the type and message of the
+    ValueError the read raised."""
+    try:
+        return read(data).to_payload()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestFuzzedC2Text:
+    """Byte edits of the C2 text, near its separators and entry boundaries.
+    The reader must raise exactly where one json.loads of the whole text
+    does, with the same error, and read an equal payload everywhere else;
+    and verify on the command line must end with exit 0 or 1 and a line
+    that says why, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def full_parts(self, c2_cert):
+        return text_parts(c2_cert.to_json_bytes())
+
+    @pytest.fixture(scope="class")
+    def cut_parts(self, c2_cert):
+        """The C2 text with only its first three witnesses: the reader's
+        contract holds on any document, and a small one reads fast."""
+        payload = payload_of(c2_cert)
+        del payload["embedding"]["witnesses"][3:]
+        return text_parts((canonical_json(payload) + "\n").encode("ascii"))
+
+    def test_the_parts_hold_every_entry(self, full_parts, cut_parts):
+        assert len(full_parts) == 2 * (3 + 246) + 1
+        assert len(cut_parts) == 2 * (3 + 3) + 1
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    def test_same_as_one_json_loads(self, cut_parts, seed):
+        text = edited_text(cut_parts, np.random.default_rng(seed))
+        assert read_outcome(Certificate.from_json_bytes, text) == read_outcome(reference_read, text)
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    def test_verify_ends_with_a_reason(self, full_parts, tmp_path_factory, seed):
+        path = tmp_path_factory.getbasetemp() / "fuzzed_c2.json"
+        path.write_bytes(edited_text(full_parts, np.random.default_rng(seed)))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["verify", "--cert", str(path)])
+        assert code in (0, 1)
+        assert out.getvalue().startswith(("certificate verifies", "certificate REJECTED", "unreadable certificate"))
 
 
 class TestStoredIotaImages:
