@@ -11,7 +11,7 @@ import os
 import sys
 
 from .grouprep import InputGroupA, ScaleError
-from .permcore import PermGroup, parse_cycles
+from .permcore import parse_cycles
 from .realize import (
     FLAG_NAMES,
     Certificate,
@@ -129,7 +129,7 @@ def cmd_verify(args, out) -> int:
     return EXIT_FAILED
 
 
-def _read_perm_group(path: str) -> tuple[PermGroup, int]:
+def _read_perm_group(path: str) -> tuple[list[tuple[int, ...]], int]:
     with open(path) as fh:
         lines = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
     if not lines:
@@ -137,12 +137,12 @@ def _read_perm_group(path: str) -> tuple[PermGroup, int]:
     degree = int(lines[0])
     if degree > ORACLE_MAX_DEGREE:
         raise ScaleError("max_oracle_degree", ORACLE_MAX_DEGREE, degree)
-    return PermGroup([parse_cycles(ln, degree) for ln in lines[1:]]), degree
+    return [parse_cycles(ln, degree) for ln in lines[1:]], degree
 
 
 def cmd_oracle(args, out) -> int:
     try:
-        group, degree = _read_perm_group(args.group_file)
+        gens, degree = _read_perm_group(args.group_file)
         sub_gens = [
             parse_cycles(part.strip(), degree)
             for part in args.subgroup.split(";")
@@ -153,7 +153,7 @@ def cmd_oracle(args, out) -> int:
     except (ValueError, OSError) as exc:
         print("bad oracle input: %s" % exc, file=out)
         return EXIT_FAILED
-    table = automizer_oracle(group, sub_gens)
+    table = automizer_oracle(gens, degree, sub_gens)
     print("automizer order %d" % table.order, file=out)
     for row in table.table:
         print(" ".join(str(x) for x in row), file=out)

@@ -22,8 +22,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .permcore import Permutation
-
 
 class ScaleError(RuntimeError):
     """A configured desk-scale bound was exceeded; names the bound, and the
@@ -270,13 +268,13 @@ class FiniteGroup:
     # -- constructions ------------------------------------------------------
 
     @classmethod
-    def from_permutations(cls, perms: Sequence[Permutation], name: str = "") -> tuple["FiniteGroup", list[Permutation]]:
-        """Table group of the permutation group generated by perms, elements
-        in permutation_closure order; returns (group, element list)."""
-        elems = list(permutation_closure(perms, max(p.degree for p in perms)))
+    def from_permutations(cls, perms: Sequence[tuple[int, ...]], name: str = "") -> tuple["FiniteGroup", list[tuple[int, ...]]]:
+        """Table group of the permutation group generated by the image tuples,
+        elements in permutation_closure order; returns (group, element list)."""
+        elems = list(permutation_closure(perms, max(map(len, perms))))
         index = {e: i for i, e in enumerate(elems)}
         table = [[index[tuple(a[x] for x in b)] for b in elems] for a in elems]
-        return cls(table, name=name), [Permutation(e) for e in elems]
+        return cls(table, name=name), elems
 
     def direct_product(self, other: "FiniteGroup") -> "FiniteGroup":
         """Product group; element index = self_index * |other| + other_index."""
@@ -296,11 +294,13 @@ class FiniteGroup:
         return FiniteGroup(table, name=name)
 
 
-def permutation_closure(perms: Sequence[Permutation], degree: int) -> Iterator[tuple[int, ...]]:
-    """The image tuples of the permutation group the perms generate, each
-    perm read in Sym([0, degree)), breadth first from the identity: each
+def permutation_closure(perms: Sequence[tuple[int, ...]], degree: int) -> Iterator[tuple[int, ...]]:
+    """The image tuples of the permutation group the image tuples generate,
+    each read in Sym([0, degree)), breadth first from the identity: each
     element is an earlier one followed by one generator."""
-    gens = [p.extended(degree).images for p in perms]
+    if any(len(p) > degree for p in perms):
+        raise ValueError("cannot shrink a permutation")
+    gens = [p + tuple(range(len(p), degree)) for p in perms]
     ident = tuple(range(degree))
     seen = {ident}
     queue = [ident]

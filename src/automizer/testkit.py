@@ -3,15 +3,16 @@
 Everything here exists to check the main modules against independent
 computations: ambient-conjugation fusion by direct enumeration, fixed-point
 tables by materializing coset spaces, and a structured corruption suite that
-an accepted certificate must survive in full.  The standard generators,
-distinguished subgroups, the codec inverse, the center, chain membership, the
-derived subgroup, the wreath arithmetic and free-orbit padding that only the
-tests and scripts build on live here too."""
+an accepted certificate must survive in full.  The permutation class and
+its deterministic stabilizer chain, the standard generators, distinguished
+subgroups, the codec inverse, the center, chain membership, the derived
+subgroup, the wreath arithmetic and free-orbit padding that only the tests
+and scripts build on live here too."""
 
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -19,8 +20,243 @@ from .biset import Diagonal, DiagonalContext, OrbitRecord, SemicharacteristicBis
 from .fusion import FusionSystem, Morphism, SubgroupLattice, _invert, generate
 from .grouprep import FiniteGroup, ScaleError, SGroup, Subgroup, injective_images, permutation_closure
 from .park import ParkEmbedding, WreathElement
-from .permcore import PermGroup, Permutation, compose, parse_cycles
+from .permcore import parse_cycles
 from .realize import Certificate, verify_certificate
+
+
+# -- permutations and deterministic stabilizer chains --------------------------------
+# (p * q)(x) = p(q(x)).  Schreier-Sims takes no random choice and each base point
+# is the least moved point, so orders and transversals are the same run to run.
+
+
+class Permutation:
+    """An element of Sym([0, n)) in word form."""
+
+    __slots__ = ("images",)
+
+    def __init__(self, images: Sequence[int]):
+        images = tuple(images)
+        if sorted(images) != list(range(len(images))):
+            raise ValueError("not a permutation word: %r" % (images,))
+        self.images = images
+
+    @property
+    def degree(self) -> int:
+        return len(self.images)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Permutation) and self.images == other.images
+
+    def __hash__(self) -> int:
+        return hash(self.images)
+
+    def __mul__(self, other: "Permutation") -> "Permutation":
+        return compose(self, other)
+
+    def __repr__(self) -> str:
+        return "Permutation(%s)" % format_cycles(self)
+
+    def inverse(self) -> "Permutation":
+        inv = [0] * len(self.images)
+        for i, j in enumerate(self.images):
+            inv[j] = i
+        return Permutation(inv)
+
+    def is_identity(self) -> bool:
+        return all(i == j for i, j in enumerate(self.images))
+
+    def smallest_moved(self) -> Optional[int]:
+        for i, j in enumerate(self.images):
+            if i != j:
+                return i
+        return None
+
+    def cycles(self) -> list[tuple[int, ...]]:
+        """Cycle decomposition, each cycle rotated to start at its least point."""
+        seen = [False] * len(self.images)
+        out = []
+        for start in range(len(self.images)):
+            if seen[start]:
+                continue
+            cyc = [start]
+            seen[start] = True
+            j = self.images[start]
+            while j != start:
+                seen[j] = True
+                cyc.append(j)
+                j = self.images[j]
+            if len(cyc) > 1:
+                out.append(tuple(cyc))
+        return out
+
+    def extended(self, degree: int) -> "Permutation":
+        """The same permutation viewed in Sym([0, degree))."""
+        if degree < len(self.images):
+            raise ValueError("cannot shrink a permutation")
+        return Permutation(self.images + tuple(range(len(self.images), degree)))
+
+
+def identity_perm(degree: int) -> Permutation:
+    return Permutation(range(degree))
+
+
+def compose(p: Permutation, q: Permutation) -> Permutation:
+    """The product applying q first, then p."""
+    if p.degree != q.degree:
+        raise ValueError("degree mismatch: %d vs %d" % (p.degree, q.degree))
+    qi = q.images
+    return Permutation(tuple(p.images[j] for j in qi))
+
+
+def format_cycles(p: Permutation) -> str:
+    """Cycle-notation text, smallest point first in each cycle; identity is "()"."""
+    cycs = p.cycles()
+    if not cycs:
+        return "()"
+    return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cycs)
+
+
+class _Level:
+    __slots__ = ("point", "gens", "transversal", "orbit", "_done_pairs", "_frontier")
+
+    def __init__(self, point: int, degree: int):
+        self.point = point
+        self.gens: list[Permutation] = []
+        self.transversal: dict[int, Permutation] = {point: identity_perm(degree)}
+        self.orbit: list[int] = [point]
+        self._done_pairs: set[tuple[int, int]] = set()
+        self._frontier: dict[int, int] = {}
+
+
+class PermGroup:
+    """A permutation group given by generators, with a deterministic stabilizer chain."""
+
+    def __init__(self, generators: Iterable[Permutation], degree: Optional[int] = None):
+        gens = list(generators)
+        if degree is None:
+            if not gens:
+                raise ValueError("degree required for an empty generating set")
+            degree = max(g.degree for g in gens)
+        gens = [g.extended(degree) if g.degree < degree else g for g in gens]
+        for g in gens:
+            if g.degree != degree:
+                raise ValueError("generator degree %d exceeds group degree %d" % (g.degree, degree))
+        self.degree = degree
+        self.generators = [g for g in gens if not g.is_identity()]
+        self._levels: Optional[list[_Level]] = None
+
+    # -- deterministic Schreier-Sims -------------------------------------
+
+    def _chain(self) -> list[_Level]:
+        if self._levels is None:
+            self._levels = []
+            for g in self.generators:
+                self._insert(g)
+            self._run_to_fixpoint()
+        return self._levels
+
+    def _strip(self, p: Permutation, start: int = 0) -> tuple[Permutation, int]:
+        """Sift p through the chain; returns (residue, level it dropped out at)."""
+        levels = self._levels
+        assert levels is not None
+        k = start
+        while k < len(levels):
+            lv = levels[k]
+            img = p.images[lv.point]
+            rep = lv.transversal.get(img)
+            if rep is None:
+                return p, k
+            p = compose(rep.inverse(), p)
+            k += 1
+        return p, len(levels)
+
+    def _insert(self, p: Permutation, start: int = 0) -> bool:
+        """Sift p from level start and, if a nontrivial residue remains, record
+        it as a strong generator on every level whose base-point prefix it
+        fixes."""
+        residue, k = self._strip(p, start)
+        if residue.is_identity():
+            return False
+        levels = self._levels
+        assert levels is not None
+        if k == len(levels):
+            levels.append(_Level(residue.smallest_moved(), self.degree))
+        for j in range(k + 1):
+            levels[j].gens.append(residue)
+            self._expand_orbit(j)
+        return True
+
+    def _expand_orbit(self, k: int) -> None:
+        lv = self._levels[k]
+        changed = True
+        while changed:
+            changed = False
+            for gi, g in enumerate(lv.gens):
+                start = lv._frontier.get(gi, 0)
+                end = len(lv.orbit)
+                for idx in range(start, end):
+                    p = lv.orbit[idx]
+                    q = g.images[p]
+                    if q not in lv.transversal:
+                        lv.transversal[q] = compose(g, lv.transversal[p])
+                        lv.orbit.append(q)
+                lv._frontier[gi] = end
+                if len(lv.orbit) != end:
+                    changed = True
+
+    def _process_level(self, k: int) -> bool:
+        """Process outstanding Schreier generators of level k; True if the chain grew."""
+        lv = self._levels[k]
+        self._expand_orbit(k)
+        grew = False
+        i = 0
+        while i < len(lv.orbit):
+            p = lv.orbit[i]
+            for gi in range(len(lv.gens)):
+                if (p, gi) in lv._done_pairs:
+                    continue
+                lv._done_pairs.add((p, gi))
+                g = lv.gens[gi]
+                sg = compose(lv.transversal[g.images[p]].inverse(), compose(g, lv.transversal[p]))
+                if sg.is_identity():
+                    continue
+                if self._insert(sg, k + 1):
+                    grew = True
+            i += 1
+        return grew
+
+    def _run_to_fixpoint(self) -> None:
+        changed = True
+        while changed:
+            changed = False
+            for k in range(len(self._levels)):
+                if self._process_level(k):
+                    changed = True
+
+    # -- group queries ----------------------------------------------------
+
+    def order(self) -> int:
+        n = 1
+        for lv in self._chain():
+            n *= len(lv.orbit)
+        return n
+
+    def normal_closure(self, seeds: Iterable[Permutation]) -> "PermGroup":
+        """Smallest subgroup containing the seeds and closed under conjugation
+        by this group's generators."""
+        closure = PermGroup([], degree=self.degree)
+        closure._levels = []
+        work = [s.extended(self.degree) if s.degree < self.degree else s for s in seeds]
+        added: list[Permutation] = []
+        while work:
+            h = work.pop(0)
+            if closure._insert(h):
+                closure._run_to_fixpoint()
+                added.append(h)
+                for g in self.generators:
+                    work.append(compose(g, compose(h, g.inverse())))
+        closure.generators = added
+        return closure
 
 
 # -- standard generators and distinguished subgroups ----------------------------------
@@ -31,7 +267,7 @@ def symmetric_gens(n: int) -> list[Permutation]:
     if n < 2:
         return []
     cycle = Permutation(tuple(range(1, n)) + (0,))
-    swap = parse_cycles("(0 1)", degree=n)
+    swap = Permutation(parse_cycles("(0 1)", degree=n))
     return [swap, cycle] if n > 2 else [swap]
 
 
@@ -39,7 +275,7 @@ def alternating_gens(n: int) -> list[Permutation]:
     """Standard generators of Alt([0, n))."""
     if n < 3:
         return []
-    three = parse_cycles("(0 1 2)", degree=n)
+    three = Permutation(parse_cycles("(0 1 2)", degree=n))
     if n == 3:
         return [three]
     if n % 2 == 1:
@@ -280,10 +516,10 @@ class SurrogatePair:
     subgroup_cycles: tuple
 
     def group(self) -> PermGroup:
-        return PermGroup([parse_cycles(c, self.degree) for c in self.group_cycles])
+        return PermGroup([Permutation(parse_cycles(c, self.degree)) for c in self.group_cycles])
 
     def subgroup_generators(self) -> list[Permutation]:
-        return [parse_cycles(c, self.degree) for c in self.subgroup_cycles]
+        return [Permutation(parse_cycles(c, self.degree)) for c in self.subgroup_cycles]
 
 
 _CORPUS_LITERALS = [
@@ -330,15 +566,15 @@ def regular_representation(G: FiniteGroup) -> list[Permutation]:
 
 
 def abstract_subgroup(S0_gens: list[Permutation]) -> tuple[FiniteGroup, list[Permutation]]:
-    table, elems = FiniteGroup.from_permutations(S0_gens, name="S0")
-    return table, elems
+    table, elems = FiniteGroup.from_permutations([p.images for p in S0_gens], name="S0")
+    return table, [Permutation(e) for e in elems]
 
 
 def _conjugation_images(G0: PermGroup, elems: list[Permutation]):
     """For every ambient element, the partial map on subgroup indices induced
     by conjugation, as a list (None where the image leaves the subgroup)."""
     index = {p: i for i, p in enumerate(elems)}
-    for g in map(Permutation, permutation_closure(G0.generators, G0.degree)):
+    for g in map(Permutation, permutation_closure([p.images for p in G0.generators], G0.degree)):
         gi = g.inverse()
         yield [index.get(g * p * gi) for p in elems]
 

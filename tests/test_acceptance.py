@@ -24,7 +24,7 @@ from automizer.biset import (
 from automizer.fusion import generate
 from automizer.grouprep import InputGroupA, ScaleError, are_isomorphic, catalog_group
 from automizer.park import WreathElement, decompose, gamma_prime_member, verify_embedding
-from automizer.permcore import PermGroup, Permutation, parse_cycles
+from automizer.permcore import parse_cycles
 from automizer.realize import (
     FLAG_NAMES,
     automizer_oracle,
@@ -32,6 +32,8 @@ from automizer.realize import (
     run_pipeline,
 )
 from automizer.testkit import (
+    PermGroup,
+    Permutation,
     base_only,
     brute_fusion,
     conjugation_generators,
@@ -205,11 +207,11 @@ def test_criterion_5_brute_fusion_equivalence():
 def test_criterion_6_automizer_oracle():
     with criterion(6, "oracle automizers of the Klein four subgroup"):
         v4 = [parse_cycles("(0 1)(2 3)", 4), parse_cycles("(0 2)(1 3)", 4)]
-        s4 = PermGroup([parse_cycles("(0 1)", 4), parse_cycles("(0 1 2 3)", 4)])
-        aut = automizer_oracle(s4, v4)
+        s4 = [parse_cycles("(0 1)", 4), parse_cycles("(0 1 2 3)", 4)]
+        aut = automizer_oracle(s4, 4, v4)
         assert aut.order == 6 and are_isomorphic(aut, catalog_group("S3"))
-        a4 = PermGroup([parse_cycles("(0 1 2)", 4), parse_cycles("(0 1)(2 3)", 4)])
-        aut = automizer_oracle(a4, v4)
+        a4 = [parse_cycles("(0 1 2)", 4), parse_cycles("(0 1)(2 3)", 4)]
+        aut = automizer_oracle(a4, 4, v4)
         assert aut.order == 3 and are_isomorphic(aut, catalog_group("C3"))
 
 

@@ -330,6 +330,25 @@ def test_oracle_degree_bound_is_inclusive(tmp_path, capsys):
     assert code == 2 and out.startswith("scale rejection: scale bound max_oracle_degree=")
 
 
+def test_oracle_bounds_the_subgroup_walk(tmp_path, capsys):
+    """U0 need not lie in G0, so its walk has the same bound as G0's: U0 =
+    Sym(100) in a group of order 2 is refused, not listed to the end."""
+    gfile = tmp_path / "c2.txt"
+    gfile.write_text("100\n(0 1)\n")
+    sub = "(0 1); (%s)" % " ".join(map(str, range(100)))
+    assert run_cli(["oracle", "--group-file", str(gfile), "--subgroup", sub], capsys) == (
+        2,
+        "scale rejection: scale bound max_oracle_elements=100000 exceeded (needed more than 100000)\n",
+    )
+
+
+def test_oracle_of_a_group_file_without_generators(tmp_path, capsys):
+    gfile = tmp_path / "one.txt"
+    gfile.write_text("3\n")
+    argv = ["oracle", "--group-file", str(gfile), "--subgroup", "()"]
+    assert run_cli(argv, capsys) == (0, "automizer order 1\n0\n")
+
+
 def test_realize_custom_table_file(tmp_path, capsys):
     # C2 as an explicit table file is rejected only by scale if at all; the
     # trivial table goes straight through

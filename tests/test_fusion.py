@@ -29,8 +29,8 @@ from automizer.grouprep import (
     injective_homs,
     permutation_closure,
 )
-from automizer.permcore import PermGroup, Permutation, compose, parse_cycles
-from automizer.testkit import all_injective_homs, brute_fusion, corpus, is_member
+from automizer.permcore import parse_cycles
+from automizer.testkit import PermGroup, Permutation, all_injective_homs, brute_fusion, compose, corpus, is_member
 
 
 # -- oracle machinery ----------------------------------------------------------
@@ -42,14 +42,15 @@ def build_surrogate(g0_gens, s0_gens, degree):
     ambient, s0_perms = FiniteGroup.from_permutations(
         [parse_cycles(t, degree) for t in s0_gens]
     )
+    s0_perms = [Permutation(p) for p in s0_perms]
     index = {p.images: i for i, p in enumerate(s0_perms)}
-    g0 = PermGroup([parse_cycles(t, degree) for t in g0_gens], degree=degree)
+    g0 = PermGroup([Permutation(parse_cycles(t, degree)) for t in g0_gens], degree=degree)
     for p in s0_perms:
         assert is_member(g0, p.extended(degree)), "surrogate subgroup must sit inside the overgroup"
 
     atoms = []
     seen = set()
-    for g in map(Permutation, permutation_closure(g0.generators, degree)):
+    for g in map(Permutation, permutation_closure([p.images for p in g0.generators], degree)):
         ginv = g.inverse()
         conj = {}
         for i, p in enumerate(s0_perms):
@@ -505,7 +506,7 @@ class TestKernelAgainstRecursiveSearch:
     @pytest.mark.parametrize("pair", corpus(), ids=lambda p: p.name)
     def test_first_isomorphism(self, pair):
         # the same group with its non-identity labels reversed
-        G, _ = FiniteGroup.from_permutations(pair.subgroup_generators())
+        G, _ = FiniteGroup.from_permutations([p.images for p in pair.subgroup_generators()])
         r = [0] + list(range(G.order - 1, 0, -1))
         H = FiniteGroup([[r[G.mul(r[a], r[b])] for b in range(G.order)] for a in range(G.order)])
         expect = next(reference_injective_homs(G, G.minimal_generators(), H, range(H.order)))

@@ -27,7 +27,7 @@ from automizer.grouprep import (
     _word_map,
 )
 from automizer.permcore import parse_cycles
-from automizer.testkit import Z_subgroup, center, corpus, decode, fixed_subgroup
+from automizer.testkit import Permutation, Z_subgroup, center, corpus, decode, fixed_subgroup
 
 
 # -- independent oracles -------------------------------------------------------
@@ -170,7 +170,7 @@ class TestSubgroups:
             [parse_cycles("(0 1 2)", 4), parse_cycles("(0 1)(2 3)", 4)]
         )
         assert A4.order == 12
-        assert elems[0].is_identity()
+        assert Permutation(elems[0]).is_identity()
         subs = A4.all_subgroups()
         assert len(subs) == 10
         assert_subgroup_list_complete(A4, subs)
@@ -431,7 +431,7 @@ class TestCosetSearch:
 
     @pytest.mark.parametrize("pair", corpus(), ids=lambda p: p.name)
     def test_corpus_subgroups(self, pair):
-        self.assert_same(FiniteGroup.from_permutations(pair.subgroup_generators())[0])
+        self.assert_same(FiniteGroup.from_permutations([p.images for p in pair.subgroup_generators()])[0])
 
     @pytest.mark.parametrize("name", sorted(KNOWN_SUBGROUP_COUNTS))
     def test_catalog(self, name):
@@ -603,7 +603,7 @@ class TestColumnMajorKernel:
 
     @pytest.mark.parametrize("pair", corpus(), ids=lambda p: p.name)
     def test_corpus_subgroups(self, pair):
-        S0, _ = FiniteGroup.from_permutations(pair.subgroup_generators())
+        S0, _ = FiniteGroup.from_permutations([p.images for p in pair.subgroup_generators()])
         self.assert_same_rows(S0, S0.all_subgroups())
 
     def test_c2_ambient_subgroups(self):

@@ -5,7 +5,8 @@ benchmark's tracer wraps.  A name counts only where the code reads it: as a
 name, as an attribute or in an import, never in a comment or a docstring.
 Test-only helpers belong in testkit.  Every attribute the library stores on
 self is read on some line of the library, the scripts, testkit or the
-tests, and every parameter with a default is passed by some call there."""
+tests, and every parameter with a default is passed by some call there.
+No library module imports testkit."""
 
 import ast
 import importlib
@@ -66,6 +67,26 @@ def unused_definitions() -> list[str]:
 
 def test_every_library_definition_is_reached():
     assert unused_definitions() == []
+
+
+def imports_of_testkit() -> list[str]:
+    """Each import in a library module that binds testkit or a name from it."""
+    found = []
+    for path in LIBRARY:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            else:
+                continue
+            if any("testkit" in m.split(".") for m in modules):
+                found.append("%s:%d" % (path.name, node.lineno))
+    return found
+
+
+def test_library_never_imports_testkit():
+    assert imports_of_testkit() == []
 
 
 def unread_attributes() -> list[str]:

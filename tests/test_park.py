@@ -39,9 +39,10 @@ from automizer.park import (
     gamma_prime_member,
     verify_embedding,
 )
-from automizer.permcore import PermGroup, Permutation, identity_perm
 from automizer.realize import run_pipeline
 from automizer.testkit import (
+    PermGroup,
+    Permutation,
     Wreath,
     base_only,
     brute_fusion,

@@ -1,4 +1,5 @@
-"""Permutation arithmetic and stabilizer chains against brute-force oracles."""
+"""Cycle text, parity and orbit labels, and the tests' permutation class and
+stabilizer chains, against brute-force oracles."""
 
 import math
 
@@ -8,17 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from automizer.grouprep import permutation_closure
-from automizer.permcore import (
+from automizer.permcore import merge_labels, parse_cycles, word_parity
+from automizer.testkit import (
     PermGroup,
     Permutation,
+    alternating_gens,
     compose,
+    corpus,
+    derived_subgroup,
     format_cycles,
     identity_perm,
-    merge_labels,
-    parse_cycles,
-    word_parity,
+    is_member,
+    symmetric_gens,
 )
-from automizer.testkit import alternating_gens, corpus, derived_subgroup, is_member, symmetric_gens
 
 
 def brute_elements(gens, degree):
@@ -93,8 +96,8 @@ def same_degree_pairs(count):
 class TestArithmetic:
     def test_compose_applies_right_factor_first(self):
         # Oracle by hand: q sends 0->1, p sends 1->2, so (p*q)(0) = 2.
-        p = parse_cycles("(1 2)", degree=3)
-        q = parse_cycles("(0 1)", degree=3)
+        p = Permutation(parse_cycles("(1 2)", degree=3))
+        q = Permutation(parse_cycles("(0 1)", degree=3))
         assert compose(p, q).images[0] == 2
         assert compose(q, p).images[0] == 1
 
@@ -113,7 +116,7 @@ class TestArithmetic:
     @settings(max_examples=60)
     @given(perm_strategy)
     def test_cycle_text_round_trip(self, p):
-        assert parse_cycles(format_cycles(p), degree=p.degree) == p
+        assert Permutation(parse_cycles(format_cycles(p), degree=p.degree)) == p
 
     @settings(max_examples=60)
     @given(same_degree_pairs(2))
@@ -146,9 +149,9 @@ class TestArithmetic:
             assert word_parity(images) == (n - cycles) % 2
 
     def test_parity_known_values(self):
-        assert word_parity(parse_cycles("(0 1)", degree=4).images) == 1
-        assert word_parity(parse_cycles("(0 1 2)", degree=4).images) == 0
-        assert word_parity(parse_cycles("(0 1)(2 3)", degree=4).images) == 0
+        assert word_parity(parse_cycles("(0 1)", degree=4)) == 1
+        assert word_parity(parse_cycles("(0 1 2)", degree=4)) == 0
+        assert word_parity(parse_cycles("(0 1)(2 3)", degree=4)) == 0
         assert word_parity(identity_perm(4).images) == 0
         assert word_parity(()) == 0
 
@@ -164,7 +167,7 @@ class TestArithmetic:
 
     def test_identity_round_trip(self):
         assert format_cycles(identity_perm(5)) == "()"
-        assert parse_cycles("()", degree=5) == identity_perm(5)
+        assert Permutation(parse_cycles("()", degree=5)) == identity_perm(5)
 
     @settings(max_examples=100)
     @given(st.integers(1, 30).flatmap(
@@ -215,22 +218,22 @@ class TestChain:
             assert is_member(group, Permutation(images))
             count += 1
         assert count == 60
-        assert not is_member(group, parse_cycles("(0 1)", degree=5))
+        assert not is_member(group, Permutation(parse_cycles("(0 1)", degree=5)))
 
     def test_trivial_group(self):
         g = PermGroup([], degree=4)
         assert g.order() == 1
-        assert list(permutation_closure(g.generators, 4)) == [identity_perm(4).images]
+        assert list(permutation_closure([p.images for p in g.generators], 4)) == [identity_perm(4).images]
 
     def test_elements_enumeration(self):
         group = PermGroup(symmetric_gens(4))
-        elems = list(permutation_closure(group.generators, group.degree))
+        elems = list(permutation_closure([p.images for p in group.generators], group.degree))
         assert len(elems) == 24
         assert len(set(elems)) == 24
         assert set(elems) == brute_elements(symmetric_gens(4), 4)
 
     def test_orbit_and_transitivity(self):
-        g = PermGroup([parse_cycles("(0 1)(2 3)", degree=4)])
+        g = PermGroup([Permutation(parse_cycles("(0 1)(2 3)", degree=4))])
         assert labels(g).tolist() == [0, 0, 2, 2]
         assert not is_transitive(g)
         assert is_transitive(PermGroup(symmetric_gens(4)))
@@ -251,29 +254,29 @@ class TestOneEnumeration:
     @pytest.mark.parametrize("pair", corpus(), ids=lambda p: p.name)
     def test_closure_matches_chain_on_corpus(self, pair):
         for group in (pair.group(), PermGroup(pair.subgroup_generators(), degree=pair.degree)):
-            listed = list(permutation_closure(group.generators, group.degree))
+            listed = list(permutation_closure([p.images for p in group.generators], group.degree))
             chain = {p.images for p in chain_elements(group)}
             assert len(listed) == len(set(listed)) == group.order() == len(chain)
             assert set(listed) == chain
 
     def test_breadth_first_from_the_identity(self):
-        listed = list(permutation_closure(symmetric_gens(3), 3))
+        listed = list(permutation_closure([p.images for p in symmetric_gens(3)], 3))
         assert listed[0] == (0, 1, 2)
         assert listed[1:3] == [g.images for g in symmetric_gens(3)]
 
 
 class TestNormalClosure:
     def test_three_cycle_in_sym5(self):
-        seeds = [parse_cycles("(0 1 2)", degree=5)]
+        seeds = [Permutation(parse_cycles("(0 1 2)", degree=5))]
         gens = symmetric_gens(5)
         expect = brute_normal_closure(seeds, gens, 5)
         assert len(expect) == 60
         nc = PermGroup(gens).normal_closure(seeds)
         assert nc.order() == 60
-        assert set(permutation_closure(nc.generators, 5)) == expect
+        assert set(permutation_closure([p.images for p in nc.generators], 5)) == expect
 
     def test_double_transposition_in_sym4(self):
-        seeds = [parse_cycles("(0 1)(2 3)", degree=4)]
+        seeds = [Permutation(parse_cycles("(0 1)(2 3)", degree=4))]
         gens = symmetric_gens(4)
         expect = brute_normal_closure(seeds, gens, 4)
         assert len(expect) == 4
@@ -301,15 +304,17 @@ class TestRecognition:
         assert is_transitive(g) and g.order() == math.factorial(7) // 2
 
     def test_intransitive_is_neither(self):
-        g = PermGroup([parse_cycles("(0 1)", degree=4)])
+        g = PermGroup([Permutation(parse_cycles("(0 1)", degree=4))])
         assert not is_transitive(g)
 
     def test_transitive_proper_subgroup_is_neither(self):
         # Cyclic of order 5 inside Sym(5): transitive, far from Alt(5).
-        g = PermGroup([parse_cycles("(0 1 2 3 4)")])
+        g = PermGroup([Permutation(parse_cycles("(0 1 2 3 4)"))])
         assert is_transitive(g) and g.order() == 5
 
     def test_dihedral_is_neither(self):
-        g = PermGroup([parse_cycles("(0 1 2 3 4)"), parse_cycles("(1 4)(2 3)", degree=5)])
+        g = PermGroup(
+            [Permutation(parse_cycles("(0 1 2 3 4)")), Permutation(parse_cycles("(1 4)(2 3)", degree=5))]
+        )
         assert is_transitive(g)
         assert g.order() == 10

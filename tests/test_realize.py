@@ -29,7 +29,7 @@ from automizer.grouprep import (
     build_S,
     catalog_group,
 )
-from automizer.permcore import PermGroup, parse_cycles
+from automizer.permcore import parse_cycles
 from automizer.realize import (
     FLAG_NAMES,
     Certificate,
@@ -45,6 +45,7 @@ from automizer.realize import (
 from automizer.biset import orbit_from_payload
 from automizer.fusion import generate
 from automizer.park import ParkEmbedding, WreathElement
+from automizer.testkit import PermGroup, Permutation, symmetric_gens
 from automizer import cli, realize
 
 
@@ -164,6 +165,15 @@ def _symmetric_tops(n):
     return [np.roll(np.arange(n, dtype=np.int32), -1), _cycle(n, (0, 1))]
 
 
+def _normal_closure_order(seeds, conjugators):
+    """The exact order of the normal closure of the seeds under the group
+    they generate with the conjugators, by the tests' stabilizer chain: the
+    ground truth that the transitivity report only approximates."""
+    seed_perms = [Permutation(t.tolist()) for t in seeds]
+    group = PermGroup([Permutation(t.tolist()) for t in conjugators] + seed_perms)
+    return group.normal_closure(seed_perms).order()
+
+
 def _shuffled_subset(rng, n):
     """A permutation of [0, n) that shuffles a random subset of 2 to n points."""
     p = np.arange(n, dtype=np.int32)
@@ -204,9 +214,9 @@ class TestTopClosure:
             _union_find_closure(n, seeds, conjugators, max_rounds)
         )
 
-    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(151, 300), max_rounds=st.integers(1, 3))
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 300), max_rounds=st.integers(1, 3))
     @settings(max_examples=100, deadline=None)
-    def test_labels_agree_above_the_schreier_sims_bound(self, seed, n, max_rounds):
+    def test_labels_agree_on_block_tops(self, seed, n, max_rounds):
         rng = np.random.default_rng(seed)
         seeds = [_shuffled_subset(rng, n) for _ in range(int(rng.integers(1, 3)))]
         conjugators = _imprimitive_tops(rng, n, int(rng.integers(1, 4)))
@@ -214,22 +224,22 @@ class TestTopClosure:
             _union_find_closure(n, seeds, conjugators, max_rounds)
         )
 
-    def test_mode_follows_n(self):
-        assert realize._closure_mode(150) == "normal_closure"
-        assert realize._closure_mode(151) == "transitivity_only"
-
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_three_cycle_closes_to_alternating(self, n):
-        rep = realize._top_closure(n, [_cycle(n, (0, 1, 2))], _symmetric_tops(n))
-        assert rep["mode"] == "normal_closure"
+        seeds, conjugators = [_cycle(n, (0, 1, 2))], _symmetric_tops(n)
+        rep = realize._top_closure(n, seeds, conjugators)
+        assert rep["mode"] == "transitivity_only"
         assert rep["ok"] and rep["seeds_even"] and rep["seeds_nontrivial"]
-        assert rep["closure_order"] == math.factorial(n) // 2
+        assert rep["classes"] == 1 and "closure_order" not in rep
+        assert _normal_closure_order(seeds, conjugators) == math.factorial(n) // 2
 
     def test_odd_seed_is_refused(self):
-        rep = realize._top_closure(5, [_cycle(5, (0, 1))], _symmetric_tops(5))
-        assert rep["mode"] == "normal_closure"
+        seeds, conjugators = [_cycle(5, (0, 1))], _symmetric_tops(5)
+        rep = realize._top_closure(5, seeds, conjugators)
+        assert rep["mode"] == "transitivity_only"
         assert not rep["seeds_even"] and not rep["ok"]
-        assert rep["closure_order"] == 120
+        assert rep["classes"] == 1
+        assert _normal_closure_order(seeds, conjugators) == 120
 
     def test_transitivity_above_the_bound(self):
         n = 151
@@ -351,23 +361,36 @@ class TestBuildFusion:
 
 class TestOracle:
     def test_s4_klein_automizer_is_s3(self):
-        g = PermGroup([parse_cycles("(0 1)", 4), parse_cycles("(0 1 2 3)", 4)])
+        g = [parse_cycles("(0 1)", 4), parse_cycles("(0 1 2 3)", 4)]
         v4 = [parse_cycles("(0 1)(2 3)", 4), parse_cycles("(0 2)(1 3)", 4)]
-        aut = automizer_oracle(g, v4)
+        aut = automizer_oracle(g, 4, v4)
         assert aut.order == 6
         assert are_isomorphic(aut, catalog_group("S3"))
 
     def test_a4_klein_automizer_is_c3(self):
-        g = PermGroup([parse_cycles("(0 1 2)", 4), parse_cycles("(0 1)(2 3)", 4)])
+        g = [parse_cycles("(0 1 2)", 4), parse_cycles("(0 1)(2 3)", 4)]
         v4 = [parse_cycles("(0 1)(2 3)", 4), parse_cycles("(0 2)(1 3)", 4)]
-        aut = automizer_oracle(g, v4)
+        aut = automizer_oracle(g, 4, v4)
         assert aut.order == 3
         assert are_isomorphic(aut, catalog_group("C3"))
 
     def test_scale_guard(self):
-        g = PermGroup([parse_cycles("(0 1)", 5), parse_cycles("(0 1 2 3 4)", 5)])
+        g = [parse_cycles("(0 1)", 5), parse_cycles("(0 1 2 3 4)", 5)]
         with pytest.raises(ScaleError):
-            automizer_oracle(g, [parse_cycles("(0 1)(2 3)", 5)], max_elements=10)
+            automizer_oracle(g, 5, [parse_cycles("(0 1)(2 3)", 5)], max_elements=10)
+
+    def test_scale_guard_does_not_build_a_chain(self):
+        """Sym(100) is refused once its walk passes the bound, with no order
+        computed first: the walk holds about a thousand tuples of degree 100."""
+        g = [p.images for p in symmetric_gens(100)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScaleError, match="max_oracle_elements"):
+                automizer_oracle(g, 100, [parse_cycles("(0 1)", 100)], max_elements=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
 
 class TestPipeline:

@@ -19,9 +19,9 @@ from automizer.biset import (
 )
 from automizer.fusion import Morphism, generate
 from automizer.grouprep import FiniteGroup, ScaleError, are_isomorphic, catalog_group, permutation_closure
-from automizer.permcore import PermGroup
 from automizer.realize import Certificate, verify_certificate
 from automizer.testkit import (
+    PermGroup,
     STANDARD_MUTATIONS,
     abstract_subgroup,
     brute_fusion,
@@ -67,7 +67,7 @@ class TestCorpus:
         for pair in corpus():
             G0 = pair.group()
             assert G0.order() <= 10 ** 4, pair.name
-            elems = set(permutation_closure(G0.generators, G0.degree))
+            elems = set(permutation_closure([p.images for p in G0.generators], G0.degree))
             for g in pair.subgroup_generators():
                 assert g.images in elems, pair.name
 
@@ -150,7 +150,7 @@ class TestBruteFusion:
         q8 = catalog_group("Q8")
         perms = regular_representation(q8)
         assert len(perms) == 8 and perms[0].is_identity()
-        table, _ = FiniteGroup.from_permutations(perms, name="Q8reg")
+        table, _ = FiniteGroup.from_permutations([p.images for p in perms], name="Q8reg")
         assert are_isomorphic(table, q8)
         G0 = PermGroup(perms)
         brute = brute_fusion(G0, perms)
