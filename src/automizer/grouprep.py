@@ -555,23 +555,21 @@ def homocyclic_rank2(S: SGroup, subgroups: list[Subgroup]) -> list[Subgroup]:
         if not all(S.mul(a, b) == S.mul(b, a) for a in sub.elements for b in sub.elements):
             continue
         pair = _splitting_pair(S, sub, e)
-        if pair is None:
-            continue
-        out.append(Subgroup(sub.elements, pair))
+        if pair is not None:
+            out.append(Subgroup(sub.elements, pair))
     return out
 
 
 def _splitting_pair(S: FiniteGroup, sub: Subgroup, e: int) -> Optional[tuple[int, int]]:
-    order_e = [x for x in sub.elements if S.element_order(x) == e]
-    for g in order_e:
-        span_g = set(S.closure([g]))
-        for h in order_e:
-            if h <= g:
-                continue
-            if set(S.closure([h])) & span_g != {0}:
-                continue
-            if len(S.closure([g, h])) == sub.order:
-                return (g, h)
+    """The first pair g < h of order-e elements whose cyclic groups meet
+    trivially, or None.  In an abelian group of order e^2 such a pair spans
+    all of it, so one exists exactly when the group is C_e x C_e: at e = 4,
+    C4 x C2 x C2 has the order and the exponent but no such pair."""
+    spans = {x: set(S.closure([x])) for x in sub.elements if S.element_order(x) == e}
+    for g in spans:
+        for h in spans:
+            if h > g and spans[g] & spans[h] == {0}:
+                return g, h
     return None
 
 

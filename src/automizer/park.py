@@ -105,11 +105,7 @@ class ParkEmbedding:
                 self.tops[:, offset : offset + tab.n_slots] = tab.sig + offset
                 self.bases[:, offset : offset + tab.n_slots] = tab.kap
                 offset += tab.n_slots
-        self._pxs: dict[tuple, DiagonalClasses] = {}
-        self._last_rows: tuple = (None, None)
-        self._last_diagonals: tuple = (None, None)
-        self._last_plain: tuple = (None, None)
-        self._last_source: tuple = (None, None)
+        self._side: _Side | None = None
         self._s_moves = [(0, g) for g in G.minimal_generators()]
 
     # -- the embedding ----------------------------------------------------------
@@ -134,98 +130,36 @@ class ParkEmbedding:
 
     # -- witnesses --------------------------------------------------------------
 
+    def _side_of(self, skey: tuple) -> _Side:
+        """The record of the source P = skey, made anew for a new source."""
+        if self._side is None or self._side.skey != skey:
+            self._side = _Side(self, skey)
+        return self._side
+
     def _diagonals(self, qkey: tuple) -> tuple:
         """The slot orbits of the subgroup Q = qkey, which depend on the set Q
         alone: per slot the least point j0 of its orbit; the orbits' least
         points, starts; per start the label of its class, classes numbered in
         first-met order; and per class the stabilizer diagonal as a row over
         qkey, the base iota(q) applies at the start where q fixes it and -1
-        elsewhere.  Only the last subgroup's are kept: the generators of one
-        source come in a row."""
-        if self._last_diagonals[0] != qkey:
-            T = self.tops[list(qkey)]
-            B = self.bases[list(qkey)]
-            slots = np.arange(self.n)
-            j0 = T.min(axis=0)
-            starts = np.flatnonzero(j0 == slots)
-            cols = np.where(T[:, starts] == starts, B[:, starts], -1).T
-            # equal rows by a stable lexsort: the head of each run of equal
-            # rows is the least start with that diagonal, and the classes
-            # are numbered in the order of their heads
-            order = np.lexsort(cols.T)
-            run = np.ones(len(order), dtype=bool)
-            run[1:] = (cols[order[1:]] != cols[order[:-1]]).any(axis=1)
-            heads = order[run]
-            met = np.sort(heads)
-            label = np.empty_like(order)
-            label[order] = np.searchsorted(met, heads)[np.cumsum(run) - 1]
-            self._last_diagonals = (qkey, (j0, starts, label, cols[met]))
-        return self._last_diagonals[1]
-
-    def _classes(self, skey: tuple, acts, ids: dict) -> tuple:
-        """Slot orbits of P = skey acting through acts (aligned with skey).
-        They are the orbits of the set Q of acts, so they come from
-        _diagonals(Q), with each diagonal's columns moved from Q's order to
-        the order of acts.  Returns j0 and starts as there, and per start the
-        id in ids of the _canonical class of its stabilizer diagonal and the
-        pair conjugating the diagonal onto the class representative."""
-        qkey = tuple(sorted(acts))
-        j0, starts, label, rows = self._diagonals(qkey)
-        rows = rows[:, np.searchsorted(qkey, acts)]
-        # first-met order: the cache keeps the conjugators of the first
-        # diagonal queried in each class, and those fix the witness bases.
-        # A row met before for this source is answered from its tuple; only
-        # the last source's rows are kept
-        if self._last_rows[0] != skey:
-            self._last_rows = (skey, {})
-        seen = self._last_rows[1]
-        hits = []
-        for row in map(tuple, rows.tolist()):
-            hit = seen.get(row)
-            if hit is None:
-                d = Morphism(*zip(*[(p, q) for p, q in zip(skey, row) if q >= 0]))
-                hit = seen[row] = self._canonical(skey, d)
-            hits.append(hit)
-        # ids in the narrowest type that holds them: a stable argsort of
-        # 16-bit or narrower ids is a radix sort
-        cls = np.array([ids.setdefault(rep, len(ids)) for rep, _ in hits])
-        cls = cls.astype(np.min_scalar_type(len(ids)))
-        conj = np.array([pair for _, pair in hits], dtype=np.intp).reshape(len(hits), 2)
-        return j0, starts, cls.take(label), conj.take(label, axis=0)
-
-    def _plain_side(self, skey: tuple) -> tuple:
-        """The plain restriction to P = skey.  Per slot k: its orbit o, the
-        transversal p_k, the least element of P moving the orbit's least
-        point onto k, as the flat table index p_k |S|, and the inverse of
-        kappa_k, the base of iota(p_k) at k.  Per orbit: its class id and
-        conjugating pair, as in _classes, and the orbits in the stable order
-        of their class ids, with the ids in that order.  And a copy of the
-        class ids met so far.  Only the last source's are kept."""
-        if self._last_plain[0] != skey:
-            ids: dict[Morphism, int] = {}
-            j0, starts, cls, conj = self._classes(skey, skey, ids)
-            slots = np.arange(self.n)
-            trans = (self.tops[list(skey)][:, j0] == slots).argmax(axis=0)
-            p_k = np.asarray(skey, dtype=np.intp)[trans]
-            o = np.searchsorted(starts, j0)
-            inv_kap = self.G.np_tables[1].take(self.bases.ravel().take(p_k * self.n + slots))
-            by_cls = np.argsort(cls, kind="stable")
-            plain = (o, p_k * self.G.order, inv_kap, conj, by_cls, cls.take(by_cls), ids)
-            self._last_plain = (skey, plain)
-        *plain, ids = self._last_plain[1]
-        return (*plain, dict(ids))
-
-    def _canonical(self, skey: tuple, d: Morphism) -> tuple[Morphism, tuple[int, int]]:
-        """The least P x S conjugate of the stabilizer diagonal d, plus a pair
-        (p, s) conjugating d onto it."""
-        classes = self._pxs.get(skey)
-        if classes is None:
-            # a generator central in P fixes every diagonal with source in
-            # P, so its move is left out
-            G, gens = self.G, self.system.lattice.by_key[skey].generators
-            moves = [(g, 0) for g in gens if any(G.mul(g, h) != G.mul(h, g) for h in gens)]
-            classes = self._pxs[skey] = DiagonalClasses(G, moves + self._s_moves)
-        return classes[d][:2]
+        elsewhere."""
+        T = self.tops[list(qkey)]
+        B = self.bases[list(qkey)]
+        slots = np.arange(self.n)
+        j0 = T.min(axis=0)
+        starts = np.flatnonzero(j0 == slots)
+        cols = np.where(T[:, starts] == starts, B[:, starts], -1).T
+        # equal rows by a stable lexsort: the head of each run of equal rows
+        # is the least start with that diagonal, and the classes are
+        # numbered in the order of their heads
+        order = np.lexsort(cols.T)
+        run = np.ones(len(order), dtype=bool)
+        run[1:] = (cols[order[1:]] != cols[order[:-1]]).any(axis=1)
+        heads = order[run]
+        met = np.sort(heads)
+        label = np.empty_like(order)
+        label[order] = np.searchsorted(met, heads)[np.cumsum(run) - 1]
+        return j0, starts, label, cols[met]
 
     def witness(self, phi: Morphism) -> WreathElement:
         """A wreath element conjugating iota(u) to iota(phi(u)) for all u in
@@ -233,11 +167,11 @@ class ParkEmbedding:
         k-th twisted orbit of that class."""
         order = self.G.order
         mul, inv = (table.ravel() for table in self.G.np_tables)
-        skey = phi.source
+        side = self._side_of(phi.source)
         # every index phi_map is read at is a product of elements of P
-        phi_map = twist_row(self.G, skey, phi.images)
-        o, p_row, inv_kap, conj1, by_cls1, sorted1, ids = self._plain_side(skey)
-        _, starts2, cls2, conj2 = self._classes(skey, phi.images, ids)
+        phi_map = twist_row(self.G, phi.source, phi.images)
+        o, p_row, inv_kap, conj1, by_cls1, sorted1, ids = side.plain(self)
+        _, starts2, cls2, conj2 = side.classes(self, phi.images, dict(ids))
         by_cls2 = np.argsort(cls2, kind="stable")
         if not np.array_equal(sorted1, cls2.take(by_cls2)):
             raise RuntimeError(
@@ -263,15 +197,6 @@ class ParkEmbedding:
         slot j, bases[u, tops[u, j]]."""
         return self.bases.ravel().take(self.tops[elements] + elements[:, np.newaxis] * self.n)
 
-    def _source_side(self, skey: tuple) -> tuple:
-        """The tops of iota on the generators of P = skey, and their factors.
-        Only the last source's are kept: the generators of one source come in
-        a row."""
-        if self._last_source[0] != skey:
-            src = np.array(self.system.lattice.by_key[skey].generators, dtype=np.intp)
-            self._last_source = (skey, (self.tops[src], self._factors(src)))
-        return self._last_source[1]
-
     def check_witness(self, phi: Morphism, g) -> bool:
         """The conjugation identity g iota(u) g^-1 = iota(phi(u)) on every
         element u of the source P, checked on the generators of P alone.  Of
@@ -291,7 +216,7 @@ class ParkEmbedding:
         over the slots so does that slot."""
         order = self.G.order
         mul = self.G.np_tables[0].ravel()
-        t, factors = self._source_side(phi.source)
+        t, factors = self._side_of(phi.source).check
         img = np.array(self.system.lattice.on_generators(phi)[1], dtype=np.intp)
         sigma = g.top
         if not np.array_equal(sigma.take(t), self.tops[img].take(sigma, axis=1)):
@@ -300,6 +225,79 @@ class ParkEmbedding:
         left = mul.take(bs.take(t) * order + factors)
         right = mul.take(self._factors(img).take(sigma, axis=1) * order + bs)
         return np.array_equal(left, right)
+
+
+class _Side:
+    """What the embedding keeps for one source P = skey, until another source
+    takes its place.  check holds the tops of iota on the generators of P and
+    their factors, all check_witness reads.  The P x S classes, the answers
+    by diagonal row, the slot orbits by image set and the plain side fill as
+    witnesses ask.  The record keeps no link to the embedding: its methods
+    are handed it.  A rebuilt record gives the same witnesses: every class a
+    witness meets is met first on the plain side, built first on each visit."""
+
+    def __init__(self, pe: ParkEmbedding, skey: tuple):
+        G, gens = pe.G, pe.system.lattice.by_key[skey].generators
+        src = np.array(gens, dtype=np.intp)
+        self.skey = skey
+        self.check = pe.tops[src], pe._factors(src)
+        # a generator central in P fixes every diagonal with source in P, so
+        # its move is left out
+        moves = [(g, 0) for g in gens if any(G.mul(g, h) != G.mul(h, g) for h in gens)]
+        self.pxs = DiagonalClasses(G, moves + pe._s_moves)
+        self.rows: dict[tuple, tuple] = {}  # diagonal row -> (class rep, pair)
+        self.orbits: dict[tuple, tuple] = {}  # image set -> _diagonals
+        self.plain_tables: tuple | None = None
+
+    def classes(self, pe: ParkEmbedding, acts, ids: dict) -> tuple:
+        """Slot orbits in pe of P acting through acts (aligned with skey).
+        They are the orbits of the set Q of acts, so they come from
+        pe._diagonals(Q), with each diagonal's columns moved from Q's order
+        to the order of acts.  Returns j0 and starts as there, and per start the
+        id in ids of the P x S class of its stabilizer diagonal and the pair
+        conjugating the diagonal onto the class's least member."""
+        qkey = tuple(sorted(acts))
+        if qkey not in self.orbits:
+            self.orbits[qkey] = pe._diagonals(qkey)
+        j0, starts, label, rows = self.orbits[qkey]
+        rows = rows[:, np.searchsorted(qkey, acts)]
+        # first-met order: the classes keep the conjugators of the first
+        # diagonal queried in each, and those fix the witness bases.  A row
+        # met before is answered from its tuple
+        hits = []
+        for row in map(tuple, rows.tolist()):
+            hit = self.rows.get(row)
+            if hit is None:
+                d = Morphism(*zip(*[(p, q) for p, q in zip(self.skey, row) if q >= 0]))
+                hit = self.rows[row] = self.pxs[d][:2]
+            hits.append(hit)
+        # ids in the narrowest type that holds them: a stable argsort of
+        # 16-bit or narrower ids is a radix sort
+        cls = np.array([ids.setdefault(rep, len(ids)) for rep, _ in hits])
+        cls = cls.astype(np.min_scalar_type(len(ids)))
+        conj = np.array([pair for _, pair in hits], dtype=np.intp).reshape(len(hits), 2)
+        return j0, starts, cls.take(label), conj.take(label, axis=0)
+
+    def plain(self, pe: ParkEmbedding) -> tuple:
+        """The plain restriction to P in pe, built once.  Per slot k: its
+        orbit o, the transversal p_k, the least element of P moving the
+        orbit's least point onto k, as the flat table index p_k |S|, and the
+        inverse of kappa_k, the base of iota(p_k) at k.  Per orbit: its class id and
+        conjugating pair, as in classes, and the orbits in the stable order
+        of their class ids, with the ids in that order.  And the class ids
+        met, which a witness copies before the twisted side adds to them."""
+        if self.plain_tables is not None:
+            return self.plain_tables
+        skey, ids = self.skey, {}
+        j0, starts, cls, conj = self.classes(pe, skey, ids)
+        slots = np.arange(pe.n)
+        trans = (pe.tops[list(skey)][:, j0] == slots).argmax(axis=0)
+        p_k = np.asarray(skey, dtype=np.intp)[trans]
+        o = np.searchsorted(starts, j0)
+        inv_kap = pe.G.np_tables[1].take(pe.bases.ravel().take(p_k * pe.n + slots))
+        by_cls = np.argsort(cls, kind="stable")
+        self.plain_tables = o, p_k * pe.G.order, inv_kap, conj, by_cls, cls.take(by_cls), ids
+        return self.plain_tables
 
 
 def decompose(system: FusionSystem, X: SemicharacteristicBiset) -> ParkEmbedding:

@@ -52,7 +52,9 @@ def parse_cycles(text: str, degree: Optional[int] = None) -> tuple[int, ...]:
             continue
         if ch != "(":
             raise ValueError("expected '(' at position %d in %r" % (i, text))
-        j = text.index(")", i)
+        j = text.find(")", i)
+        if j < 0:
+            raise ValueError("unclosed cycle at position %d in %r" % (i, text))
         body = text[i + 1:j].replace(",", " ").split()
         cyc = [int(x) for x in body]
         if len(set(cyc)) != len(cyc):

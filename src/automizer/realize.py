@@ -236,7 +236,9 @@ def verify_thm31(
 
 def _walk(perms: Sequence[tuple[int, ...]], degree: int, max_elements: int) -> Iterator[tuple[int, ...]]:
     """permutation_closure, refused as max_oracle_elements once it passes
-    max_elements."""
+    max_elements, or 10^7 // degree if fewer: the walk holds every element
+    it has met, each a tuple of degree entries."""
+    max_elements = min(max_elements, 10 ** 7 // max(degree, 1))
     for count, p in enumerate(permutation_closure(perms, degree), 1):
         if count > max_elements:
             raise ScaleError("max_oracle_elements", max_elements, "more than %d" % max_elements)

@@ -297,6 +297,13 @@ def test_oracle_bad_input(tmp_path, capsys):
     assert "bad oracle input" in out
 
 
+def test_oracle_names_an_unclosed_subgroup_cycle(tmp_path, capsys):
+    gfile = tmp_path / "s4.txt"
+    gfile.write_text("4\n(0 1)\n(0 1 2 3)\n")
+    argv = ["oracle", "--group-file", str(gfile), "--subgroup", "(0 1"]
+    assert run_cli(argv, capsys) == (1, "bad oracle input: unclosed cycle at position 0 in '(0 1'\n")
+
+
 def test_oracle_refuses_a_huge_degree_before_parsing(tmp_path, capsys, monkeypatch):
     """A degree past the bound is refused from the file's first line: no
     permutation is parsed, so nothing of the degree's size is allocated."""

@@ -501,6 +501,27 @@ class TestHomocyclic:
         for v in vees[:8]:
             assert len(automorphisms_of(S, v)) == 6
 
+    def test_order_and_exponent_alone_do_not_make_c_e_squared(self):
+        """At e = 4 an abelian group of order e^2 and exponent e is C4 x C4
+        or C4 x C2 x C2.  The seven subgroups of index 2 in C4 x C4 x C2 are
+        the kernels of its seven maps onto C2: four are C4 x C4, with 4
+        elements of order at most 2, and three are C4 x C2 x C2, with 8.
+        Only the C4 x C4 have a splitting pair."""
+        G = catalog_group("C4xC4xC2")
+        G.e = 4
+        subs = G.all_subgroups()
+        candidates = [
+            sub.elements
+            for sub in subs
+            if sub.order == 16 and max(G.element_order(x) for x in sub.elements) == 4
+        ]
+        squares = {elems: sum(G.mul(x, x) == 0 for x in elems) for elems in candidates}
+        vees = homocyclic_rank2(G, subs)
+        assert sorted(squares.values()) == [4] * 4 + [8] * 3
+        assert [v.elements for v in vees] == [elems for elems in candidates if squares[elems] == 4]
+        for v in vees:
+            assert G.closure(list(v.generators)) == v.elements
+
     def test_fixed_subgroup_is_homocyclic_member(self):
         S = build_S(InputGroupA.from_name("C2"))
         keys = {v.elements for v in homocyclic_rank2(S, enumerate_subgroups(S))}

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from automizer.biset import (
+    DiagonalClasses,
     DiagonalContext,
     OrbitRecord,
     SemicharacteristicBiset,
@@ -39,7 +40,7 @@ from automizer.park import (
     gamma_prime_member,
     verify_embedding,
 )
-from automizer.realize import run_pipeline
+from automizer.realize import run_pipeline, verify_certificate
 from automizer.testkit import (
     PermGroup,
     Permutation,
@@ -84,7 +85,7 @@ def ambient_pe():
 @pytest.fixture(scope="module")
 def a6_d8_system():
     """D8 as the Sylow 2-subgroup of A6: 13 slots, and the witnesses depend
-    on which diagonal of a class _canonical meets first."""
+    on which diagonal of a P x S class the embedding meets first."""
     pair = next(p for p in corpus() if p.name == "A6/D8")
     system = brute_fusion(pair.group(), pair.subgroup_generators())
     X = build_semicharacteristic(system, context=DiagonalContext(system))
@@ -94,8 +95,8 @@ def a6_d8_system():
 def reference_witness(pe, phi):
     """The witness by a slot BFS per block with per-slot orbit matching, a
     reference for the array gathers of ParkEmbedding.witness.  It queries
-    pe._canonical in the same first-met order, so on a fresh embedding it
-    must give the same bytes."""
+    the P x S classes of the source's record in the same first-met order, so
+    on a fresh embedding it must give the same bytes."""
     G = pe.G
     sub = pe.system.lattice.by_key[phi.source]
     phi_map = dict(zip(phi.source, phi.images))
@@ -134,7 +135,7 @@ def reference_witness(pe, phi):
     def keyed(orbits):
         out = {}
         for orb in orbits:
-            rep, conj = pe._canonical(phi.source, orb[-1])
+            rep, conj = pe._side_of(phi.source).pxs[orb[-1]][:2]
             out.setdefault(rep, []).append((orb, conj))
         return out
 
@@ -470,25 +471,80 @@ class TestRecordTables:
                 assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+def log_pxs_queries(monkeypatch) -> list:
+    """From now on, every query the records make of their P x S classes, as
+    (classes, diagonal, answer), in order.  The lookup with which a class
+    just filled answers the query that filled it is not another query."""
+    asked = []
+
+    class LoggedClasses(DiagonalClasses):
+        filling = False
+
+        def __missing__(self, d):
+            self.filling = True
+            try:
+                return super().__missing__(d)
+            finally:
+                self.filling = False
+
+        def __getitem__(self, d):
+            hit = super().__getitem__(d)
+            if not self.filling:
+                asked.append((self, d, hit))
+            return hit
+
+    monkeypatch.setattr("automizer.park.DiagonalClasses", LoggedClasses)
+    return asked
+
+
+def records_met(pe, phis):
+    """The witnesses of phis on the embedding pe, in order, and each record
+    it held for them."""
+    witnesses, sides = [], []
+    for phi in phis:
+        witnesses.append(pe.witness(phi))
+        if not sides or sides[-1] is not pe._side:
+            sides.append(pe._side)
+    return witnesses, sides
+
+
+def assert_visits_give_pipeline_bytes(system, X, visit):
+    """The witness of every generator on a fresh embedding, taken in the order
+    visit gives, equals the one taken in generator order."""
+    by_source = {}
+    for gen in system.generators:
+        by_source.setdefault(gen.source, []).append(gen)
+    assert len(by_source) > 1
+    order = visit(system.generators, by_source)
+    assert sorted(order) == sorted(system.generators) and order != system.generators
+    pipeline, visiting = decompose(system, X), decompose(system, X)
+    want = {gen: pipeline.witness(gen) for gen in system.generators}
+    got, sides = records_met(visiting, order)
+    for gen, w in zip(order, got):
+        assert (w.top.tobytes(), w.base.tobytes()) == (want[gen].top.tobytes(), want[gen].base.tobytes())
+    return len(sides), len(by_source)
+
+
 class TestWitnessMemo:
-    def test_round_robin_sources_give_pipeline_bytes(self, ambient_pe):
-        """The embedding keeps only the last subgroup's slot orbits and the
-        last source's plain side; taking the sources in turn recomputes them,
-        and the witnesses must not change."""
-        S, system, X, _ = ambient_pe
-        by_source = {}
-        for gen in system.generators:
-            by_source.setdefault(gen.source, []).append(gen)
-        round_robin = [
-            gen for turn in itertools.zip_longest(*by_source.values()) for gen in turn if gen
-        ]
-        assert len(round_robin) == len(system.generators) == 246
-        assert round_robin[:2] != system.generators[:2]
-        pipeline, interleaved = decompose(system, X), decompose(system, X)
-        want = {gen: pipeline.witness(gen) for gen in system.generators}
-        for gen in round_robin:
-            w = interleaved.witness(gen)
-            assert (w.top.tobytes(), w.base.tobytes()) == (want[gen].top.tobytes(), want[gen].base.tobytes())
+    """The embedding keeps one source's record at a time, so a record is
+    built again each time its source comes back.  Every P x S class a
+    witness meets is met first on the plain side, and that is built first on
+    every visit, so the order of the witnesses must not change them."""
+
+    def test_round_robin_sources_give_pipeline_bytes(self, ambient_pe, a6_d8_system):
+        def round_robin(gens, by_source):
+            return [gen for turn in itertools.zip_longest(*by_source.values()) for gen in turn if gen]
+
+        for system, X in (ambient_pe[1:3], a6_d8_system):
+            sides, sources = assert_visits_give_pipeline_bytes(system, X, round_robin)
+            # some source was visited, left and visited again
+            assert sides > sources
+
+    def test_reversed_generators_give_pipeline_bytes(self, ambient_pe, a6_d8_system):
+        for system, X in (ambient_pe[1:3], a6_d8_system):
+            # each source once, and within it the generators in reverse
+            sides, sources = assert_visits_give_pipeline_bytes(system, X, lambda gens, _: gens[::-1])
+            assert sides == sources
 
 
 class ReferenceCanonical:
@@ -519,67 +575,55 @@ class ReferenceCanonical:
 class TestPxSClassMemo:
     def test_one_bfs_per_pxs_class(self, ambient_pe, monkeypatch):
         """Every generator witness on a fresh embedding, as realize builds
-        them, runs one BFS per (source, P x S class of stabilizer diagonals).
-        Each walk is keyed by the source _canonical was last asked for: the
-        move lists of sources whose generators are all central are equal."""
+        them, runs one BFS per (source, P x S class of stabilizer diagonals),
+        each in the record of the source asked about: the move lists of
+        sources whose generators are all central are equal."""
         S, system, X, _ = ambient_pe
-        walked, sources = [], []
-        canonical = ParkEmbedding._canonical
-
-        def tracking(self, skey, d):
-            sources.append(skey)
-            return canonical(self, skey, d)
+        pe = decompose(system, X)
+        walked = []
 
         def counting_orbit(G, d, moves):
             orbit = diagonal_orbit(G, d, moves)
-            walked.append((sources[-1], min(orbit)))
+            walked.append((pe._side.skey, min(orbit)))
             return orbit
 
-        monkeypatch.setattr(ParkEmbedding, "_canonical", tracking)
         monkeypatch.setattr("automizer.biset.diagonal_orbit", counting_orbit)
-        pe = decompose(system, X)
-        for gen in system.generators:
-            pe.witness(gen)
+        _, sides = records_met(pe, system.generators)
         assert len(walked) == len(set(walked)) == 1481
-        met = {(skey, rep) for skey, classes in pe._pxs.items() for rep, _, _ in classes.values()}
-        assert len(met) == 1481
+        met = {(side.skey, rep) for side in sides for rep, _, _ in side.pxs.values()}
+        assert len(met) == 1481 and len(sides) == len({side.skey for side in sides}) == 41
 
     @staticmethod
     def asked_pairs(system, X, monkeypatch):
-        """The witnesses of every stored morphism on a fresh embedding, and
-        what _canonical was asked and answered, in order."""
-        asked = []
-        canonical = ParkEmbedding._canonical
-
-        def recording(self, skey, d):
-            hit = canonical(self, skey, d)
-            asked.append((skey, d, hit))
-            return hit
-
-        monkeypatch.setattr(ParkEmbedding, "_canonical", recording)
+        """The witnesses of every stored morphism on a fresh embedding, the
+        records it held, and what their P x S classes were asked and
+        answered, in order: each record asks for a diagonal row once."""
+        logged = log_pxs_queries(monkeypatch)
         pe = decompose(system, X)
-        for key in sorted(system.store):
-            for images in system.store[key]:
-                pe.witness(Morphism(key, images))
+        stored = [Morphism(key, images) for key in sorted(system.store) for images in system.store[key]]
+        _, sides = records_met(pe, stored)
+        skey_of = {id(side.pxs): side.skey for side in sides}
+        asked = [(skey_of[id(classes)], d, hit[:2]) for classes, d, hit in logged]
+        assert len(asked) == sum(len(side.rows) for side in sides)
         ref = ReferenceCanonical(pe)
         assert asked and all(ref(skey, d) == hit for skey, d, hit in asked)
-        return pe, asked
+        return pe, sides, asked
 
     def test_pairs_match_the_written_out_memo_on_c2(self, ambient_pe, monkeypatch):
         """The embedding leaves out the moves of generators central in P;
         the pairs still equal those of the memo with every move.  On the C2
         ambient many sources are abelian and keep the moves of S alone."""
         S, system, X, _ = ambient_pe
-        pe, _ = self.asked_pairs(system, X, monkeypatch)
-        assert any(classes.moves == pe._s_moves for classes in pe._pxs.values())
-        assert any(classes.moves != pe._s_moves for classes in pe._pxs.values())
+        pe, sides, _ = self.asked_pairs(system, X, monkeypatch)
+        assert any(side.pxs.moves == pe._s_moves for side in sides)
+        assert any(side.pxs.moves != pe._s_moves for side in sides)
 
     def test_pairs_match_the_written_out_memo_on_a6_d8(self, a6_d8_system, monkeypatch):
         """On A6/D8 the pairs depend on which diagonal of a class is asked
         for first; every pair the witnesses use equals the written-out memo's,
         asked in the same order."""
         system, X = a6_d8_system
-        pe, asked = self.asked_pairs(system, X, monkeypatch)
+        pe, _, asked = self.asked_pairs(system, X, monkeypatch)
         # a BFS from each class's least member would give other pairs
         from_least = ReferenceCanonical(pe)
         moved = 0
@@ -589,15 +633,30 @@ class TestPxSClassMemo:
         assert moved
 
 
+def collect_sides(monkeypatch) -> dict:
+    """Every record the embeddings make from now on, by id."""
+    sides = {}
+    side_of = ParkEmbedding._side_of
+
+    def collecting_side_of(self, skey):
+        side = side_of(self, skey)
+        sides[id(side)] = side
+        return side
+
+    monkeypatch.setattr(ParkEmbedding, "_side_of", collecting_side_of)
+    return sides
+
+
 class TestWitnessStageCounts:
     def test_c2_pipeline_counts(self, monkeypatch):
-        """The C2 realize asks _canonical once per stabilizer-diagonal row
-        first met for a source (2,396 times, not once per row: 13,069), runs
-        one BFS per P x S class (1,481) and per S x S class (239), and calls
-        ParkEmbedding.witness, a benchmark patch point, once per generator."""
-        counts = dict.fromkeys(["witness", "canonical", "pxs_bfs", "sxs_bfs"], 0)
-        inside = []
-        witness, canonical = ParkEmbedding.witness, ParkEmbedding._canonical
+        """The C2 realize asks the P x S classes once per stabilizer-diagonal
+        row first met for a source (2,396 times, not once per row: 13,069),
+        runs one BFS per P x S class (1,481) and per S x S class (239), and
+        calls ParkEmbedding.witness, a benchmark patch point, once per
+        generator."""
+        counts = dict.fromkeys(["witness", "pxs_bfs", "sxs_bfs"], 0)
+        inside, asked = [], log_pxs_queries(monkeypatch)
+        witness = ParkEmbedding.witness
 
         def counting_witness(self, phi):
             counts["witness"] += 1
@@ -607,20 +666,32 @@ class TestWitnessStageCounts:
             finally:
                 inside.pop()
 
-        def counting_canonical(self, skey, d):
-            counts["canonical"] += 1
-            return canonical(self, skey, d)
-
         def counting_orbit(G, d, moves):
             counts["pxs_bfs" if inside else "sxs_bfs"] += 1
             return diagonal_orbit(G, d, moves)
 
         monkeypatch.setattr(ParkEmbedding, "witness", counting_witness)
-        monkeypatch.setattr(ParkEmbedding, "_canonical", counting_canonical)
         monkeypatch.setattr("automizer.biset.diagonal_orbit", counting_orbit)
         cert = run_pipeline(InputGroupA.from_name("C2"))
         assert cert.accepted
+        counts["canonical"] = len(asked)
         assert counts == {"witness": 246, "canonical": 2396, "pxs_bfs": 1481, "sxs_bfs": 239}
+
+    def test_verify_builds_no_slot_orbits(self, c2_cert, monkeypatch):
+        """verify checks the certificate's witnesses and builds none, so each
+        of its records holds the check side alone: no slot orbits, no plain
+        side and no P x S class."""
+        sides = collect_sides(monkeypatch)
+
+        def no_orbits(self, qkey):
+            raise AssertionError("slot orbits built")
+
+        monkeypatch.setattr(ParkEmbedding, "_diagonals", no_orbits)
+        ok, rep = verify_certificate(c2_cert)
+        assert ok, rep
+        assert len(sides) == len({side.skey for side in sides.values()}) == 41
+        for side in sides.values():
+            assert not (side.rows or side.orbits or side.pxs or side.plain_tables)
 
 
 class TestAmbientEmbedding:

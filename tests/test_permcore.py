@@ -165,6 +165,12 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             parse_cycles("(0 5)", degree=3)
 
+    @pytest.mark.parametrize("text, at", [("(0 1", 0), ("(0 1)(2 3", 5), (" (0 1) ( 2", 6)])
+    def test_parse_names_an_unclosed_cycle(self, text, at):
+        with pytest.raises(ValueError) as info:
+            parse_cycles(text)
+        assert str(info.value) == "unclosed cycle at position %d in %r" % (at, text.strip())
+
     def test_identity_round_trip(self):
         assert format_cycles(identity_perm(5)) == "()"
         assert Permutation(parse_cycles("()", degree=5)) == identity_perm(5)

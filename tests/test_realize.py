@@ -392,6 +392,30 @@ class TestOracle:
             tracemalloc.stop()
         assert peak < 16 << 20
 
+    def test_walk_holds_at_most_ten_million_entries(self, monkeypatch):
+        """The walk's bound shrinks with the degree: at degree 1000 it is 10^4
+        elements, not 10^5, so U0 = Sym(1000) is refused at its 10^4 + 1st
+        element, naming max_oracle_elements, with no MemoryError on the way."""
+        made = []
+        closure = realize.permutation_closure
+
+        def counting(perms, degree):
+            for p in closure(perms, degree):
+                made.append(degree)
+                yield p
+
+        monkeypatch.setattr(realize, "permutation_closure", counting)
+        g = [p.images for p in symmetric_gens(1000)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScaleError, match="max_oracle_elements=10000 exceeded") as info:
+                automizer_oracle([parse_cycles("(0 1)", 1000)], 1000, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.bound_value == 10 ** 4 and len(made) == 10 ** 4 + 1
+        assert peak < 256 << 20
+
 
 class TestPipeline:
     def test_accepted(self, c2_cert):
