@@ -28,7 +28,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .grouprep import FiniteGroup, ScaleError, injective_homs, injective_images
-from .fusion import FusionSystem, Morphism
+from .fusion import FusionSystem, Morphism, by_decreasing_order
 
 
 Diagonal = Morphism  # a twisted diagonal is stored exactly like a morphism
@@ -109,11 +109,6 @@ def twist_row(G: FiniteGroup, source: Sequence[int], images: Sequence[int]) -> n
     row = np.full(G.order, -1, dtype=np.int32)
     row[list(source)] = images
     return row
-
-
-def by_decreasing_order(keys: Sequence[tuple]) -> list[tuple]:
-    """Subgroup keys, largest first, equal orders by key."""
-    return sorted(keys, key=lambda k: (-len(k), k))
 
 
 class DiagonalContext:
@@ -413,17 +408,18 @@ def check_orbit_predictions(
     intersection of all nonextendable sources."""
     G = system.ambient
     orbit_canon = {context.sxs[Diagonal(rec.source, rec.images)][0] for rec in X.orbits}
-    missing = []
-    for skey in system.lattice.keys:
-        for m in system.hom_set(skey):
-            if system.is_nonextendable(m) and context.sxs[m][0] not in orbit_canon:
-                missing.append((skey, m.images))
+    missing = [
+        (skey, m.images)
+        for skey, found in system.nonextendable.items()
+        for m in found
+        if context.sxs[m][0] not in orbit_canon
+    ]
     # t lies in every y Q y^-1 exactly when y t y^-1 lies in Q for every y
     inside = np.ones(G.order, dtype=bool)
     for rec in X.orbits:
         inside &= np.isin(G.np_conj, rec.source).all(axis=0)
     core = tuple(np.flatnonzero(inside).tolist())
-    qf = system.core_intersection()
+    qf = system.core_intersection
     ok = not missing and set(core) <= set(qf)
     report = {
         "missing_conjugates": missing,

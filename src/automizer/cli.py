@@ -11,7 +11,7 @@ import os
 import sys
 
 from .grouprep import InputGroupA, ScaleError
-from .permcore import parse_cycles
+from .permcore import parse_cycles, read_decimal
 from .realize import (
     FLAG_NAMES,
     Certificate,
@@ -130,14 +130,16 @@ def cmd_verify(args, out) -> int:
 
 
 def _read_perm_group(path: str) -> tuple[list[tuple[int, ...]], int]:
+    """The generators and the degree of a group file, the degree on its first
+    line (its position is its line number), one permutation a line after."""
     with open(path) as fh:
-        lines = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
+        lines = [(k, ln) for k, ln in enumerate(map(str.strip, fh), 1) if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty group file")
-    degree = int(lines[0])
+    degree = read_decimal(lines[0][1], "degree", lines[0][0])
     if degree > ORACLE_MAX_DEGREE:
         raise ScaleError("max_oracle_degree", ORACLE_MAX_DEGREE, degree)
-    return [parse_cycles(ln, degree) for ln in lines[1:]], degree
+    return [parse_cycles(ln, degree) for _, ln in lines[1:]], degree
 
 
 def cmd_oracle(args, out) -> int:

@@ -15,6 +15,7 @@ factor, which is itself in the store.
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .grouprep import FiniteGroup, Subgroup, _word_map
@@ -44,7 +45,6 @@ class SubgroupLattice:
         }
         self._fsets = {k: frozenset(k) for k in self.keys}
         self._subkeys: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        self._covers: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
 
     def subkeys_of(self, key) -> list[tuple[int, ...]]:
         """Keys of all subgroups contained in the given one."""
@@ -57,16 +57,12 @@ class SubgroupLattice:
 
     def covers_of(self, key) -> list[tuple[int, ...]]:
         """Minimal proper overgroups; extendability only needs these."""
-        cached = self._covers.get(key)
-        if cached is None:
-            fs = self._fsets[key]
-            supers = [k for k in self.keys if len(k) > len(key) and fs < self._fsets[k]]
-            cached = [
-                k for k in supers
-                if not any(self._fsets[m] < self._fsets[k] for m in supers if len(m) < len(k))
-            ]
-            self._covers[key] = cached
-        return cached
+        fs = self._fsets[key]
+        supers = [k for k in self.keys if len(k) > len(key) and fs < self._fsets[k]]
+        return [
+            k for k in supers
+            if not any(self._fsets[m] < self._fsets[k] for m in supers if len(m) < len(k))
+        ]
 
     def on_generators(self, m: Morphism) -> tuple[tuple[int, ...], list[int]]:
         """The generators of the morphism's source and their images."""
@@ -84,7 +80,6 @@ class FusionSystem:
         self.generators = list(generators)
         # store[source_key] = the image tuples of the hom set
         self.store: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
-        self._restriction_sets: dict[tuple, set] = {}
         self._homsets: dict[tuple, list[Morphism]] = {}
         self._build()
 
@@ -219,47 +214,35 @@ class FusionSystem:
 
     # -- extendability ------------------------------------------------------------
 
-    def _restrictions_onto(self, rkey, pkey) -> set:
-        cached = self._restriction_sets.get((rkey, pkey))
-        if cached is None:
-            pos = self.lattice.posmap[rkey]
-            idx = [pos[x] for x in pkey]
-            cached = {tuple(images[i] for i in idx) for images in self.store.get(rkey, ())}
-            self._restriction_sets[(rkey, pkey)] = cached
-        return cached
-
-    def is_nonextendable(self, m: Morphism) -> bool:
-        """No extension to any strictly larger subgroup; covers suffice since
-        an extension restricts to an extension on a minimal overgroup."""
-        for rkey in self.lattice.covers_of(m.source):
-            if m.images in self._restrictions_onto(rkey, m.source):
-                return False
-        return True
-
-    def nonextendable_sources(self) -> dict[tuple[int, ...], Morphism]:
-        """Sources carrying a nonextendable morphism, with a least witness each."""
+    @cached_property
+    def nonextendable(self) -> dict[tuple[int, ...], list[Morphism]]:
+        """Each source carrying a stored morphism with no extension to any
+        strictly larger subgroup, in lattice order, with those morphisms in
+        hom-set order.  Covers suffice, since an extension restricts to an
+        extension on a minimal overgroup."""
         out = {}
         for skey in self.lattice.keys:
-            for m in self.hom_set(skey):
-                if self.is_nonextendable(m):
-                    out[skey] = m
-                    break
+            extendable = set()
+            for rkey in self.lattice.covers_of(skey):
+                pos = self.lattice.posmap[rkey]
+                idx = [pos[x] for x in skey]
+                extendable.update(tuple(images[i] for i in idx) for images in self.store.get(rkey, ()))
+            found = [m for m in self.hom_set(skey) if m.images not in extendable]
+            if found:
+                out[skey] = found
         return out
 
+    @cached_property
     def core_intersection(self) -> tuple[int, ...]:
         """Intersection of all sources of nonextendable morphisms."""
-        sources = self.nonextendable_sources()
-        common = set(range(self.ambient.order))
-        for skey in sources:
-            common &= set(skey)
-        return tuple(sorted(common))
+        return tuple(sorted(set(range(self.ambient.order)).intersection(*self.nonextendable)))
 
     def extension_core(self) -> tuple[int, ...]:
         """The largest subgroup N such that every stored morphism extends to
         its join with N, with the extension mapping N onto itself."""
         G = self.ambient
         lat = self.lattice
-        for cand in sorted(lat.keys, key=lambda k: (-len(k), k)):
+        for cand in by_decreasing_order(lat.keys):
             cand_sub = lat.by_key[cand]
             cset = set(cand)
             ok = True
@@ -315,6 +298,11 @@ class FusionSystem:
         words = _word_map(G, gens)
         table = {x: G.product(images[gi] for gi in w) for x, w in words.items()}
         return Morphism(skey, tuple(table[x] for x in skey))
+
+
+def by_decreasing_order(keys: Sequence[tuple]) -> list[tuple]:
+    """Subgroup keys, largest first, equal orders by key."""
+    return sorted(keys, key=lambda k: (-len(k), k))
 
 
 def _invert(m: Morphism) -> Morphism:

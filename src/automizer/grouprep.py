@@ -22,6 +22,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from .permcore import read_decimal
+
 
 class ScaleError(RuntimeError):
     """A configured desk-scale bound was exceeded; names the bound, and the
@@ -395,13 +397,16 @@ def catalog_group(name: str) -> FiniteGroup:
 
 def load_table_file(path: str) -> FiniteGroup:
     """Read a group from a text file: first token is the order, then the
-    row-major multiplication table.  The identity is relabeled to index 0."""
+    row-major multiplication table.  Positions count the tokens from 0.  The
+    identity is relabeled to index 0."""
     with open(path) as fh:
         tokens = fh.read().split()
     if not tokens:
         raise ValueError("empty group file %r" % path)
-    n = int(tokens[0])
-    body = [int(x) for x in tokens[1:]]
+    n = read_decimal(tokens[0], "table order", 0)
+    if n == 0:
+        raise ValueError("table order %r at position 0 is not positive" % tokens[0])
+    body = [read_decimal(x, "table entry", k) for k, x in enumerate(tokens[1:], 1)]
     if len(body) != n * n:
         raise ValueError("expected %d table entries, found %d" % (n * n, len(body)))
     if any(not 0 <= x < n for x in body):

@@ -338,7 +338,7 @@ def verify_embedding(pe: ParkEmbedding) -> tuple[bool, dict]:
         for u, v in itertools.combinations(rows, 2)
     )
     trivial_top = pe.top_trivial_set()
-    core = set(pe.system.core_intersection())
+    core = set(pe.system.core_intersection)
     ok_base = set(trivial_top) <= core
     report = {
         "homomorphism": ok_hom,

@@ -1,14 +1,28 @@
 """Elements of Sym([0, n)) as image tuples: ``images[i]`` is the image of
-point ``i``.  Cycle notation is read by ``parse_cycles``; orbits of maps on
-[0, n) are class labels, merged by ``merge_labels``, which also gives the
-parity of a permutation word.  The permutation class and the stabilizer
-chain the tests compare against live in ``testkit``."""
+point ``i``.  Cycle notation is read by ``parse_cycles``, each number by
+``read_decimal``, the one reader of the numbers in input text; orbits of
+maps on [0, n) are class labels, merged by ``merge_labels``, which also
+gives the parity of a permutation word.  The permutation class and the
+stabilizer chain the tests compare against live in the tests' ``testkit``."""
 
 from __future__ import annotations
 
+import re
 from typing import Optional, Sequence
 
 import numpy as np
+
+# a point of a cycle: what lies between blanks and commas
+_POINT = re.compile(r"[^\s,]+")
+
+
+def read_decimal(token: str, what: str, position: int) -> int:
+    """The value of a token of ASCII decimal digits.  int() would also take
+    a sign, underscores and non-ASCII digits; each is refused here, by a
+    message that names the token and its position."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError("%s %r at position %d is not an ASCII decimal number" % (what, token, position))
+    return int(token)
 
 
 def merge_labels(label: np.ndarray, perm: np.ndarray) -> np.ndarray:
@@ -38,7 +52,7 @@ def word_parity(images: Sequence[int]) -> int:
 
 def parse_cycles(text: str, degree: Optional[int] = None) -> tuple[int, ...]:
     """The image tuple of cycle-notation text such as "(0 1 2)(3 4)"; "()" is
-    the identity."""
+    the identity.  Positions count the characters of the stripped text."""
     text = text.strip()
     if not text:
         raise ValueError("empty permutation text")
@@ -55,10 +69,10 @@ def parse_cycles(text: str, degree: Optional[int] = None) -> tuple[int, ...]:
         j = text.find(")", i)
         if j < 0:
             raise ValueError("unclosed cycle at position %d in %r" % (i, text))
-        body = text[i + 1:j].replace(",", " ").split()
-        cyc = [int(x) for x in body]
+        points = list(_POINT.finditer(text, i + 1, j))
+        cyc = [read_decimal(m.group(), "point", m.start()) for m in points]
         if len(set(cyc)) != len(cyc):
-            raise ValueError("repeated point in cycle %r" % (body,))
+            raise ValueError("repeated point in cycle %r" % ([m.group() for m in points],))
         if cyc:
             maxpt = max(maxpt, max(cyc))
             cycles.append(cyc)
@@ -75,6 +89,4 @@ def parse_cycles(text: str, degree: Optional[int] = None) -> tuple[int, ...]:
         if seen.intersection(cyc):
             raise ValueError("cycles are not disjoint in %r" % (text,))
         seen.update(cyc)
-    if sorted(images) != list(range(n)):  # a negative point
-        raise ValueError("not a permutation word: %r" % (tuple(images),))
     return tuple(images)

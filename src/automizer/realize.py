@@ -186,7 +186,7 @@ def verify_thm31(
     scratch: the automizer of U is exactly the inner one and is isomorphic to
     A; the focal subgroup is all of S; the extension core is trivial; some
     nonextendable source has index above 2|A|; and the generating family of
-    rank-2 subgroups joins to S and meets in 1."""
+    rank-2 subgroups, the generators' sources, joins to S and meets in 1."""
     fus_auts = set(system.aut(U.key))
     inner_auts = set(system.aut_S(U.key))
     aut_match = fus_auts == inner_auts
@@ -199,17 +199,12 @@ def verify_thm31(
     qf = system.extension_core()
     core_trivial = qf == (0,)
 
-    two_a = 2 * A.order
-    indices = {skey: S.order // len(skey) for skey in system.nonextendable_sources()}
-    large = sorted(k for k, idx in indices.items() if idx > two_a)
-    has_large_index = bool(large)
+    largest_index = max((S.order // len(skey) for skey in system.nonextendable), default=0)
 
-    family = homocyclic_rank2(S, list(system.lattice.by_key.values()))
-    joined: set[int] = {0}
-    met = set(range(S.order))
-    for v in family:
-        joined |= set(v.elements)
-        met &= set(v.elements)
+    # build_fusion_for gives every V of the family at least its identity map
+    family = list(dict.fromkeys(m.source for m in system.generators))
+    joined = set().union([0], *family)
+    met = set(range(S.order)).intersection(*family)
     family_joins = tuple(sorted(S.closure(joined))) == tuple(range(S.order))
     family_meets_trivially = met == {0}
 
@@ -221,8 +216,8 @@ def verify_thm31(
         "focal_order": foc.order,
         "extension_core_trivial": core_trivial,
         "extension_core": list(qf),
-        "large_index_source": has_large_index,
-        "largest_index": max(indices.values()) if indices else 0,
+        "large_index_source": largest_index > 2 * A.order,
+        "largest_index": largest_index,
         "family_joins": family_joins,
         "family_meets_trivially": family_meets_trivially,
         "family_size": len(family),
@@ -1037,7 +1032,7 @@ def _main_checks(run):
     # generator membership: one flag holds both checks until it is split
     flags["witnesses_ok"] = main_rep["generator_membership"]["ok"]
     flags["top_closure_is_An"] = main_rep["top_closure"]["ok"] and main_rep["degree_conditions"]["ok"]
-    flags["bertrand_prime"] = A.order < p < 2 * A.order and _is_prime(p) and main_rep["prime_conditions"]["ok"]
+    flags["bertrand_prime"] = A.order < p < 2 * A.order and main_rep["prime_conditions"]["ok"]
     failed = ", ".join(name for name in FLAG_NAMES if not flags[name])
     return {"prime": p, "main_checks": main_rep}, "final battery fails: %s" % failed if failed else None
 

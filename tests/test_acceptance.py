@@ -31,7 +31,7 @@ from automizer.realize import (
     build_fusion_for,
     run_pipeline,
 )
-from automizer.testkit import (
+from testkit import (
     PermGroup,
     Permutation,
     base_only,
@@ -108,7 +108,7 @@ def test_criterion_2_c2_end_to_end(c2_run, c2_reconstruction):
         assert are_isomorphic(aut_table, A.group)
         assert system.focal_subgroup().order == S.order
         assert system.extension_core() == (0,)
-        indices = [S.order // len(k) for k in system.nonextendable_sources()]
+        indices = [S.order // len(k) for k in system.nonextendable]
         assert max(indices) > 2 * A.order
 
         # biset stage on the stored orbits, stability at the exact level

@@ -47,7 +47,7 @@ from automizer.grouprep import (
     injective_homs,
     injective_images,
 )
-from automizer.testkit import (
+from testkit import (
     all_injective_homs,
     append_free_orbits,
     brute_fusion,
@@ -907,9 +907,9 @@ def reference_check_orbit_predictions(system, X):
     orbit_canon = {ref.sxs_class(Diagonal(rec.source, rec.images))[0] for rec in X.orbits}
     missing = [
         (skey, m.images)
-        for skey in system.lattice.keys
-        for m in system.hom_set(skey)
-        if system.is_nonextendable(m) and ref.sxs_class(m)[0] not in orbit_canon
+        for skey, found in system.nonextendable.items()
+        for m in found
+        if ref.sxs_class(m)[0] not in orbit_canon
     ]
     core = set(range(G.order))
     for rec in X.orbits:
@@ -917,7 +917,7 @@ def reference_check_orbit_predictions(system, X):
         for s in range(G.order):
             conj_int &= {G.conj(s, q) for q in rec.source}
         core &= conj_int
-    qf = set(system.core_intersection())
+    qf = set(system.core_intersection)
     report = {
         "missing_conjugates": missing,
         "orbit_core": tuple(sorted(core)),

@@ -304,6 +304,96 @@ def test_oracle_names_an_unclosed_subgroup_cycle(tmp_path, capsys):
     assert run_cli(argv, capsys) == (1, "bad oracle input: unclosed cycle at position 0 in '(0 1'\n")
 
 
+NOT_DECIMAL = "%s %r at position %d is not an ASCII decimal number"
+
+
+# each of these was read by int(): the first failed naming only its own
+# text, and the others were read as numbers
+@pytest.mark.parametrize("group, subgroup, message", [
+    ("4\n(0 1)\n", "(0 1)(2 (3)", NOT_DECIMAL % ("point", "(3", 8)),
+    ("4\n(0 1)\n", "(1_0 2)", NOT_DECIMAL % ("point", "1_0", 1)),
+    ("4\n(0 1)\n", "(0 1); (\u0662 3)", NOT_DECIMAL % ("point", "\u0662", 1)),
+    ("4\n(0 +1)\n", "(0 1)", NOT_DECIMAL % ("point", "+1", 3)),
+    ("4x\n(0 1)\n", "(0 1)", NOT_DECIMAL % ("degree", "4x", 1)),
+    ("# S4\n\n+4\n(0 1)\n", "(0 1)", NOT_DECIMAL % ("degree", "+4", 3)),
+    ("1_0\n(0 1)\n", "(0 1)", NOT_DECIMAL % ("degree", "1_0", 1)),
+], ids=["paren", "underscore", "arabic_digit", "sign", "letter_degree", "signed_degree", "underscore_degree"])
+def test_oracle_reads_ascii_decimal_numbers_only(tmp_path, capsys, group, subgroup, message):
+    gfile = tmp_path / "group.txt"
+    gfile.write_text(group)
+    argv = ["oracle", "--group-file", str(gfile), "--subgroup", subgroup]
+    assert run_cli(argv, capsys) == (1, "bad oracle input: %s\n" % message)
+
+
+# "1 +0" was realized as the trivial group, and "1 \u0660" too
+@pytest.mark.parametrize("text, message", [
+    ("1 +0\n", NOT_DECIMAL % ("table entry", "+0", 1)),
+    ("1\n\u0660\n", NOT_DECIMAL % ("table entry", "\u0660", 1)),
+    ("1 \uff10\n", NOT_DECIMAL % ("table entry", "\uff10", 1)),
+    ("2\n0 1\n1 0_0\n", NOT_DECIMAL % ("table entry", "0_0", 4)),
+    ("+1 0\n", NOT_DECIMAL % ("table order", "+1", 0)),
+    ("-1 0\n", NOT_DECIMAL % ("table order", "-1", 0)),
+    ("-2\n", NOT_DECIMAL % ("table order", "-2", 0)),
+    ("0\n", "table order '0' at position 0 is not positive"),
+    ("00\n", "table order '00' at position 0 is not positive"),
+], ids=["signed_entry", "arabic_entry", "fullwidth_entry", "underscore_entry", "signed_order", "negative_order",
+        "negative_order_alone", "zero_order", "zero_zero_order"])
+def test_realize_reads_a_positive_ascii_decimal_table(tmp_path, capsys, text, message):
+    tfile = tmp_path / "table.txt"
+    tfile.write_text(text)
+    out_path = tmp_path / "cert.json"
+    argv = ["realize", "--group", str(tfile), "--out", str(out_path)]
+    assert run_cli(argv, capsys) == (1, "bad input group: %s\n" % message)
+    assert not out_path.exists()
+
+
+# pieces of input text: small numbers, the tokens int() would also read,
+# and the separators of each format
+NUMBERS = ["0", "1", "2", "3", "00", "+1", "-1", "1_0", "1e3", "\u0663", "\uff10", "x"]
+TABLE_PIECES = st.sampled_from(NUMBERS + [" ", "\n"])
+# permutation text: cycles of such numbers, or the pieces in any order
+CYCLES = st.lists(st.lists(st.sampled_from(NUMBERS + ["(", ""]), max_size=4), max_size=3).map(
+    lambda cycles: "".join("(%s)" % " ".join(points) for points in cycles)
+)
+PERM_TEXT = st.one_of(CYCLES, st.lists(st.sampled_from(NUMBERS + ["(", ")", ",", " ", "#"]), max_size=10).map("".join))
+
+
+@given(
+    st.tuples(st.sampled_from(NUMBERS), st.lists(PERM_TEXT, max_size=2)).map(lambda t: "\n".join([t[0]] + t[1])),
+    st.lists(PERM_TEXT, max_size=2).map(";".join),
+)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_fuzzed_oracle_text_ends_with_a_reason(tmp_path_factory, group, subgroup):
+    gfile = tmp_path_factory.getbasetemp() / "fuzzed_group.txt"
+    gfile.write_text(group)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["oracle", "--group-file", str(gfile), "--subgroup=" + subgroup])
+    assert code in (0, 1, 2)
+    assert "invalid literal" not in out.getvalue()
+    assert out.getvalue().startswith(("automizer order", "bad oracle input: ", "scale rejection: "))
+
+
+@given(st.lists(TABLE_PIECES, max_size=12).map("".join))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_fuzzed_table_file_ends_with_a_reason(tmp_path_factory, text):
+    """Twelve pieces hold a table of order at most 3; a subgroup bound of 1
+    refuses every nontrivial group before its ambient group is built."""
+    tfile = tmp_path_factory.getbasetemp() / "fuzzed_table.txt"
+    tfile.write_text(text)
+    out_path = tmp_path_factory.getbasetemp() / "fuzzed_cert.json"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["realize", "--group", str(tfile), "--out", str(out_path), "--max-subgroups", "1"])
+    assert "invalid literal" not in out.getvalue()
+    if code == 1:
+        assert out.getvalue().startswith("bad input group: ")
+    else:
+        # read as a table: every token a number, the order positive
+        assert code in (0, 2)
+        assert all(t.isascii() and t.isdigit() for t in text.split()) and int(text.split()[0]) > 0
+
+
 def test_oracle_refuses_a_huge_degree_before_parsing(tmp_path, capsys, monkeypatch):
     """A degree past the bound is refused from the file's first line: no
     permutation is parsed, so nothing of the degree's size is allocated."""

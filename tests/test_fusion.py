@@ -30,7 +30,7 @@ from automizer.grouprep import (
     permutation_closure,
 )
 from automizer.permcore import parse_cycles
-from automizer.testkit import PermGroup, Permutation, all_injective_homs, brute_fusion, compose, corpus, is_member
+from testkit import PermGroup, Permutation, all_injective_homs, brute_fusion, compose, corpus, is_member
 
 
 # -- oracle machinery ----------------------------------------------------------
@@ -161,9 +161,9 @@ class TestInnerFusion:
     def test_only_full_source_is_nonextendable(self):
         G = catalog_group("D8")
         system = generate(G, G.all_subgroups(), [])
-        sources = system.nonextendable_sources()
+        sources = system.nonextendable
         assert set(sources) == {tuple(range(8))}
-        assert system.core_intersection() == tuple(range(8))
+        assert system.core_intersection == tuple(range(8))
         assert system.extension_core() == tuple(range(8))
 
 
@@ -346,8 +346,8 @@ class TestExtendability:
 
     def test_nonextendable_core_is_normal_klein(self, s4_d8):
         G, system = s4_d8
-        sources = system.nonextendable_sources()
-        core = system.core_intersection()
+        sources = system.nonextendable
+        core = system.core_intersection
         assert len(core) == 4
         assert tuple(range(8)) in sources
         assert core in sources
@@ -357,13 +357,29 @@ class TestExtendability:
             assert set(m.images) == set(core)
         assert len(system.aut(core)) == 6
 
+    def test_nonextendable_against_every_larger_source(self, s4_d8):
+        """The walk over covers lists, per source, exactly the stored
+        morphisms that no stored morphism on any larger source restricts to."""
+        _, system = s4_d8
+
+        def extends(m, big):
+            table = dict(zip(big.source, big.images))
+            return set(m.source) < set(big.source) and all(table[x] == y for x, y in zip(m.source, m.images))
+
+        every = [big for rkey in system.lattice.keys for big in system.hom_set(rkey)]
+        expected = {
+            skey: [m for m in system.hom_set(skey) if not any(extends(m, big) for big in every)]
+            for skey in system.lattice.keys
+        }
+        assert system.nonextendable == {skey: found for skey, found in expected.items() if found}
+
     def test_extension_core_equals_nonextendable_core(self, s4_d8):
         _, system = s4_d8
-        assert system.extension_core() == system.core_intersection()
+        assert system.extension_core() == system.core_intersection
 
     def test_nonextendable_sources_invariant_under_full_auts(self, s4_d8):
         _, system = s4_d8
-        sources = set(system.nonextendable_sources())
+        sources = set(system.nonextendable)
         for alpha in system.aut(tuple(range(8))):
             pos = system.lattice.posmap[alpha.source]
             mapped = {tuple(sorted(alpha.images[pos[x]] for x in skey)) for skey in sources}
@@ -373,7 +389,7 @@ class TestExtendability:
         G, system = s4_d8
         foc = system.focal_subgroup()
         assert foc.order == 4
-        assert foc.elements == system.core_intersection()
+        assert foc.elements == system.core_intersection
 
 
 class TestInjectiveHoms:

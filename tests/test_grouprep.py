@@ -27,7 +27,7 @@ from automizer.grouprep import (
     _word_map,
 )
 from automizer.permcore import parse_cycles
-from automizer.testkit import Permutation, Z_subgroup, center, corpus, decode, fixed_subgroup
+from testkit import Permutation, Z_subgroup, center, corpus, decode, fixed_subgroup
 
 
 # -- independent oracles -------------------------------------------------------

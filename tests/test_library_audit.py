@@ -1,12 +1,13 @@
 """The library defines only what the pipeline reaches: every function, class
-and method of the library modules (testkit excluded) is named in the code of
-those modules or of the scripts outside its own definition, or is a name the
-benchmark's tracer wraps.  A name counts only where the code reads it: as a
-name, as an attribute or in an import, never in a comment or a docstring.
-Test-only helpers belong in testkit.  Every attribute the library stores on
-self is read on some line of the library, the scripts, testkit or the
-tests, and every parameter with a default is passed by some call there.
-No library module imports testkit."""
+and method of the library modules (every module of src/automizer) is named
+in the code of those modules or of the scripts outside its own definition,
+or is a name the benchmark's tracer wraps.  A name counts only where the
+code reads it: as a name, as an attribute or in an import, never in a
+comment or a docstring.  Test-only helpers belong in tests/testkit.py.
+Every attribute the library stores on self is read on some line of the
+library, the scripts or the tests (testkit among them), and every parameter
+with a default is passed by some call there.  No library module imports
+testkit."""
 
 import ast
 import importlib
@@ -15,10 +16,9 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-LIBRARY = sorted(p for p in (ROOT / "src" / "automizer").glob("*.py") if p.name != "testkit.py")
+LIBRARY = sorted((ROOT / "src" / "automizer").glob("*.py"))
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
-READERS = LIBRARY + SCRIPTS + [ROOT / "src" / "automizer" / "testkit.py"]
-READERS += sorted((ROOT / "tests").glob("*.py"))
+READERS = LIBRARY + SCRIPTS + sorted((ROOT / "tests").glob("*.py"))
 
 
 def load_tracing():
@@ -190,7 +190,7 @@ def passes(call: ast.Call, parameter: str, index) -> bool:
 
 def unpassed_parameters() -> list[str]:
     """Each parameter with a default of a library function or method that no
-    call in the library, the scripts, testkit or the tests passes.  A call
+    call in the library, the scripts or the tests passes.  A call
     counts where its callee's name is the function's, or the class's for
     __init__; a method's index skips self or cls."""
     calls: dict[str, list[ast.Call]] = {}

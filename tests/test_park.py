@@ -41,7 +41,7 @@ from automizer.park import (
     verify_embedding,
 )
 from automizer.realize import run_pipeline, verify_certificate
-from automizer.testkit import (
+from testkit import (
     PermGroup,
     Permutation,
     Wreath,
@@ -805,7 +805,7 @@ def reference_embedding_report(pe):
     )
     injective = len(set(iota)) == G.order
     trivial = tuple(u for u in range(G.order) if iota[u].top.tolist() == list(range(pe.n)))
-    core = set(pe.system.core_intersection())
+    core = set(pe.system.core_intersection)
     report = {
         "homomorphism": hom,
         "exhaustive": True,

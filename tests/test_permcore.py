@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from automizer.grouprep import permutation_closure
-from automizer.permcore import merge_labels, parse_cycles, word_parity
-from automizer.testkit import (
+from automizer.permcore import merge_labels, parse_cycles, read_decimal, word_parity
+from testkit import (
     PermGroup,
     Permutation,
     alternating_gens,
@@ -170,6 +170,30 @@ class TestArithmetic:
         with pytest.raises(ValueError) as info:
             parse_cycles(text)
         assert str(info.value) == "unclosed cycle at position %d in %r" % (at, text.strip())
+
+    # int() reads each of these tokens, or fails naming only its own text
+    @pytest.mark.parametrize("text, token, at", [
+        ("(0 1)(2 (3)", "(3", 8),
+        ("(1_0 2)", "1_0", 1),
+        ("(+1 2)", "+1", 1),
+        ("(0, -1)", "-1", 4),
+        ("(\u0663 1)", "\u0663", 1),
+        ("(\uff10 1)", "\uff10", 1),
+        ("(1e3 2)", "1e3", 1),
+        ("(a b)", "a", 1),
+        (" (0 1) (2 x)", "x", 9),
+    ])
+    def test_parse_reads_ascii_decimal_points_only(self, text, token, at):
+        with pytest.raises(ValueError) as info:
+            parse_cycles(text)
+        assert str(info.value) == "point %r at position %d is not an ASCII decimal number" % (token, at)
+
+    def test_read_decimal(self):
+        assert read_decimal("007", "entry", 0) == 7
+        for token in ["", " 1", "1 ", "1.0", "0x1", "1e3", "+1", "-1", "1_0", "\u0661", "\uff11"]:
+            with pytest.raises(ValueError) as info:
+                read_decimal(token, "entry", 5)
+            assert str(info.value) == "entry %r at position 5 is not an ASCII decimal number" % token
 
     def test_identity_round_trip(self):
         assert format_cycles(identity_perm(5)) == "()"

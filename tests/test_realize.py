@@ -28,6 +28,7 @@ from automizer.grouprep import (
     are_isomorphic,
     build_S,
     catalog_group,
+    homocyclic_rank2,
 )
 from automizer.permcore import parse_cycles
 from automizer.realize import (
@@ -43,9 +44,9 @@ from automizer.realize import (
     verify_thm31,
 )
 from automizer.biset import orbit_from_payload
-from automizer.fusion import generate
+from automizer.fusion import SubgroupLattice, generate
 from automizer.park import ParkEmbedding, WreathElement
-from automizer.testkit import PermGroup, Permutation, symmetric_gens
+from testkit import PermGroup, Permutation, symmetric_gens
 from automizer import cli, realize
 
 
@@ -349,6 +350,39 @@ class TestBuildFusion:
         assert rep["aut_U_order"] == 2
         assert rep["largest_index"] > 4
 
+    def test_thm31_family_is_the_rank2_family(self, c2_parts):
+        """verify_thm31 reads the family as the distinct generator sources,
+        in first-met order: the homocyclic rank-2 subgroups of the lattice."""
+        A, S, system, U = c2_parts
+        family = list(dict.fromkeys(m.source for m in system.generators))
+        assert family == [v.elements for v in homocyclic_rank2(S, list(system.lattice.by_key.values()))]
+        assert verify_thm31(S, system, U, A)[1]["family_size"] == len(family) == 41
+
+    @pytest.mark.parametrize("run", ["realize", "verify"])
+    def test_c2_finds_each_fusion_fact_once(self, c2_cert, monkeypatch, run):
+        """A C2 realize, and a C2 verify, make one nonextendable walk, which
+        asks each of the 106 lattice keys for its covers once, and find the
+        rank-2 family once, in build_fusion_for."""
+        covers_asked, families = [], []
+        covers_of, rank2 = SubgroupLattice.covers_of, realize.homocyclic_rank2
+
+        def counting_covers(self, key):
+            covers_asked.append(key)
+            return covers_of(self, key)
+
+        def counting_rank2(*args):
+            families.append(args)
+            return rank2(*args)
+
+        monkeypatch.setattr(SubgroupLattice, "covers_of", counting_covers)
+        monkeypatch.setattr(realize, "homocyclic_rank2", counting_rank2)
+        if run == "realize":
+            assert run_pipeline(InputGroupA.from_name("C2")).accepted
+        else:
+            assert verify_certificate(c2_cert)[0]
+        assert len(covers_asked) == len(set(covers_asked)) == 106
+        assert len(families) == 1
+
     def test_thm31_rejects_inner_system(self, c2_parts):
         # the inner system has focal subgroup S' and full extension core
         A, S, system, U = c2_parts
@@ -597,7 +631,7 @@ def failing_conjunct(key):
 
 
 # one row per patched check: the name realize reads (a dotted name patches a
-# method of the class realize reads), its stand-in, the flag it fails, the
+# method or property of the class realize reads), its stand-in, the flag it fails, the
 # stage it stops, the reason, and the last flag its stage checks (a stage
 # stops at its first false flag, and the flags after it keep their default:
 # the embedding stage stops before witnesses_ok).  The biset reasons name
@@ -609,7 +643,7 @@ CHECK_ROWS = [
      "focal_is_S", "construction_checks", "construction checks fail: focal_full", "index_gt_2A"),
     ("extension_core", "FusionSystem.extension_core", lambda self: tuple(range(self.ambient.order)),
      "QF_trivial", "construction_checks", "construction checks fail: extension_core_trivial", "index_gt_2A"),
-    ("large_index", "FusionSystem.nonextendable_sources", lambda self: {},
+    ("large_index", "FusionSystem.nonextendable", property(lambda self: {}),
      "index_gt_2A", "construction_checks", "construction checks fail: large_index_source", "index_gt_2A"),
     ("generated", "verify_generated", failing("verify_generated", failure="multiplier disagrees with the leading orbit"),
      "biset_generated", "biset", "orbit data rejected (biset_generated): multiplier disagrees with the leading orbit",

@@ -20,7 +20,7 @@ from automizer.biset import (
 from automizer.fusion import Morphism, generate
 from automizer.grouprep import FiniteGroup, ScaleError, are_isomorphic, catalog_group, permutation_closure
 from automizer.realize import Certificate, verify_certificate
-from automizer.testkit import (
+from testkit import (
     PermGroup,
     STANDARD_MUTATIONS,
     abstract_subgroup,

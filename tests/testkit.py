@@ -7,7 +7,7 @@ an accepted certificate must survive in full.  The permutation class and
 its deterministic stabilizer chain, the standard generators, distinguished
 subgroups, the codec inverse, the center, chain membership, the derived
 subgroup, the wreath arithmetic and free-orbit padding that only the tests
-and scripts build on live here too."""
+build on live here too."""
 
 import json
 from collections import deque
@@ -16,12 +16,12 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .biset import Diagonal, DiagonalContext, OrbitRecord, SemicharacteristicBiset, by_decreasing_order
-from .fusion import FusionSystem, Morphism, SubgroupLattice, _invert, generate
-from .grouprep import FiniteGroup, ScaleError, SGroup, Subgroup, injective_images, permutation_closure
-from .park import ParkEmbedding, WreathElement
-from .permcore import parse_cycles
-from .realize import Certificate, verify_certificate
+from automizer.biset import Diagonal, DiagonalContext, OrbitRecord, SemicharacteristicBiset
+from automizer.fusion import FusionSystem, Morphism, SubgroupLattice, _invert, by_decreasing_order, generate
+from automizer.grouprep import FiniteGroup, ScaleError, SGroup, Subgroup, injective_images, permutation_closure
+from automizer.park import ParkEmbedding, WreathElement
+from automizer.permcore import parse_cycles
+from automizer.realize import Certificate, verify_certificate
 
 
 # -- permutations and deterministic stabilizer chains --------------------------------
